@@ -180,7 +180,8 @@ class FaultInjector:
         # one injector == one DES run: stateful policies (adaptive
         # budget tracking) reset here so instances can be reused.
         self.policy.on_run_start()
-        self.log = log or FaultLog()
+        # an empty FaultLog is falsy (it defines __len__): test for None
+        self.log = log if log is not None else FaultLog()
 
     def execute(
         self,

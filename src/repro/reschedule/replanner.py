@@ -161,11 +161,22 @@ class Replanner:
         placement: EnsemblePlacement,
         slowdown: Dict[int, float],
         remaining_steps: Dict[str, int],
+        memo: Dict[EnsemblePlacement, float],
     ) -> float:
-        return calibrated_remaining_makespan(
-            self.spec, placement, self.cluster, self.dtl, slowdown,
-            remaining_steps,
-        )
+        """Calibrated remaining makespan, memoized for one :meth:`replan`.
+
+        Slowdown and remaining steps are fixed within a replan, and the
+        hill-climbs and the gate revisit the same placements; each miss
+        is a full platform assessment.
+        """
+        value = memo.get(placement)
+        if value is None:
+            value = calibrated_remaining_makespan(
+                self.spec, placement, self.cluster, self.dtl, slowdown,
+                remaining_steps,
+            )
+            memo[placement] = value
+        return value
 
     # -- candidate generation ----------------------------------------------
     def _hill_climb(
@@ -173,6 +184,7 @@ class Replanner:
         start: EnsemblePlacement,
         slowdown: Dict[int, float],
         remaining_steps: Dict[str, int],
+        memo: Dict[EnsemblePlacement, float],
     ) -> EnsemblePlacement:
         """Greedy best-single-move descent on calibrated remaining time."""
         flatten = SimulatedAnnealingPolicy._flatten
@@ -180,7 +192,7 @@ class Replanner:
         num_nodes = start.num_nodes
         flat = flatten(self.spec, start)
         demand = SimulatedAnnealingPolicy._demand(self.spec, flat)
-        best_value = self._remaining(start, slowdown, remaining_steps)
+        best_value = self._remaining(start, slowdown, remaining_steps, memo)
         for _ in range(self.max_passes):
             best_move: Optional[Tuple[int, int]] = None
             for idx in range(len(flat)):
@@ -196,6 +208,7 @@ class Replanner:
                         unflatten(self.spec, flat, num_nodes),
                         slowdown,
                         remaining_steps,
+                        memo,
                     )
                     flat[idx] = old_node
                     if value < best_value:
@@ -215,8 +228,11 @@ class Replanner:
         current: EnsemblePlacement,
         slowdown: Dict[int, float],
         remaining_steps: Dict[str, int],
+        memo: Dict[EnsemblePlacement, float],
     ) -> List[EnsemblePlacement]:
-        candidates = [self._hill_climb(current, slowdown, remaining_steps)]
+        candidates = [
+            self._hill_climb(current, slowdown, remaining_steps, memo)
+        ]
         if self.use_annealer:
             annealer = SimulatedAnnealingPolicy(
                 seed=self.annealer_seed,
@@ -229,7 +245,7 @@ class Replanner:
                 initial_placement=current,
             )
             candidates.append(
-                self._hill_climb(annealed, slowdown, remaining_steps)
+                self._hill_climb(annealed, slowdown, remaining_steps, memo)
             )
         # dedup while preserving order (hill-climbed twins are common)
         seen = set()
@@ -252,21 +268,22 @@ class Replanner:
         remaining_steps: Dict[str, int],
     ) -> ReplanDecision:
         """Evaluate candidates; accept only past the migration-cost gate."""
+        memo: Dict[EnsemblePlacement, float] = {}
         static_remaining = self._remaining(
-            current, slowdown, remaining_steps
+            current, slowdown, remaining_steps, memo
         )
         best_placement = current
         best_plan = MigrationPlan(moves=())
         best_total = static_remaining
         best_remaining = static_remaining
         for candidate in self._candidates(
-            current, slowdown, remaining_steps
+            current, slowdown, remaining_steps, memo
         ):
             plan = self.cost_model.plan_moves(self.spec, current, candidate)
             if not plan.moves:
                 continue
             remaining = self._remaining(
-                candidate, slowdown, remaining_steps
+                candidate, slowdown, remaining_steps, memo
             )
             total = remaining + plan.total_cost
             if total < best_total:

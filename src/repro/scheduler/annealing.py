@@ -342,7 +342,9 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                 ]
                 if not options:
                     continue
-                new_node = int(gen.choice(options))
+                # the very draw int(gen.choice(options)) makes, without
+                # its array conversion (test_annealing pins the identity)
+                new_node = options[int(gen.integers(0, len(options)))]
                 flat[idx] = new_node
                 demand[old_node] -= cores
                 demand[new_node] = demand.get(new_node, 0) + cores
@@ -379,15 +381,21 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         flat: List[int],
         num_nodes: int,
         robust_cluster: Optional[Cluster],
+        objective_memo: Dict[Tuple[float, ...], float],
     ) -> float:
         """The move-acceptance utility from a cached flat evaluation.
 
         Mirrors ``score_placement(...).utility`` exactly: same
         objective aggregation, and — with a robustness term — the same
         surrogate penalty over the same (cached, bit-identical) stage
-        predictions.
+        predictions. F is memoized on the indicator tuple (many states
+        share one); the penalty depends on the placement, so it is not.
         """
-        objective = objective_function(evaluation.indicators)
+        indicator_key = tuple(evaluation.indicators)
+        objective = objective_memo.get(indicator_key)
+        if objective is None:
+            objective = objective_function(evaluation.indicators)
+            objective_memo[indicator_key] = objective
         if self.robustness is None:
             return objective
         penalty = self.robustness.penalty(
@@ -415,6 +423,12 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         rest of the evaluation carries over unchanged. Utilities,
         acceptance decisions, and RNG draws are bit-identical to the
         full path, which the parity tests assert move for move.
+
+        An anneal revisits the same few states over and over (a
+        re-planner's ~2 000 moves land on 500-650 distinct placements), so
+        a transposition table keyed by the flat assignment scores each
+        state once; a revisit reuses its evaluation and utility.
+        ``stats.evaluations`` still counts every move.
         """
         cache = self.cache
         if cache is None or not cache.matches(None, None):
@@ -422,11 +436,14 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         robust_cluster: Optional[Cluster] = None
         if self.robustness is not None:
             robust_cluster = make_cori_like_cluster(num_nodes)
+        visited: Dict[Tuple[int, ...], Tuple[FlatEvaluation, float]] = {}
+        objective_memo: Dict[Tuple[float, ...], float] = {}
 
         evaluation = cache.evaluate_flat(spec, flat, num_nodes)
         current_utility = self._utility_of(
-            spec, evaluation, flat, num_nodes, robust_cluster
+            spec, evaluation, flat, num_nodes, robust_cluster, objective_memo
         )
+        visited[tuple(flat)] = (evaluation, current_utility)
         self.stats.evaluations += 1
         best_flat = list(flat)
         best_utility = current_utility
@@ -451,21 +468,28 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                 ]
                 if not options:
                     continue
-                new_node = int(gen.choice(options))
+                new_node = options[int(gen.integers(0, len(options)))]
                 flat[idx] = new_node
                 demand[old_node] -= cores
                 demand[new_node] = demand.get(new_node, 0) + cores
 
-                candidate_eval = cache.evaluate_flat(
-                    spec,
-                    flat,
-                    num_nodes,
-                    changed_nodes=frozenset((old_node, new_node)),
-                    previous=evaluation,
-                )
-                candidate_utility = self._utility_of(
-                    spec, candidate_eval, flat, num_nodes, robust_cluster
-                )
+                key = tuple(flat)
+                seen = visited.get(key)
+                if seen is None:
+                    candidate_eval = cache.evaluate_flat(
+                        spec,
+                        flat,
+                        num_nodes,
+                        changed_nodes=frozenset((old_node, new_node)),
+                        previous=evaluation,
+                    )
+                    candidate_utility = self._utility_of(
+                        spec, candidate_eval, flat, num_nodes,
+                        robust_cluster, objective_memo,
+                    )
+                    visited[key] = (candidate_eval, candidate_utility)
+                else:
+                    candidate_eval, candidate_utility = seen
                 self.stats.evaluations += 1
                 delta = candidate_utility - current_utility
                 if delta >= 0 or gen.random() < math.exp(delta / temperature):

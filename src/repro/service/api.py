@@ -18,8 +18,9 @@ matching the repo's zero-new-dependency rule. Routes:
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
 so the HTTP path serves the same floats the library computes — the
 verify subsystem's service tier holds this to tolerance 0.0. Errors
-are JSON too: 400 for malformed payloads, 404 for unknown ids/routes,
-405 for unsupported methods.
+are JSON too: 400 for malformed payloads or a negative or non-integer
+``Content-Length``, 404 for unknown ids/routes, 405 for unsupported
+methods, 413 for bodies over :data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from typing import Optional, Tuple
 from repro.service.schemas import request_from_dict
 from repro.service.workers import PlacementService
 from repro.util.errors import ReproError
+
+#: the largest ``POST /jobs`` body the service reads; larger -> 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class PlacementServer:
@@ -188,7 +192,28 @@ def _make_handler(server: PlacementServer):
             if head != "jobs" or rest is not None:
                 self._error(404, f"no route POST {self.path}")
                 return
-            length = int(self.headers.get("Content-Length") or 0)
+            # a body we refuse is never read, so the connection cannot
+            # carry another request after the error
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                self._error(
+                    400,
+                    "bad request: Content-Length must be a non-negative "
+                    "integer",
+                )
+                return
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                self._error(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
+                return
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8") or "{}")

@@ -354,3 +354,25 @@ class TestInjectorUnit:
         assert captured["exc"].component == "em1.ana1"
         assert captured["exc"].step == 2
         assert injector.log.dropped_components == ["em1.ana1"]
+
+    def test_caller_supplied_empty_log_receives_records(self):
+        # an empty FaultLog is falsy; the injector must still keep it
+        log = FaultLog()
+        env = Environment()
+        injector = FaultInjector(FaultSchedule([_crash(step=0)]), log=log)
+        ctx = StageContext(
+            member="em1",
+            component="em1.sim",
+            stage="S",
+            step=0,
+            duration=3.0,
+        )
+
+        def proc(env):
+            yield from injector.execute(env, ctx)
+
+        env.process(proc(env))
+        env.run()
+        assert injector.log is log
+        assert len(log) == 1
+        assert log.records[0].kind is FaultKind.CRASH

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
+from repro.search.cache import StageCache
 from repro.util.errors import PlacementError, ValidationError
+from repro.util.rng import RandomSource
 
 
 @pytest.fixture
@@ -79,6 +82,57 @@ class TestAnnealing:
             spec, GreedyIndicatorPolicy().place(spec, 6, 32)
         )
         assert score.objective >= greedy_score.objective * 0.999
+
+
+class TestMoveDraw:
+    """The annealer draws a move target as ``options[integers(0, n)]``.
+
+    That is the draw ``int(gen.choice(options))`` makes, minus its
+    array conversion. If a numpy release changes ``Generator.choice``,
+    this fails instead of the annealer's trajectory drifting silently
+    away from the recorded goldens.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**31 - 1])
+    def test_index_draw_matches_choice(self, seed):
+        by_index = RandomSource(seed, name="annealer").generator
+        by_choice = RandomSource(seed, name="annealer").generator
+        for length in range(1, 65):
+            options = [(7 * k + length) % 101 for k in range(length)]
+            for _ in range(5):
+                picked = options[int(by_index.integers(0, len(options)))]
+                assert picked == int(by_choice.choice(options))
+        # both streams consumed the same state
+        assert by_index.random() == by_choice.random()
+
+
+class CountingStageCache(StageCache):
+    """A default-context cache that counts ``evaluate_flat`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.evaluate_flat_calls = 0
+
+    def evaluate_flat(self, *args, **kwargs):
+        self.evaluate_flat_calls += 1
+        return super().evaluate_flat(*args, **kwargs)
+
+
+class TestTranspositionTable:
+    def test_revisited_states_are_not_rescored(self):
+        # the re-planner's warm-start shape: ~2 000 moves over a few
+        # hundred distinct states
+        spec = EnsembleSpec(
+            "warm",
+            tuple(default_member(f"em{i}", n_steps=16) for i in range(3)),
+        )
+        packed = EnsemblePlacement(
+            4, tuple(MemberPlacement(i, (i,)) for i in range(3))
+        )
+        cache = CountingStageCache()
+        sa = SimulatedAnnealingPolicy(seed=0, plateau=30, cache=cache)
+        sa.place(spec, 4, 32, initial_placement=packed)
+        assert cache.evaluate_flat_calls < sa.stats.evaluations
 
 
 class TestRobustRefinement:

@@ -14,6 +14,8 @@ import pytest
 from repro.faults.analytic import RobustnessTerm
 from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
+from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.planner import ResourceConstrainedPlanner
@@ -139,6 +141,24 @@ class TestIncrementalAnnealing:
         assert fast.stats.evaluations == full.stats.evaluations
         assert fast.stats.accepted == full.stats.accepted
         assert fast.stats.improved == full.stats.improved
+
+    def test_trajectory_parity_warm_start(self):
+        # the re-planner's shape: three members packed one per node on
+        # four nodes, warm-started, plateau 30 (~2 000 moves that
+        # revisit a few hundred states)
+        spec = EnsembleSpec(
+            "warm",
+            tuple(default_member(f"em{i}", n_steps=16) for i in range(3)),
+        )
+        packed = EnsemblePlacement(
+            4, tuple(MemberPlacement(i, (i,)) for i in range(3))
+        )
+        full = SimulatedAnnealingPolicy(seed=0, plateau=30, incremental=False)
+        fast = SimulatedAnnealingPolicy(seed=0, plateau=30, incremental=True)
+        full_placement = full.place(spec, 4, 32, initial_placement=packed)
+        fast_placement = fast.place(spec, 4, 32, initial_placement=packed)
+        assert fast_placement == full_placement
+        assert fast.stats == full.stats
 
     def test_trajectory_parity_with_robustness(self, two_member_spec):
         full = SimulatedAnnealingPolicy(

@@ -8,6 +8,7 @@ status codes are exercised end to end.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -17,7 +18,7 @@ import pytest
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.search.engine import find_best_placement
-from repro.service.api import PlacementServer, make_server
+from repro.service.api import MAX_BODY_BYTES, PlacementServer, make_server
 from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
     PlacementRequest,
@@ -136,6 +137,28 @@ class TestRoutes:
             assert err.value.code == 400
             detail = json.loads(err.value.read())
             assert "error" in detail
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("twelve", 400), ("1.5", 400), ("-1", 400),
+         (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length(self, server, length, status):
+        # the handler answers from the header alone: a refused body is
+        # never read, so a negative length cannot block the handler
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == status
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
 
     def test_stats_surfaces_all_layers(self, client):
         client.wait(client.submit(_search())["id"], timeout=30.0)
