@@ -185,12 +185,13 @@ def bench_exhaustive(num_nodes: int) -> tuple:
             seed_best = score
     t_seed = time.perf_counter() - t0
 
+    from repro.scheduler.context import PlanningContext
     from repro.search.cache import StageCache
 
-    stage_cache = StageCache()
+    context = PlanningContext(cache=StageCache())
     t0 = time.perf_counter()
     fast_best, fast_evaluated = find_best_placement(
-        spec, num_nodes, CORES_PER_NODE, cache=stage_cache
+        spec, num_nodes, CORES_PER_NODE, context=context
     )
     t_fast = time.perf_counter() - t0
 
@@ -241,7 +242,7 @@ def bench_exhaustive(num_nodes: int) -> tuple:
         "fast_seconds": t_fast,
         "speedup": t_seed / t_fast,
         "objective": fast_best.objective,
-        "stage_cache": stage_cache.stats(),
+        "stage_cache": context.cache.stats(),
     }
     return row, report
 

@@ -79,6 +79,7 @@ from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
+from repro.util.validation import require_non_negative
 
 
 @dataclass(frozen=True)
@@ -614,10 +615,7 @@ class RobustnessTerm:
             raise ValidationError(
                 "exactly one of model / model_builder must be given"
             )
-        if self.weight < 0:
-            raise ValidationError(
-                f"weight must be >= 0, got {self.weight!r}"
-            )
+        require_non_negative("weight", self.weight)
 
     def model_for(self, placement: EnsemblePlacement) -> FailureModel:
         """The failure model to price ``placement`` under."""

@@ -111,24 +111,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # -- engine counters ---------------------------------------------------------
 # Module-global so the service's /stats endpoint and bench tooling can
 # report how much replay work the engine has done without threading a
-# stats object through every call. Pool workers tally in their own
-# process; the parent folds their returned counts back in.
+# stats object through every call.
 
 _COUNTER_LOCK = threading.Lock()
-_counters: Dict[str, object] = {
+_counters: Dict[str, int] = {
     "baseline_sims": 0,
     "replicas_replayed": 0,
-    "fallback_reason": None,
 }
 
 
-def engine_counters() -> Dict[str, object]:
+def engine_counters() -> Dict[str, int]:
     """A snapshot of the batched engine's work counters.
 
-    ``baseline_sims`` counts fault-free timeline captures,
-    ``replicas_replayed`` the fault replicas scored by delta replay,
-    and ``fallback_reason`` the most recent reason a parallel ranking
-    fell back to serial (None if it never has).
+    ``baseline_sims`` counts fault-free timeline captures and
+    ``replicas_replayed`` the fault replicas scored by delta replay.
     """
     with _COUNTER_LOCK:
         return dict(_counters)
@@ -139,18 +135,12 @@ def reset_engine_counters() -> None:
     with _COUNTER_LOCK:
         _counters["baseline_sims"] = 0
         _counters["replicas_replayed"] = 0
-        _counters["fallback_reason"] = None
 
 
 def _tally(baseline: int = 0, replicas: int = 0) -> None:
     with _COUNTER_LOCK:
         _counters["baseline_sims"] += baseline
         _counters["replicas_replayed"] += replicas
-
-
-def _note_fallback(reason: Optional[str]) -> None:
-    with _COUNTER_LOCK:
-        _counters["fallback_reason"] = reason
 
 
 def replay_tier(policy: RecoveryPolicy) -> str:
@@ -810,52 +800,6 @@ def batched_score_placement(
     )
 
 
-def _batched_chunk_worker(payload: Tuple) -> Tuple[List, int, int]:
-    """Pool worker: batched-score one contiguous chunk of candidates.
-
-    Returns ``(scores, baseline_sims, replicas_replayed)`` so the
-    parent can fold the child process's counter increments back into
-    the module-global counters.
-    """
-    (
-        spec, chunk, model_factory, policy, trials, base_seed,
-        timing_noise, crn, cluster, dtl,
-    ) = payload
-    shared = None
-    if crn:
-        shared = [
-            model_factory(derive_replica_seed(base_seed, t)).build_schedule(
-                spec
-            )
-            for t in range(trials)
-        ]
-    scores: List = []
-    for cname, placement in chunk:
-        timeline = capture_timeline(
-            spec,
-            placement,
-            cluster=cluster,
-            dtl=dtl,
-            seed=base_seed,
-            timing_noise=timing_noise,
-        )
-        scores.append(
-            score_from_timeline(
-                spec,
-                timeline,
-                placement,
-                model_factory,
-                policy,
-                trials=trials,
-                base_seed=base_seed,
-                seed_label="" if crn else cname,
-                name=cname,
-                schedules=shared,
-            )
-        )
-    return scores, len(chunk), len(chunk) * trials
-
-
 def rank_placements_batched(
     spec: EnsembleSpec,
     candidates: Dict[str, EnsemblePlacement],
@@ -865,7 +809,6 @@ def rank_placements_batched(
     base_seed: int = 0,
     timing_noise: float = 0.0,
     crn: bool = True,
-    parallel: bool = False,
     cluster: Optional[Cluster] = None,
     dtl: Optional[DataTransportLayer] = None,
 ) -> List["RobustScore"]:
@@ -879,42 +822,8 @@ def rank_placements_batched(
     letting the schedules be sampled once per call instead of once per
     candidate. ``crn=False`` decorrelates candidates by hashing each
     candidate's name into its replica seeds.
-
-    With ``parallel=True`` the candidate list is sharded into
-    contiguous chunks across a process pool; results are identical to
-    serial (same seeds, same chunk-order flatten, and ``sorted`` is
-    stable so ties keep their insertion order). Pool-setup or pickling
-    failures fall back to serial with the reason recorded on
-    ``engine_counters()["fallback_reason"]``.
     """
     require_positive_int("trials", trials)
-    items = list(candidates.items())
-    if parallel and len(items) >= 2:
-        import multiprocessing
-
-        from repro.scheduler.robust import _parallel_map
-
-        workers = min(multiprocessing.cpu_count(), len(items))
-        size = -(-len(items) // max(workers, 1))
-        chunks = [
-            items[i:i + size] for i in range(0, len(items), size)
-        ]
-        payloads = [
-            (
-                spec, chunk, model_factory, policy, trials, base_seed,
-                timing_noise, crn, cluster, dtl,
-            )
-            for chunk in chunks
-        ]
-        outcome = _parallel_map(_batched_chunk_worker, payloads)
-        if outcome.results is not None:
-            scores = []
-            for part, baselines, replicas in outcome.results:
-                scores.extend(part)
-                _tally(baseline=baselines, replicas=replicas)
-            return sorted(scores, reverse=True)
-        _note_fallback(outcome.fallback_reason)
-
     shared = None
     if crn:
         shared = [
@@ -924,7 +833,7 @@ def rank_placements_batched(
             for t in range(trials)
         ]
     scores = []
-    for cname, placement in items:
+    for cname, placement in candidates.items():
         timeline = capture_timeline(
             spec,
             placement,

@@ -31,6 +31,7 @@ from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import RandomPolicy, SchedulingPolicy
 from repro.search.cache import FlatEvaluation, StageCache
@@ -313,10 +314,9 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                 spec, num_nodes, cores_per_node, gen, flat, component_cores
             )
 
+        context = PlanningContext(robustness=self.robustness)
         current = score_placement(
-            spec,
-            self._unflatten(spec, flat, num_nodes),
-            robustness=self.robustness,
+            spec, self._unflatten(spec, flat, num_nodes), context=context
         )
         self.stats.evaluations += 1
         best_flat = list(flat)
@@ -352,7 +352,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                 candidate = score_placement(
                     spec,
                     self._unflatten(spec, flat, num_nodes),
-                    robustness=self.robustness,
+                    context=context,
                 )
                 self.stats.evaluations += 1
                 delta = candidate.utility - current.utility

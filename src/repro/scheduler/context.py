@@ -1,28 +1,17 @@
 """One bundle for the scoring/search context: :class:`PlanningContext`.
 
-Seven PRs of growth left the planning entry points with sprawling,
-repeated keyword lists — ``cluster``/``dtl``/``robustness``/``cache``
-plus engine options threaded (inconsistently) through
 :func:`~repro.scheduler.objectives.score_placement`,
 :func:`~repro.search.engine.find_best_placement`,
-:func:`~repro.scheduler.robust.rank_placements_robust`, the
-:class:`~repro.scheduler.planner.ResourceConstrainedPlanner`, and the
-service workers. :class:`PlanningContext` is the one frozen object
-that carries all of it; the legacy kwargs keep working through
-:func:`_coerce_context`, which warns ``DeprecationWarning`` when both
-spellings are mixed in one call (the explicit legacy values win, so
-existing call sites upgrade incrementally without behaviour changes).
-
-The redesign is *pure plumbing*: a context-carrying call and its
-legacy-kwarg equivalent produce float-identical winners and scores,
-asserted by the differential oracle's exact (tolerance ``0.0``)
-``context`` tier.
+:func:`~repro.scheduler.robust.rank_placements_robust` and the
+:class:`~repro.scheduler.planner.ResourceConstrainedPlanner` take the
+platform, the robustness term, the stage cache and the kernel routing
+through one frozen object passed as ``context=``; there is no second
+keyword spelling. ``context=None`` means :data:`DEFAULT_CONTEXT`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -40,70 +29,34 @@ class PlanningContext:
     ----------
     cluster / dtl:
         Platform model and staging tier (both default to the
-        Cori-like models when ``None``, exactly as the legacy kwargs
-        did).
+        Cori-like models when ``None``).
     robustness:
         Optional :class:`~repro.faults.analytic.RobustnessTerm`
         penalizing fragile placements.
     cache:
         Optional shared :class:`~repro.search.cache.StageCache`;
         callees build a compatible one when omitted.
-    parallel / processes:
-        Route batch scoring through a process pool.
-    vectorized / chunk_size:
+    vectorized:
         Opt in to the column-kernel search path.
+
+    Examples
+    --------
+    >>> ctx = PlanningContext().evolve(vectorized=True)
+    >>> ctx.vectorized, DEFAULT_CONTEXT.vectorized
+    (True, False)
     """
 
     cluster: Optional["Cluster"] = None
     dtl: Optional["DataTransportLayer"] = None
     robustness: Optional["RobustnessTerm"] = None
     cache: Optional["StageCache"] = None
-    parallel: bool = False
-    processes: Optional[int] = None
     vectorized: bool = False
-    chunk_size: int = 8192
 
     def evolve(self, **changes) -> "PlanningContext":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""
         return dataclasses.replace(self, **changes)
 
 
-_FIELD_DEFAULTS = {
-    field.name: field.default
-    for field in dataclasses.fields(PlanningContext)
-}
-
-
-def _coerce_context(
-    context: Optional[PlanningContext],
-    caller: str,
-    **legacy,
-) -> PlanningContext:
-    """Merge a ``context=`` argument with legacy keyword arguments.
-
-    - context only → returned as-is;
-    - legacy kwargs only (or nothing) → packed into a fresh context;
-    - both → ``DeprecationWarning``; the explicitly passed legacy
-      values override the context's fields, so a call site migrating
-      one kwarg at a time never silently changes behaviour.
-
-    Unknown keys raise ``TypeError`` via the dataclass constructor,
-    which keeps the shim honest about what a context can carry.
-    """
-    supplied = {
-        key: value
-        for key, value in legacy.items()
-        if value is not _FIELD_DEFAULTS[key] and value != _FIELD_DEFAULTS[key]
-    }
-    if context is None:
-        return PlanningContext(**legacy)
-    if supplied:
-        warnings.warn(
-            f"{caller}: context= was combined with legacy keyword(s) "
-            f"{sorted(supplied)}; the legacy values take precedence. "
-            f"Pass everything through PlanningContext instead.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return dataclasses.replace(context, **supplied)
-    return context
+#: What ``context=None`` means at every planning entry point — one
+#: shared instance, so a default call allocates no context of its own.
+DEFAULT_CONTEXT = PlanningContext()

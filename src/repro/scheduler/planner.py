@@ -21,19 +21,15 @@ compared on their robust utility without any DES trials.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.search.cache import StageCache
+from typing import Optional, Sequence
 
 from repro.components.analysis import EigenAnalysisModel
 from repro.core.heuristic import CoreAllocationChoice, choose_analysis_cores
 from repro.core.stages import MemberStages
-from repro.faults.analytic import RobustnessTerm
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
-from repro.scheduler.context import PlanningContext, _coerce_context
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
 from repro.scheduler.policies import GreedyIndicatorPolicy, SchedulingPolicy
 from repro.util.errors import ConfigurationError, PlacementError
@@ -63,49 +59,26 @@ class ResourceConstrainedPlanner:
         Placement policy (defaults to the indicator-guided greedy).
     core_counts:
         Candidate analysis core counts for the §3.4 heuristic.
-    robustness:
-        Optional :class:`~repro.faults.analytic.RobustnessTerm`; when
-        given, the plan's score includes the surrogate's expected
-        inflation penalty (and orders by the penalized utility).
-    cache:
-        Optional :class:`~repro.search.cache.StageCache` used to score
-        the final placement (shared across ``plan`` calls; a policy
-        that accepts a cache benefits from warm entries too).
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`
-        bundling ``robustness``/``cache`` (mixing both spellings warns
-        ``DeprecationWarning``; legacy wins). Its ``cluster``/``dtl``
-        fields additionally scope the final placement score to that
-        platform — previously unreachable from the planner.
+        scoping the final placement score: its ``cluster``/``dtl`` are
+        the platform, a ``robustness`` term adds the surrogate's
+        expected inflation penalty (the plan then orders by the
+        penalized utility), and a ``cache`` is shared across ``plan``
+        calls.
     """
 
     def __init__(
         self,
         policy: Optional[SchedulingPolicy] = None,
         core_counts: Sequence[int] = DEFAULT_CORE_COUNTS,
-        robustness: Optional[RobustnessTerm] = None,
-        cache: Optional["StageCache"] = None,
         context: Optional[PlanningContext] = None,
     ) -> None:
         self.policy = policy or GreedyIndicatorPolicy()
         self.core_counts = list(core_counts)
         if not self.core_counts:
             raise ConfigurationError("core_counts must be non-empty")
-        self.cluster = None
-        self.dtl = None
-        if context is not None:
-            merged = _coerce_context(
-                context,
-                "ResourceConstrainedPlanner",
-                robustness=robustness,
-                cache=cache,
-            )
-            robustness = merged.robustness
-            cache = merged.cache
-            self.cluster = merged.cluster
-            self.dtl = merged.dtl
-        self.robustness = robustness
-        self.cache = cache
+        self.context = context
         #: probe predictions run by the most recent ``plan`` call —
         #: distinct core counts actually evaluated, after memoization
         self.probe_evaluations = 0
@@ -124,10 +97,7 @@ class ResourceConstrainedPlanner:
         sized_spec = self._respec_with_cores(spec, choice.cores)
         placement = self.policy.place(sized_spec, num_nodes, cores_per_node)
         placement = self._compact(placement)
-        score = score_placement(
-            sized_spec, placement, cluster=self.cluster, dtl=self.dtl,
-            robustness=self.robustness, cache=self.cache,
-        )
+        score = score_placement(sized_spec, placement, context=self.context)
         return Plan(
             spec=sized_spec,
             placement=placement,

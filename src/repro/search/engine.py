@@ -22,18 +22,14 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from repro.core.objective import objective_function
-from repro.dtl.base import DataTransportLayer
-from repro.faults.analytic import RobustnessTerm
 from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext, _coerce_context
+from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
 from repro.scheduler.objectives import PlacementScore
-from repro.search.batch import score_placements_batch
 from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
-    enumerate_canonical_placements,
     iter_canonical_assignments,
 )
 from repro.search.cache import StageCache
@@ -115,14 +111,7 @@ def find_best_placement(
     spec: EnsembleSpec,
     num_nodes: int,
     cores_per_node: int,
-    cluster: Optional[Cluster] = None,
-    dtl: Optional[DataTransportLayer] = None,
-    robustness: Optional[RobustnessTerm] = None,
-    cache: Optional[StageCache] = None,
-    parallel: bool = False,
-    processes: Optional[int] = None,
-    vectorized: bool = False,
-    chunk_size: int = 8192,
+    *,
     context: Optional[PlanningContext] = None,
 ) -> Tuple[PlacementScore, int]:
     """Exhaustively search the canonical space; return (best, evaluated).
@@ -136,18 +125,16 @@ def find_best_placement(
     ----------
     spec / num_nodes / cores_per_node:
         The ensemble and the node budget to search.
-    cluster / dtl / robustness:
-        Scoring context, as for ``score_placement``.
-    cache:
-        Optional shared :class:`StageCache` (created when omitted or
-        incompatible with ``(cluster, dtl)``).
-    parallel / processes:
-        Route scoring through :func:`~repro.search.batch
-        .score_placements_batch`'s pool (serial fallback applies).
-    vectorized / chunk_size:
-        Opt in to the batch column kernel with branch-and-bound
+    context:
+        A :class:`~repro.scheduler.context.PlanningContext`
+        (:data:`~repro.scheduler.context.DEFAULT_CONTEXT` when
+        ``None``). Its ``cluster``/``dtl``/``robustness`` are the
+        scoring context, as for ``score_placement``; its ``cache`` is
+        shared (one is created when omitted or incompatible with
+        ``(cluster, dtl)``). ``vectorized=True`` opts in to the batch
+        column kernel with branch-and-bound
         (:func:`~repro.search.vectorized
-        .find_best_placement_vectorized`). Applies only when the
+        .find_best_placement_vectorized`). It applies only when the
         context is vectorizable, no robustness term is present, and the
         canonical space is large enough to amortize chunk setup
         (``MIN_VECTORIZED_CANDIDATES``); otherwise the scalar path runs
@@ -158,11 +145,6 @@ def find_best_placement(
         reason is recorded — :func:`last_search_routing` returns it
         and :func:`search_counters` tallies it (nothing falls back
         silently).
-    context:
-        A :class:`~repro.scheduler.context.PlanningContext` bundling
-        the eight keywords above. Float-identical to the legacy
-        spelling; mixing both warns ``DeprecationWarning`` with the
-        legacy values taking precedence.
 
     Raises
     ------
@@ -171,33 +153,19 @@ def find_best_placement(
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    if context is not None:
-        merged = _coerce_context(
-            context,
-            "find_best_placement",
-            cluster=cluster,
-            dtl=dtl,
-            robustness=robustness,
-            cache=cache,
-            parallel=parallel,
-            processes=processes,
-            vectorized=vectorized,
-            chunk_size=chunk_size,
-        )
-        cluster = merged.cluster
-        dtl = merged.dtl
-        robustness = merged.robustness
-        cache = merged.cache
-        parallel = merged.parallel
-        processes = merged.processes
-        vectorized = merged.vectorized
-        chunk_size = merged.chunk_size
+    if context is None:
+        context = DEFAULT_CONTEXT
+    cluster = context.cluster
+    dtl = context.dtl
+    robustness = context.robustness
+    vectorized = context.vectorized
+    cache = context.cache
     if cache is None or not cache.matches(cluster, dtl):
         cache = StageCache(cluster, dtl)
 
     fallback_reason: Optional[str] = None
     component_cores = component_core_demands(spec)
-    if vectorized and robustness is None and not parallel:
+    if vectorized and robustness is None:
         from repro.search.canonical import count_canonical_assignments
         from repro.search.vectorized import (
             MIN_VECTORIZED_CANDIDATES,
@@ -217,7 +185,6 @@ def find_best_placement(
                     cluster=cluster,
                     dtl=dtl,
                     cache=cache,
-                    chunk_size=chunk_size,
                 )
             except VectorizedUnsupported as exc:
                 fallback_reason = f"context not vectorizable: {exc}"
@@ -230,40 +197,8 @@ def find_best_placement(
                 f"{MIN_VECTORIZED_CANDIDATES} candidates)"
             )
     elif vectorized:
-        fallback_reason = (
-            "robustness term present"
-            if robustness is not None
-            else "parallel engine requested"
-        )
+        fallback_reason = "robustness term present"
     _note_routing(vectorized, False, fallback_reason)
-
-    if parallel:
-        candidates = list(
-            enumerate_canonical_placements(spec, num_nodes, cores_per_node)
-        )
-        scores = score_placements_batch(
-            spec,
-            candidates,
-            cluster=cluster,
-            dtl=dtl,
-            robustness=robustness,
-            cache=cache,
-            parallel=True,
-            processes=processes,
-        )
-        if not scores:
-            raise PlacementError(
-                f"no feasible placement over {num_nodes} nodes of "
-                f"{cores_per_node} cores"
-            )
-        # numpy argmax over the batch must reproduce the serial loop's
-        # strict-> tie-breaking (utility, fewest nodes, lowest
-        # makespan, first occurrence) — best_score_index does exactly
-        # that, regression-tested on tie-heavy grids
-        from repro.search.vectorized import best_score_index
-
-        best: Optional[PlacementScore] = scores[best_score_index(scores)]
-        return best, len(scores)
 
     evaluated = 0
     best = None

@@ -63,6 +63,7 @@ from repro.platform.network import DragonflyNetwork
 from repro.platform.node import Node
 from repro.platform.specs import cori_like_network, cori_like_node
 from repro.runtime.spec import EnsembleSpec
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import (
@@ -77,8 +78,9 @@ from repro.util.validation import require_positive_int
 #: Below this canonical-space size the scalar ``StageCache`` loop wins:
 #: chunk setup (array allocation, signature coding, table gathers)
 #: costs roughly a millisecond, which only amortizes over thousands of
-#: candidates. ``find_best_placement(vectorized=True)`` silently stays
-#: on the scalar path for smaller instances.
+#: candidates. ``find_best_placement`` with a ``vectorized=True``
+#: context stays on the scalar path for smaller instances (and records
+#: why in :func:`~repro.search.engine.last_search_routing`).
 MIN_VECTORIZED_CANDIDATES = 2048
 
 #: Relative safety margin applied to the branch-and-bound upper bound
@@ -155,34 +157,6 @@ def argmax_batch(
     tied = np.flatnonzero(objectives == objectives.max())
     # np.argmin returns the first minimum, preserving enumeration order
     return int(tied[np.argmin(makespans[tied])])
-
-
-def best_score_index(scores: Sequence[PlacementScore]) -> int:
-    """First index of the lexicographic maximum ``PlacementScore``.
-
-    Numpy argmax over batch results that preserves the full
-    :meth:`PlacementScore._key` ordering — ``(utility, -num_nodes,
-    -ensemble_makespan)`` — including the first-occurrence tie-break of
-    the serial ``score > best`` loop.
-    """
-    if not scores:
-        raise ValueError("best_score_index requires at least one score")
-    utilities = np.fromiter(
-        (s.utility for s in scores), dtype=float, count=len(scores)
-    )
-    candidates = np.flatnonzero(utilities == utilities.max())
-    nodes = np.fromiter(
-        (scores[i].num_nodes for i in candidates),
-        dtype=float,
-        count=len(candidates),
-    )
-    candidates = candidates[nodes == nodes.min()]
-    makespans = np.fromiter(
-        (scores[i].ensemble_makespan for i in candidates),
-        dtype=float,
-        count=len(candidates),
-    )
-    return int(candidates[np.argmin(makespans)])
 
 
 class VectorizedScorer:
@@ -700,6 +674,8 @@ def find_best_placement_vectorized(
         cache = StageCache(cluster, dtl)
     placement = assignment_to_placement(spec, best_row.tolist(), num_nodes)
     best = score_placement(
-        spec, placement, cluster=cluster, dtl=dtl, cache=cache
+        spec,
+        placement,
+        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
     )
     return VectorizedSearchResult(best=best, scored=scored, pruned=pruned)

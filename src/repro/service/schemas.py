@@ -49,7 +49,11 @@ from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.objectives import PlacementScore
 from repro.scheduler.robust import RobustScore
 from repro.util.errors import ValidationError
-from repro.util.validation import require_positive_int
+from repro.util.validation import (
+    require_in_range,
+    require_non_negative,
+    require_positive_int,
+)
 
 #: Wire-format version carried by every request payload.
 SCHEMA_VERSION = 1
@@ -73,6 +77,15 @@ _PROFILE_FIELDS = (
     "instructions_per_unit",
     "miss_penalty_cycles",
 )
+
+
+def _object(label: str, payload) -> dict:
+    """``payload`` itself, if the wire value is a JSON object."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{label} must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
 
 
 # -- components and specs ----------------------------------------------------
@@ -126,7 +139,7 @@ def component_to_dict(model: ComponentModel) -> dict:
 
 def component_from_dict(payload: dict) -> ComponentModel:
     """Rebuild a component model from its wire dict."""
-    kind = payload.get("type")
+    kind = _object("component", payload).get("type")
     profile = _profile_from_dict(payload["profile"])
     if kind == "md_simulation":
         return MDSimulationModel(
@@ -328,6 +341,7 @@ def reschedule_options_to_dict(options: RescheduleOptions) -> dict:
 
 
 def reschedule_options_from_dict(payload: dict) -> RescheduleOptions:
+    _object("reschedule", payload)
     defaults = RescheduleOptions()
     return RescheduleOptions(
         **{
@@ -394,7 +408,7 @@ def membership_event_to_dict(event: MembershipEvent) -> dict:
 
 
 def membership_event_from_dict(payload: dict) -> MembershipEvent:
-    member = payload.get("member")
+    member = _object("membership event", payload).get("member")
     return MembershipEvent(
         offset=payload["offset"],
         action=payload["action"],
@@ -426,6 +440,7 @@ def ensemble_request_to_dict(request: "EnsembleRequest") -> dict:
 def ensemble_request_from_dict(payload: dict) -> "EnsembleRequest":
     from repro.coschedule.requests import EnsembleRequest
 
+    _object("stream entry", payload)
     return EnsembleRequest(
         name=payload["name"],
         spec=spec_from_dict(payload["spec"]),
@@ -455,6 +470,7 @@ def coschedule_options_to_dict(options: CoscheduleOptions) -> dict:
 
 
 def coschedule_options_from_dict(payload: dict) -> CoscheduleOptions:
+    _object("coschedule", payload)
     return CoscheduleOptions(
         requests=tuple(
             ensemble_request_from_dict(r) for r in payload["requests"]
@@ -551,10 +567,8 @@ class PlacementRequest:
                     f"stream entry's spec (got {self.spec.name!r} vs "
                     f"{first.spec.name!r})"
                 )
-        if self.robust_rate < 0:
-            raise ValidationError(
-                f"robust_rate must be >= 0, got {self.robust_rate!r}"
-            )
+        require_in_range("robust_rate", self.robust_rate, 0.0, 1.0)
+        require_non_negative("robust_weight", self.robust_weight)
         if self.policy not in POLICY_NAMES:
             raise ValidationError(
                 f"unknown recovery policy {self.policy!r}; "
@@ -607,7 +621,9 @@ def request_to_dict(request: PlacementRequest) -> dict:
 
 def request_from_dict(payload: dict) -> PlacementRequest:
     """Rebuild a request; unknown schema versions are rejected."""
-    version = payload.get("schema_version", SCHEMA_VERSION)
+    version = _object("request", payload).get(
+        "schema_version", SCHEMA_VERSION
+    )
     if version != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {version!r} "
@@ -624,7 +640,10 @@ def request_from_dict(payload: dict) -> PlacementRequest:
             placement_from_dict(placement) if placement is not None else None
         ),
         candidates=(
-            {n: placement_from_dict(p) for n, p in candidates.items()}
+            {
+                n: placement_from_dict(p)
+                for n, p in _object("candidates", candidates).items()
+            }
             if candidates is not None
             else None
         ),

@@ -44,6 +44,7 @@ from repro.runtime.placement import (
     spread_components,
 )
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.context import PlanningContext
 from repro.util.errors import ValidationError
 from tests.tolerances import (
     MAKESPAN_REL,
@@ -446,6 +447,15 @@ class TestRobustnessTerm:
                 weight=-1.0,
             )
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="weight"):
+            RobustnessTerm(
+                policy=RetryBackoffPolicy(),
+                model=RandomFailureModel(rate=0.1),
+                weight=weight,
+            )
+
     def test_penalty_zero_without_failures(self, spec, placement):
         term = RobustnessTerm(
             policy=RetryBackoffPolicy(), model=NoFailureModel()
@@ -498,9 +508,9 @@ class TestRobustnessTerm:
             model_builder=node_crash_builder(0.05),
         )
         ideal = ResourceConstrainedPlanner().plan(spec, num_nodes=3)
-        robust = ResourceConstrainedPlanner(robustness=term).plan(
-            spec, num_nodes=3
-        )
+        robust = ResourceConstrainedPlanner(
+            context=PlanningContext(robustness=term)
+        ).plan(spec, num_nodes=3)
         assert ideal.score.robust_penalty == 0.0
         assert robust.score.robust_penalty > 0.0
         assert robust.score.utility == pytest.approx(
@@ -521,7 +531,9 @@ class TestRobustnessTerm:
             min_temperature_ratio=1e-2, robustness=term,
         )
         placement = annealer.place(spec, 3, 32)
-        score = score_placement(spec, placement, robustness=term)
+        score = score_placement(
+            spec, placement, context=PlanningContext(robustness=term)
+        )
         assert score.robust_penalty > 0.0
         assert score.utility == pytest.approx(
             score.objective - score.robust_penalty

@@ -14,6 +14,7 @@ from repro.faults.models import FaultKind, RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.monitoring.traceio import tracer_to_dict
 from repro.runtime.runner import run_ensemble
+from repro.scheduler.context import PlanningContext
 from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
 from repro.verify.goldens import canonical_json
@@ -86,10 +87,10 @@ class TestScheduleDeterminism:
 class TestSearchDeterminism:
     def test_cached_search_replays_exactly(self):
         spec, _ = _c15(n_steps=4)
-        cache = StageCache(None, None)
-        first, n_first = find_best_placement(spec, 4, 32, cache=cache)
+        context = PlanningContext(cache=StageCache(None, None))
+        first, n_first = find_best_placement(spec, 4, 32, context=context)
         # a warm cache must not change the winner or any score float
-        second, n_second = find_best_placement(spec, 4, 32, cache=cache)
+        second, n_second = find_best_placement(spec, 4, 32, context=context)
         cold, n_cold = find_best_placement(spec, 4, 32)
         assert n_first == n_second == n_cold
         for other in (second, cold):

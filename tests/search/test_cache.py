@@ -19,6 +19,7 @@ from repro.faults.recovery import RetryBackoffPolicy
 from repro.platform.specs import make_cori_like_cluster, small_test_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import component_core_demands
@@ -70,10 +71,10 @@ class TestPredictBitIdentity:
 
 class TestScorePlacementCachedPath:
     def test_cached_score_is_exact(self, two_member_spec):
-        cache = StageCache()
+        context = PlanningContext(cache=StageCache())
         for placement in enumerate_placements(two_member_spec, 3, 32):
             cached = score_placement(
-                two_member_spec, placement, cache=cache
+                two_member_spec, placement, context=context
             )
             plain = score_placement(two_member_spec, placement)
             assert cached.objective == plain.objective
@@ -88,13 +89,13 @@ class TestScorePlacementCachedPath:
             policy=RetryBackoffPolicy(),
             model=RandomFailureModel(rate=0.01, seed=0),
         )
-        cache = StageCache()
+        robust = PlanningContext(robustness=term)
         cached = score_placement(
             two_member_spec, colocated_placement,
-            robustness=term, cache=cache,
+            context=robust.evolve(cache=StageCache()),
         )
         plain = score_placement(
-            two_member_spec, colocated_placement, robustness=term
+            two_member_spec, colocated_placement, context=robust
         )
         assert cached.robust_penalty == plain.robust_penalty
         assert cached.utility == plain.utility
@@ -107,12 +108,13 @@ class TestScorePlacementCachedPath:
         cache = StageCache()
         other = make_cori_like_cluster(2, contention_enabled=False)
         assert not cache.matches(other, None)
+        platform = PlanningContext(cluster=other)
         scored = score_placement(
             two_member_spec, colocated_placement,
-            cluster=other, cache=cache,
+            context=platform.evolve(cache=cache),
         )
         plain = score_placement(
-            two_member_spec, colocated_placement, cluster=other
+            two_member_spec, colocated_placement, context=platform
         )
         assert scored.objective == plain.objective
         assert scored.ensemble_makespan == plain.ensemble_makespan

@@ -1,8 +1,8 @@
 """The engine's vectorized/scalar routing is observable, not silent.
 
-``find_best_placement(vectorized=True)`` may legitimately run the
-scalar path — small canonical space, robustness term, parallel pool,
-unvectorizable context. Each of those decisions is now recorded:
+``find_best_placement`` with a ``vectorized=True`` context may
+legitimately run the scalar path — small canonical space, robustness
+term, unvectorizable context. Each of those decisions is now recorded:
 :func:`last_search_routing` carries the structured reason for the most
 recent search and :func:`search_counters` tallies requests, uses, and
 fallbacks process-wide. These tests pin the exact reason strings the
@@ -16,6 +16,7 @@ from repro.faults.analytic import RobustnessTerm
 from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.context import PlanningContext
 from repro.search.engine import (
     find_best_placement,
     last_search_routing,
@@ -23,6 +24,8 @@ from repro.search.engine import (
     search_counters,
 )
 from repro.search.vectorized import VectorizedUnsupported
+
+VECTORIZED = PlanningContext(vectorized=True)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +62,7 @@ class TestScalarOnly:
 
 class TestFallbackReasons:
     def test_below_threshold(self):
-        find_best_placement(_spec(), 2, 32, vectorized=True)
+        find_best_placement(_spec(), 2, 32, context=VECTORIZED)
         routing = last_search_routing()
         assert routing["vectorized_requested"]
         assert not routing["vectorized_used"]
@@ -76,19 +79,12 @@ class TestFallbackReasons:
         term = RobustnessTerm(
             policy=RetryBackoffPolicy(), model=RandomFailureModel(rate=0.05)
         )
-        find_best_placement(_spec(), 2, 32, robustness=term, vectorized=True)
+        find_best_placement(
+            _spec(), 2, 32, context=VECTORIZED.evolve(robustness=term)
+        )
         assert (
             last_search_routing()["fallback_reason"]
             == "robustness term present"
-        )
-
-    def test_parallel_engine_requested(self):
-        find_best_placement(
-            _spec(), 2, 32, parallel=True, processes=1, vectorized=True
-        )
-        assert (
-            last_search_routing()["fallback_reason"]
-            == "parallel engine requested"
         )
 
     def test_unvectorizable_context(self, monkeypatch):
@@ -101,7 +97,7 @@ class TestFallbackReasons:
             "find_best_placement_vectorized",
             raise_unsupported,
         )
-        find_best_placement(_spec(), 2, 32, vectorized=True)
+        find_best_placement(_spec(), 2, 32, context=VECTORIZED)
         assert (
             last_search_routing()["fallback_reason"]
             == "context not vectorizable: custom component model"
@@ -113,7 +109,7 @@ class TestVectorizedUsed:
     def test_success_path_recorded(self, monkeypatch):
         monkeypatch.setattr(vectorized_mod, "MIN_VECTORIZED_CANDIDATES", 1)
         scalar_best, scalar_n = find_best_placement(_spec(), 2, 32)
-        best, n = find_best_placement(_spec(), 2, 32, vectorized=True)
+        best, n = find_best_placement(_spec(), 2, 32, context=VECTORIZED)
         routing = last_search_routing()
         assert routing["vectorized_used"]
         assert routing["fallback_reason"] is None

@@ -27,6 +27,10 @@ from repro.service.schemas import (
 )
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
 @pytest.fixture()
 def server():
     with make_server(port=0, workers=2) as srv:
@@ -137,6 +141,41 @@ class TestRoutes:
             assert err.value.code == 400
             detail = json.loads(err.value.read())
             assert "error" in detail
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"request": []},
+            {"request": "x"},
+            {"request": {**request_to_dict(_search()), "candidates": []}},
+            {"request": {**request_to_dict(_search()), "reschedule": []}},
+            {"request": {**request_to_dict(_search()), "robust_rate": NAN}},
+            {"request": {**request_to_dict(_search()), "robust_rate": INF}},
+            {"request": {**request_to_dict(_search()), "robust_weight": NAN}},
+        ],
+        ids=[
+            "request-list", "request-string", "candidates-list",
+            "reschedule-list", "rate-nan", "rate-inf", "weight-nan",
+        ],
+    )
+    def test_wrong_typed_or_non_finite_fields_are_400(self, server, body):
+        # the live handler answers 400 with a JSON error — never a
+        # dropped connection, and never a 201 for a job that would fail
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.request(
+                "POST",
+                "/jobs",
+                body=json.dumps(body),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
 
     @pytest.mark.parametrize(
         "length, status",

@@ -14,6 +14,7 @@ import json
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.components.base import ComponentModel
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
@@ -35,7 +36,7 @@ from repro.service.schemas import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.util.errors import PlacementError, ValidationError
+from repro.util.errors import PlacementError, ReproError, ValidationError
 from tests.strategies import ensemble_stream, search_grids
 
 
@@ -181,6 +182,92 @@ class TestRequestValidation:
         payload["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ValidationError, match="schema_version"):
             request_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (None, []),
+            (None, "x"),
+            ("candidates", []),
+            ("reschedule", []),
+            ("coschedule", "x"),
+        ],
+    )
+    def test_non_object_wire_data_rejected(self, field, value):
+        if field is None:
+            payload = value
+        else:
+            payload = request_to_dict(_search_request(self._spec(), 2, 32))
+            payload[field] = value
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            request_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -0.1, 1.5, "0.1"]
+    )
+    def test_robust_rate_must_be_a_finite_rate(self, value):
+        with pytest.raises(ValidationError, match="robust_rate"):
+            PlacementRequest(
+                kind="search", spec=self._spec(), num_nodes=2,
+                robust_rate=value,
+            )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_robust_weight_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValidationError, match="robust_weight"):
+            PlacementRequest(
+                kind="search", spec=self._spec(), num_nodes=2,
+                robust_weight=value,
+            )
+
+
+#: what ``POST /jobs`` maps to a 400 (see ``repro.service.api``)
+HANDLER_400 = (ReproError, KeyError, TypeError, ValueError)
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+_REQUEST_FIELDS = (
+    "schema_version", "kind", "spec", "num_nodes", "cores_per_node",
+    "placement", "candidates", "robust_rate", "robust_weight", "policy",
+    "base_seed", "rank_method", "trials", "reschedule", "coschedule",
+)
+
+
+class TestMalformedWireData:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(_REQUEST_FIELDS),
+        value=_JSON,
+        kind=st.sampled_from(["search", "score", "rank"]),
+    )
+    def test_parse_returns_a_request_or_a_400_error(self, field, value, kind):
+        spec = EnsembleSpec(
+            "fuzz", (default_member("em1", num_analyses=1, n_steps=2),)
+        )
+        placement = EnsemblePlacement(1, (MemberPlacement(0, (0,)),))
+        request = PlacementRequest(
+            kind=kind,
+            spec=spec,
+            num_nodes=1,
+            placement=placement,
+            candidates={"packed": placement},
+        )
+        payload = request_to_dict(request)
+        payload[field] = value
+        try:
+            rebuilt = request_from_dict(payload)
+        except HANDLER_400:
+            return
+        assert isinstance(rebuilt, PlacementRequest)
 
 
 class TestCanonicalDigest:

@@ -338,7 +338,7 @@ class TestDesRankPath:
                 self._rank_request(rank_method="des", trials=3)
             )
             service.wait(job.id, timeout=60.0)
-            counters = service.stats()["batched"]
-            assert counters["baseline_sims"] == 2
-            assert counters["replicas_replayed"] == 2 * 3
-            assert counters["fallback_reason"] is None
+            assert service.stats()["batched"] == {
+                "baseline_sims": 2,
+                "replicas_replayed": 2 * 3,
+            }

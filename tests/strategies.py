@@ -202,10 +202,14 @@ def ensemble_stream(draw, max_requests=4, total_nodes=4):
                     )
                 ),
                 priority=draw(st.integers(min_value=0, max_value=3)),
+                # each 24-core member needs its own 32-core node, so a
+                # grant cap below the member count would be infeasible
                 max_nodes=draw(
                     st.one_of(
                         st.none(),
-                        st.integers(min_value=1, max_value=total_nodes),
+                        st.integers(
+                            min_value=n_members, max_value=total_nodes
+                        ),
                     )
                 ),
             )

@@ -1,8 +1,9 @@
 """Documentation health: internal links resolve (mirrors the CI job).
 
 The CI ``docs`` job runs ``scripts/check_doc_links.py`` and the
-``repro.faults`` doctests; this test keeps the link check in the
-tier-1 suite so a broken cross-reference fails locally too.
+``repro.faults``, ``repro.scheduler`` and ``repro.search`` doctests;
+this test keeps the link check in the tier-1 suite so a broken
+cross-reference fails locally too.
 """
 
 import sys
@@ -115,3 +116,17 @@ def test_fault_models_reference_exists():
         "surrogate",
     ):
         assert needle in text, f"FAULT_MODELS.md lost section: {needle}"
+
+
+def test_readme_search_quickstart_runs(capsys):
+    # the "Fast placement search" block is the README's only code
+    # quickstart for the planning API; execute it so a renamed keyword
+    # or a removed option fails here rather than on a reader
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("### Fast placement search", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "find_best_placement" in block
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["evaluated3"] >= namespace["evaluated"] > 0
+    assert capsys.readouterr().out

@@ -114,11 +114,12 @@ class TestOracleHasTeeth:
     def test_mutated_scorer_is_caught(self):
         """An off-by-one in the makespan step count must diverge."""
 
-        def mutant_score(spec, placement, cluster=None, dtl=None, **kw):
+        def mutant_score(spec, placement, context):
+            cluster = context.cluster
             if cluster is None:
                 cluster = make_cori_like_cluster(placement.num_nodes)
             stages = predict_member_stages(
-                spec, placement, cluster=cluster, dtl=dtl
+                spec, placement, cluster=cluster, dtl=context.dtl
             )
             indicators, worst = [], 0.0
             for m, mp in zip(spec.members, placement.members):
