@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the fast placement-search engine against the seed paths.
 
-Three measurements, each with a built-in exactness check:
+Four measurements, each with a built-in exactness check:
 
 - **exhaustive**: :func:`repro.search.engine.find_best_placement`
   (canonical enumeration + stage cache) against the seed loop
@@ -23,9 +23,18 @@ Three measurements, each with a built-in exactness check:
   and on covering at least :data:`SCALING_MIN_NODE_SIZES` node sizes.
   A small cell is re-searched by the scalar engine and must return
   the identical winner.
+- **routing**: the decision ``find_best_placement`` makes for a
+  ``vectorized=True`` context — the column kernel at every size —
+  measured on plan-mix's search sizes (:data:`ROUTING_SHAPES`, 5 to
+  2 065 candidates): each shape is searched cold, best of
+  :data:`ROUTING_REPEATS`, on the default context (the scalar engine)
+  and with ``vectorized=True``. Winners, floats and ``evaluated`` must
+  be identical, and the kernel route's summed time must stay at or
+  below :data:`ROUTING_CEILING` of the scalar sum.
 
 Writes ``BENCH_search.json`` (exhaustive speedup, annealing speedup,
-the scaling table, problem sizes, floors, correctness reports) and
+the scaling table, the routing table, problem sizes, floors,
+correctness reports) and
 exits non-zero on regression — so CI can run
 ``python scripts/bench_search.py --quick`` as a regression gate. The
 two failure classes are never confused:
@@ -61,6 +70,7 @@ from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
 from repro.scheduler.annealing import (  # noqa: E402
     SimulatedAnnealingPolicy,
 )
+from repro.scheduler.context import PlanningContext  # noqa: E402
 from repro.scheduler.objectives import score_placement  # noqa: E402
 from repro.search import find_best_placement  # noqa: E402
 from repro.search.canonical import (  # noqa: E402
@@ -117,6 +127,26 @@ SCALING_MIN_NODE_SIZES = 4
 #: per distinct row count and the largest/smallest pooled size must
 #: differ by at least this factor, else the slope is timer noise.
 SCALING_FIT_MIN_SPAN = 4.0
+
+#: (analyses per member, nodes) of the routing table: plan-mix's
+#: search sizes, 5 / 40 / 148 / 474 / 1 815 / 2 065 canonical
+#: candidates. ``--quick`` times the first three.
+ROUTING_SHAPES = (
+    ((1, 1), 2),
+    ((1, 2), 5),
+    ((2, 2), 6),
+    ((1, 1, 2), 7),
+    ((1, 2, 2), 5),
+    ((1, 2, 2), 6),
+)
+ROUTING_QUICK_SHAPES = 3
+#: cold searches per shape and route; the best one is kept.
+ROUTING_REPEATS = 3
+#: ceiling on (kernel route seconds) / (scalar engine seconds), summed
+#: over the table: the kernel must win by at least 2x overall.
+ROUTING_CEILING = 0.5
+#: plan-mix draws ``natoms`` per member; the table cycles these.
+ROUTING_NATOMS = (150_000, 250_000, 350_000)
 
 #: the markdown scaling table, shared with ``docs/SCALING.md`` — the
 #: docs' worked example is golden-tested against these exact strings.
@@ -185,7 +215,6 @@ def bench_exhaustive(num_nodes: int) -> tuple:
             seed_best = score
     t_seed = time.perf_counter() - t0
 
-    from repro.scheduler.context import PlanningContext
     from repro.search.cache import StageCache
 
     context = PlanningContext(cache=StageCache())
@@ -489,6 +518,115 @@ def bench_scaling(quick: bool) -> tuple:
     return section, report
 
 
+def _routing_spec(pattern: tuple) -> EnsembleSpec:
+    return EnsembleSpec(
+        "bench-routing-" + "".join(map(str, pattern)),
+        tuple(
+            default_member(
+                f"em{i}",
+                num_analyses=k,
+                n_steps=8,
+                natoms=ROUTING_NATOMS[i % len(ROUTING_NATOMS)],
+            )
+            for i, k in enumerate(pattern)
+        ),
+    )
+
+
+def _best_of(search) -> tuple:
+    """(fastest seconds, result) over :data:`ROUTING_REPEATS` runs."""
+    best = None
+    for _ in range(ROUTING_REPEATS):
+        t0 = time.perf_counter()
+        result = search()
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def bench_routing(quick: bool) -> tuple:
+    """Scalar engine vs the kernel route on plan-mix's search sizes.
+
+    Every search starts from a cold cache (each call builds its own),
+    as a service worker's first search of a new spec does.
+    """
+    shapes = ROUTING_SHAPES[:ROUTING_QUICK_SHAPES] if quick else ROUTING_SHAPES
+    kernel = PlanningContext(vectorized=True)
+    rows = []
+    checks = []
+    for pattern, num_nodes in shapes:
+        spec = _routing_spec(pattern)
+        scalar_seconds, (scalar, scalar_n) = _best_of(
+            lambda: find_best_placement(spec, num_nodes, CORES_PER_NODE)
+        )
+        kernel_seconds, (fast, fast_n) = _best_of(
+            lambda: find_best_placement(
+                spec, num_nodes, CORES_PER_NODE, context=kernel
+            )
+        )
+        scope = f"{spec.name}@{num_nodes}"
+        checks.extend(
+            (
+                MetricCheck(scope, "candidates", "scalar-vs-kernel",
+                            float(scalar_n), float(fast_n), 0.0),
+                MetricCheck(
+                    scope, "same_placement", "scalar-vs-kernel", 1.0,
+                    1.0 if fast.placement == scalar.placement else 0.0, 0.0,
+                ),
+                MetricCheck(scope, "objective", "scalar-vs-kernel",
+                            scalar.objective, fast.objective, 0.0),
+                MetricCheck(scope, "makespan", "scalar-vs-kernel",
+                            scalar.ensemble_makespan,
+                            fast.ensemble_makespan, 0.0),
+            )
+        )
+        checks.extend(
+            MetricCheck(scope, f"indicator[{i}]", "scalar-vs-kernel",
+                        ref, got, 0.0)
+            for i, (ref, got) in enumerate(
+                zip(scalar.member_indicators, fast.member_indicators)
+            )
+        )
+        rows.append(
+            {
+                "analyses": list(pattern),
+                "nodes": num_nodes,
+                "candidates": scalar_n,
+                "scalar_seconds": scalar_seconds,
+                "kernel_seconds": kernel_seconds,
+            }
+        )
+    scalar_total = sum(r["scalar_seconds"] for r in rows)
+    kernel_total = sum(r["kernel_seconds"] for r in rows)
+    section = {
+        "repeats": ROUTING_REPEATS,
+        "ceiling": ROUTING_CEILING,
+        "rows": rows,
+        "scalar_seconds": scalar_total,
+        "kernel_seconds": kernel_total,
+        "ratio": kernel_total / scalar_total,
+    }
+    report = DivergenceReport(scenario="bench-routing", checks=tuple(checks))
+    return section, report
+
+
+def format_routing_table(rows: list) -> str:
+    """Markdown routing table (the one ``docs/PERFORMANCE.md`` §8 shows)."""
+    lines = [
+        "| candidates | analyses per member | nodes "
+        "| scalar ms | kernel ms |",
+        "|---|---|---|---|---|",
+    ]
+    lines.extend(
+        f"| {r['candidates']} "
+        f"| {', '.join(map(str, r['analyses']))} | {r['nodes']} "
+        f"| {r['scalar_seconds'] * 1e3:.1f} "
+        f"| {r['kernel_seconds'] * 1e3:.1f} |"
+        for r in rows
+    )
+    return "\n".join(lines)
+
+
 def format_scaling_table(rows: list) -> str:
     """The full markdown table (as uploaded by the CI artifact)."""
     lines = [SCALING_HEADER, SCALING_RULE]
@@ -503,6 +641,9 @@ def run(quick: bool) -> dict:
         "warm", (default_member("em1", n_steps=4),)
     )
     find_best_placement(warm, 2, CORES_PER_NODE)
+    find_best_placement(
+        warm, 2, CORES_PER_NODE, context=PlanningContext(vectorized=True)
+    )
     next(iter(enumerate_placements_reference(warm, 2, CORES_PER_NODE)))
     score_placement(
         warm, find_best_placement(warm, 2, CORES_PER_NODE)[0].placement
@@ -513,6 +654,7 @@ def run(quick: bool) -> dict:
     )
     annealing, annealing_report = bench_annealing()
     scaling, scaling_report = bench_scaling(quick)
+    routing, routing_report = bench_routing(quick)
     return {
         "benchmark": "search",
         "mode": "quick" if quick else "full",
@@ -523,10 +665,12 @@ def run(quick: bool) -> dict:
         "exhaustive": exhaustive,
         "annealing": annealing,
         "scaling": scaling,
+        "routing": routing,
         "correctness": [
             exhaustive_report.to_dict(),
             annealing_report.to_dict(),
             scaling_report.to_dict(),
+            routing_report.to_dict(),
         ],
     }
 
@@ -566,7 +710,28 @@ def check_floors(results: dict) -> bool:
         )
         if speedup < floor:
             ok = False
-    return check_scaling_floors(results) and ok
+    scaling_ok = check_scaling_floors(results)
+    return check_routing_ceiling(results) and scaling_ok and ok
+
+
+def check_routing_ceiling(results: dict) -> bool:
+    """Gate the routing table: the kernel route's share of scalar time.
+
+    The ceiling is read from the results file, like the scaling floors.
+    """
+    routing = results.get("routing")
+    if routing is None:
+        print("routing: MISSING section")
+        return False
+    ok = routing["ratio"] <= routing["ceiling"]
+    print(
+        f"routing: kernel route {routing['kernel_seconds'] * 1e3:.1f} ms vs "
+        f"scalar {routing['scalar_seconds'] * 1e3:.1f} ms over "
+        f"{len(routing['rows'])} shapes, ratio {routing['ratio']:.2f} "
+        f"(ceiling {routing['ceiling']:g}) "
+        f"{'ok' if ok else 'ABOVE CEILING'}"
+    )
+    return ok
 
 
 def check_scaling_floors(results: dict) -> bool:
@@ -669,6 +834,7 @@ def main() -> int:
         f"incremental {results['annealing']['incremental_seconds']:.2f}s"
     )
     print(format_scaling_table(results["scaling"]["rows"]))
+    print(format_routing_table(results["routing"]["rows"]))
     if not check_correctness(results):
         return 2
     return 0 if check_floors(results) else 1

@@ -134,16 +134,16 @@ def find_best_placement(
         ``(cluster, dtl)``). ``vectorized=True`` opts in to the batch
         column kernel with branch-and-bound
         (:func:`~repro.search.vectorized
-        .find_best_placement_vectorized`). It applies only when the
-        context is vectorizable, no robustness term is present, and the
-        canonical space is large enough to amortize chunk setup
-        (``MIN_VECTORIZED_CANDIDATES``); otherwise the scalar path runs
-        unchanged. The returned score is re-derived through the scalar
-        cache either way, and ``evaluated`` counts the whole canonical
-        space (scored + pruned), so callers observe identical results.
-        When the scalar path runs despite ``vectorized=True``, the
-        reason is recorded — :func:`last_search_routing` returns it
-        and :func:`search_counters` tallies it (nothing falls back
+        .find_best_placement_vectorized`) at every canonical size. It
+        applies whenever the context is vectorizable and no robustness
+        term is present; otherwise the scalar path runs unchanged. The
+        kernel assesses node populations through the same cache and
+        re-derives the returned score through it, and ``evaluated``
+        counts the whole canonical space (scored + pruned), so callers
+        observe identical results. When the scalar path runs despite
+        ``vectorized=True``, the reason is recorded —
+        :func:`last_search_routing` returns it and
+        :func:`search_counters` tallies it (nothing falls back
         silently).
 
     Raises
@@ -168,7 +168,6 @@ def find_best_placement(
     if vectorized and robustness is None:
         from repro.search.canonical import count_canonical_assignments
         from repro.search.vectorized import (
-            MIN_VECTORIZED_CANDIDATES,
             VectorizedUnsupported,
             find_best_placement_vectorized,
         )
@@ -176,26 +175,26 @@ def find_best_placement(
         total = count_canonical_assignments(
             component_cores, num_nodes, cores_per_node
         )
-        if total >= MIN_VECTORIZED_CANDIDATES:
-            try:
-                result = find_best_placement_vectorized(
-                    spec,
-                    num_nodes,
-                    cores_per_node,
-                    cluster=cluster,
-                    dtl=dtl,
-                    cache=cache,
-                )
-            except VectorizedUnsupported as exc:
-                fallback_reason = f"context not vectorizable: {exc}"
-            else:
-                _note_routing(True, True, None)
-                return result.best, result.candidates
-        else:
-            fallback_reason = (
-                f"canonical space below threshold ({total} < "
-                f"{MIN_VECTORIZED_CANDIDATES} candidates)"
+        if total == 0:
+            raise PlacementError(
+                f"no feasible placement over {num_nodes} nodes of "
+                f"{cores_per_node} cores"
             )
+        try:
+            result = find_best_placement_vectorized(
+                spec,
+                num_nodes,
+                cores_per_node,
+                cluster=cluster,
+                dtl=dtl,
+                cache=cache,
+                chunk_size=min(total, 8192),
+            )
+        except VectorizedUnsupported as exc:
+            fallback_reason = f"context not vectorizable: {exc}"
+        else:
+            _note_routing(True, True, None)
+            return result.best, result.candidates
     elif vectorized:
         fallback_reason = "robustness term present"
     _note_routing(vectorized, False, fallback_reason)

@@ -12,9 +12,11 @@ vectorizing everything on either side of it:
    (candidate, node): the base-``(ncls+1)`` polynomial of the node's
    resident class sequence in allocation order. Two nodes with the
    same code have bit-identical contention assessments, so each
-   distinct code is assessed **once**, by the same scalar
-   ``Node.assess`` path the cache uses, and memoized as a per-position
-   dilation row. Chunks after warm-up contain no new codes at all.
+   distinct code is resolved **once** through the
+   :class:`~repro.search.cache.StageCache` node memo the scalar engine
+   reads (a population either engine met before costs a lookup) and
+   kept as a per-position dilation row. Chunks after warm-up contain
+   no new codes at all.
 2. **Column kernels** — with dilations gathered per component, the
    remaining math is pure elementwise numpy: DTL read/write columns
    are lookups into per-(member, hop) tables precomputed with the
@@ -50,7 +52,7 @@ would have produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,10 +60,7 @@ import numpy as np
 from repro.dtl.base import DataTransportLayer
 from repro.dtl.dimes import InMemoryStagingDTL
 from repro.platform.cluster import Cluster
-from repro.platform.contention import ContentionModel
 from repro.platform.network import DragonflyNetwork
-from repro.platform.node import Node
-from repro.platform.specs import cori_like_network, cori_like_node
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
@@ -75,12 +74,11 @@ from repro.search.canonical import (
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
-#: Below this canonical-space size the scalar ``StageCache`` loop wins:
-#: chunk setup (array allocation, signature coding, table gathers)
-#: costs roughly a millisecond, which only amortizes over thousands of
-#: candidates. ``find_best_placement`` with a ``vectorized=True``
-#: context stays on the scalar path for smaller instances (and records
-#: why in :func:`~repro.search.engine.last_search_routing`).
+#: The benchmark's "large search" label: ``bench/workloads.py`` counts
+#: plan-mix searches at or above this canonical size. No routing
+#: decision reads it — ``find_best_placement`` sends every
+#: ``vectorized=True`` search the kernel supports to the kernel, at any
+#: size (``scripts/bench_search.py`` measures that choice).
 MIN_VECTORIZED_CANDIDATES = 2048
 
 #: Relative safety margin applied to the branch-and-bound upper bound
@@ -165,10 +163,15 @@ class VectorizedScorer:
     Precomputes every spec- and context-dependent constant once —
     per-component class ids and solo times, per-member DTL cost tables
     by hop count, reduction offsets — then scores arbitrary feasible
-    assignment chunks with :meth:`score_chunk`. Supports the default
-    platform family only: :class:`DragonflyNetwork` topology and the
-    DIMES-like :class:`InMemoryStagingDTL` (the models whose cost
-    formulas the kernels replicate); anything else raises
+    assignment chunks with :meth:`score_chunk`. The platform context is
+    the :class:`StageCache`'s: ``cache`` is used when it
+    :meth:`~StageCache.matches` ``(cluster, dtl)``, else a fresh cache
+    is built, and node populations are assessed through its node memo,
+    so the kernel and the scalar engine share one set of assessments.
+    Supports the default platform family only:
+    :class:`DragonflyNetwork` topology and the DIMES-like
+    :class:`InMemoryStagingDTL` (the models whose cost formulas the
+    kernels replicate); anything else raises
     :class:`VectorizedUnsupported` so callers can fall back.
     """
 
@@ -178,26 +181,15 @@ class VectorizedScorer:
         num_nodes: int,
         cluster: Optional[Cluster] = None,
         dtl: Optional[DataTransportLayer] = None,
+        cache: Optional[StageCache] = None,
     ) -> None:
         require_positive_int("num_nodes", num_nodes)
         self.spec = spec
         self.num_nodes = num_nodes
-        if cluster is None:
-            self._node_spec = cori_like_node()
-            network = cori_like_network()
-            self._contention = ContentionModel(
-                core_freq_hz=self._node_spec.core_freq_hz,
-                memory_bandwidth=self._node_spec.memory_bandwidth,
-            )
-        else:
-            self._node_spec = cluster.node_spec
-            network = cluster.network
-            self._contention = cluster.contention
-        if dtl is None:
-            dtl = InMemoryStagingDTL(
-                network=network,
-                memory_bandwidth=self._node_spec.memory_bandwidth,
-            )
+        if cache is None or not cache.matches(cluster, dtl):
+            cache = StageCache(cluster, dtl)
+        self.cache = cache
+        network, dtl = cache._network, cache.dtl
         if type(network) is not DragonflyNetwork:
             raise VectorizedUnsupported(
                 f"network model {type(network).__name__} is not the "
@@ -208,7 +200,7 @@ class VectorizedScorer:
                 f"DTL {type(dtl).__name__} has no vectorized cost columns"
             )
         self.dtl = dtl
-        self._network = network
+        self._node_spec = cache._node_spec
 
         self._build_layout(spec)
         self._build_cost_tables(dtl, network.spec)
@@ -220,15 +212,16 @@ class VectorizedScorer:
         self._sorted_codes = np.empty(0, dtype=np.int64)
         self._sorted_rows = np.empty(0, dtype=np.int64)
         self._dil_table = np.empty((0, self.num_components), dtype=float)
-        #: distinct node populations assessed (the scalar work actually
-        #: performed; everything else was amortized away)
+        #: distinct node populations resolved through the cache's node
+        #: memo (each a lookup, or a ``Node.assess`` the first time any
+        #: engine meets the population; everything else was amortized)
         self.assessed_codes = 0
 
     # -- static precomputation ----------------------------------------------
     def _build_layout(self, spec: EnsembleSpec) -> None:
         class_ids: Dict[Tuple, int] = {}
         class_cores: List[int] = []
-        class_profiles: List[object] = []
+        class_members: List[List[object]] = []
         comp_class: List[int] = []
         comp_solo: List[float] = []
         offsets: List[int] = []
@@ -257,7 +250,8 @@ class VectorizedScorer:
                     cls = len(class_ids)
                     class_ids[key] = cls
                     class_cores.append(model.cores)  # type: ignore[attr-defined]
-                    class_profiles.append(profile)
+                    class_members.append([])
+                class_members[cls].append(model)
                 if model is not member.simulation:
                     ana_cols.append(len(comp_class))
                     ana_member.append(len(offsets) - 1)
@@ -267,8 +261,7 @@ class VectorizedScorer:
 
         self.num_components = len(comp_class)
         self.num_members = len(spec.members)
-        self._class_cores = class_cores
-        self._class_profiles = class_profiles
+        self._class_members = class_members
         self._comp_class = np.asarray(comp_class, dtype=np.int64)
         self._comp_cores = np.asarray(
             [class_cores[c] for c in comp_class], dtype=np.int64
@@ -338,46 +331,43 @@ class VectorizedScorer:
     def _assess_code(self, code: int) -> np.ndarray:
         """Per-position dilations of one node-population code.
 
-        Decodes the class sequence and runs it through the same scalar
-        allocation + ``Node.assess`` path the :class:`StageCache` uses
-        (positions allocate in component order, so the scatter-mode
-        core splits match), making the dilations bit-identical to the
-        scalar engine's. Profiles are renamed per position only because
-        a node keys residents by name; no numeric field changes.
+        Decodes the class sequence and lets the i-th occurrence of
+        class ``c`` stand for the spec's i-th component of class ``c``
+        (names are unique within a spec, so residents never collide).
+        The population is then assessed by
+        :meth:`StageCache._assess_node` under its content-fingerprint
+        signature — the memo entry the scalar engine reads, positions
+        allocated in component order — so the dilations are the scalar
+        engine's, bit for bit.
         """
-        sequence: List[int] = []
+        residents: List[object] = []
+        taken = [0] * len(self._class_members)
         remaining = code
-        base = self._code_base
         while remaining:
-            sequence.append(remaining % base - 1)
-            remaining //= base
+            cls = remaining % self._code_base - 1
+            residents.append(self._class_members[cls][taken[cls]])
+            taken[cls] += 1
+            remaining //= self._code_base
         # the scalar cache rejects populations beyond the *physical*
         # node capacity (a search budget may exceed it); mirror the
         # check here so both paths raise the same way
-        if (
-            sum(self._class_cores[cls] for cls in sequence)
-            > self._node_spec.cores
-        ):
-            raise PlacementError(
-                f"nodes oversubscribed (capacity {self._node_spec.cores})"
-            )
-        node = Node(0, self._node_spec)
-        for pos, cls in enumerate(sequence):
-            node.allocate(
-                f"r{pos}",
-                self._class_cores[cls],
-                replace(self._class_profiles[cls], name=f"r{pos}"),
-            )
-        merged = node.assess(self._contention)
+        capacity = self._node_spec.cores
+        demand = sum(model.cores for model in residents)  # type: ignore[attr-defined]
+        if demand > capacity:
+            raise PlacementError(f"nodes oversubscribed (capacity {capacity})")
+        assessed = self.cache._assess_node(
+            tuple(self.cache._class_of(model) for model in residents),
+            residents,
+        )
         row = np.ones(self.num_components, dtype=float)
-        for pos in range(len(sequence)):
-            row[pos] = merged[f"r{pos}"].dilation
+        row[: len(assessed)] = [a.dilation for a in assessed]
         self.assessed_codes += 1
         return row
 
     def _ensure_codes(self, codes: np.ndarray) -> None:
-        for code in np.unique(codes):
-            value = int(code)
+        # a set rather than np.unique: codes repeat heavily, and
+        # np.unique's first call imports numpy.ma (~16 ms per process)
+        for value in set(codes.ravel().tolist()):
             if value == 0 or value in self._code_rows:
                 continue
             self._code_rows[value] = len(self._dil_rows)
@@ -578,7 +568,10 @@ def find_best_placement_vectorized(
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    scorer = VectorizedScorer(spec, num_nodes, cluster=cluster, dtl=dtl)
+    # the scorer resolves ``cache`` against (cluster, dtl) — or builds
+    # one — and assesses populations through its node memo, which the
+    # winner's re-score below reads too
+    scorer = VectorizedScorer(spec, num_nodes, cluster, dtl, cache)
     component_cores = component_core_demands(spec)
     capacity = scorer._node_spec.cores
     if cores_per_node > capacity:
@@ -670,12 +663,10 @@ def find_best_placement_vectorized(
     # re-score the winner through the scalar cache path: the returned
     # floats are the scalar engine's, bit for bit, so downstream exact
     # comparisons (service smoke, bench correctness) are unaffected
-    if cache is None or not cache.matches(cluster, dtl):
-        cache = StageCache(cluster, dtl)
     placement = assignment_to_placement(spec, best_row.tolist(), num_nodes)
     best = score_placement(
         spec,
         placement,
-        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
+        context=PlanningContext(cluster=cluster, dtl=dtl, cache=scorer.cache),
     )
     return VectorizedSearchResult(best=best, scored=scored, pruned=pruned)

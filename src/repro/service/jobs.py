@@ -112,10 +112,18 @@ class PlacementJobQueue:
 
     # -- producer side ------------------------------------------------------
     def submit(
-        self, request: PlacementRequest, priority: int = 0
+        self,
+        request: PlacementRequest,
+        priority: int = 0,
+        digest: Optional[str] = None,
     ) -> PlacementJob:
-        """Enqueue one request; returns its job (state PENDING)."""
-        digest = canonical_digest(request)
+        """Enqueue one request; returns its job (state PENDING).
+
+        ``digest`` is the request's canonical digest, computed here
+        when the caller does not already hold it.
+        """
+        if digest is None:
+            digest = canonical_digest(request)
         with self._lock:
             if self._closed:
                 raise ValidationError("queue is closed to new submissions")
@@ -138,9 +146,11 @@ class PlacementJobQueue:
         request: PlacementRequest,
         result: dict,
         cached: bool = True,
+        digest: Optional[str] = None,
     ) -> PlacementJob:
         """Record a job that never needs a worker (cache hit on submit)."""
-        digest = canonical_digest(request)
+        if digest is None:
+            digest = canonical_digest(request)
         with self._lock:
             seq = self._seq
             self._seq += 1

@@ -52,6 +52,8 @@ from repro.util.errors import ValidationError
 from repro.util.validation import (
     require_in_range,
     require_non_negative,
+    require_non_negative_int,
+    require_positive,
     require_positive_int,
 )
 
@@ -308,31 +310,25 @@ class RescheduleOptions:
                 f"unknown drift_kind {self.drift_kind!r}; "
                 f"valid: ['step', 'ramp']"
             )
-        if self.drift_node < 0:
-            raise ValidationError(
-                f"drift_node must be >= 0, got {self.drift_node!r}"
-            )
-        if self.drift_start < 0:
-            raise ValidationError(
-                f"drift_start must be >= 0, got {self.drift_start!r}"
-            )
+        require_non_negative_int("drift_node", self.drift_node)
+        require_non_negative_int("drift_start", self.drift_start)
+        # finite and > 0 (a ramp's bound); a step must also exceed 1
+        require_positive("drift_magnitude", self.drift_magnitude)
         if self.drift_kind == "step" and self.drift_magnitude <= 1.0:
             raise ValidationError(
                 f"step drift_magnitude must be > 1, got "
                 f"{self.drift_magnitude!r}"
             )
-        if self.drift_kind == "ramp" and self.drift_magnitude <= 0.0:
-            raise ValidationError(
-                f"ramp drift_magnitude must be > 0, got "
-                f"{self.drift_magnitude!r}"
-            )
+        require_positive("threshold", self.threshold)
         if self.threshold <= 1.0:
             raise ValidationError(
                 f"threshold must be > 1, got {self.threshold!r}"
             )
+        require_non_negative("min_gain", self.min_gain)
         require_positive_int("window", self.window)
         require_positive_int("min_dwell", self.min_dwell)
         require_positive_int("max_migrations", self.max_migrations)
+        require_non_negative_int("seed", self.seed)
 
 
 def reschedule_options_to_dict(options: RescheduleOptions) -> dict:
@@ -569,6 +565,16 @@ class PlacementRequest:
                 )
         require_in_range("robust_rate", self.robust_rate, 0.0, 1.0)
         require_non_negative("robust_weight", self.robust_weight)
+        require_non_negative_int("base_seed", self.base_seed)
+        if (
+            self.reschedule is not None
+            and self.placement is not None
+            and self.reschedule.drift_node >= self.placement.num_nodes
+        ):
+            raise ValidationError(
+                f"reschedule.drift_node {self.reschedule.drift_node} must "
+                f"lie below the placement's {self.placement.num_nodes} nodes"
+            )
         if self.policy not in POLICY_NAMES:
             raise ValidationError(
                 f"unknown recovery policy {self.policy!r}; "

@@ -198,12 +198,12 @@ def execute_request(
     robustness = _robustness_term(request)
     context = PlanningContext(robustness=robustness, cache=stage_cache)
     if request.kind == "search":
-        # vectorized=True routes large canonical spaces through the
+        # vectorized=True routes every canonical space through the
         # batch kernel with branch-and-bound; the winner is re-scored
         # on the scalar path, so the payload (score floats, evaluated
-        # count) is identical to the scalar engine's — small instances
-        # and robust searches stay on the scalar path automatically
-        # (the routing taken is visible via engine.search_counters)
+        # count) is identical to the scalar engine's — robust searches
+        # stay on the scalar path automatically (the routing taken is
+        # visible via engine.search_counters)
         best, evaluated = find_best_placement(
             request.spec,
             request.num_nodes,
@@ -345,13 +345,20 @@ class PlacementService:
     def submit(
         self, request: PlacementRequest, priority: int = 0
     ) -> PlacementJob:
-        """Submit one request; cache hits complete without a worker."""
+        """Submit one request; cache hits complete without a worker.
+
+        The request's digest is rendered once and serves both the
+        result-cache lookup and the job record.
+        """
         from repro.service.schemas import canonical_digest
 
-        cached = self.result_cache.get(canonical_digest(request))
+        digest = canonical_digest(request)
+        cached = self.result_cache.get(digest)
         if cached is not None:
-            return self.queue.add_finished(request, cached, cached=True)
-        return self.queue.submit(request, priority=priority)
+            return self.queue.add_finished(
+                request, cached, cached=True, digest=digest
+            )
+        return self.queue.submit(request, priority=priority, digest=digest)
 
     def wait(
         self, job_id: str, timeout: Optional[float] = None

@@ -49,6 +49,18 @@ def require_positive_int(name: str, value: Any) -> int:
     return value
 
 
+def require_non_negative_int(name: str, value: Any) -> int:
+    """Return ``value`` if it is an integer greater than or equal to 0.
+
+    Booleans are rejected, as in :func:`require_positive_int`.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def require_in_range(
     name: str,
     value: float,

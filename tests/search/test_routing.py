@@ -1,8 +1,9 @@
 """The engine's vectorized/scalar routing is observable, not silent.
 
-``find_best_placement`` with a ``vectorized=True`` context may
-legitimately run the scalar path — small canonical space, robustness
-term, unvectorizable context. Each of those decisions is now recorded:
+``find_best_placement`` with a ``vectorized=True`` context runs the
+column kernel at every canonical size, and may legitimately run the
+scalar path for two reasons only — a robustness term, or an
+unvectorizable context. Each of those decisions is recorded:
 :func:`last_search_routing` carries the structured reason for the most
 recent search and :func:`search_counters` tallies requests, uses, and
 fallbacks process-wide. These tests pin the exact reason strings the
@@ -62,18 +63,24 @@ class TestScalarOnly:
 
 class TestFallbackReasons:
     def test_below_threshold(self):
-        find_best_placement(_spec(), 2, 32, context=VECTORIZED)
+        # a space below MIN_VECTORIZED_CANDIDATES is no longer a reason
+        # to fall back: the 5-candidate space runs the kernel and
+        # returns exactly what the scalar engine does
+        scalar_best, scalar_n = find_best_placement(_spec(), 2, 32)
+        best, n = find_best_placement(_spec(), 2, 32, context=VECTORIZED)
+        assert n == scalar_n == 5
         routing = last_search_routing()
         assert routing["vectorized_requested"]
-        assert not routing["vectorized_used"]
-        assert routing["fallback_reason"].startswith(
-            "canonical space below threshold ("
-        )
-        assert "candidates)" in routing["fallback_reason"]
+        assert routing["vectorized_used"]
+        assert routing["fallback_reason"] is None
+        assert best.placement == scalar_best.placement
+        assert best.objective == scalar_best.objective
+        assert best.ensemble_makespan == scalar_best.ensemble_makespan
+        assert best.member_indicators == scalar_best.member_indicators
         counters = search_counters()
         assert counters["vectorized_requested"] == 1
-        assert counters["vectorized_fallbacks"] == 1
-        assert counters["vectorized_used"] == 0
+        assert counters["vectorized_used"] == 1
+        assert counters["vectorized_fallbacks"] == 0
 
     def test_robustness_term_present(self):
         term = RobustnessTerm(
@@ -91,7 +98,6 @@ class TestFallbackReasons:
         def raise_unsupported(*args, **kwargs):
             raise VectorizedUnsupported("custom component model")
 
-        monkeypatch.setattr(vectorized_mod, "MIN_VECTORIZED_CANDIDATES", 1)
         monkeypatch.setattr(
             vectorized_mod,
             "find_best_placement_vectorized",
@@ -106,8 +112,7 @@ class TestFallbackReasons:
 
 
 class TestVectorizedUsed:
-    def test_success_path_recorded(self, monkeypatch):
-        monkeypatch.setattr(vectorized_mod, "MIN_VECTORIZED_CANDIDATES", 1)
+    def test_success_path_recorded(self):
         scalar_best, scalar_n = find_best_placement(_spec(), 2, 32)
         best, n = find_best_placement(_spec(), 2, 32, context=VECTORIZED)
         routing = last_search_routing()

@@ -14,24 +14,34 @@ three contracts:
   optimum: :func:`find_best_placement_vectorized` returns the scalar
   engine's winner bit for bit, with the whole canonical space
   accounted for, and the batch argmax helpers reproduce the serial
-  loop's strict ``>`` tie-breaking on tie-heavy grids.
+  loop's strict ``>`` tie-breaking on tie-heavy grids;
+- **one population memo** — ``find_best_placement`` sends every
+  ``vectorized=True`` search to the kernel whatever its size, the
+  kernel assesses node populations through the
+  :class:`~repro.search.cache.StageCache` node memo the scalar engine
+  reads, and a cache bound to another platform is never consulted.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.search.vectorized as vectorized_mod
 from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.platform.cluster import Cluster
 from repro.platform.network import DragonflyNetwork
+from repro.platform.node import Node, NodeSpec
 from repro.platform.specs import cori_like_node
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
-from repro.search import find_best_placement
+from repro.search import find_best_placement, last_search_routing
+from repro.search.cache import StageCache
 from repro.search.canonical import (
     CompletionCounter,
     assignment_to_placement,
@@ -47,7 +57,7 @@ from repro.search.vectorized import (
     find_best_placement_vectorized,
 )
 from repro.util.errors import PlacementError
-from tests.strategies import search_grids
+from tests.strategies import plan_mix_grids, search_grids
 
 # the oracle's ``vectorized`` tier tolerance (see DEFAULT_TOLERANCES)
 VECTORIZED_TOL = 1e-9
@@ -64,6 +74,31 @@ def _tie_heavy_spec(num_members: int = 3) -> EnsembleSpec:
             for i in range(num_members)
         ),
     )
+
+
+def _mixed_spec() -> EnsembleSpec:
+    """Plan-mix-like: members of different sizes and shapes."""
+    return EnsembleSpec(
+        "mixed",
+        tuple(
+            default_member(
+                f"em{i}", num_analyses=k, n_steps=8, natoms=natoms
+            )
+            for i, (k, natoms) in enumerate(
+                ((1, 150_000), (2, 250_000), (2, 350_000))
+            )
+        ),
+    )
+
+
+def _assert_same_search(fast, scalar) -> None:
+    """Same winner, same floats, same ``evaluated``."""
+    (best, evaluated), (ref, ref_evaluated) = fast, scalar
+    assert evaluated == ref_evaluated
+    assert best.placement == ref.placement
+    assert best.objective == ref.objective
+    assert best.ensemble_makespan == ref.ensemble_makespan
+    assert best.member_indicators == ref.member_indicators
 
 
 def _rel_err(ref: float, cand: float) -> float:
@@ -191,22 +226,14 @@ class TestUnsupportedContexts:
             )
 
     def test_engine_falls_back_to_scalar(self):
-        # a space large enough to route through the kernel, but an
-        # unsupported DTL: vectorized=True must silently fall back to
-        # the scalar path and still return the scalar winner
+        # an unsupported DTL: vectorized=True must fall back to the
+        # scalar path and still return the scalar winner
         spec = EnsembleSpec(
             "fallback",
             tuple(
                 default_member(f"em{i}", num_analyses=2, n_steps=4)
                 for i in range(3)
             ),
-        )
-        from repro.search.vectorized import MIN_VECTORIZED_CANDIDATES
-
-        cores = component_core_demands(spec)
-        assert (
-            count_canonical_assignments(cores, 8, 32)
-            >= MIN_VECTORIZED_CANDIDATES
         )
         dtl = ParallelFilesystemDTL()
         context = PlanningContext(dtl=dtl)
@@ -276,9 +303,8 @@ class TestBranchAndBound:
         assert unpruned.best.objective == pruned.best.objective
 
     def test_engine_routes_large_spaces_through_the_kernel(self):
-        # ~10k canonical candidates: above MIN_VECTORIZED_CANDIDATES,
-        # so vectorized=True actually takes the batch path — and must
-        # return the scalar engine's exact result
+        # ~10k canonical candidates through the batch path, which
+        # must return the scalar engine's exact result
         spec = EnsembleSpec(
             "routed",
             tuple(
@@ -301,6 +327,105 @@ class TestBranchAndBound:
         fast = ExhaustiveSearchPolicy(vectorized=True)
         assert fast.place(spec, 4, 32) == plain.place(spec, 4, 32)
         assert fast.evaluated == plain.evaluated
+
+
+#: one cache for every example of the route property: the kernel must
+#: stay exact however warm the memo is and whichever specs filled it
+_SHARED_CACHE = StageCache()
+
+
+class TestKernelRoute:
+    @given(grid=plan_mix_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scalar_engine_on_plan_mix_shapes(self, grid):
+        spec, num_nodes, cores_per_node = grid
+        context = PlanningContext(vectorized=True, cache=_SHARED_CACHE)
+        try:
+            scalar = find_best_placement(spec, num_nodes, cores_per_node)
+        except PlacementError as exc:
+            with pytest.raises(PlacementError, match=re.escape(str(exc))):
+                find_best_placement(
+                    spec, num_nodes, cores_per_node, context=context
+                )
+            return
+        fast = find_best_placement(
+            spec, num_nodes, cores_per_node, context=context
+        )
+        assert last_search_routing()["vectorized_used"]
+        _assert_same_search(fast, scalar)
+
+    def test_empty_space_raises_before_building_a_scorer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scorer built for an empty space")
+
+        monkeypatch.setattr(VectorizedScorer, "__init__", refuse)
+        spec = _tie_heavy_spec(2)  # 2 x (16 + 8) cores never fit one node
+        with pytest.raises(PlacementError) as scalar:
+            find_best_placement(spec, 1, 32)
+        with pytest.raises(PlacementError) as fast:
+            find_best_placement(
+                spec, 1, 32, context=PlanningContext(vectorized=True)
+            )
+        assert str(fast.value) == str(scalar.value)
+
+
+class TestPopulationMemo:
+    @staticmethod
+    def _count_assessments(monkeypatch) -> list:
+        calls: list = []
+        assess = Node.assess
+
+        def counted(self, model):
+            calls.append(self.index)
+            return assess(self, model)
+
+        monkeypatch.setattr(Node, "assess", counted)
+        return calls
+
+    def test_second_search_on_the_same_cache_assesses_nothing(
+        self, monkeypatch
+    ):
+        spec = _mixed_spec()
+        context = PlanningContext(vectorized=True, cache=StageCache())
+        first = find_best_placement(spec, 6, 32, context=context)
+        calls = self._count_assessments(monkeypatch)
+        second = find_best_placement(spec, 6, 32, context=context)
+        assert calls == []
+        _assert_same_search(second, first)
+
+    def test_winner_rescore_adds_no_node_miss(self, monkeypatch):
+        # identical members: each kernel class is one content
+        # fingerprint, so the residents a code stands for carry the
+        # winner's own node signatures
+        cache = StageCache()
+        misses: list = []
+        rescore = vectorized_mod.score_placement
+
+        def counted(spec, placement, *, context):
+            before = context.cache.node_misses
+            score = rescore(spec, placement, context=context)
+            misses.append(context.cache.node_misses - before)
+            return score
+
+        monkeypatch.setattr(vectorized_mod, "score_placement", counted)
+        find_best_placement_vectorized(
+            _tie_heavy_spec(3), 4, 32, cache=cache
+        )
+        assert misses == [0]
+        assert cache.node_misses > 0  # the kernel filled the memo
+
+    def test_cache_for_another_node_spec_is_never_used(self):
+        other = StageCache(
+            Cluster(node_spec=NodeSpec(cores=64), num_nodes=4)
+        )
+        spec = _tie_heavy_spec(2)
+        fast = find_best_placement(
+            spec, 4, 32, context=PlanningContext(vectorized=True, cache=other)
+        )
+        assert last_search_routing()["vectorized_used"]
+        _assert_same_search(fast, find_best_placement(spec, 4, 32))
+        assert set(other.stats().values()) == {0}
+        assert VectorizedScorer(spec, 4, cache=other).cache is not other
 
 
 class TestBatchArgmax:

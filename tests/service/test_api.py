@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.search.engine import find_best_placement
@@ -22,6 +23,7 @@ from repro.service.api import MAX_BODY_BYTES, PlacementServer, make_server
 from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
     PlacementRequest,
+    RescheduleOptions,
     request_to_dict,
     score_from_dict,
 )
@@ -50,6 +52,20 @@ def _spec(n_steps: int = 2) -> EnsembleSpec:
 
 def _search(num_nodes: int = 2) -> PlacementRequest:
     return PlacementRequest(kind="search", spec=_spec(), num_nodes=num_nodes)
+
+
+def _reschedule(**options) -> dict:
+    """A reschedule request on 4 nodes, ``options`` set on the wire."""
+    request = PlacementRequest(
+        kind="reschedule",
+        spec=_spec(),
+        num_nodes=4,
+        placement=EnsemblePlacement(4, (MemberPlacement(0, (1,)),)),
+        reschedule=RescheduleOptions(),
+    )
+    payload = request_to_dict(request)
+    payload["reschedule"].update(options)
+    return payload
 
 
 class TestRoutes:
@@ -152,10 +168,27 @@ class TestRoutes:
             {"request": {**request_to_dict(_search()), "robust_rate": NAN}},
             {"request": {**request_to_dict(_search()), "robust_rate": INF}},
             {"request": {**request_to_dict(_search()), "robust_weight": NAN}},
+            {"request": {**request_to_dict(_search()), "base_seed": -1}},
+            {"request": {**request_to_dict(_search()), "base_seed": 1.5}},
+            {"request": {**request_to_dict(_search()), "base_seed": True}},
+            {"request": {**request_to_dict(_search()), "base_seed": None}},
+            {"request": _reschedule(seed=-1)},
+            {"request": _reschedule(seed=True)},
+            {"request": _reschedule(drift_node=99)},
+            {"request": _reschedule(drift_node=1.5)},
+            {"request": _reschedule(drift_start=1.5)},
+            {"request": _reschedule(drift_magnitude=NAN)},
+            {"request": _reschedule(threshold=NAN)},
+            {"request": _reschedule(min_gain=NAN)},
         ],
         ids=[
             "request-list", "request-string", "candidates-list",
             "reschedule-list", "rate-nan", "rate-inf", "weight-nan",
+            "seed-negative", "seed-float", "seed-bool", "seed-null",
+            "reschedule-seed-negative", "reschedule-seed-bool",
+            "drift-node-off-placement", "drift-node-float",
+            "drift-start-float", "drift-magnitude-nan", "threshold-nan",
+            "min-gain-nan",
         ],
     )
     def test_wrong_typed_or_non_finite_fields_are_400(self, server, body):

@@ -24,6 +24,7 @@ from repro.search.engine import find_best_placement
 from repro.service.schemas import (
     SCHEMA_VERSION,
     PlacementRequest,
+    RescheduleOptions,
     canonical_digest,
     canonical_json,
     component_to_dict,
@@ -219,6 +220,51 @@ class TestRequestValidation:
                 kind="search", spec=self._spec(), num_nodes=2,
                 robust_weight=value,
             )
+
+    @pytest.mark.parametrize("value", [-1, 1.5, True, None])
+    def test_base_seed_must_be_a_non_negative_int(self, value):
+        payload = request_to_dict(_search_request(self._spec(), 2, 32))
+        payload["base_seed"] = value
+        with pytest.raises(ValidationError, match="base_seed"):
+            request_from_dict(payload)
+
+    def _reschedule_payload(self, **options) -> dict:
+        request = PlacementRequest(
+            kind="reschedule",
+            spec=self._spec(),
+            num_nodes=4,
+            placement=EnsemblePlacement(4, (MemberPlacement(0, (1,)),)),
+            reschedule=RescheduleOptions(),
+        )
+        payload = request_to_dict(request)
+        payload["reschedule"].update(options)
+        return payload
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1), ("seed", 1.5), ("seed", True),
+            ("drift_node", 1.5), ("drift_node", True),
+            ("drift_start", 1.5), ("drift_start", True),
+            ("drift_magnitude", float("nan")),
+            ("drift_magnitude", float("inf")),
+            ("threshold", float("nan")), ("threshold", float("inf")),
+            ("min_gain", float("nan")), ("min_gain", -1.0),
+        ],
+    )
+    def test_reschedule_fields_are_checked_on_parse(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            request_from_dict(self._reschedule_payload(**{field: value}))
+
+    @pytest.mark.parametrize("drift_node", [4, 99])
+    def test_drift_node_must_lie_on_the_placement(self, drift_node):
+        payload = self._reschedule_payload(drift_node=drift_node)
+        with pytest.raises(ValidationError, match="drift_node"):
+            request_from_dict(payload)
+
+    def test_drift_node_on_the_placement_is_accepted(self):
+        payload = self._reschedule_payload(drift_node=3, drift_start=0)
+        assert request_from_dict(payload).reschedule.drift_node == 3
 
 
 #: what ``POST /jobs`` maps to a 400 (see ``repro.service.api``)

@@ -152,6 +152,37 @@ def search_grids(draw):
 
 
 @st.composite
+def plan_mix_grids(draw, max_components=8):
+    """``(spec, num_nodes, cores_per_node)`` shaped like plan-mix searches.
+
+    2-4 members of 1-2 analyses each on 1-8 nodes of 32 cores. Each
+    member draws its own ``natoms``, so members usually differ (their
+    analyses share a contention class but not a content fingerprint)
+    while identical members stay reachable. At most
+    ``max_components`` components keeps the canonical space at or
+    below ~2.1k candidates.
+    """
+    pattern = draw(
+        st.lists(st.integers(1, 2), min_size=2, max_size=4).filter(
+            lambda p: len(p) + sum(p) <= max_components
+        )
+    )
+    spec = EnsembleSpec(
+        "mix-" + "".join(map(str, pattern)),
+        tuple(
+            default_member(
+                f"m{i}",
+                num_analyses=k,
+                n_steps=draw(st.integers(4, 16)),
+                natoms=draw(st.sampled_from((150_000, 250_000, 350_000))),
+            )
+            for i, k in enumerate(pattern)
+        ),
+    )
+    return spec, draw(st.integers(1, 8)), 32
+
+
+@st.composite
 def ensemble_stream(draw, max_requests=4, total_nodes=4):
     """An arrival-time-ordered co-scheduling request stream.
 
