@@ -3,9 +3,10 @@
 Two layers of enforcement:
 
 - the committed ``BENCH_robust.json`` must exist, carry passing
-  correctness verdicts (serial-vs-batched exact agreement), and clear
-  its recorded >= 10x ranking-speedup floor — so a regression cannot
-  be hidden by simply not re-running the script;
+  correctness verdicts (serial-vs-batched exact agreement), record a
+  batched ranking that ran no DES, and clear its recorded >= 10x
+  ranking-speedup floor — so a regression cannot be hidden by simply
+  not re-running the script;
 - a live pytest-benchmark measurement ranks a fresh candidate
   shortlist through the batched engine and asserts every
   :class:`~repro.scheduler.robust.RobustScore` float is bit-identical
@@ -60,6 +61,7 @@ def test_committed_results_pass_their_floors():
         )
     speedup = results["ranking"]["speedup"]
     assert speedup >= results["floors"]["ranking"]
+    assert results["ranking"]["des_runs"]["batched"] == 0
     counters = results["ranking"]["counters"]
     assert counters["baseline_sims"] == results["ranking"]["candidates"]
     assert counters["replicas_replayed"] == (

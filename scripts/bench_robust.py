@@ -7,9 +7,10 @@ candidate placements under the same failure model and recovery policy
 - **serially** — :func:`repro.scheduler.robust.rank_placements_robust`
   with ``engine="serial"``, re-simulating every fault replica as a
   full discrete-event execution (the seed path);
-- **batched** — ``engine="batched"``, one fault-free DES per candidate
-  plus closed-form delta replay of every fault schedule against the
-  captured stage timeline (:mod:`repro.faults.batched`).
+- **batched** — ``engine="batched"``, no DES run at all: each
+  candidate's fault-free stage timeline is built from its effective
+  stages, and every candidate's baseline plus fault schedules are
+  delta-replayed in one sweep (:mod:`repro.faults.batched`).
 
 Retry recovery is exactly replayable, so before any speedup is
 reported every candidate's robust objective, ideal objective, mean
@@ -17,10 +18,15 @@ inflation, and mean goodput must agree *bit for bit* — reported as a
 :class:`repro.verify.oracles.DivergenceReport` exactly like the other
 benchmark gates.
 
-Writes ``BENCH_robust.json`` (ranking speedup, grid sizes, engine
-counters, correctness report) and exits non-zero on regression:
+Both rankings count their DES executions (``EnsembleExecutor.run``
+calls): serial runs ``candidates x (trials + 1)``, batched must run 0.
 
-- exit **1** — the >= 10x ranking-speedup floor was missed;
+Writes ``BENCH_robust.json`` (ranking speedup, DES runs per engine,
+grid sizes, engine counters, correctness report) and exits non-zero on
+regression:
+
+- exit **1** — the >= 10x ranking-speedup floor was missed, or the
+  batched ranking ran a DES;
 - exit **2** — a correctness divergence: the batched engine disagreed
   with serial DES replication.
 
@@ -49,6 +55,7 @@ from repro.faults.batched import (  # noqa: E402
     reset_engine_counters,
 )
 from repro.faults.recovery import RetryBackoffPolicy  # noqa: E402
+from repro.runtime.executor import EnsembleExecutor  # noqa: E402
 from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
 from repro.scheduler.robust import (  # noqa: E402
     crash_straggler_factory,
@@ -60,8 +67,9 @@ from repro.verify.oracles import (  # noqa: E402
 )
 
 #: required ranking speedup — the regression floor CI enforces. Smoke
-#: mode's small replica grid amortizes the per-candidate baseline sim
-#: far less, hence the lower bar (same code path, same exactness gate).
+#: mode's small replica grid amortizes the per-candidate capture and
+#: per-call replay overhead far less, hence the lower bar (same code
+#: path, same exactness gate).
 RANKING_FLOOR = 10.0
 RANKING_FLOOR_SMOKE = 2.0
 
@@ -102,6 +110,25 @@ def _candidates(spec: EnsembleSpec) -> dict:
     return {f"c{i}": placement for i, placement in enumerate(picked)}
 
 
+def _timed_des_runs(rank) -> tuple:
+    """``(result, seconds, DES runs)`` of one ``rank()`` call."""
+    runs = 0
+    original = EnsembleExecutor.run
+
+    def counting_run(self):
+        nonlocal runs
+        runs += 1
+        return original(self)
+
+    EnsembleExecutor.run = counting_run
+    try:
+        t0 = time.perf_counter()
+        result = rank()
+        return result, time.perf_counter() - t0, runs
+    finally:
+        EnsembleExecutor.run = original
+
+
 def bench_ranking(trials: int, n_steps: int) -> tuple:
     """Serial vs batched robust ranking of one candidate shortlist."""
     spec = _spec(n_steps)
@@ -110,18 +137,17 @@ def bench_ranking(trials: int, n_steps: int) -> tuple:
     policy = RetryBackoffPolicy()
     common = dict(trials=trials, base_seed=0, method="des")
 
-    t0 = time.perf_counter()
-    serial = rank_placements_robust(
-        spec, candidates, factory, policy, engine="serial", **common
+    serial, t_serial, serial_runs = _timed_des_runs(
+        lambda: rank_placements_robust(
+            spec, candidates, factory, policy, engine="serial", **common
+        )
     )
-    t_serial = time.perf_counter() - t0
-
     reset_engine_counters()
-    t0 = time.perf_counter()
-    batched = rank_placements_robust(
-        spec, candidates, factory, policy, engine="batched", **common
+    batched, t_batched, batched_runs = _timed_des_runs(
+        lambda: rank_placements_robust(
+            spec, candidates, factory, policy, engine="batched", **common
+        )
     )
-    t_batched = time.perf_counter() - t0
     counters = engine_counters()
 
     checks = [
@@ -169,6 +195,7 @@ def bench_ranking(trials: int, n_steps: int) -> tuple:
         "serial_seconds": t_serial,
         "batched_seconds": t_batched,
         "speedup": t_serial / t_batched,
+        "des_runs": {"serial": serial_runs, "batched": batched_runs},
         "best": serial[0].name,
         "best_objective": serial[0].objective,
         "counters": counters,
@@ -232,7 +259,13 @@ def check_floors(results: dict) -> bool:
     floor = results["floors"]["ranking"]
     status = "ok" if speedup >= floor else "BELOW FLOOR"
     print(f"ranking: {speedup:.1f}x (floor {floor:.0f}x) {status}")
-    return speedup >= floor
+    runs = results["ranking"]["des_runs"]
+    des_free = runs["batched"] == 0
+    print(
+        f"DES runs: serial {runs['serial']}, batched {runs['batched']} "
+        f"({'ok' if des_free else 'batched ranking ran the DES'})"
+    )
+    return speedup >= floor and des_free
 
 
 def main() -> int:
@@ -277,7 +310,7 @@ def main() -> int:
         f"{row['batched_seconds']:.2f}s"
     )
     print(
-        f"  engine: {row['counters']['baseline_sims']} baseline sims, "
+        f"  engine: {row['counters']['baseline_sims']} baselines captured, "
         f"{row['counters']['replicas_replayed']} replicas replayed"
     )
     if not check_correctness(results):

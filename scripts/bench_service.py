@@ -16,7 +16,7 @@ Four measurements, each with a built-in exactness check:
 - **rank-des**: one DES-method rank job (batched delta-replay engine)
   through the pool; the payload must equal the direct execution
   exactly and the ``/stats`` engine counters must account for every
-  baseline sim and replayed replica.
+  captured baseline and replayed replica.
 - **http**: submit+wait round trips over the real HTTP API
   (:class:`~repro.service.api.PlacementServer` on an ephemeral port);
   p50/p99 latency recorded, and the served score must deserialize to
@@ -427,7 +427,7 @@ def main() -> int:
     print(
         f"rank-des: {rank['candidates']} candidates x {rank['trials']} "
         f"replicas in {rank['seconds']:.2f}s "
-        f"({rank['counters']['baseline_sims']} baseline sims, "
+        f"({rank['counters']['baseline_sims']} baselines captured, "
         f"{rank['counters']['replicas_replayed']} replicas replayed)"
     )
     print(

@@ -1,32 +1,35 @@
-"""Batched fault replication: delta-replay robust DES scoring.
+"""Batched fault replication: delta-replay robust scoring without the DES.
 
 Robust ranking (:mod:`repro.scheduler.robust`) scores each candidate
 placement by running ``trials`` full injected DES executions plus one
 failure-free reference — re-simulating the whole ensemble from scratch
-for every fault replica. This module replaces the per-replica
-re-simulation with *delta replay*:
+for every fault replica. This module replaces every one of those runs
+with *delta replay*:
 
-1. :func:`capture_timeline` runs the fault-free DES **once** per
-   candidate with a :class:`~repro.runtime.executor.TimelineRecorder`
-   attached at the ``_stage`` choke point, capturing every stage
-   instance's nominal (noise-jittered) duration as a compact numeline
-   — per-member, per-stage numpy arrays;
-2. :func:`replay_schedules` scores each fault replica by replaying its
-   :class:`~repro.faults.models.FaultSchedule` against that baseline:
-   the coupling recurrence (S -> gate on all reads -> W; R gated on W;
-   A after R) is advanced with vectorized float64 arithmetic across
-   the replica axis, and the sparse set of faulted stage instances is
-   patched with a scalar replay of the injector's exact operation
-   sequence (stall delays, straggler scaling, crash burn + recovery
-   delay in schedule order).
+1. :func:`capture_timeline` distills a candidate's fault-free baseline
+   into a compact numeline — per-member, per-stage numpy arrays of
+   every stage instance's nominal (noise-jittered) duration — straight
+   from :func:`~repro.runtime.effective.compute_effective_stages` and
+   the executor's per-component RNG streams, without running the DES;
+2. :func:`replay_schedules` replays all candidates of a ranking in one
+   sweep: per candidate one empty-schedule baseline row (the ideal
+   reference) plus one row per :class:`~repro.faults.models
+   .FaultSchedule`. The coupling recurrence (S -> gate on all reads ->
+   W; R gated on W; A after R) is advanced with vectorized float64
+   arithmetic across every row, and the sparse set of faulted stage
+   instances is patched with a scalar replay of the injector's exact
+   operation sequence (stall delays, straggler scaling, crash burn +
+   recovery delay in schedule order).
 
 Because the DES clock only ever *adds* timeout durations to the
 current time and *maxes* event times, replaying the same additions at
-the same absolute times reproduces every float bit for bit: for the
+the same absolute times reproduces every float bit for bit: a baseline
+row's objective and makespan equal a fault-free DES run's, and for the
 stateless built-in policies (retry, restart, degrade) the batched
 robust score **equals** the serial score exactly — not approximately —
 which the differential-oracle tier in :mod:`repro.verify.oracles` and
-the hypothesis suite in ``tests/faults/test_batched.py`` assert.
+the hypothesis suite in ``tests/faults/test_batched.py`` assert. The
+DES stays the reference this replay is checked against.
 :class:`~repro.faults.recovery.AdaptiveRecoveryPolicy` is
 order-dependent (its budget drains in global event order, which replay
 approximates member-by-member), so it is scored within a tolerance
@@ -36,7 +39,7 @@ Replica seeds come from :func:`repro.util.rng.derive_replica_seed`,
 shared with the serial path. With common random numbers (the default)
 replica ``i`` sees the *same* fault draws for every candidate, so
 candidate comparisons are paired and the fault schedules are sampled
-once per ranking call instead of once per candidate.
+and compiled once per ranking call instead of once per candidate.
 
 Examples
 --------
@@ -89,6 +92,7 @@ from repro.core.stages import (
     SimulationStages,
 )
 from repro.dtl.base import DataTransportLayer
+from repro.dtl.dimes import InMemoryStagingDTL
 from repro.faults.injector import AnalysisDropped, StageContext
 from repro.faults.models import CHUNK_KINDS, FaultKind, FaultSchedule
 from repro.faults.recovery import (
@@ -98,11 +102,13 @@ from repro.faults.recovery import (
     RetryBackoffPolicy,
 )
 from repro.platform.cluster import Cluster
+from repro.platform.specs import make_cori_like_cluster
+from repro.runtime.effective import compute_effective_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
-from repro.util.rng import derive_replica_seed
-from repro.util.validation import require_positive_int
+from repro.util.rng import RandomSource, derive_replica_seed
+from repro.util.validation import require_non_negative, require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scheduler.robust import ModelFactory, RobustScore
@@ -123,8 +129,9 @@ _counters: Dict[str, int] = {
 def engine_counters() -> Dict[str, int]:
     """A snapshot of the batched engine's work counters.
 
-    ``baseline_sims`` counts fault-free timeline captures and
-    ``replicas_replayed`` the fault replicas scored by delta replay.
+    ``baseline_sims`` counts captured fault-free baselines (no DES run
+    is involved) and ``replicas_replayed`` the fault replicas scored by
+    delta replay.
     """
     with _COUNTER_LOCK:
         return dict(_counters)
@@ -180,10 +187,10 @@ def replay_tier(policy: RecoveryPolicy) -> str:
 class MemberTimeline:
     """One member's fault-free baseline as per-stage duration arrays.
 
-    Durations are the *nominal* values handed to the ``_stage`` choke
-    point (noise jitter already applied) — exactly what the injector's
-    body would wait in a faulted run, which is what makes the replay's
-    timeline edits exact.
+    Durations are the *nominal* values the executor hands to its
+    ``_stage`` choke point (noise jitter already applied) — exactly
+    what the injector's body would wait in a faulted run, which is what
+    makes the replay's timeline edits exact.
     """
 
     name: str
@@ -202,24 +209,31 @@ class MemberTimeline:
 
 @dataclass(frozen=True, eq=False)
 class StageTimeline:
-    """A candidate's full baseline numeline plus its reference scores."""
+    """A candidate's full baseline numeline (its reference scores come
+    out of :func:`replay_schedules` as the candidate's baseline row)."""
 
     spec_name: str
     members: Tuple[MemberTimeline, ...]
     num_nodes: int
-    ideal_objective: float  # failure-free DES F(P^{U,A,P})
-    baseline_makespan: float
     total_steps: int
 
 
 @dataclass(frozen=True)
 class ReplayOutcome:
-    """Per-replica scores from one :func:`replay_schedules` call."""
+    """Scores from one :func:`replay_schedules` call.
+
+    ``ideal_objectives`` and ``baseline_makespans`` hold one entry per
+    timeline (its fault-free baseline row). The per-replica tuples
+    list fault replicas only, timeline-major: timeline ``c``'s replica
+    ``r`` sits at index ``c * R + r``.
+    """
 
     objectives: Tuple[float, ...]
     makespans: Tuple[float, ...]
     inflations: Tuple[float, ...]
     goodputs: Tuple[float, ...]
+    ideal_objectives: Tuple[float, ...]
+    baseline_makespans: Tuple[float, ...]
 
 
 def capture_timeline(
@@ -230,68 +244,62 @@ def capture_timeline(
     seed: Optional[int] = 0,
     timing_noise: float = 0.0,
 ) -> StageTimeline:
-    """Run the fault-free DES once and distill it into a numeline.
+    """Build a candidate's fault-free numeline without running the DES.
 
-    The run is byte-identical to the serial scorer's baseline run (the
-    recorder never touches the clock), so ``ideal_objective`` and
-    ``baseline_makespan`` match the serial path's reference values
-    exactly.
+    The platform defaults, the effective stage times and the RNG layout
+    are the :class:`~repro.runtime.executor.EnsembleExecutor`'s: root
+    ``RandomSource(seed, name="executor")``, one child stream spawned
+    per component in member order (the simulation, then its analyses),
+    each drawing its two stages per step. The durations are therefore
+    the very floats a fault-free DES run would hand its ``_stage``
+    choke point, and the same inputs raise the executor's typed errors
+    (negative ``timing_noise``, a bad seed, an infeasible placement).
     """
-    # deferred: the executor module imports the faults submodules this
-    # package loads before this one, so a top-level import would cycle.
-    from repro.runtime.executor import EnsembleExecutor, TimelineRecorder
-
-    recorder = TimelineRecorder()
-    executor = EnsembleExecutor(
-        spec=spec,
-        placement=placement,
-        cluster=cluster,
-        dtl=dtl,
-        seed=seed,
-        timing_noise=timing_noise,
-        timeline_recorder=recorder,
+    require_non_negative("timing_noise", timing_noise)
+    cluster = cluster or make_cori_like_cluster(placement.num_nodes)
+    dtl = dtl or InMemoryStagingDTL(
+        network=cluster.network,
+        memory_bandwidth=cluster.node_spec.memory_bandwidth,
     )
-    result = executor.run()
+    effective = compute_effective_stages(spec, placement, cluster, dtl)
+    root = RandomSource(seed, name="executor")
 
-    durations: Dict[Tuple[str, str], Dict[int, float]] = {}
-    step_times: Dict[str, float] = {}
-    for _member, component, stage, step, duration, step_time in (
-        recorder.records
-    ):
-        durations.setdefault((component, stage), {})[step] = duration
-        step_times[component] = step_time
+    def durations(name: str, first: float, second: float, n: int):
+        # each step jitters ``first`` (S or R), then ``second`` (W or
+        # A), on the component's own stream: one vector draw yields the
+        # doubles of the 2n scalar draws, and zero noise draws nothing
+        if timing_noise == 0:
+            return np.full(n, first), np.full(n, second)
+        u = root.spawn(name).generator.uniform(
+            1.0 - timing_noise, 1.0 + timing_noise, size=2 * n
+        )
+        return first * u[0::2], second * u[1::2]
 
     members: List[MemberTimeline] = []
-    for member, mp in zip(spec.members, placement.members):
+    for member, mp in zip(effective, placement.members):
         n = member.n_steps
-        sim_name = member.simulation.name
-        ana_names = tuple(a.name for a in member.analyses)
+        sim = member.simulation
+        sim_compute, sim_write = durations(
+            sim.name, sim.compute_time, sim.io_time, n
+        )
+        reads, computes = zip(*(
+            durations(a.name, a.io_time, a.compute_time, n)
+            for a in member.analyses
+        ))
         members.append(
             MemberTimeline(
                 name=member.name,
-                sim_name=sim_name,
-                analysis_names=ana_names,
+                sim_name=sim.name,
+                analysis_names=tuple(a.name for a in member.analyses),
                 n_steps=n,
-                sim_compute=np.array(
-                    [durations[(sim_name, "S")][t] for t in range(n)]
+                sim_compute=sim_compute,
+                sim_write=sim_write,
+                ana_read=np.array(reads),
+                ana_compute=np.array(computes),
+                sim_step_time=sim.compute_time + sim.io_time,
+                ana_step_times=tuple(
+                    a.io_time + a.compute_time for a in member.analyses
                 ),
-                sim_write=np.array(
-                    [durations[(sim_name, "W")][t] for t in range(n)]
-                ),
-                ana_read=np.array(
-                    [
-                        [durations[(a, "R")][t] for t in range(n)]
-                        for a in ana_names
-                    ]
-                ),
-                ana_compute=np.array(
-                    [
-                        [durations[(a, "A")][t] for t in range(n)]
-                        for a in ana_names
-                    ]
-                ),
-                sim_step_time=step_times[sim_name],
-                ana_step_times=tuple(step_times[a] for a in ana_names),
                 total_cores=member.total_cores,
                 placement_sets=mp.to_placement_sets(),
             )
@@ -301,8 +309,6 @@ def capture_timeline(
         spec_name=spec.name,
         members=tuple(members),
         num_nodes=placement.num_nodes,
-        ideal_objective=result.objective(FINAL_STAGE_ORDER),
-        baseline_makespan=result.ensemble_makespan,
         total_steps=sum(m.n_steps for m in spec.members),
     )
 
@@ -375,199 +381,168 @@ def _apply_site(
 
 @dataclass(eq=False)
 class _MemberReplay:
-    """One member's replayed timelines across all replicas."""
+    """One member's replayed timelines across all rows."""
 
-    dur_S: np.ndarray  # (R, n)
-    dur_W: np.ndarray  # (R, n)
-    dur_R: np.ndarray  # (K, R, n)
-    dur_A: np.ndarray  # (K, R, n)
-    makespan: np.ndarray  # (R,)
-    r_len: np.ndarray  # (K, R) valid ANA_READ samples per replica
-    a_len: np.ndarray  # (K, R) valid ANA_COMPUTE samples per replica
+    dur_S: np.ndarray  # (rows, n)
+    dur_W: np.ndarray  # (rows, n)
+    dur_R: np.ndarray  # (K, rows, n)
+    dur_A: np.ndarray  # (K, rows, n)
+    makespan: np.ndarray  # (rows,)
+    r_len: np.ndarray  # (K, rows) valid ANA_READ samples per row
+    a_len: np.ndarray  # (K, rows) valid ANA_COMPUTE samples per row
 
 
 def _replay_member(
-    mt: MemberTimeline,
+    mts: Sequence[MemberTimeline],
     compiled: Sequence[Tuple[dict, dict]],
-    policies: Sequence[RecoveryPolicy],
+    policies: Sequence[Optional[RecoveryPolicy]],
 ) -> _MemberReplay:
-    """Advance one member's coupling recurrence across all replicas.
+    """Advance one member's coupling recurrence across every row.
 
-    The fault-free recurrence is vectorized over the replica axis;
-    the (replica, stage instance) pairs a schedule actually touches
-    are recomputed scalar-exactly via :func:`_apply_site`.
+    ``mts`` holds this member's timeline in each candidate. Rows are
+    timeline-major: candidate ``c`` owns rows ``c * (1 + R)`` (its
+    fault-free baseline) through ``c * (1 + R) + R`` (its replicas of
+    the ``R`` compiled schedules). The fault-free recurrence is
+    vectorized over all rows; the (row, stage instance) pairs a
+    schedule actually touches are recomputed scalar-exactly via
+    :func:`_apply_site`, with a :class:`StageContext` priced from the
+    row's own candidate (its nominal duration and step time).
     """
     R = len(compiled)
-    n = mt.n_steps
-    K = len(mt.analysis_names)
-    ana_index = {name: j for j, name in enumerate(mt.analysis_names)}
+    stride = 1 + R
+    rows = len(mts) * stride
+    first = mts[0]
+    n = first.n_steps
+    K = len(first.analysis_names)
+    sim_name = first.sim_name
 
-    # which replicas need a scalar override at each stage instance
-    s_over: List[List[int]] = [[] for _ in range(n)]
-    w_over: List[List[int]] = [[] for _ in range(n)]
-    r_over: List[List[Set[int]]] = [
-        [set() for _ in range(n)] for _ in range(K)
-    ]
-    a_over: List[List[List[int]]] = [
-        [[] for _ in range(n)] for _ in range(K)
-    ]
+    # the replicas faulting each stage instance; a chunk fault of this
+    # member's simulation perturbs every analysis's read of that step
+    faulted: Dict[Tuple[str, int, str], Set[int]] = {}
     for r, (site_map, chunk_map) in enumerate(compiled):
-        for component, step, stage in site_map:
-            if step >= n:
-                continue
-            if component == mt.sim_name:
-                if stage == "S":
-                    s_over[step].append(r)
-                elif stage == "W":
-                    w_over[step].append(r)
-            elif component in ana_index:
-                j = ana_index[component]
-                if stage == "R":
-                    r_over[j][step].add(r)
-                elif stage == "A":
-                    a_over[j][step].append(r)
+        for key in site_map:
+            faulted.setdefault(key, set()).add(r)
         for producer, step in chunk_map:
-            if producer == mt.sim_name and step < n:
-                for j in range(K):
-                    r_over[j][step].add(r)
+            if producer == sim_name:
+                for ana in first.analysis_names:
+                    faulted.setdefault((ana, step, "R"), set()).add(r)
 
-    simT = np.zeros(R)
-    anaT = np.zeros((K, R))
-    allread = np.zeros(R)
-    dropped = np.zeros((K, R), dtype=bool)
-    drop_time = np.zeros((K, R))
-    drop_in_read = np.zeros((K, R), dtype=bool)
-    drop_step = np.full((K, R), -1, dtype=np.int64)
-    dur_S = np.empty((R, n))
-    dur_W = np.empty((R, n))
-    dur_R = np.empty((K, R, n))
-    dur_A = np.empty((K, R, n))
-    contribs = np.empty((K, R))
+    # nominal durations per row: each candidate's, repeated over its rows
+    nom_S = np.repeat([mt.sim_compute for mt in mts], stride, axis=0)
+    nom_W = np.repeat([mt.sim_write for mt in mts], stride, axis=0)
+    nom_R = np.repeat([mt.ana_read for mt in mts], stride, axis=0)
+    nom_A = np.repeat([mt.ana_compute for mt in mts], stride, axis=0)
+    nom_R = nom_R.transpose(1, 0, 2)  # (K, rows, n)
+    nom_A = nom_A.transpose(1, 0, 2)
+    sim_steps = [mt.sim_step_time for mt in mts]
+    ana_steps = [[mt.ana_step_times[j] for mt in mts] for j in range(K)]
 
-    def _sim_stage(stage: str, t: int, nominal: float, start: np.ndarray,
-                   overrides: List[int]) -> np.ndarray:
-        end = start + nominal
-        if overrides:
+    simT = np.zeros(rows)
+    anaT = np.zeros((K, rows))
+    allread = np.zeros(rows)
+    dropped = np.zeros((K, rows), dtype=bool)
+    drop_time = np.zeros((K, rows))
+    drop_in_read = np.zeros((K, rows), dtype=bool)
+    drop_step = np.zeros((K, rows), dtype=np.int64)
+    dur_S = np.empty((rows, n))
+    dur_W = np.empty((rows, n))
+    dur_R = np.empty((K, rows, n))
+    dur_A = np.empty((K, rows, n))
+    contribs = np.empty((K, rows))
+
+    def _stage(component, stage, t, nominal, start, step_times,
+               skip=None, producer=None):
+        """The stage instance's end per row, and its dropped rows.
+
+        Rows flagged in ``skip`` (analyses dropped earlier) are left
+        at the nominal end; a read also carries the producer's chunk
+        faults."""
+        end = start + nominal[:, t]
+        drops: List[int] = []
+        key = (component, t, stage)
+        replicas = faulted.get(key)
+        if not replicas:
+            return end, drops
+        for c, mt in enumerate(mts):
+            base = c * stride
+            duration = float(nominal[base, t])
             ctx = StageContext(
                 member=mt.name,
-                component=mt.sim_name,
+                component=component,
                 stage=stage,
                 step=t,
-                duration=float(nominal),
-                step_time=mt.sim_step_time,
+                duration=duration,
+                step_time=step_times[c],
+                producer=producer,
             )
-            key = (mt.sim_name, t, stage)
-            for r in overrides:
-                site = compiled[r][0].get(key, ())
-                e, drop = _apply_site(
-                    float(start[r]), float(nominal), site, (),
-                    policies[r], ctx,
+            for r in replicas:
+                row = base + 1 + r
+                if skip is not None and skip[row]:
+                    continue
+                site_map, chunk_map = compiled[r]
+                chunk = chunk_map.get((producer, t), ()) if producer else ()
+                end[row], drop = _apply_site(
+                    float(start[row]), duration, site_map.get(key, ()),
+                    chunk, policies[row], ctx,
                 )
                 if drop:
-                    # matches the serial run, where a simulation drop
-                    # propagates out of env.run()
-                    raise AnalysisDropped(mt.sim_name, t)
-                end[r] = e
+                    drops.append(row)
+        return end, drops
+
+    def _sim_stage(stage, t, nominal, start):
+        end, drops = _stage(sim_name, stage, t, nominal, start, sim_steps)
+        if drops:
+            # matches the serial run, where a simulation drop
+            # propagates out of env.run()
+            raise AnalysisDropped(sim_name, t)
+        return end
+
+    def _ana_stage(j, stage, t, nominal, start, producer=None):
+        end, drops = _stage(
+            first.analysis_names[j], stage, t, nominal, start,
+            ana_steps[j], dropped[j], producer,
+        )
+        for row in drops:
+            dropped[j, row] = True
+            drop_time[j, row] = end[row]
+            drop_in_read[j, row] = stage == "R"
+            drop_step[j, row] = t
         return end
 
     for t in range(n):
         # S
-        start = simT
-        end = _sim_stage("S", t, mt.sim_compute[t], start, s_over[t])
-        dur_S[:, t] = end - start
-        simT = end
+        end = _sim_stage("S", t, nom_S, simT)
+        dur_S[:, t] = end - simT
         # I^S: gate on the previous step's reads
-        if t > 0:
-            simT = np.maximum(simT, allread)
+        start = np.maximum(end, allread) if t > 0 else end
         # W
-        start = simT
-        end = _sim_stage("W", t, mt.sim_write[t], start, w_over[t])
-        dur_W[:, t] = end - start
-        simT = end
-        w_end = simT
+        w_end = _sim_stage("W", t, nom_W, start)
+        dur_W[:, t] = w_end - start
+        simT = w_end
 
         for j in range(K):
-            ana = mt.analysis_names[j]
             # R (gated on W of this step)
             startR = np.maximum(anaT[j], w_end)
-            endR = startR + mt.ana_read[j, t]
-            if r_over[j][t]:
-                ctx = StageContext(
-                    member=mt.name,
-                    component=ana,
-                    stage="R",
-                    step=t,
-                    duration=float(mt.ana_read[j, t]),
-                    step_time=mt.ana_step_times[j],
-                    producer=mt.sim_name,
-                )
-                for r in r_over[j][t]:
-                    if dropped[j, r]:
-                        continue
-                    site = compiled[r][0].get((ana, t, "R"), ())
-                    chunk = compiled[r][1].get((mt.sim_name, t), ())
-                    e, drop = _apply_site(
-                        float(startR[r]), float(mt.ana_read[j, t]),
-                        site, chunk, policies[r], ctx,
-                    )
-                    endR[r] = e
-                    if drop:
-                        dropped[j, r] = True
-                        drop_time[j, r] = e
-                        drop_in_read[j, r] = True
-                        drop_step[j, r] = t
+            endR = _ana_stage(j, "R", t, nom_R[j], startR, producer=sim_name)
             dur_R[j, :, t] = endR - startR
-            # a replica dropped before this step released its barrier
-            # at drop time; one dropped *during this R* did too (the
+            # a row dropped before this step released its barrier at
+            # drop time; one dropped *during this R* did too (the
             # retire handler fires at env.now == the drop instant)
             contribs[j] = np.where(dropped[j], drop_time[j], endR)
-
             # A
-            startA = endR
-            endA = startA + mt.ana_compute[j, t]
-            if a_over[j][t]:
-                ctx = StageContext(
-                    member=mt.name,
-                    component=ana,
-                    stage="A",
-                    step=t,
-                    duration=float(mt.ana_compute[j, t]),
-                    step_time=mt.ana_step_times[j],
-                )
-                for r in a_over[j][t]:
-                    if dropped[j, r]:
-                        continue
-                    site = compiled[r][0].get((ana, t, "A"), ())
-                    e, drop = _apply_site(
-                        float(startA[r]), float(mt.ana_compute[j, t]),
-                        site, (), policies[r], ctx,
-                    )
-                    endA[r] = e
-                    if drop:
-                        dropped[j, r] = True
-                        drop_time[j, r] = e
-                        drop_step[j, r] = t
-            dur_A[j, :, t] = endA - startA
+            endA = _ana_stage(j, "A", t, nom_A[j], endR)
+            dur_A[j, :, t] = endA - endR
             anaT[j] = np.where(dropped[j], anaT[j], endA)
 
         allread = contribs.max(axis=0)
 
     ana_end = np.where(dropped, drop_time, anaT)
-    makespan = ana_end.max(axis=0)
-    r_len = np.where(drop_step >= 0, drop_step + 1, n)
-    a_len = np.where(
-        drop_step >= 0,
-        np.where(drop_in_read, drop_step, drop_step + 1),
-        n,
-    )
+    # a drop ends the samples with the dropped step's R; a drop during
+    # that R leaves its A unsampled too
+    r_len = np.where(dropped, drop_step + 1, n)
     return _MemberReplay(
-        dur_S=dur_S,
-        dur_W=dur_W,
-        dur_R=dur_R,
-        dur_A=dur_A,
-        makespan=makespan,
-        r_len=r_len,
-        a_len=a_len,
+        dur_S, dur_W, dur_R, dur_A, ana_end.max(axis=0), r_len,
+        r_len - drop_in_read,
     )
 
 
@@ -606,22 +581,24 @@ def _steady_state_rows(dur: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _score_replicas(
-    timeline: StageTimeline,
+def _score_rows(
+    timelines: Sequence[StageTimeline],
     replays: Sequence[_MemberReplay],
-    R: int,
+    stride: int,
 ) -> Tuple[List[float], List[float]]:
-    """Per-replica (objective, ensemble makespan) of the replayed runs.
+    """Per-row (objective, ensemble makespan) of the replayed runs.
 
     Steady-state estimation (:func:`estimate_steady_state`'s warm-up
-    skip + trimmed mean) is vectorized across the replica axis via
+    skip + trimmed mean) is vectorized across all rows via
     :func:`_steady_state_rows`; the indicator pipeline and Eq. 9 then
-    run per replica through the *same* library functions the serial
-    path uses, so agreement is structural, not numeric luck.
+    run per row through the *same* library functions the serial path
+    uses — with the row's own candidate's placement sets, core count
+    and node count — so agreement is structural, not numeric luck.
     """
+    rows = len(timelines) * stride
     est = []
-    for mt, rep in zip(timeline.members, replays):
-        full = np.full(R, mt.n_steps)
+    for mt, rep in zip(timelines[0].members, replays):
+        full = np.full(rows, mt.n_steps)
         est.append(
             (
                 _steady_state_rows(rep.dur_S, full),
@@ -639,7 +616,8 @@ def _score_replicas(
 
     objectives: List[float] = []
     makespans: List[float] = []
-    for r in range(R):
+    for row in range(rows):
+        timeline = timelines[row // stride]
         indicators: List[float] = []
         spans: List[float] = []
         for mt, rep, (sim_c, sim_w, reads, analyzes) in zip(
@@ -647,12 +625,12 @@ def _score_replicas(
         ):
             stages = MemberStages(
                 simulation=SimulationStages(
-                    compute=float(sim_c[r]), write=float(sim_w[r])
+                    compute=float(sim_c[row]), write=float(sim_w[row])
                 ),
                 analyses=tuple(
                     AnalysisStages(
-                        read=float(reads[j][r]),
-                        analyze=float(analyzes[j][r]),
+                        read=float(reads[j][row]),
+                        analyze=float(analyzes[j][row]),
                     )
                     for j in range(len(mt.analysis_names))
                 ),
@@ -668,50 +646,106 @@ def _score_replicas(
                     measurement, FINAL_STAGE_ORDER, timeline.num_nodes
                 )
             )
-            spans.append(float(rep.makespan[r]))
+            spans.append(float(rep.makespan[row]))
         objectives.append(objective_function(indicators))
         makespans.append(max(spans))
     return objectives, makespans
 
 
 def replay_schedules(
-    timeline: StageTimeline,
+    timelines: Sequence[StageTimeline],
     schedules: Sequence[FaultSchedule],
     policy: RecoveryPolicy,
 ) -> ReplayOutcome:
-    """Score every fault schedule against one captured baseline.
+    """Score every fault schedule against every captured baseline.
 
-    Each replica gets a fresh deep copy of ``policy`` (reset via
-    ``on_run_start``), matching the serial path's one-injector-per-run
-    policy lifecycle.
+    ``timelines`` are the candidates of one ranking; they must share
+    one spec (hence member shapes), and all ``len(timelines) x (1 +
+    len(schedules))`` rows — each candidate's fault-free baseline row
+    plus one row per schedule — replay in one vectorized sweep, with
+    the schedules compiled once. Each fault row gets a fresh deep copy
+    of ``policy`` (reset via ``on_run_start``), matching the serial
+    path's one-injector-per-run policy lifecycle; baseline rows meet
+    no fault, so they consult no policy.
     """
+    shapes = {
+        tuple((m.name, m.n_steps, m.analysis_names) for m in t.members)
+        for t in timelines
+    }
+    if len(shapes) != 1:
+        raise ValidationError(
+            "replay_schedules needs one or more timelines of one spec"
+        )
     R = len(schedules)
+    stride = 1 + R
     compiled = [_compile_replica(s) for s in schedules]
-    policies: List[RecoveryPolicy] = []
-    for _ in range(R):
-        p = copy.deepcopy(policy)
-        p.on_run_start()
-        policies.append(p)
+    policies: List[Optional[RecoveryPolicy]] = []
+    for _ in timelines:
+        policies.append(None)
+        for _ in range(R):
+            p = copy.deepcopy(policy)
+            p.on_run_start()
+            policies.append(p)
     replays = [
-        _replay_member(mt, compiled, policies) for mt in timeline.members
+        _replay_member([t.members[m] for t in timelines], compiled, policies)
+        for m in range(len(timelines[0].members))
     ]
 
-    objectives, makespans = _score_replicas(timeline, replays, R)
-    inflations: List[float] = []
-    goodputs: List[float] = []
-    for makespan in makespans:
-        inflations.append(makespan / timeline.baseline_makespan)
-        goodputs.append(timeline.total_steps / makespan)
-    _tally(replicas=R)
+    objectives, makespans = (
+        np.reshape(values, (-1, stride))
+        for values in _score_rows(timelines, replays, stride)
+    )
+    spans = makespans[:, 1:]  # column 0 holds the baselines
+    _tally(replicas=spans.size)
     return ReplayOutcome(
-        objectives=tuple(objectives),
-        makespans=tuple(makespans),
-        inflations=tuple(inflations),
-        goodputs=tuple(goodputs),
+        objectives=tuple(objectives[:, 1:].ravel().tolist()),
+        makespans=tuple(spans.ravel().tolist()),
+        inflations=tuple((spans / makespans[:, :1]).ravel().tolist()),
+        goodputs=tuple((timelines[0].total_steps / spans).ravel().tolist()),
+        ideal_objectives=tuple(objectives[:, 0].tolist()),
+        baseline_makespans=tuple(makespans[:, 0].tolist()),
     )
 
 
 # -- scoring entry points ----------------------------------------------------
+
+
+def _robust_score(
+    name: str,
+    placement: EnsemblePlacement,
+    outcome: ReplayOutcome,
+    index: int,
+    trials: int,
+) -> "RobustScore":
+    """Timeline ``index``'s :class:`RobustScore` from a replay outcome."""
+    from repro.scheduler.robust import RobustScore
+
+    replicas = slice(index * trials, (index + 1) * trials)
+    return RobustScore(
+        name=name,
+        placement=placement,
+        objective=float(np.mean(outcome.objectives[replicas])),
+        ideal_objective=outcome.ideal_objectives[index],
+        mean_inflation=float(np.mean(outcome.inflations[replicas])),
+        mean_goodput=float(np.mean(outcome.goodputs[replicas])),
+        num_nodes=placement.num_nodes,
+        trials=trials,
+    )
+
+
+def _sample_schedules(
+    spec: EnsembleSpec,
+    model_factory: "ModelFactory",
+    trials: int,
+    base_seed: int,
+    seed_label: str,
+) -> List[FaultSchedule]:
+    return [
+        model_factory(
+            derive_replica_seed(base_seed, t, seed_label)
+        ).build_schedule(spec)
+        for t in range(trials)
+    ]
 
 
 def score_from_timeline(
@@ -724,36 +758,20 @@ def score_from_timeline(
     base_seed: int = 0,
     seed_label: str = "",
     name: str = "",
-    schedules: Optional[Sequence[FaultSchedule]] = None,
 ) -> "RobustScore":
     """Robust-score a candidate whose baseline is already captured.
 
     Fault schedules are sampled via
-    ``model_factory(derive_replica_seed(base_seed, t, seed_label))``
-    unless pre-built ``schedules`` are passed (the common-random-
-    numbers rank path samples once and shares them across candidates).
+    ``model_factory(derive_replica_seed(base_seed, t, seed_label))``;
+    the replay's baseline row supplies the ideal objective and the
+    inflation denominator.
     """
-    from repro.scheduler.robust import RobustScore
-
-    if schedules is None:
-        require_positive_int("trials", trials)
-        schedules = [
-            model_factory(
-                derive_replica_seed(base_seed, t, seed_label)
-            ).build_schedule(spec)
-            for t in range(trials)
-        ]
-    outcome = replay_schedules(timeline, schedules, policy)
-    return RobustScore(
-        name=name or spec.name,
-        placement=placement,
-        objective=float(np.mean(outcome.objectives)),
-        ideal_objective=timeline.ideal_objective,
-        mean_inflation=float(np.mean(outcome.inflations)),
-        mean_goodput=float(np.mean(outcome.goodputs)),
-        num_nodes=placement.num_nodes,
-        trials=len(schedules),
+    require_positive_int("trials", trials)
+    schedules = _sample_schedules(
+        spec, model_factory, trials, base_seed, seed_label
     )
+    outcome = replay_schedules([timeline], schedules, policy)
+    return _robust_score(name or spec.name, placement, outcome, 0, trials)
 
 
 def batched_score_placement(
@@ -770,11 +788,11 @@ def batched_score_placement(
     seed_label: str = "",
 ) -> "RobustScore":
     """Drop-in replacement for :func:`~repro.scheduler.robust
-    .robust_score_placement` using one DES run plus delta replay.
+    .robust_score_placement` using delta replay and no DES run.
 
-    Runs the fault-free DES once (the baseline capture doubles as the
-    ideal reference), then replays ``trials`` fault schedules against
-    the captured numeline. For exactly-replayable policies (see
+    Captures the candidate's fault-free numeline, then replays its
+    baseline row (the ideal reference) and ``trials`` fault schedules
+    against it. For exactly-replayable policies (see
     :func:`replay_tier`) the returned score equals the serial one bit
     for bit.
     """
@@ -814,27 +832,20 @@ def rank_placements_batched(
 ) -> List["RobustScore"]:
     """Rank candidates with the batched engine; best first.
 
+    Runs no DES: every candidate's numeline is captured, then replayed.
     With ``crn=True`` (the default) every candidate is scored against
     the *same* ``trials`` fault schedules — common random numbers:
     replica ``i``'s draws are shared everywhere, pairing the candidate
     comparisons (lower rank-inversion variance at equal trials, which
-    the CRN test in ``tests/faults/test_batched.py`` measures) and
-    letting the schedules be sampled once per call instead of once per
-    candidate. ``crn=False`` decorrelates candidates by hashing each
-    candidate's name into its replica seeds.
+    the CRN test in ``tests/faults/test_batched.py`` measures) — so
+    the schedules are sampled once and all candidates replay in one
+    :func:`replay_schedules` sweep. ``crn=False`` decorrelates
+    candidates by hashing each candidate's name into its replica seeds,
+    so each candidate replays its own schedules in its own call.
     """
     require_positive_int("trials", trials)
-    shared = None
-    if crn:
-        shared = [
-            model_factory(derive_replica_seed(base_seed, t)).build_schedule(
-                spec
-            )
-            for t in range(trials)
-        ]
-    scores = []
-    for cname, placement in candidates.items():
-        timeline = capture_timeline(
+    timelines = {
+        cname: capture_timeline(
             spec,
             placement,
             cluster=cluster,
@@ -842,18 +853,20 @@ def rank_placements_batched(
             seed=base_seed,
             timing_noise=timing_noise,
         )
-        scores.append(
-            score_from_timeline(
-                spec,
-                timeline,
-                placement,
-                model_factory,
-                policy,
-                trials=trials,
-                base_seed=base_seed,
-                seed_label="" if crn else cname,
-                name=cname,
-                schedules=shared,
-            )
+        for cname, placement in candidates.items()
+    }
+    names = list(candidates)
+    groups = [names] if crn and names else [[c] for c in names]
+    scores = []
+    for group in groups:
+        schedules = _sample_schedules(
+            spec, model_factory, trials, base_seed, "" if crn else group[0]
+        )
+        outcome = replay_schedules(
+            [timelines[c] for c in group], schedules, policy
+        )
+        scores.extend(
+            _robust_score(c, candidates[c], outcome, i, trials)
+            for i, c in enumerate(group)
         )
     return sorted(scores, reverse=True)

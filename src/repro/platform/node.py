@@ -141,9 +141,12 @@ class Node:
         """Claim ``cores`` cores for ``component``.
 
         With ``allow_oversubscription`` the node hands out core *slots*
-        beyond its physical count (time-sharing); the contention model
-        will still see the full resident set, so oversubscribed runs
-        show the expected dilation rather than failing.
+        beyond its free count (time-sharing): every free core, then the
+        lowest cores the component does not hold yet — one slot per
+        core, so a request above the physical count raises
+        :class:`PlacementError`. The contention model still sees the
+        full resident set, so oversubscribed runs show the expected
+        dilation rather than failing.
         """
         require_positive_int("cores", cores)
         if component in self._allocations:
@@ -156,15 +159,17 @@ class Node:
                     f"node {self.index} has {len(self._free)} free cores, "
                     f"cannot allocate {cores} for {component!r}"
                 )
-            # Oversubscribe: reuse cores round-robin from the full set.
+            if cores > self.spec.cores:
+                raise PlacementError(
+                    f"{component!r} requests {cores} cores but node "
+                    f"{self.index} has {self.spec.cores} (oversubscription "
+                    f"grants one slot per core)"
+                )
             granted = list(self._free)
-            need = cores - len(granted)
-            wheel = list(range(self.spec.cores))
-            i = 0
-            while need > 0:
-                granted.append(wheel[i % self.spec.cores])
-                i += 1
-                need -= 1
+            held = set(granted)
+            granted += [
+                c for c in range(self.spec.cores) if c not in held
+            ][: cores - len(granted)]
             self._free = []
         else:
             ordered = self._placement_order()

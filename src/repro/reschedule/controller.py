@@ -4,9 +4,9 @@
 through a run. It sits on two hooks:
 
 - ``observe`` — called from the executor's ``_stage`` choke point for
-  every scheduled stage instance (the same tuples the
-  :class:`~repro.runtime.executor.TimelineRecorder` sees). The
-  controller folds the observed/modeled ratio into its
+  every scheduled stage instance with its ``(member, component,
+  stage, step, duration, step_time)`` tuple. The controller folds the
+  observed/modeled ratio into its
   :class:`~repro.reschedule.telemetry.TelemetryFeed` and
   :class:`~repro.reschedule.detector.DriftDetector`; when the detector
   fires, the :class:`~repro.reschedule.replanner.Replanner` runs

@@ -1,9 +1,9 @@
 """Rolling telemetry over observed stage durations.
 
 The executor's ``_stage`` choke point hands every scheduled stage
-instance — the same ``(member, component, stage, step, duration)``
-tuples the :class:`~repro.runtime.executor.TimelineRecorder` captures —
-to a :class:`TelemetryFeed`. The feed compares each *observed* duration
+instance — its ``(member, component, stage, step, duration)`` tuple,
+with the nominal (jittered, drifted) duration — to a
+:class:`TelemetryFeed`. The feed compares each *observed* duration
 against the *modeled* effective duration the platform predicted for
 that component's stage, and folds the ratio into a rolling per-node
 window.

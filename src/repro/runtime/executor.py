@@ -79,37 +79,6 @@ class _StaticBinding:
         self.member = member
 
 
-class TimelineRecorder:
-    """Captures every stage instance's nominal inputs at the choke point.
-
-    The batched fault-replication engine (:mod:`repro.faults.batched`)
-    replays fault perturbations against a fault-free baseline run. For
-    that replay to be bit-exact it needs the *nominal* (already
-    noise-jittered) duration handed to each ``_stage`` call — not the
-    traced ``end - start`` span, which for injected runs includes fault
-    costs. The recorder observes ``(member, component, stage, step,
-    duration, step_time)`` tuples as the run schedules them; it never
-    reads or advances the clock, so a recorded run's trace is
-    byte-identical to an unrecorded one.
-    """
-
-    def __init__(self) -> None:
-        self.records: List[tuple] = []
-
-    def observe(
-        self,
-        member: str,
-        component: str,
-        stage: str,
-        step: int,
-        duration: float,
-        step_time: float,
-    ) -> None:
-        self.records.append(
-            (member, component, stage, step, duration, step_time)
-        )
-
-
 class EnsembleExecutor:
     """Runs one workflow ensemble configuration end to end.
 
@@ -193,7 +162,6 @@ class EnsembleExecutor:
         failure_model: Optional[FailureModel] = None,
         recovery: Optional[RecoveryPolicy] = None,
         verify: bool = False,
-        timeline_recorder: Optional[TimelineRecorder] = None,
         drift: Optional[object] = None,
         rescheduler: Optional[RescheduleController] = None,
     ) -> None:
@@ -213,7 +181,6 @@ class EnsembleExecutor:
         self.failure_model = failure_model
         self.recovery = recovery
         self.verify = verify
-        self.timeline_recorder = timeline_recorder
         self.drift = drift
         self.rescheduler = rescheduler
         self.fault_log: Optional[FaultLog] = None
@@ -280,8 +247,7 @@ class EnsembleExecutor:
         for member in effective:
             procs = self._launch_member(
                 env, bindings[member.name], tracer, root_rng, nics,
-                injector, checker, self.timeline_recorder, drift,
-                controller,
+                injector, checker, drift, controller,
             )
             member_procs.extend(procs)
         env.run()
@@ -323,7 +289,6 @@ class EnsembleExecutor:
         nics=None,
         injector: Optional[FaultInjector] = None,
         checker: Optional[InvariantChecker] = None,
-        recorder: Optional[TimelineRecorder] = None,
         drift: Optional[DriftSchedule] = None,
         controller: Optional[RescheduleController] = None,
     ):
@@ -343,8 +308,7 @@ class EnsembleExecutor:
             env.process(
                 _simulation_process(
                     env, binding, tracer, sim_rng, noise, written, all_read,
-                    dtl, injector, dropped, checker, recorder, drift,
-                    controller,
+                    dtl, injector, dropped, checker, drift, controller,
                 )
             )
         ]
@@ -366,7 +330,6 @@ class EnsembleExecutor:
                         injector,
                         dropped,
                         checker,
-                        recorder,
                         drift,
                         controller,
                     )
@@ -387,7 +350,6 @@ def _stage(
     producer: Optional[str] = None,
     body=None,
     checker: Optional[InvariantChecker] = None,
-    recorder: Optional[TimelineRecorder] = None,
     telemetry: Optional[RescheduleController] = None,
 ) -> Generator:
     """Run one timed stage, routing through the fault injector if any.
@@ -400,13 +362,9 @@ def _stage(
     this site) the emitted event sequence is exactly the baseline's;
     the checker only reads ``env.now`` and never schedules events.
     The telemetry hook (the rescheduling controller) likewise never
-    touches the environment: it sees the same nominal-duration tuples
-    the recorder does and reacts in zero DES time.
+    touches the environment: it sees each stage's nominal duration and
+    step time and reacts in zero DES time.
     """
-    if recorder is not None:
-        recorder.observe(
-            member_name, component, stage, step, duration, step_time
-        )
     if telemetry is not None:
         telemetry.observe(
             member_name, component, stage, step, duration, step_time
@@ -446,7 +404,6 @@ def _simulation_process(
     injector: Optional[FaultInjector] = None,
     dropped: Optional[Set[str]] = None,
     checker: Optional[InvariantChecker] = None,
-    recorder: Optional[TimelineRecorder] = None,
     drift: Optional[DriftSchedule] = None,
     controller: Optional[RescheduleController] = None,
 ):
@@ -484,7 +441,7 @@ def _simulation_process(
         yield from _stage(
             env, injector, member_name, sim.name, "S", step,
             s_duration, step_time,
-            checker=checker, recorder=recorder, telemetry=controller,
+            checker=checker, telemetry=controller,
         )
         t1 = env.now
         tracer.record(sim.name, Stage.SIM_COMPUTE, step, t0, t1)
@@ -500,7 +457,7 @@ def _simulation_process(
         yield from _stage(
             env, injector, member_name, sim.name, "W", step,
             w_duration, step_time,
-            checker=checker, recorder=recorder, telemetry=controller,
+            checker=checker, telemetry=controller,
         )
         t3 = env.now
         tracer.record(sim.name, Stage.SIM_WRITE, step, t2, t3)
@@ -537,7 +494,6 @@ def _analysis_process(
     injector: Optional[FaultInjector] = None,
     dropped: Optional[Set[str]] = None,
     checker: Optional[InvariantChecker] = None,
-    recorder: Optional[TimelineRecorder] = None,
     drift: Optional[DriftSchedule] = None,
     controller: Optional[RescheduleController] = None,
 ):
@@ -603,7 +559,7 @@ def _analysis_process(
                 yield from _stage(
                     env, injector, member_name, ana_name, "R", step,
                     read_duration, step_time, producer=sim_name, body=body,
-                    checker=checker, recorder=recorder, telemetry=controller,
+                    checker=checker, telemetry=controller,
                 )
             except AnalysisDropped:
                 tracer.record(ana_name, Stage.ANA_READ, step, t1, env.now)
@@ -629,7 +585,7 @@ def _analysis_process(
                 yield from _stage(
                     env, injector, member_name, ana_name, "A", step,
                     a_duration, step_time,
-                    checker=checker, recorder=recorder, telemetry=controller,
+                    checker=checker, telemetry=controller,
                 )
             except AnalysisDropped:
                 tracer.record(ana_name, Stage.ANA_COMPUTE, step, t2, env.now)

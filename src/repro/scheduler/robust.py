@@ -343,10 +343,12 @@ def rank_placements_robust(
     engine:
         DES-method execution strategy. ``"serial"`` re-simulates every
         fault replica; ``"batched"`` delegates to
-        :func:`repro.faults.batched.rank_placements_batched` — one
-        fault-free DES per candidate plus delta replay of the fault
-        schedules, bit-identical scores for exactly-replayable
-        recovery policies at >= 10x the speed (``BENCH_robust.json``).
+        :func:`repro.faults.batched.rank_placements_batched` — no DES
+        run at all: each candidate's fault-free timeline is built from
+        its effective stages and every candidate's baseline and fault
+        replicas are delta-replayed in one sweep, bit-identical scores
+        for exactly-replayable recovery policies at >= 10x the speed
+        (``BENCH_robust.json``).
         Ignored by the surrogate method.
     crn:
         Use common random numbers: every candidate's replica ``t``

@@ -56,6 +56,11 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import PlacementError
 
+#: the default platform's node and network specs, built once: both are
+#: frozen, so :meth:`StageCache.matches` compares against them per call
+_DEFAULT_NODE = cori_like_node()
+_DEFAULT_NETWORK = cori_like_network().spec
+
 #: DTL types whose staging costs depend on node pairs only through the
 #: dragonfly hop count (or not at all) — for these, signatures use hop
 #: distances and cache entries transfer between relabeled placements.
@@ -181,10 +186,10 @@ class StageCache:
         return False
 
     def _default_cluster_context(self) -> bool:
-        default = cori_like_node()
+        default = _DEFAULT_NODE
         return (
             self._node_spec == default
-            and self._network.spec == cori_like_network().spec
+            and self._network.spec == _DEFAULT_NETWORK
             and self._contention.enabled
             and self._contention.core_freq_hz == default.core_freq_hz
             and self._contention.memory_bandwidth == default.memory_bandwidth

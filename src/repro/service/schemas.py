@@ -44,11 +44,12 @@ from repro.coschedule.requests import (
 )
 from repro.faults.recovery import POLICY_NAMES
 from repro.platform.contention import WorkloadProfile
+from repro.platform.specs import cori_like_node
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.objectives import PlacementScore
 from repro.scheduler.robust import RobustScore
-from repro.util.errors import ValidationError
+from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import (
     require_in_range,
     require_non_negative,
@@ -551,6 +552,18 @@ class PlacementRequest:
             raise ValidationError(
                 "a 'rank' request needs at least one named candidate"
             )
+        # placements must fit the worker's physical node (its cores, not
+        # ``cores_per_node``, which only budgets searches)
+        node_cores = cori_like_node().cores
+        if self.kind in ("score", "reschedule"):
+            self.placement.validate_against(self.spec, node_cores)
+        if self.kind == "rank":
+            for name, candidate in self.candidates.items():
+                try:
+                    candidate.validate_against(self.spec, node_cores)
+                except PlacementError as exc:
+                    message = f"candidate {name!r}: {exc}"
+                    raise PlacementError(message) from None
         if self.kind == "coschedule":
             if self.coschedule is None:
                 raise ValidationError(

@@ -224,9 +224,10 @@ def execute_request(
         return _execute_coschedule(request, stage_cache=stage_cache)
     if request.kind == "rank":
         if request.rank_method == "des":
-            # full injected trials, replayed by the batched engine:
-            # one fault-free DES per candidate + delta replay of the
-            # fault schedules (common random numbers pair candidates)
+            # full injected trials, replayed by the batched engine
+            # without a DES run: every candidate's baseline and fault
+            # replicas replay in one sweep (common random numbers pair
+            # candidates)
             ranking = rank_placements_robust(
                 request.spec,
                 request.candidates,

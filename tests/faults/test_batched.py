@@ -1,7 +1,7 @@
 """Tests for the batched delta-replay replication engine.
 
 The contract under test (see ``docs/RESILIENCE.md``): for exactly
-replayable recovery policies, one fault-free DES capture plus
+replayable recovery policies, a DES-free baseline capture plus
 closed-form replay of each fault schedule produces *bit-identical*
 robust scores to re-simulating every replica — so every parity
 assertion here is ``==``, not ``approx``. The adaptive policy drains
@@ -12,9 +12,12 @@ hence its banded tier.
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.configs.generator import enumerate_placements
+from repro.core.indicators import FINAL_STAGE_ORDER
+from repro.dtl.dimes import InMemoryStagingDTL
 from repro.faults.batched import (
     batched_score_placement,
     capture_timeline,
@@ -38,13 +41,22 @@ from repro.faults.recovery import (
     DropAnalysisPolicy,
     RetryBackoffPolicy,
 )
+from repro.platform.specs import make_cori_like_cluster
+from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.placement import (
+    EnsemblePlacement,
+    MemberPlacement,
+    pack_members_per_node,
+)
+from repro.runtime.runner import run_ensemble
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.robust import (
     crash_straggler_factory,
     rank_placements_robust,
     robust_score_placement,
 )
-from repro.util.errors import ValidationError
+from repro.util.errors import PlacementError, ValidationError
 from tests.strategies import common_settings, des_ensembles, des_placements
 
 
@@ -412,15 +424,267 @@ class TestMutantOracle:
 class TestReplayInternals:
     def test_empty_schedule_reproduces_the_baseline(self, spec, placement):
         """Replaying zero faults must return the fault-free metrics:
-        inflation exactly 1 and the ideal objective."""
+        inflation exactly 1 and the ideal objective, both read off the
+        outcome's baseline row."""
         from repro.faults.models import FaultSchedule
 
         timeline = capture_timeline(spec, placement)
         outcome = replay_schedules(
-            timeline, [FaultSchedule([])], RetryBackoffPolicy()
+            [timeline], [FaultSchedule([])], RetryBackoffPolicy()
         )
         assert outcome.inflations == (1.0,)
-        assert outcome.makespans == (timeline.baseline_makespan,)
-        assert outcome.objectives[0] == pytest.approx(
-            timeline.ideal_objective
+        assert outcome.makespans == outcome.baseline_makespans
+        assert outcome.objectives == outcome.ideal_objectives
+
+    def test_timelines_of_different_specs_rejected(self, spec, placement):
+        other = EnsembleSpec(
+            "other", (default_member("em1", num_analyses=1, n_steps=3),)
         )
+        timelines = [
+            capture_timeline(spec, placement),
+            capture_timeline(other, pack_members_per_node(other)),
+        ]
+        with pytest.raises(ValidationError, match="one spec"):
+            replay_schedules(timelines, [], RetryBackoffPolicy())
+
+
+@st.composite
+def _multi_member_runs(draw):
+    """A 1-3 member spec (1-3 analyses, 1-12 steps each) with a
+    feasible placement on 1-4 nodes, a seed and a timing-noise width."""
+    members = tuple(
+        default_member(
+            f"m{i}",
+            num_analyses=draw(st.integers(1, 3)),
+            n_steps=draw(st.integers(1, 12)),
+            natoms=draw(st.sampled_from((150_000, 250_000, 350_000))),
+            sim_cores=draw(st.sampled_from((4, 8, 16))),
+            ana_cores=draw(st.sampled_from((2, 4, 8))),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    )
+    spec = EnsembleSpec("multi", members)
+    num_nodes = draw(st.integers(1, 4))
+    node = st.integers(0, num_nodes - 1)
+    placement = EnsemblePlacement(
+        num_nodes,
+        tuple(
+            MemberPlacement(
+                draw(node), tuple(draw(node) for _ in m.analyses)
+            )
+            for m in members
+        ),
+    )
+    try:
+        placement.validate_against(spec, 32)
+    except PlacementError:
+        assume(False)
+    seed = draw(st.integers(0, 2**16))
+    noise = draw(st.sampled_from((0.0, 0.01, 0.1, 0.3)))
+    return spec, placement, seed, noise
+
+
+class TestDesFreeCapture:
+    """The capture builds each baseline from the effective stages and
+    the executor's RNG streams; the fault-free DES stays the reference
+    its baseline row must reproduce bit for bit."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(run=_multi_member_runs())
+    def test_baseline_row_equals_a_fault_free_des_run(self, run):
+        spec, placement, seed, noise = run
+        timeline = capture_timeline(
+            spec, placement, seed=seed, timing_noise=noise
+        )
+        outcome = replay_schedules([timeline], [], RetryBackoffPolicy())
+        reference = run_ensemble(
+            spec, placement, seed=seed, timing_noise=noise
+        )
+        assert outcome.ideal_objectives == (
+            reference.objective(FINAL_STAGE_ORDER),
+        )
+        assert outcome.baseline_makespans == (reference.ensemble_makespan,)
+
+    def test_ranking_runs_no_des(self, spec, candidates, monkeypatch):
+        runs = []
+        original = EnsembleExecutor.run
+
+        def counting_run(self):
+            runs.append(1)
+            return original(self)
+
+        monkeypatch.setattr(EnsembleExecutor, "run", counting_run)
+        for crn in (True, False):
+            rank_placements_batched(
+                spec,
+                candidates,
+                crash_straggler_factory(0.2),
+                RetryBackoffPolicy(),
+                trials=2,
+                crn=crn,
+            )
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "noise, seed, match",
+        [(-0.1, 0, "timing_noise"), (0.0, -1, "seed"), (0.1, 1.5, "seed")],
+    )
+    def test_bad_input_raises_the_executors_errors(
+        self, spec, placement, noise, seed, match
+    ):
+        with pytest.raises(ValidationError, match=match):
+            capture_timeline(spec, placement, seed=seed, timing_noise=noise)
+
+    def test_infeasible_placement_raises_placement_error(self, spec):
+        crowded = EnsemblePlacement(
+            1, (MemberPlacement(0, (0, 0)), MemberPlacement(0, (0,)))
+        )
+        with pytest.raises(PlacementError):
+            capture_timeline(spec, crowded)
+
+
+def _step_times(spec, placement):
+    timeline = capture_timeline(spec, placement)
+    return tuple(m.sim_step_time for m in timeline.members)
+
+
+class TestOneSweep:
+    """All candidates of a ranking replay in one call, each row priced
+    from its own candidate."""
+
+    @pytest.mark.parametrize("policy_cls", EXACT_POLICIES)
+    def test_sweep_equals_per_candidate_replays_and_serial(
+        self, spec, candidates, policy_cls
+    ):
+        # a shared step time (e.g. the first candidate's) would misprice
+        # every other candidate's restarts
+        assert len({_step_times(spec, p) for p in candidates.values()}) > 1
+        factory = crash_straggler_factory(0.3)
+        common = dict(trials=4, base_seed=5)
+        swept = rank_placements_batched(
+            spec, candidates, factory, policy_cls(), **common
+        )
+        per_candidate = sorted(
+            (
+                score_from_timeline(
+                    spec,
+                    capture_timeline(spec, p, seed=5),
+                    p,
+                    factory,
+                    policy_cls(),
+                    name=name,
+                    **common,
+                )
+                for name, p in candidates.items()
+            ),
+            reverse=True,
+        )
+        serial = rank_placements_robust(
+            spec,
+            candidates,
+            factory,
+            policy_cls(),
+            method="des",
+            engine="serial",
+            **common,
+        )
+        for other in (per_candidate, serial):
+            assert [s.name for s in swept] == [s.name for s in other]
+            for a, b in zip(other, swept):
+                _assert_scores_equal(a, b)
+
+    def test_sweep_replays_every_candidate_in_one_call(
+        self, spec, candidates, monkeypatch
+    ):
+        from repro.faults import batched
+
+        calls = []
+        original = batched.replay_schedules
+
+        def spy(timelines, schedules, policy):
+            calls.append(len(timelines))
+            return original(timelines, schedules, policy)
+
+        monkeypatch.setattr(batched, "replay_schedules", spy)
+        rank_placements_batched(
+            spec,
+            candidates,
+            crash_straggler_factory(0.2),
+            RetryBackoffPolicy(),
+            trials=3,
+        )
+        assert calls == [len(candidates)]
+        calls.clear()
+        rank_placements_batched(
+            spec,
+            candidates,
+            crash_straggler_factory(0.2),
+            RetryBackoffPolicy(),
+            trials=3,
+            crn=False,
+        )
+        assert calls == [1] * len(candidates)
+
+    @pytest.mark.parametrize("policy_cls", EXACT_POLICIES)
+    def test_without_crn_matches_serial(self, spec, candidates, policy_cls):
+        common = dict(trials=3, base_seed=2, crn=False, method="des")
+        rankings = [
+            rank_placements_robust(
+                spec,
+                candidates,
+                crash_straggler_factory(0.3),
+                policy_cls(),
+                engine=engine,
+                **common,
+            )
+            for engine in ("serial", "batched")
+        ]
+        serial, batched = rankings
+        assert [s.name for s in serial] == [b.name for b in batched]
+        for s, b in zip(serial, batched):
+            _assert_scores_equal(s, b)
+
+    @pytest.mark.parametrize("policy_cls", EXACT_POLICIES)
+    def test_non_default_platform_matches_serial(
+        self, spec, candidates, policy_cls
+    ):
+        context = PlanningContext(
+            cluster=make_cori_like_cluster(2, contention_enabled=False),
+            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+        )
+        common = dict(trials=3, base_seed=9, method="des", context=context)
+        serial, batched = (
+            rank_placements_robust(
+                spec,
+                candidates,
+                crash_straggler_factory(0.3),
+                policy_cls(),
+                engine=engine,
+                **common,
+            )
+            for engine in ("serial", "batched")
+        )
+        assert [s.name for s in serial] == [b.name for b in batched]
+        for s, b in zip(serial, batched):
+            _assert_scores_equal(s, b)
+
+    def test_noisy_sweep_matches_serial(self, spec, candidates):
+        common = dict(trials=3, base_seed=4, timing_noise=0.1, method="des")
+        serial, batched = (
+            rank_placements_robust(
+                spec,
+                candidates,
+                crash_straggler_factory(0.3),
+                CheckpointRestartPolicy(),
+                engine=engine,
+                **common,
+            )
+            for engine in ("serial", "batched")
+        )
+        assert [s.name for s in serial] == [b.name for b in batched]
+        for s, b in zip(serial, batched):
+            _assert_scores_equal(s, b)

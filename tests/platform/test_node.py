@@ -99,6 +99,18 @@ class TestAllocation:
         assert alloc.num_cores == 8
         assert node.free_cores == 0
 
+    def test_oversubscription_wraps_onto_cores_not_yet_held(self, node):
+        # the 30 free cores are 1..15 and 17..31; the two extra slots
+        # wrap onto the lowest cores the request does not hold yet
+        node.allocate("a", 2, SIM)
+        alloc = node.allocate("b", 32, ANA, allow_oversubscription=True)
+        assert sorted(alloc.cores) == list(range(32))
+        assert alloc.cores[-2:] == (0, 16)
+
+    def test_oversubscribed_request_above_node_capacity_rejected(self, node):
+        with pytest.raises(PlacementError, match=r"'ana'.*33.*32"):
+            node.allocate("ana", 33, ANA, allow_oversubscription=True)
+
     def test_allocation_of(self, node):
         alloc = node.allocate("sim", 8, SIM)
         assert node.allocation_of("sim") is alloc

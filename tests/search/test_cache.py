@@ -16,6 +16,7 @@ from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.faults.analytic import RobustnessTerm
 from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
+from repro.platform.network import DragonflyNetwork
 from repro.platform.specs import make_cori_like_cluster, small_test_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
@@ -126,6 +127,25 @@ class TestScorePlacementCachedPath:
         assert cache.matches(None, None)
         assert cache.matches(make_cori_like_cluster(2), None)
         assert not cache.matches(None, ParallelFilesystemDTL())
+
+    def test_matches_builds_no_platform_after_the_first_call(
+        self, monkeypatch
+    ):
+        cache = StageCache()
+        other = StageCache(cluster=small_test_cluster())
+        assert cache.matches(None, None)
+        built = []
+        original = DragonflyNetwork.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DragonflyNetwork, "__init__", counting_init)
+        for _ in range(3):
+            assert cache.matches(None, None)
+            assert not other.matches(None, None)
+        assert built == []
 
 
 class TestDeltaEvaluation:

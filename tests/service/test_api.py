@@ -24,6 +24,7 @@ from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
     PlacementRequest,
     RescheduleOptions,
+    placement_to_dict,
     request_to_dict,
     score_from_dict,
 )
@@ -52,6 +53,38 @@ def _spec(n_steps: int = 2) -> EnsembleSpec:
 
 def _search(num_nodes: int = 2) -> PlacementRequest:
     return PlacementRequest(kind="search", spec=_spec(), num_nodes=num_nodes)
+
+
+#: three 16+8-core members, each alone on its node
+_THREE = EnsembleSpec(
+    "api3", tuple(default_member(f"em{i}", n_steps=2) for i in range(3))
+)
+_SPREAD = EnsemblePlacement(
+    3, tuple(MemberPlacement(i, (i,)) for i in range(3))
+)
+#: the first two members on node 0: 48 of its 32 cores
+_CROWDED = placement_to_dict(
+    EnsemblePlacement(
+        3,
+        (MemberPlacement(0, (0,)), MemberPlacement(0, (0,)))
+        + _SPREAD.members[2:],
+    )
+)
+
+
+#: a one-member candidate for the three-member spec
+_ONE_MEMBER = placement_to_dict(EnsemblePlacement(1, _SPREAD.members[:1]))
+
+
+def _with(kind: str, **wire) -> dict:
+    """A valid ``kind`` request on ``_THREE``, ``wire`` set on the wire."""
+    fields = (
+        {"candidates": {"a": _SPREAD}, "rank_method": "des"}
+        if kind == "rank"
+        else {"placement": _SPREAD}
+    )
+    request = PlacementRequest(kind=kind, spec=_THREE, num_nodes=3, **fields)
+    return {**request_to_dict(request), **wire}
 
 
 def _reschedule(**options) -> dict:
@@ -180,6 +213,17 @@ class TestRoutes:
             {"request": _reschedule(drift_magnitude=NAN)},
             {"request": _reschedule(threshold=NAN)},
             {"request": _reschedule(min_gain=NAN)},
+            {"request": _with("score", placement=_CROWDED)},
+            {"request": _with("rank", candidates={"a": _CROWDED})},
+            {
+                "request": _with(
+                    "rank",
+                    candidates={
+                        "a": placement_to_dict(_SPREAD),
+                        "b": _ONE_MEMBER,
+                    },
+                )
+            },
         ],
         ids=[
             "request-list", "request-string", "candidates-list",
@@ -188,7 +232,8 @@ class TestRoutes:
             "reschedule-seed-negative", "reschedule-seed-bool",
             "drift-node-off-placement", "drift-node-float",
             "drift-start-float", "drift-magnitude-nan", "threshold-nan",
-            "min-gain-nan",
+            "min-gain-nan", "score-placement-oversubscribed",
+            "rank-candidate-oversubscribed", "rank-candidate-member-count",
         ],
     )
     def test_wrong_typed_or_non_finite_fields_are_400(self, server, body):

@@ -267,6 +267,90 @@ class TestRequestValidation:
         assert request_from_dict(payload).reschedule.drift_node == 3
 
 
+class TestPlacementFeasibility:
+    """Placements a worker could not run are a 400, not a failed job."""
+
+    #: two 16+8-core members; both on node 0 need 48 of its 32 cores
+    SPEC = EnsembleSpec(
+        "feasible",
+        (
+            default_member("em1", n_steps=2),
+            default_member("em2", n_steps=2),
+        ),
+    )
+    CROWDED = EnsemblePlacement(
+        2, (MemberPlacement(0, (0,)), MemberPlacement(0, (0,)))
+    )
+    SPREAD = EnsemblePlacement(
+        2, (MemberPlacement(0, (0,)), MemberPlacement(1, (1,)))
+    )
+
+    @pytest.mark.parametrize("kind", ["score", "reschedule"])
+    def test_oversubscribed_placement_rejected(self, kind):
+        with pytest.raises(PlacementError, match="oversubscribed"):
+            PlacementRequest(
+                kind=kind,
+                spec=self.SPEC,
+                num_nodes=2,
+                placement=self.CROWDED,
+                reschedule=RescheduleOptions() if kind == "reschedule" else None,
+            )
+
+    def test_wrong_member_count_rejected(self):
+        with pytest.raises(PlacementError, match="members"):
+            PlacementRequest(
+                kind="score",
+                spec=self.SPEC,
+                num_nodes=2,
+                placement=EnsemblePlacement(2, (MemberPlacement(0, (0,)),)),
+            )
+
+    @pytest.mark.parametrize(
+        "candidate, match",
+        [
+            (CROWDED, "oversubscribed"),
+            (EnsemblePlacement(1, (MemberPlacement(0, (0,)),)), "members"),
+        ],
+        ids=["oversubscribed", "member-count"],
+    )
+    def test_rank_candidate_rejected_by_name(self, candidate, match):
+        candidates = {"ok": self.SPREAD, "bad": candidate}
+        for method in ("surrogate", "des"):
+            with pytest.raises(PlacementError, match=f"'bad'.*{match}"):
+                PlacementRequest(
+                    kind="rank",
+                    spec=self.SPEC,
+                    num_nodes=2,
+                    candidates=candidates,
+                    rank_method=method,
+                )
+
+    def test_capacity_is_the_physical_node_not_the_search_budget(self):
+        # 24 cores per node fit a 32-core worker node even though the
+        # request's search budget is 16 cores per node
+        request = PlacementRequest(
+            kind="score",
+            spec=self.SPEC,
+            num_nodes=2,
+            cores_per_node=16,
+            placement=self.SPREAD,
+        )
+        assert request_from_dict(request_to_dict(request)) is not None
+
+    def test_rejection_happens_on_parse(self):
+        payload = request_to_dict(
+            PlacementRequest(
+                kind="score",
+                spec=self.SPEC,
+                num_nodes=2,
+                placement=self.SPREAD,
+            )
+        )
+        payload["placement"] = placement_to_dict(self.CROWDED)
+        with pytest.raises(PlacementError, match="oversubscribed"):
+            request_from_dict(payload)
+
+
 #: what ``POST /jobs`` maps to a 400 (see ``repro.service.api``)
 HANDLER_400 = (ReproError, KeyError, TypeError, ValueError)
 
