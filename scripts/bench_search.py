@@ -21,16 +21,16 @@ Four measurements, each with a built-in exactness check:
   a search-throughput floor, on a fitted growth exponent of kernel
   time versus batch size (the scaling law — see ``docs/SCALING.md``),
   and on covering at least :data:`SCALING_MIN_NODE_SIZES` node sizes.
-  A small cell is re-searched by the scalar engine and must return
-  the identical winner.
-- **routing**: the decision ``find_best_placement`` makes for a
-  ``vectorized=True`` context — the column kernel at every size —
-  measured on plan-mix's search sizes (:data:`ROUTING_SHAPES`, 5 to
-  2 065 candidates): each shape is searched cold, best of
-  :data:`ROUTING_REPEATS`, on the default context (the scalar engine)
-  and with ``vectorized=True``. Winners, floats and ``evaluated`` must
-  be identical, and the kernel route's summed time must stay at or
-  below :data:`ROUTING_CEILING` of the scalar sum.
+  A small cell is re-searched by the scalar reference loop
+  (:func:`~repro.search.reference.find_best_placement_reference`) and
+  must return the identical winner.
+- **routing**: the column kernel ``find_best_placement`` runs at every
+  size, measured on plan-mix's search sizes (:data:`ROUTING_SHAPES`,
+  5 to 2 065 candidates): each shape is searched cold, best of
+  :data:`ROUTING_REPEATS`, by the scalar reference loop and by the
+  engine. Winners, floats and ``evaluated`` must be identical, and the
+  engine's summed time must stay at or below :data:`ROUTING_CEILING`
+  of the reference sum.
 
 Writes ``BENCH_search.json`` (exhaustive speedup, annealing speedup,
 the scaling table, the routing table, problem sizes, floors,
@@ -80,6 +80,7 @@ from repro.search.canonical import (  # noqa: E402
 )
 from repro.search.reference import (  # noqa: E402
     enumerate_placements_reference,
+    find_best_placement_reference,
 )
 from repro.search.vectorized import (  # noqa: E402
     VectorizedScorer,
@@ -142,8 +143,8 @@ ROUTING_SHAPES = (
 ROUTING_QUICK_SHAPES = 3
 #: cold searches per shape and route; the best one is kept.
 ROUTING_REPEATS = 3
-#: ceiling on (kernel route seconds) / (scalar engine seconds), summed
-#: over the table: the kernel must win by at least 2x overall.
+#: ceiling on (engine seconds) / (reference loop seconds), summed over
+#: the table: the kernel must win by at least 2x overall.
 ROUTING_CEILING = 0.5
 #: plan-mix draws ``natoms`` per member; the table cycles these.
 ROUTING_NATOMS = (150_000, 250_000, 350_000)
@@ -451,13 +452,14 @@ def bench_scaling(quick: bool) -> tuple:
     ]
 
     # correctness cell: the vectorized B&B winner must be the scalar
-    # engine's winner, bit for bit, with the full space accounted for
+    # reference loop's winner, bit for bit, with the full space
+    # accounted for
     check_spec = _scaling_spec(2)
     check_nodes = 4
     vec = find_best_placement_vectorized(
         check_spec, check_nodes, CORES_PER_NODE
     )
-    scalar_best, scalar_evaluated = find_best_placement(
+    scalar_best, scalar_evaluated = find_best_placement_reference(
         check_spec, check_nodes, CORES_PER_NODE
     )
     report = DivergenceReport(
@@ -545,24 +547,23 @@ def _best_of(search) -> tuple:
 
 
 def bench_routing(quick: bool) -> tuple:
-    """Scalar engine vs the kernel route on plan-mix's search sizes.
+    """Scalar reference loop vs the engine on plan-mix's search sizes.
 
     Every search starts from a cold cache (each call builds its own),
     as a service worker's first search of a new spec does.
     """
     shapes = ROUTING_SHAPES[:ROUTING_QUICK_SHAPES] if quick else ROUTING_SHAPES
-    kernel = PlanningContext(vectorized=True)
     rows = []
     checks = []
     for pattern, num_nodes in shapes:
         spec = _routing_spec(pattern)
         scalar_seconds, (scalar, scalar_n) = _best_of(
-            lambda: find_best_placement(spec, num_nodes, CORES_PER_NODE)
+            lambda: find_best_placement_reference(
+                spec, num_nodes, CORES_PER_NODE
+            )
         )
         kernel_seconds, (fast, fast_n) = _best_of(
-            lambda: find_best_placement(
-                spec, num_nodes, CORES_PER_NODE, context=kernel
-            )
+            lambda: find_best_placement(spec, num_nodes, CORES_PER_NODE)
         )
         scope = f"{spec.name}@{num_nodes}"
         checks.extend(
@@ -641,9 +642,7 @@ def run(quick: bool) -> dict:
         "warm", (default_member("em1", n_steps=4),)
     )
     find_best_placement(warm, 2, CORES_PER_NODE)
-    find_best_placement(
-        warm, 2, CORES_PER_NODE, context=PlanningContext(vectorized=True)
-    )
+    find_best_placement_reference(warm, 2, CORES_PER_NODE)
     next(iter(enumerate_placements_reference(warm, 2, CORES_PER_NODE)))
     score_placement(
         warm, find_best_placement(warm, 2, CORES_PER_NODE)[0].placement

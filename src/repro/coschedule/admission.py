@@ -197,7 +197,7 @@ class AdmissionController:
                 spec,
                 nodes,
                 self.cores_per_node,
-                context=self._context.evolve(vectorized=True),
+                context=self._context,
             )
         except PlacementError:
             best = None

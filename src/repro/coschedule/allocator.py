@@ -6,7 +6,7 @@ It searches integer grant vectors (one grant per resident, bounded by
 each resident's feasibility minimum and cap, summing to at most the
 cluster), scores each vector by running the existing
 :func:`~repro.search.engine.find_best_placement` per ensemble at its
-grant — the StageCache and vectorized kernel are reused unchanged, and
+grant — the StageCache and column kernel are reused unchanged, and
 per-(spec, grant) results are memoized so a re-partition only searches
 grants it has never seen — and picks the vector maximizing a
 configurable :class:`ClusterObjective`.
@@ -276,7 +276,7 @@ class ClusterAllocator:
                 spec,
                 nodes,
                 self.cores_per_node,
-                context=self._context.evolve(vectorized=True),
+                context=self._context,
             )
         except PlacementError:
             best = None

@@ -146,7 +146,6 @@ def fifo_exclusive_schedule(
     uses) to completion. Elastic membership is ignored — the baseline
     models the paper's static one-ensemble-per-allocation world.
     """
-    base = context or PlanningContext()
     clock = 0.0
     busy_node_seconds = 0.0
     entries: List[FifoEntry] = []
@@ -158,7 +157,7 @@ def fifo_exclusive_schedule(
             request.spec,
             total_nodes,
             cores_per_node,
-            context=base.evolve(vectorized=True),
+            context=context,
         )
         started = max(clock, request.arrival_time)
         finished = started + best.ensemble_makespan

@@ -4,9 +4,9 @@
 :func:`~repro.search.engine.find_best_placement`,
 :func:`~repro.scheduler.robust.rank_placements_robust` and the
 :class:`~repro.scheduler.planner.ResourceConstrainedPlanner` take the
-platform, the robustness term, the stage cache and the kernel routing
-through one frozen object passed as ``context=``; there is no second
-keyword spelling. ``context=None`` means :data:`DEFAULT_CONTEXT`.
+platform, the robustness term and the stage cache through one frozen
+object passed as ``context=``; there is no second keyword spelling.
+``context=None`` means :data:`DEFAULT_CONTEXT`.
 """
 
 from __future__ import annotations
@@ -36,21 +36,19 @@ class PlanningContext:
     cache:
         Optional shared :class:`~repro.search.cache.StageCache`;
         callees build a compatible one when omitted.
-    vectorized:
-        Opt in to the column-kernel search path.
 
     Examples
     --------
-    >>> ctx = PlanningContext().evolve(vectorized=True)
-    >>> ctx.vectorized, DEFAULT_CONTEXT.vectorized
-    (True, False)
+    >>> from repro.search.cache import StageCache
+    >>> ctx = PlanningContext().evolve(cache=StageCache())
+    >>> ctx.cache is not None, DEFAULT_CONTEXT.cache
+    (True, None)
     """
 
     cluster: Optional["Cluster"] = None
     dtl: Optional["DataTransportLayer"] = None
     robustness: Optional["RobustnessTerm"] = None
     cache: Optional["StageCache"] = None
-    vectorized: bool = False
 
     def evolve(self, **changes) -> "PlanningContext":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""

@@ -75,34 +75,23 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
 
     Runs through :func:`repro.search.engine.find_best_placement`: the
     canonical (symmetry-free) enumerator streams flat assignments into
-    a memoized stage cache, so the search visits the same candidates
-    in the same order and returns the same optimum as scoring every
-    enumerated placement individually — just orders of magnitude
-    faster (asserted in the search benchmarks).
+    the column kernel with branch-and-bound, through a memoized stage
+    cache, so the search returns the same optimum as scoring every
+    enumerated placement individually in enumeration order — just
+    orders of magnitude faster (asserted in the search benchmarks).
 
     Parameters
     ----------
     cache:
         Optional :class:`~repro.search.cache.StageCache` shared across
         ``place`` calls (one is built per call when omitted).
-    vectorized:
-        Opt in to the numpy batch kernel with branch-and-bound
-        (:mod:`repro.search.vectorized`). Falls back to the scalar
-        path for tiny instances or unsupported contexts; the winner is
-        re-scored through the scalar cache, so the returned placement
-        and floats are the same either way.
     """
 
     name = "exhaustive"
 
-    def __init__(
-        self,
-        cache: Optional["StageCache"] = None,
-        vectorized: bool = False,
-    ) -> None:
+    def __init__(self, cache: Optional["StageCache"] = None) -> None:
         self.evaluated = 0
         self.cache = cache
-        self.vectorized = vectorized
 
     def place(
         self,
@@ -118,9 +107,7 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
             spec,
             num_nodes,
             cores_per_node,
-            context=PlanningContext(
-                cache=self.cache, vectorized=self.vectorized
-            ),
+            context=PlanningContext(cache=self.cache),
         )
         return best.placement
 

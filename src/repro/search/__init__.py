@@ -10,19 +10,23 @@ it supersedes (same placements, same score floats):
 - :mod:`~repro.search.canonical` — restricted-growth-string
   enumeration: one representative per node-relabeling class, capacity
   pruning inside the recursion, closed-form counting over capacity
-  multisets;
+  multisets, and :func:`search_space_size`, the closed-form
+  feasibility check every search (and the service) makes first;
 - :mod:`~repro.search.cache` — :class:`StageCache`, memoized stage
   prediction keyed by each member's local co-location signature, with
-  delta (changed-nodes-only) re-evaluation for move-based search;
-- :mod:`~repro.search.engine` — :func:`find_best_placement`, the fused
-  streaming search used by the exhaustive policy;
+  delta (changed-nodes-only) re-evaluation for move-based search, plus
+  the memoized node assessments and staging costs the kernel reads;
 - :mod:`~repro.search.vectorized` — :class:`VectorizedScorer`, numpy
   column kernels that score whole assignment chunks per dispatch, and
   :func:`find_best_placement_vectorized`, branch-and-bound over the
-  chunked canonical stream (agreement with the scalar scorer ≤1e-9,
-  winner re-scored on the scalar path);
-- :mod:`~repro.search.reference` — the seed implementations, kept as
-  the baseline the benchmarks and property tests diff against.
+  chunked canonical stream with an optional robustness term. Every
+  scored row equals the :class:`StageCache` scalar scores bit for bit;
+- :mod:`~repro.search.engine` — :func:`find_best_placement`, the one
+  exhaustive search entry point, a thin front end that runs the kernel
+  for any :class:`~repro.scheduler.context.PlanningContext`;
+- :mod:`~repro.search.reference` — the seed enumerator and the scalar
+  search loop (:func:`find_best_placement_reference`), kept as the
+  baselines the benchmarks and property tests diff against.
 
 See ``docs/PERFORMANCE.md`` for the architecture and the determinism
 guarantees.
@@ -39,11 +43,13 @@ from repro.search.canonical import (
     iter_assignment_chunks,
     iter_canonical_assignments,
     member_shapes,
+    search_space_size,
 )
 from repro.search.reference import (
     canonical_signature,
     count_feasible_placements_reference,
     enumerate_placements_reference,
+    find_best_placement_reference,
 )
 
 # engine and vectorized score through repro.scheduler.objectives, which
@@ -56,13 +62,9 @@ _LAZY_EXPORTS = {
     "MIN_VECTORIZED_CANDIDATES": "repro.search.vectorized",
     "VectorizedScorer": "repro.search.vectorized",
     "VectorizedSearchResult": "repro.search.vectorized",
-    "VectorizedUnsupported": "repro.search.vectorized",
     "argmax_batch": "repro.search.vectorized",
     "find_best_placement": "repro.search.engine",
     "find_best_placement_vectorized": "repro.search.vectorized",
-    "last_search_routing": "repro.search.engine",
-    "reset_search_counters": "repro.search.engine",
-    "search_counters": "repro.search.engine",
 }
 
 
@@ -85,7 +87,6 @@ __all__ = [
     "StageCache",
     "VectorizedScorer",
     "VectorizedSearchResult",
-    "VectorizedUnsupported",
     "argmax_batch",
     "assignment_to_placement",
     "canonical_signature",
@@ -96,11 +97,10 @@ __all__ = [
     "enumerate_canonical_placements",
     "enumerate_placements_reference",
     "find_best_placement",
+    "find_best_placement_reference",
     "find_best_placement_vectorized",
     "iter_assignment_chunks",
     "iter_canonical_assignments",
-    "last_search_routing",
     "member_shapes",
-    "reset_search_counters",
-    "search_counters",
+    "search_space_size",
 ]

@@ -43,7 +43,7 @@ from repro.core.indicators import (
 )
 from repro.core.insitu import member_makespan
 from repro.core.stages import AnalysisStages, MemberStages, SimulationStages
-from repro.dtl.base import DataTransportLayer
+from repro.dtl.base import DataTransportLayer, TransferCost
 from repro.dtl.burstbuffer import BurstBufferDTL
 from repro.dtl.dimes import InMemoryStagingDTL
 from repro.dtl.pfs import ParallelFilesystemDTL
@@ -134,6 +134,7 @@ class StageCache:
         ] = {}
         self._member_stages: Dict[Signature, MemberStages] = {}
         self._member_terms: Dict[Tuple, Tuple[float, float]] = {}
+        self._costs: Dict[Tuple, TransferCost] = {}
 
         # diagnostics
         self.stage_hits = 0
@@ -256,6 +257,27 @@ class StageCache:
         out = [merged[name] for name in names]
         self._node_assessments[node_sig] = out
         return out
+
+    # -- staging costs --------------------------------------------------------
+    def read_cost(
+        self, producer: int, consumer: int, payload: float
+    ) -> TransferCost:
+        """The DTL's ``read_cost``, memoized per (producer, consumer, payload).
+
+        The column kernel fills its staging tables from these, so every
+        scorer sharing this cache calls the cost model once per triple.
+        """
+        key = (producer, consumer, payload)
+        if key not in self._costs:
+            self._costs[key] = self.dtl.read_cost(*key)
+        return self._costs[key]
+
+    def write_cost(self, producer: int, payload: float) -> TransferCost:
+        """The DTL's ``write_cost``, memoized per (producer, payload)."""
+        key = (producer, payload)
+        if key not in self._costs:
+            self._costs[key] = self.dtl.write_cost(*key)
+        return self._costs[key]
 
     # -- flat-assignment evaluation ------------------------------------------
     def _flat_layout(

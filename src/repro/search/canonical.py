@@ -26,12 +26,14 @@ generates exactly one representative per relabeling class *directly*:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
 #: Signature of a branch-and-bound prune hook for
@@ -306,6 +308,39 @@ def count_canonical_assignments(
         return total
 
     return rec(0, (), num_nodes)
+
+
+@functools.lru_cache(maxsize=4096)
+def search_space_size(
+    component_cores: Tuple[int, ...],
+    num_nodes: int,
+    cores_per_node: int,
+    node_cores: int,
+) -> int:
+    """Canonical size of a search budget the platform can score.
+
+    The closed-form refusal every exhaustive search makes first, shared
+    by :func:`~repro.search.engine.find_best_placement` and the
+    placement service's request validation, memoized per (core
+    demands, budget, node capacity). Raises
+    :class:`~repro.util.errors.PlacementError` when the budget admits
+    no canonical placement, or when it exceeds the physical
+    ``node_cores`` so that some candidate oversubscribes a node (the
+    budgeted space is then larger than the physical one).
+    """
+    total = count_canonical_assignments(
+        component_cores, num_nodes, cores_per_node
+    )
+    if total == 0:
+        raise PlacementError(
+            f"no feasible placement over {num_nodes} nodes of "
+            f"{cores_per_node} cores"
+        )
+    if cores_per_node > node_cores and total != count_canonical_assignments(
+        component_cores, num_nodes, node_cores
+    ):
+        raise PlacementError(f"nodes oversubscribed (capacity {node_cores})")
+    return total
 
 
 def count_raw_assignments(

@@ -3,20 +3,38 @@
 The fast engine's contract is *bit-identical results, less work* — the
 only way to keep that promise honest over time is to keep the slow
 implementations around and diff against them. This module preserves
-the original product-then-dedup enumerator exactly as it shipped; the
-property tests assert the canonical generator reproduces its stream
-and the benchmarks in ``scripts/bench_search.py`` measure the speedup
-against it. Nothing here is on any hot path.
+the original product-then-dedup enumerator exactly as it shipped, and
+:func:`find_best_placement_reference`, the scalar search loop the
+column kernel replaced. The property tests assert the canonical
+generator reproduces the enumerator's stream and the engine returns
+the loop's winner, floats and candidate count; the benchmarks in
+``scripts/bench_search.py`` measure the speedup against both. Only
+tests and benchmarks call the search loop; at runtime, only the
+labelled (``dedup_symmetric=False``) enumeration reaches this module.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.objective import objective_function
+from repro.platform.cluster import Cluster
+from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.search.cache import StageCache
+from repro.search.canonical import (
+    assignment_to_placement,
+    component_core_demands,
+    iter_canonical_assignments,
+)
+from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.scheduler.context import PlanningContext
+    from repro.scheduler.objectives import PlacementScore
 
 
 def canonical_signature(flat_assignment: Sequence[int]) -> Tuple[int, ...]:
@@ -102,3 +120,92 @@ def count_feasible_placements_reference(
             spec, num_nodes, cores_per_node, dedup_symmetric
         )
     )
+
+
+def find_best_placement_reference(
+    spec: EnsembleSpec,
+    num_nodes: int,
+    cores_per_node: int,
+    *,
+    context: Optional["PlanningContext"] = None,
+) -> Tuple["PlacementScore", int]:
+    """The scalar search loop: one canonical assignment at a time.
+
+    Streams the canonical assignments through
+    :meth:`StageCache.evaluate_flat`, prices each with the context's
+    robustness term, and keeps the first strict optimum of
+    ``(utility, -makespan)``. :func:`~repro.search.engine
+    .find_best_placement` must return exactly this (winner, floats,
+    ``evaluated``) or raise the same :class:`PlacementError` class.
+    """
+    # the scheduler enumerates through this module, so import it late
+    from repro.scheduler.context import DEFAULT_CONTEXT
+    from repro.scheduler.objectives import PlacementScore
+
+    require_positive_int("num_nodes", num_nodes)
+    require_positive_int("cores_per_node", cores_per_node)
+    if context is None:
+        context = DEFAULT_CONTEXT
+    cluster = context.cluster
+    dtl = context.dtl
+    robustness = context.robustness
+    cache = context.cache
+    if cache is None or not cache.matches(cluster, dtl):
+        cache = StageCache(cluster, dtl)
+    component_cores = component_core_demands(spec)
+
+    evaluated = 0
+    best = None
+    best_key: Optional[Tuple[float, float]] = None
+    robust_cluster: Optional[Cluster] = None
+    # candidates frequently repeat the exact indicator tuple (different
+    # node labels, same local patterns) — memoize F over it, which
+    # reuses the identical float rather than re-aggregating
+    objective_memo: dict = {}
+    for assignment in iter_canonical_assignments(
+        component_cores, num_nodes, cores_per_node
+    ):
+        evaluation = cache.evaluate_flat(spec, assignment, num_nodes)
+        evaluated += 1
+        indicator_key = tuple(evaluation.indicators)
+        objective = objective_memo.get(indicator_key)
+        if objective is None:
+            objective = objective_function(evaluation.indicators)
+            objective_memo[indicator_key] = objective
+        penalty = 0.0
+        if robustness is not None:
+            placement = assignment_to_placement(spec, assignment, num_nodes)
+            if cluster is None:
+                if robust_cluster is None:
+                    robust_cluster = make_cori_like_cluster(num_nodes)
+                penalty_cluster = robust_cluster
+            else:
+                penalty_cluster = cluster
+            penalty = robustness.penalty(
+                spec,
+                placement,
+                cluster=penalty_cluster,
+                dtl=dtl,
+                stages=evaluation.stages_by_name(spec),
+            )
+        # PlacementScore._key with num_nodes fixed across candidates:
+        # (utility, -makespan), strictly greater keeps the first optimum
+        key = (objective - penalty, -evaluation.worst_makespan)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = PlacementScore(
+                placement=assignment_to_placement(
+                    spec, assignment, num_nodes
+                ),
+                objective=objective,
+                ensemble_makespan=evaluation.worst_makespan,
+                num_nodes=num_nodes,
+                member_indicators=tuple(evaluation.indicators),
+                robust_penalty=penalty,
+            )
+    if best is None:
+        raise PlacementError(
+            f"no feasible placement over {num_nodes} nodes of "
+            f"{cores_per_node} cores"
+        )
+    return best, evaluated

@@ -1,66 +1,55 @@
-"""Vectorized batch scoring of canonical placements (numpy kernels).
+"""The exhaustive search engine: batch scoring of canonical placements.
 
-The scalar engine walks one assignment at a time through the
-:class:`~repro.search.cache.StageCache`; even fully memoized, every
-candidate costs a Python round trip per member. This module scores a
-whole ``(B, C)`` chunk of flat assignments per numpy dispatch by
-splitting the paper's pipeline (Eqs. 1-9) at its one genuinely
-sequential joint — socket-aware contention assessment — and
-vectorizing everything on either side of it:
+Every exhaustive search runs here (:func:`~repro.search.engine
+.find_best_placement` is a thin front end). A whole ``(B, C)`` chunk of
+flat assignments is scored per numpy dispatch by splitting the paper's
+pipeline (Eqs. 1-9) at its one sequential joint — socket-aware
+contention assessment:
 
-1. **Node-signature codes** — a chunk is reduced to one integer per
-   (candidate, node): the base-``(ncls+1)`` polynomial of the node's
-   resident class sequence in allocation order. Two nodes with the
-   same code have bit-identical contention assessments, so each
-   distinct code is resolved **once** through the
-   :class:`~repro.search.cache.StageCache` node memo the scalar engine
-   reads (a population either engine met before costs a lookup) and
-   kept as a per-position dilation row. Chunks after warm-up contain
-   no new codes at all.
-2. **Column kernels** — with dilations gathered per component, the
-   remaining math is pure elementwise numpy: DTL read/write columns
-   are lookups into per-(member, hop) tables precomputed with the
-   exact scalar float expressions (Cori's dragonfly hop count is pure
-   integer arithmetic on node indexes); active times, the steady-state
-   period ``sigma*`` (Eq. 1, ``np.maximum.reduceat`` over member
-   segments), efficiency ``E`` (Eq. 3), the indicator product
-   ``P^{U,A,P}`` (Eqs. 5-8), makespans (Eq. 2), and the objective
-   ``F = mean - std`` (Eq. 9) all follow as column reductions.
+1. **Node-signature codes** — one integer per (candidate, node): the
+   base-``(ncls+1)`` polynomial of the node's resident class sequence
+   in allocation order. Each distinct code is resolved **once** through
+   the :class:`~repro.search.cache.StageCache` node memo and kept as a
+   per-position dilation row.
+2. **Column kernels** — staging columns are lookups into tables of the
+   context DTL's own ``read_cost``/``write_cost`` per (member payload,
+   producer label, consumer label) plus its ``producer_progress_tax``,
+   so any network or DTL model is scored by its own methods; ``sigma*``
+   (Eq. 1), ``E`` (Eq. 3), ``P^{U,A,P}`` (Eqs. 5-8), makespans (Eq. 2)
+   and ``F = mean - std`` (Eq. 9) follow as column reductions.
 3. **Reduction** — a first-occurrence lexicographic argmax over
-   ``(objective, -makespan)`` reproduces the serial loop's strict
-   ``>`` tie-breaking exactly (see :func:`argmax_batch`).
+   ``(F - penalty, -makespan)`` reproduces the serial loop's strict
+   ``>`` tie-breaking (see :func:`argmax_batch`).
 
-Agreement with the scalar :func:`~repro.scheduler.objectives
-.score_placement` is ≤1e-9 relative (typically a few ulps: the only
-reassociations are ``n * overhead`` versus a repeated sum and the
-segment reductions), enforced by the differential oracle's
-``vectorized`` tier and the benchmark's correctness report.
+Every column repeats the scalar path's float operations in its order —
+a member's analysis times and producer overheads are summed left to
+right, as ``sum()`` adds them — so each row equals
+:func:`~repro.scheduler.objectives.score_placement` bit for bit (the
+differential oracle's ``vectorized`` tier, at tolerance 0.0).
 
-:func:`find_best_placement_vectorized` adds branch-and-bound on top:
-``E <= 1`` (documented and property-tested in
-:mod:`repro.core.efficiency`) makes ``CP_i / (c_i * M)`` an admissible
-per-member bound on the indicator, so a partial prefix bounds the
-objective by the mean of exact-CP terms (assigned members) and
-best-case-CP terms (unassigned members). Subtrees whose bound falls
-strictly below the incumbent are skipped before expansion and sized in
-closed form with :class:`~repro.search.canonical.CompletionCounter`.
-The winner is re-scored through the scalar cache path before being
-returned, so callers observe the very same floats the scalar engine
-would have produced.
+:func:`find_best_placement_vectorized` adds branch-and-bound: ``E <= 1``
+(property-tested in :mod:`repro.core.efficiency`) makes
+``CP_i / (c_i * M)`` an admissible per-member bound on the indicator,
+so a prefix bounds the objective by exact-CP terms for assigned members
+and best-case terms for the rest. A robustness penalty is never
+negative (the surrogate's expected inflation is at least 1), so the
+bound also caps the utility ``F - penalty``. Subtrees bounded strictly
+below the incumbent's utility are skipped and sized in closed form with
+:class:`~repro.search.canonical.CompletionCounter`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dtl.base import DataTransportLayer
-from repro.dtl.dimes import InMemoryStagingDTL
 from repro.platform.cluster import Cluster
-from repro.platform.network import DragonflyNetwork
+from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
@@ -70,37 +59,26 @@ from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
     iter_assignment_chunks,
+    search_space_size,
 )
-from repro.util.errors import PlacementError
+from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import require_positive_int
 
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.faults.analytic import RobustnessTerm
+
 #: The benchmark's "large search" label: ``bench/workloads.py`` counts
-#: plan-mix searches at or above this canonical size. No routing
-#: decision reads it — ``find_best_placement`` sends every
-#: ``vectorized=True`` search the kernel supports to the kernel, at any
-#: size (``scripts/bench_search.py`` measures that choice).
+#: plan-mix searches at or above this canonical size. No search
+#: decision reads it — every search runs the column kernel, at any size
+#: (``scripts/bench_search.py`` measures that choice).
 MIN_VECTORIZED_CANDIDATES = 2048
 
 #: Relative safety margin applied to the branch-and-bound upper bound
 #: before comparing against the incumbent. The bound arithmetic is a
 #: handful of float operations (error ~1e-15 relative); inflating by
-#: 1e-9 — the vectorized agreement tolerance — keeps the bound
-#: admissible against any rounding of either side.
+#: 1e-9 keeps the bound admissible against any rounding of either
+#: side, and a looser bound only prunes less.
 BOUND_SAFETY = 1e-9
-
-#: A dragonfly minimal route is at most 5 hops (see
-#: :class:`~repro.platform.network.DragonflyNetwork`).
-_MAX_HOPS = 5
-
-
-class VectorizedUnsupported(Exception):
-    """The scoring context cannot be vectorized faithfully.
-
-    Raised at :class:`VectorizedScorer` construction for non-default
-    transport/network models (whose cost formulas the column kernels do
-    not replicate) or for spec shapes whose signature codes would
-    overflow int64. Callers fall back to the scalar engine.
-    """
 
 
 @dataclass(frozen=True)
@@ -160,19 +138,14 @@ def argmax_batch(
 class VectorizedScorer:
     """Column-kernel scorer for one (spec, node budget, context).
 
-    Precomputes every spec- and context-dependent constant once —
-    per-component class ids and solo times, per-member DTL cost tables
-    by hop count, reduction offsets — then scores arbitrary feasible
+    Precomputes every spec-dependent constant once, then scores feasible
     assignment chunks with :meth:`score_chunk`. The platform context is
-    the :class:`StageCache`'s: ``cache`` is used when it
-    :meth:`~StageCache.matches` ``(cluster, dtl)``, else a fresh cache
-    is built, and node populations are assessed through its node memo,
-    so the kernel and the scalar engine share one set of assessments.
-    Supports the default platform family only:
-    :class:`DragonflyNetwork` topology and the DIMES-like
-    :class:`InMemoryStagingDTL` (the models whose cost formulas the
-    kernels replicate); anything else raises
-    :class:`VectorizedUnsupported` so callers can fall back.
+    the :class:`StageCache`'s (``cache`` when it
+    :meth:`~StageCache.matches` ``(cluster, dtl)``, else a fresh one):
+    node populations are assessed through its node memo and staging
+    costs read through its memoized ``read_cost``/``write_cost``. A
+    spec whose node-signature codes would overflow int64 raises
+    :class:`~repro.util.errors.ValidationError`.
     """
 
     def __init__(
@@ -189,21 +162,16 @@ class VectorizedScorer:
         if cache is None or not cache.matches(cluster, dtl):
             cache = StageCache(cluster, dtl)
         self.cache = cache
-        network, dtl = cache._network, cache.dtl
-        if type(network) is not DragonflyNetwork:
-            raise VectorizedUnsupported(
-                f"network model {type(network).__name__} is not the "
-                "dragonfly the hop kernel replicates"
-            )
-        if type(dtl) is not InMemoryStagingDTL:
-            raise VectorizedUnsupported(
-                f"DTL {type(dtl).__name__} has no vectorized cost columns"
-            )
-        self.dtl = dtl
         self._node_spec = cache._node_spec
+        self._tax = getattr(cache.dtl, "producer_progress_tax", 0.0)
 
         self._build_layout(spec)
-        self._build_cost_tables(dtl, network.spec)
+
+        # staging tables over node labels [0, _labels), grown lazily
+        self._labels = 0
+        self._read = np.empty(0, dtype=float)
+        self._overhead = np.empty(0, dtype=float)
+        self._write = np.empty(0, dtype=float)
 
         # signature-code -> dilation-table row, grown lazily; the
         # parallel sorted arrays serve the vectorized lookups
@@ -226,12 +194,17 @@ class VectorizedScorer:
         comp_solo: List[float] = []
         offsets: List[int] = []
         ana_cols: List[int] = []
-        ana_member: List[int] = []
         ana_sim_col: List[int] = []
         ana_offsets: List[int] = []
+        payload_ids: Dict[float, int] = {}
+        member_payload: List[int] = []
         for member in spec.members:
             offsets.append(len(comp_class))
             ana_offsets.append(len(ana_cols))
+            payload = member.simulation.payload_bytes()  # type: ignore[attr-defined]
+            member_payload.append(
+                payload_ids.setdefault(payload, len(payload_ids))
+            )
             for model in (member.simulation, *member.analyses):
                 profile = model.profile  # type: ignore[attr-defined]
                 key = (
@@ -254,7 +227,6 @@ class VectorizedScorer:
                 class_members[cls].append(model)
                 if model is not member.simulation:
                     ana_cols.append(len(comp_class))
-                    ana_member.append(len(offsets) - 1)
                     ana_sim_col.append(offsets[-1])
                 comp_class.append(cls)
                 comp_solo.append(model.solo_compute_time())  # type: ignore[attr-defined]
@@ -273,23 +245,38 @@ class VectorizedScorer:
         self._offsets = np.asarray(offsets, dtype=np.int64)
         self._sim_cols = self._offsets
         self._ana_cols = np.asarray(ana_cols, dtype=np.int64)
-        self._ana_member = np.asarray(ana_member, dtype=np.int64)
         self._ana_sim_col = np.asarray(ana_sim_col, dtype=np.int64)
-        self._ana_offsets = np.asarray(ana_offsets, dtype=np.int64)
         self._ana_solo = self._comp_solo[self._ana_cols]
+        self._payloads = list(payload_ids)
+        self._sim_payload = np.asarray(member_payload, dtype=np.int64)
+        couplings = [m.num_couplings for m in spec.members]
+        self._ana_payload = np.repeat(self._sim_payload, couplings)
+        # per-member sums run left to right over analysis columns: the
+        # first analysis of every member, then the j-th of each member
+        # that has one, as ``sum()`` adds them in the scalar path
+        self._first_ana = np.asarray(ana_offsets, dtype=np.int64)
+        self._later_ana: List[Tuple[np.ndarray, np.ndarray]] = []
+        for j in range(1, max(couplings)):
+            members = [m for m, k in enumerate(couplings) if k > j]
+            self._later_ana.append(
+                (
+                    np.asarray(members, dtype=np.int64),
+                    np.asarray(
+                        [ana_offsets[m] + j for m in members], dtype=np.int64
+                    ),
+                )
+            )
         self._n_steps = np.asarray(
             [m.n_steps for m in spec.members], dtype=float
         )
         self._total_cores = np.asarray(
             [m.total_cores for m in spec.members], dtype=float
         )
-        self._k = np.asarray(
-            [m.num_couplings for m in spec.members], dtype=float
-        )
+        self._k = np.asarray(couplings, dtype=float)
 
         base = len(class_ids) + 1
         if base ** max(self.num_components, 1) >= 2 ** 62:
-            raise VectorizedUnsupported(
+            raise ValidationError(
                 f"{len(class_ids)} component classes over "
                 f"{self.num_components} components overflow the int64 "
                 "signature code"
@@ -299,33 +286,41 @@ class VectorizedScorer:
             self.num_components + 1, dtype=np.int64
         )
 
-    def _build_cost_tables(self, dtl: InMemoryStagingDTL, net) -> None:
-        # per-member DTL columns, evaluated with the exact scalar float
-        # expressions so table lookups reproduce read_cost/write_cost
-        # bit for bit (hops fully determine a remote read's cost)
-        members = self.spec.members
-        read_table = np.empty((self.num_members, _MAX_HOPS + 1), dtype=float)
-        w_eff: List[float] = []
-        overhead: List[float] = []
-        for i, member in enumerate(members):
-            payload = member.simulation.payload_bytes()  # type: ignore[attr-defined]
-            unmarshal = payload / dtl.marshal_bandwidth
-            read_table[i, 0] = unmarshal + payload / dtl.memory_bandwidth
-            for h in range(1, _MAX_HOPS + 1):
-                latency = net.base_latency + h * net.per_hop_latency
-                read_table[i, h] = unmarshal + (
-                    latency + payload / net.link_bandwidth
-                )
-            w_eff.append(dtl.write_cost(0, payload).total)
-            overhead.append(
-                dtl.service_latency + payload / dtl.service_bandwidth
-            )
-        self._read_table = read_table
-        self._w_eff = np.asarray(w_eff, dtype=float)
-        self._overhead = np.asarray(overhead, dtype=float)
-        self._tax = dtl.producer_progress_tax
-        self._nodes_per_router = net.nodes_per_router
-        self._nodes_per_group = net.nodes_per_group
+    def _ensure_labels(self, count: int) -> None:
+        """Cover node labels ``[0, count)`` in the staging tables.
+
+        Each entry is the context DTL's own cost of one (payload,
+        producer, consumer) or (payload, producer) staging operation,
+        read through the cache's memo. A co-located read's producer
+        overhead is zeroed, as the scalar path only sums the overheads
+        of remote consumers.
+        """
+        if count <= self._labels:
+            return
+        cache = self.cache
+        shape = (len(self._payloads), count, count)
+        read = np.empty(shape, dtype=float)
+        overhead = np.zeros(shape, dtype=float)
+        write = np.empty(shape[:2], dtype=float)
+        for p, payload in enumerate(self._payloads):
+            for src in range(count):
+                write[p, src] = cache.write_cost(src, payload).total
+                for dst in range(count):
+                    cost = cache.read_cost(src, dst, payload)
+                    read[p, src, dst] = cost.total
+                    if dst != src:
+                        overhead[p, src, dst] = cost.producer_overhead
+        self._read = read.ravel()
+        self._overhead = overhead.ravel()
+        self._write = write.ravel()
+        self._labels = count
+
+    def _member_sums(self, columns: np.ndarray) -> np.ndarray:
+        """Per-member sums of ``(B, analyses)`` columns, left to right."""
+        total = columns[:, self._first_ana]
+        for members, cols in self._later_ana:
+            total[:, members] += columns[:, cols]
+        return total
 
     # -- node-signature assessment -------------------------------------------
     def _assess_code(self, code: int) -> np.ndarray:
@@ -336,9 +331,9 @@ class VectorizedScorer:
         (names are unique within a spec, so residents never collide).
         The population is then assessed by
         :meth:`StageCache._assess_node` under its content-fingerprint
-        signature — the memo entry the scalar engine reads, positions
-        allocated in component order — so the dilations are the scalar
-        engine's, bit for bit.
+        signature — the memo entry :meth:`StageCache.evaluate_flat`
+        reads, positions allocated in component order — so the
+        dilations are the cache's, bit for bit.
         """
         residents: List[object] = []
         taken = [0] * len(self._class_members)
@@ -348,9 +343,9 @@ class VectorizedScorer:
             residents.append(self._class_members[cls][taken[cls]])
             taken[cls] += 1
             remaining //= self._code_base
-        # the scalar cache rejects populations beyond the *physical*
-        # node capacity (a search budget may exceed it); mirror the
-        # check here so both paths raise the same way
+        # the cache rejects populations beyond the *physical* node
+        # capacity (a search budget may exceed it); mirror the check
+        # here so both paths raise the same way
         capacity = self._node_spec.cores
         demand = sum(model.cores for model in residents)  # type: ignore[attr-defined]
         if demand > capacity:
@@ -449,34 +444,30 @@ class VectorizedScorer:
         table_rows = self._sorted_rows[where]
         dilation = self._dil_table[table_rows, positions]
 
-        # 3. DTL + stage columns (Eq. 1 inputs)
+        # 3. staging + stage columns (Eq. 1 inputs), as
+        # ``member_effective_stages`` builds them: the DTL's read cost
+        # per (payload, producer, consumer), producer overheads summed
+        # over remote consumers, the progress tax per remote consumer
+        if a.size:
+            self._ensure_labels(int(a.max()) + 1)
+        labels = self._labels
         sim_nodes = a[:, self._sim_cols]
         ana_nodes = a[:, self._ana_cols]
         producer = a[:, self._ana_sim_col]
         remote = ana_nodes != producer
-        group = ana_nodes // self._nodes_per_group
-        p_group = producer // self._nodes_per_group
-        router = (ana_nodes % self._nodes_per_group) // self._nodes_per_router
-        p_router = (producer % self._nodes_per_group) // self._nodes_per_router
-        hops = np.where(
-            remote,
-            np.where(
-                group == p_group, np.where(router == p_router, 1, 2), 5
-            ),
-            0,
-        )
-        read = self._read_table[self._ana_member, hops]
+        pair = (self._ana_payload * labels + producer) * labels + ana_nodes
+        read = self._read[pair]
         ana_active = read + self._ana_solo * dilation[:, self._ana_cols]
-        n_remote = np.add.reduceat(
-            remote.astype(float), self._ana_offsets, axis=1
-        )
+        n_remote = self._member_sums(remote.astype(float))
         s_eff = (
             self._comp_solo[self._sim_cols]
             * dilation[:, self._sim_cols]
             * (1.0 + self._tax * n_remote)
-            + n_remote * self._overhead
+            + self._member_sums(self._overhead[pair])
         )
-        sim_active = s_eff + self._w_eff
+        sim_active = s_eff + self._write[
+            self._sim_payload * labels + sim_nodes
+        ]
 
         # 4. member reductions: sigma* (Eq. 1), E (Eq. 3), CP (Eq. 6),
         # the indicator product (Eqs. 5, 7, 8), makespan (Eq. 2)
@@ -484,7 +475,7 @@ class VectorizedScorer:
         active[:, self._sim_cols] = sim_active
         active[:, self._ana_cols] = ana_active
         sigma = np.maximum.reduceat(active, self._offsets, axis=1)
-        ana_sum = np.add.reduceat(ana_active, self._ana_offsets, axis=1)
+        ana_sum = self._member_sums(ana_active)
         efficiency = sim_active / sigma + ana_sum / (self._k * sigma) - 1.0
         co_located = (1.0 / self._k) * (
             (self._k - n_remote) + 0.5 * n_remote
@@ -514,10 +505,8 @@ class VectorizedScorer:
         return self.score_chunk(array, validate=True)
 
 
-def _member_bounds(
-    spec: EnsembleSpec, cores_per_node: int
-) -> Tuple[List[float], List[float]]:
-    """Per-member ``CP_max / c`` bound terms and their suffix sums.
+def _member_bounds(spec: EnsembleSpec, cores_per_node: int) -> List[float]:
+    """Suffix sums of the per-member ``CP_max / c`` bound terms.
 
     ``CP_max`` takes the most analyses that can share a fresh node with
     the simulation (greedy smallest-first maximizes the co-located
@@ -538,7 +527,7 @@ def _member_bounds(
     suffix = [0.0] * (len(u_max) + 1)
     for i in range(len(u_max) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + u_max[i]
-    return u_max, suffix
+    return suffix
 
 
 def find_best_placement_vectorized(
@@ -550,58 +539,69 @@ def find_best_placement_vectorized(
     cache: Optional[StageCache] = None,
     chunk_size: int = 8192,
     prune: bool = True,
+    robustness: Optional["RobustnessTerm"] = None,
 ) -> VectorizedSearchResult:
     """Branch-and-bound batch search over the canonical space.
 
-    Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`;
-    at every member boundary the admissible bound (exact ``CP/c`` for
-    the assigned prefix, best-case for the rest, ``E <= 1`` closing the
-    gap) is compared against the incumbent objective and losing
-    subtrees are skipped, their sizes tallied in closed form. Pruning
-    requires the bound to be *strictly* below the incumbent, so an
-    objective tie — which the serial loop would resolve by makespan —
-    can never be discarded: the winner is the one the scalar engine
-    returns (property-tested against exhaustive search).
+    Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`.
+    With a ``robustness`` term, each scored row's surrogate penalty
+    (priced on the cache's stages, as ``score_placement`` prices it) is
+    subtracted from its F. At every member boundary the admissible bound
+    is compared against the incumbent's utility; pruning requires it to
+    be *strictly* below, so a tie — which the serial loop resolves by
+    makespan — is never discarded and the first optimum of ``(F -
+    penalty, -makespan)`` in the canonical stream wins
+    (property-tested against :func:`~repro.search.reference
+    .find_best_placement_reference`).
 
-    Raises :class:`VectorizedUnsupported` for contexts the kernels do
-    not model and :class:`PlacementError` when nothing fits.
+    Raises :class:`PlacementError` when nothing fits or the budget
+    oversubscribes the physical node (:func:`~repro.search.canonical
+    .search_space_size`), before any scorer is built.
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    # the scorer resolves ``cache`` against (cluster, dtl) — or builds
-    # one — and assesses populations through its node memo, which the
-    # winner's re-score below reads too
+    if cache is None or not cache.matches(cluster, dtl):
+        cache = StageCache(cluster, dtl)
+    component_cores = tuple(component_core_demands(spec))
+    # branch-and-bound could silently prune away a candidate that
+    # oversubscribes the physical node, so both refusals are closed-form
+    total = search_space_size(
+        component_cores, num_nodes, cores_per_node, cache._node_spec.cores
+    )
+    # the scorer assesses populations through the cache's node memo,
+    # which the winner's re-score below reads too
     scorer = VectorizedScorer(spec, num_nodes, cluster, dtl, cache)
-    component_cores = component_core_demands(spec)
-    capacity = scorer._node_spec.cores
-    if cores_per_node > capacity:
-        # the scalar engine raises as soon as it scores a candidate
-        # whose node population exceeds the *physical* capacity;
-        # branch-and-bound could silently prune that candidate away,
-        # so detect the condition in closed form instead
-        from repro.search.canonical import count_canonical_assignments
-
-        physical = count_canonical_assignments(
-            component_cores, num_nodes, capacity
-        )
-        budgeted = count_canonical_assignments(
-            component_cores, num_nodes, cores_per_node
-        )
-        if budgeted != physical:
-            raise PlacementError(
-                f"nodes oversubscribed (capacity {capacity})"
-            )
     offsets = scorer._offsets
     shapes = [1 + m.num_couplings for m in spec.members]
     total_cores = [m.total_cores for m in spec.members]
     num_members = len(spec.members)
-    _, suffix = _member_bounds(spec, cores_per_node)
+    suffix = _member_bounds(spec, cores_per_node)
     counter = CompletionCounter(component_cores, num_nodes, cores_per_node)
     member_of = {int(offsets[m]): m for m in range(num_members)}
+    penalty_cluster = cluster
+    if robustness is not None and cluster is None:
+        penalty_cluster = make_cori_like_cluster(num_nodes)
+
+    def penalties(chunk: np.ndarray) -> np.ndarray:
+        """Each row's robustness penalty, priced as the reference loop does."""
+        out = np.zeros(chunk.shape[0], dtype=float)
+        if robustness is None:
+            return out
+        for r, row in enumerate(chunk.tolist()):
+            evaluation = cache.evaluate_flat(spec, row, num_nodes)
+            out[r] = robustness.penalty(
+                spec,
+                assignment_to_placement(spec, row, num_nodes),
+                cluster=penalty_cluster,
+                dtl=dtl,
+                stages=evaluation.stages_by_name(spec),
+            )
+        return out
 
     incumbent = -math.inf
     best_key: Optional[Tuple[float, float]] = None
     best_row: Optional[np.ndarray] = None
+    best_penalty = 0.0
     scored = 0
     pruned = 0
 
@@ -638,35 +638,34 @@ def find_best_placement_vectorized(
         component_cores,
         num_nodes,
         cores_per_node,
-        chunk_size=chunk_size,
+        chunk_size=min(total, chunk_size),
         boundaries=boundaries,
         prune=prune_hook if prune and boundaries else None,
     )
     for chunk in chunks:
         evaluation = scorer.score_chunk(chunk)
-        index = argmax_batch(evaluation.objectives, evaluation.makespans)
+        chunk_penalties = penalties(chunk)
+        utilities = evaluation.objectives - chunk_penalties
+        index = argmax_batch(utilities, evaluation.makespans)
         key = (
-            float(evaluation.objectives[index]),
+            float(utilities[index]),
             -float(evaluation.makespans[index]),
         )
         scored += chunk.shape[0]
         if best_key is None or key > best_key:
             best_key = key
             best_row = chunk[index].copy()
+            best_penalty = float(chunk_penalties[index])
             incumbent = key[0]
 
-    if best_row is None:
-        raise PlacementError(
-            f"no feasible placement over {num_nodes} nodes of "
-            f"{cores_per_node} cores"
-        )
-    # re-score the winner through the scalar cache path: the returned
-    # floats are the scalar engine's, bit for bit, so downstream exact
-    # comparisons (service smoke, bench correctness) are unaffected
+    assert best_row is not None  # search_space_size refused empty spaces
+    # re-score the winner through the cache: the returned floats are
+    # the ones score_placement gives this placement, bit for bit
     placement = assignment_to_placement(spec, best_row.tolist(), num_nodes)
     best = score_placement(
         spec,
         placement,
-        context=PlanningContext(cluster=cluster, dtl=dtl, cache=scorer.cache),
+        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
     )
+    best = dataclasses.replace(best, robust_penalty=best_penalty)
     return VectorizedSearchResult(best=best, scored=scored, pruned=pruned)

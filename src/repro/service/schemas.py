@@ -49,6 +49,7 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.objectives import PlacementScore
 from repro.scheduler.robust import RobustScore
+from repro.search.canonical import component_core_demands, search_space_size
 from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import (
     require_in_range,
@@ -555,6 +556,16 @@ class PlacementRequest:
         # placements must fit the worker's physical node (its cores, not
         # ``cores_per_node``, which only budgets searches)
         node_cores = cori_like_node().cores
+        if self.kind == "search":
+            # the engine's own closed-form refusal: an empty budget or
+            # one that oversubscribes the worker's node is a 400, not a
+            # job that fails in the worker
+            search_space_size(
+                tuple(component_core_demands(self.spec)),
+                self.num_nodes,
+                self.cores_per_node,
+                node_cores,
+            )
         if self.kind in ("score", "reschedule"):
             self.placement.validate_against(self.spec, node_cores)
         if self.kind == "rank":

@@ -198,17 +198,11 @@ def execute_request(
     robustness = _robustness_term(request)
     context = PlanningContext(robustness=robustness, cache=stage_cache)
     if request.kind == "search":
-        # vectorized=True routes every canonical space through the
-        # batch kernel with branch-and-bound; the winner is re-scored
-        # on the scalar path, so the payload (score floats, evaluated
-        # count) is identical to the scalar engine's — robust searches
-        # stay on the scalar path automatically (the routing taken is
-        # visible via engine.search_counters)
         best, evaluated = find_best_placement(
             request.spec,
             request.num_nodes,
             request.cores_per_node,
-            context=context.evolve(vectorized=True),
+            context=context,
         )
         return {"score": score_to_dict(best), "evaluated": evaluated}
     if request.kind == "score":
@@ -461,7 +455,6 @@ class PlacementService:
         from repro.coschedule import coschedule_counters
         from repro.faults.batched import engine_counters
         from repro.reschedule import reschedule_counters
-        from repro.search.engine import last_search_routing, search_counters
 
         return {
             "queue": self.queue.stats(),
@@ -471,10 +464,6 @@ class PlacementService:
             "job_timeout": self.job_timeout,
             "max_retries": self.max_retries,
             "batched": engine_counters(),
-            "search": {
-                **search_counters(),
-                "last_routing": last_search_routing(),
-            },
             "reschedule": reschedule_counters(),
             "coschedule": coschedule_counters(),
         }

@@ -17,8 +17,8 @@ structured agreement in three tiers:
   given — a score obtained through the placement service's HTTP API
   (:mod:`repro.service`), proving the JSON wire format is lossless.
   Tolerance is literally 0.0. The numpy batch kernel
-  (:mod:`repro.search.vectorized`) joins as a 1e-9 tier — its only
-  deviations from the scalar scorer are a few reassociated sums.
+  (:mod:`repro.search.vectorized`) joins as its own tier, also at
+  0.0: it repeats the scalar scorer's float operations in order.
 - **Tier 1 (tolerance-banded)** — the DES executor adds protocol
   dynamics; its noise-free steady-state estimates must match the
   analytic prediction within per-metric relative tolerances
@@ -71,10 +71,9 @@ from repro.util.errors import ValidationError
 DEFAULT_TOLERANCES: Dict[str, float] = {
     # tier 0: memoized/cached paths vs their reference implementations
     "cache": 0.0,
-    # tier 0.5: the numpy batch kernel vs the scalar scorer — a few
-    # ulps of reassociation (n*overhead vs a repeated sum, segment
-    # reductions), nowhere near the DES band
-    "vectorized": 1e-9,
+    # tier 0: the numpy batch kernel vs the scalar scorer — the kernel
+    # repeats the scalar operations in order, so it is exact too
+    "vectorized": 0.0,
     # tier 1: analytic steady state vs noise-free DES estimates
     "stage": 1e-6,
     "makespan": 1e-6,
@@ -469,56 +468,49 @@ def run_differential_oracle(
             )
         )
 
-    # -- tier 0.5: the vectorized batch kernel vs the scalar scorer --------
-    # the column kernels reassociate a handful of sums, so the band is
-    # 1e-9 rather than exact; contexts the kernels do not model
-    # (non-default network/DTL) skip the tier and keep their scalar
-    # coverage
-    from repro.search.vectorized import VectorizedScorer, VectorizedUnsupported
+    # -- tier 0: the vectorized batch kernel vs the scalar scorer ----------
+    # the kernel scores every context through the context's own models
+    from repro.search.vectorized import VectorizedScorer
 
-    try:
-        scorer = VectorizedScorer(
-            spec, placement.num_nodes, cluster=cluster, dtl=dtl
+    scorer = VectorizedScorer(
+        spec, placement.num_nodes, cluster=cluster, dtl=dtl
+    )
+    batch = scorer.score_assignments([StageCache._flatten(placement)])
+    checks.append(
+        MetricCheck(
+            scope="ensemble",
+            metric="objective",
+            paths="score-vs-vectorized",
+            reference=reference_score.objective,
+            candidate=float(batch.objectives[0]),
+            tolerance=tol["vectorized"],
         )
-    except VectorizedUnsupported:
-        scorer = None
-    if scorer is not None:
-        batch = scorer.score_assignments([StageCache._flatten(placement)])
+    )
+    checks.append(
+        MetricCheck(
+            scope="ensemble",
+            metric="makespan",
+            paths="score-vs-vectorized",
+            reference=reference_score.ensemble_makespan,
+            candidate=float(batch.makespans[0]),
+            tolerance=tol["vectorized"],
+        )
+    )
+    for member, ref_i, cand_i in zip(
+        spec.members,
+        reference_score.member_indicators,
+        batch.indicators[0],
+    ):
         checks.append(
             MetricCheck(
-                scope="ensemble",
-                metric="objective",
+                scope=member.name,
+                metric="indicator",
                 paths="score-vs-vectorized",
-                reference=reference_score.objective,
-                candidate=float(batch.objectives[0]),
+                reference=ref_i,
+                candidate=float(cand_i),
                 tolerance=tol["vectorized"],
             )
         )
-        checks.append(
-            MetricCheck(
-                scope="ensemble",
-                metric="makespan",
-                paths="score-vs-vectorized",
-                reference=reference_score.ensemble_makespan,
-                candidate=float(batch.makespans[0]),
-                tolerance=tol["vectorized"],
-            )
-        )
-        for member, ref_i, cand_i in zip(
-            spec.members,
-            reference_score.member_indicators,
-            batch.indicators[0],
-        ):
-            checks.append(
-                MetricCheck(
-                    scope=member.name,
-                    metric="indicator",
-                    paths="score-vs-vectorized",
-                    reference=ref_i,
-                    candidate=float(cand_i),
-                    tolerance=tol["vectorized"],
-                )
-            )
 
     # -- tier 1: noise-free DES vs the analytic steady state ---------------
     result = run_ensemble(

@@ -51,22 +51,22 @@ class TestContextObject:
     def test_defaults(self):
         ctx = PlanningContext()
         assert [f.name for f in dataclasses.fields(ctx)] == [
-            "cluster", "dtl", "robustness", "cache", "vectorized",
+            "cluster", "dtl", "robustness", "cache",
         ]
         assert ctx.cluster is None and ctx.dtl is None
         assert ctx.robustness is None and ctx.cache is None
-        assert not ctx.vectorized
         assert DEFAULT_CONTEXT == ctx
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            PlanningContext().vectorized = True
+            PlanningContext().cache = StageCache()
 
     def test_evolve_returns_modified_copy(self):
         base = PlanningContext()
-        derived = base.evolve(vectorized=True)
-        assert derived.vectorized
-        assert not base.vectorized
+        cache = StageCache()
+        derived = base.evolve(cache=cache)
+        assert derived.cache is cache
+        assert base.cache is None
 
 
 class TestOneSpelling:
@@ -93,7 +93,7 @@ class TestOneSpelling:
             call()
 
     def test_removed_fields_are_not_accepted(self):
-        for field in ("parallel", "processes", "chunk_size"):
+        for field in ("parallel", "processes", "chunk_size", "vectorized"):
             with pytest.raises(TypeError):
                 PlanningContext(**{field: 1})
 

@@ -7,7 +7,8 @@ tie-breaking of :func:`find_best_placement`, :func:`score_placement`,
 :func:`rank_placements_robust` or :class:`ResourceConstrainedPlanner`
 fails here. The cases cover a non-default platform (contention off, a
 lighter DIMES progress tax), a robustness term, a shared stage cache
-(called twice, so the second call runs warm) and the vectorized kernel.
+(called twice, so the second call runs warm) and a larger 2 065-candidate
+search.
 """
 
 import pytest
@@ -26,7 +27,7 @@ from repro.scheduler.robust import (
     rank_placements_robust,
 )
 from repro.search.cache import StageCache
-from repro.search.engine import find_best_placement, last_search_routing
+from repro.search.engine import find_best_placement
 
 
 def _spec(analyses, n_steps: int = 4) -> EnsembleSpec:
@@ -183,10 +184,7 @@ class TestFindBestPlacementPins:
             assert (_score(best), evaluated) == SEARCH_PINS[name]
 
     def test_kernel_route(self):
-        best, evaluated = find_best_placement(
-            _spec((2, 2, 1)), 6, 32, context=PlanningContext(vectorized=True)
-        )
-        assert last_search_routing()["vectorized_used"]
+        best, evaluated = find_best_placement(_spec((2, 2, 1)), 6, 32)
         assert evaluated == 2065
         assert _score(best) == (
             (6, ((0, (0, 0)), (1, (1, 1)), (2, (2,)))),

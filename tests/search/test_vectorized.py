@@ -1,25 +1,27 @@
-"""The vectorized batch kernel returns exactly what the scalar paths do.
+"""The column kernel returns exactly what the scalar paths do.
 
-Covers :mod:`repro.search.vectorized` against the scalar engine on
-three contracts:
+Covers :mod:`repro.search.vectorized` — the one exhaustive engine —
+against the scalar scorer and the scalar search loop kept in
+:func:`~repro.search.reference.find_best_placement_reference`:
 
 - **stream identity** — chunked array enumeration concatenates to the
   exact canonical assignment stream, for any chunk size, and the
   closed-form :class:`CompletionCounter` sizes it without enumerating;
-- **score agreement** — :meth:`VectorizedScorer.score_chunk` matches
-  :func:`~repro.scheduler.objectives.score_placement` within the
-  oracle's ``vectorized`` tolerance (1e-9 relative) on every
-  enumerated candidate;
+- **score identity** — every row of :meth:`VectorizedScorer
+  .score_chunk` equals :func:`~repro.scheduler.objectives
+  .score_placement` bit for bit (the oracle's ``vectorized`` tier is
+  0.0), including members of 3-4 analyses and non-default networks
+  and staging tiers;
 - **search identity** — branch-and-bound never prunes the true
-  optimum: :func:`find_best_placement_vectorized` returns the scalar
-  engine's winner bit for bit, with the whole canonical space
-  accounted for, and the batch argmax helpers reproduce the serial
-  loop's strict ``>`` tie-breaking on tie-heavy grids;
-- **one population memo** — ``find_best_placement`` sends every
-  ``vectorized=True`` search to the kernel whatever its size, the
-  kernel assesses node populations through the
-  :class:`~repro.search.cache.StageCache` node memo the scalar engine
-  reads, and a cache bound to another platform is never consulted.
+  optimum: :func:`find_best_placement` returns the reference loop's
+  winner, floats, robust penalty and ``evaluated`` on plan-mix-shaped
+  grids of up to 4 analyses per member, on robust contexts and on
+  parallel-FS, burst-buffer, contention-off and subclassed-dragonfly
+  platforms, and the batch argmax helpers reproduce the serial loop's
+  strict ``>`` tie-breaking on tie-heavy grids;
+- **one population memo** — the kernel assesses node populations
+  through the :class:`~repro.search.cache.StageCache` node memo, and a
+  cache bound to another platform is never consulted.
 """
 
 from __future__ import annotations
@@ -28,19 +30,23 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.search.vectorized as vectorized_mod
+from repro.dtl.burstbuffer import BurstBufferDTL
+from repro.dtl.dimes import InMemoryStagingDTL
 from repro.dtl.pfs import ParallelFilesystemDTL
+from repro.faults.analytic import RobustnessTerm, node_crash_builder
+from repro.faults.recovery import make_policy
 from repro.platform.cluster import Cluster
 from repro.platform.network import DragonflyNetwork
 from repro.platform.node import Node, NodeSpec
-from repro.platform.specs import cori_like_node
+from repro.platform.specs import cori_like_node, make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
-from repro.search import find_best_placement, last_search_routing
+from repro.search import find_best_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import (
     CompletionCounter,
@@ -50,19 +56,61 @@ from repro.search.canonical import (
     iter_assignment_chunks,
     iter_canonical_assignments,
 )
+from repro.search.reference import find_best_placement_reference
 from repro.search.vectorized import (
     VectorizedScorer,
-    VectorizedUnsupported,
     argmax_batch,
     find_best_placement_vectorized,
 )
-from repro.util.errors import PlacementError
+from repro.util.errors import PlacementError, ValidationError
 from tests.strategies import plan_mix_grids, search_grids
 
 # the oracle's ``vectorized`` tier tolerance (see DEFAULT_TOLERANCES)
-VECTORIZED_TOL = 1e-9
+VECTORIZED_TOL = 0.0
 
 CHUNK_SIZES = st.sampled_from([1, 3, 17, 8192])
+
+
+class _SubclassedNetwork(DragonflyNetwork):
+    """A dragonfly whose hop counts depend on the labels' parity.
+
+    Nothing like the Cori topology, so only the model's own methods
+    can fill the kernel's staging columns correctly.
+    """
+
+    def hops(self, src: int, dst: int) -> int:
+        if src == dst:
+            return 0
+        return 1 + (src + dst) % 3
+
+
+def _contexts() -> dict:
+    """The non-default platforms every exactness check runs on."""
+    return {
+        "parallel-fs": PlanningContext(dtl=ParallelFilesystemDTL()),
+        "burst-buffer": PlanningContext(dtl=BurstBufferDTL()),
+        "contention-off": PlanningContext(
+            cluster=make_cori_like_cluster(16, contention_enabled=False),
+            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+        ),
+        "subclassed-dragonfly": PlanningContext(
+            cluster=Cluster(
+                node_spec=cori_like_node(),
+                num_nodes=16,
+                network=_SubclassedNetwork(),
+            )
+        ),
+    }
+
+
+def _robust_context() -> PlanningContext:
+    return PlanningContext(
+        robustness=RobustnessTerm(
+            policy=make_policy("retry"),
+            model_builder=node_crash_builder(0.05),
+            weight=2.0,
+        )
+    )
 
 
 def _tie_heavy_spec(num_members: int = 3) -> EnsembleSpec:
@@ -92,19 +140,52 @@ def _mixed_spec() -> EnsembleSpec:
 
 
 def _assert_same_search(fast, scalar) -> None:
-    """Same winner, same floats, same ``evaluated``."""
+    """Same winner, same floats, same penalty, same ``evaluated``."""
     (best, evaluated), (ref, ref_evaluated) = fast, scalar
     assert evaluated == ref_evaluated
     assert best.placement == ref.placement
     assert best.objective == ref.objective
     assert best.ensemble_makespan == ref.ensemble_makespan
     assert best.member_indicators == ref.member_indicators
+    assert best.robust_penalty == ref.robust_penalty
 
 
-def _rel_err(ref: float, cand: float) -> float:
-    if ref == cand:
-        return 0.0
-    return abs(ref - cand) / max(abs(ref), abs(cand))
+def _assert_matches_reference(spec, num_nodes, cores_per_node, context):
+    """The engine equals the reference loop, or both raise alike."""
+    try:
+        reference = find_best_placement_reference(
+            spec, num_nodes, cores_per_node, context=context
+        )
+    except PlacementError:
+        with pytest.raises(PlacementError):
+            find_best_placement(
+                spec, num_nodes, cores_per_node, context=context
+            )
+        return
+    _assert_same_search(
+        find_best_placement(spec, num_nodes, cores_per_node, context=context),
+        reference,
+    )
+
+
+def _assert_rows_exact(spec, num_nodes, rows, context=None) -> None:
+    """Every kernel row equals ``score_placement`` bit for bit."""
+    context = context or PlanningContext()
+    scorer = VectorizedScorer(
+        spec, num_nodes, cluster=context.cluster, dtl=context.dtl
+    )
+    batch = scorer.score_chunk(np.asarray(rows, dtype=np.int64))
+    for i, assignment in enumerate(rows):
+        scalar = score_placement(
+            spec,
+            assignment_to_placement(spec, assignment, num_nodes),
+            context=context,
+        )
+        assert float(batch.objectives[i]) == scalar.objective
+        assert float(batch.makespans[i]) == scalar.ensemble_makespan
+        assert tuple(batch.indicators[i].tolist()) == (
+            scalar.member_indicators
+        )
 
 
 class TestChunkedEnumeration:
@@ -151,7 +232,6 @@ class TestScoreAgreement:
         )[:200]
         if not assignments:
             return
-        scorer = VectorizedScorer(spec, num_nodes)
         # a search budget above the physical node capacity (cori: 32
         # cores) can enumerate candidates both paths refuse to score
         overloaded = any(
@@ -163,28 +243,31 @@ class TestScoreAgreement:
             for row in assignments
         )
         if overloaded:
+            scorer = VectorizedScorer(spec, num_nodes)
             with pytest.raises(PlacementError):
                 scorer.score_chunk(np.asarray(assignments, dtype=np.int64))
             return
-        batch = scorer.score_chunk(np.asarray(assignments, dtype=np.int64))
-        for i, assignment in enumerate(assignments):
-            scalar = score_placement(
-                spec, assignment_to_placement(spec, assignment, num_nodes)
-            )
-            assert (
-                _rel_err(scalar.objective, float(batch.objectives[i]))
-                <= VECTORIZED_TOL
-            )
-            assert (
-                _rel_err(
-                    scalar.ensemble_makespan, float(batch.makespans[i])
-                )
-                <= VECTORIZED_TOL
-            )
-            for ref, cand in zip(
-                scalar.member_indicators, batch.indicators[i]
-            ):
-                assert _rel_err(ref, float(cand)) <= VECTORIZED_TOL
+        _assert_rows_exact(spec, num_nodes, assignments)
+
+    @given(grid=plan_mix_grids(max_analyses=4))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_with_three_or_four_analyses_are_exact(self, grid):
+        # a member's analysis times are summed left to right, as the
+        # scalar ``sum()`` adds them; a segment reduction would not be
+        spec, num_nodes, cores_per_node = grid
+        cores = component_core_demands(spec)
+        rows = list(
+            iter_canonical_assignments(cores, num_nodes, cores_per_node)
+        )[:300]
+        if rows:
+            _assert_rows_exact(spec, num_nodes, rows)
+
+    @pytest.mark.parametrize("name", sorted(_contexts()))
+    def test_rows_on_non_default_platforms_are_exact(self, name):
+        spec = _mixed_spec()
+        cores = component_core_demands(spec)
+        rows = list(iter_canonical_assignments(cores, 5, 32))[::4]
+        _assert_rows_exact(spec, 5, rows, context=_contexts()[name])
 
     def test_score_assignments_validates_oversubscription(self):
         spec = _tie_heavy_spec(2)
@@ -201,49 +284,83 @@ class TestScoreAgreement:
         with pytest.raises(PlacementError):
             scorer.score_assignments([[0, 1, 2, 3]])  # label 3 >= 3
 
+    def test_signature_code_overflow_is_a_validation_error(self):
+        # 20 identical members: 40 components of two classes, and
+        # 3^40 >= 2^62 — the kernel's one typed limit
+        with pytest.raises(ValidationError, match="int64"):
+            VectorizedScorer(_tie_heavy_spec(20), 40)
+        VectorizedScorer(_tie_heavy_spec(19), 38)  # 3^38 < 2^62
 
-class _SubclassedNetwork(DragonflyNetwork):
-    """A model the kernel tables were not derived for."""
-
-
-class TestUnsupportedContexts:
-    def test_subclassed_network_raises(self):
-        # the hop kernel replicates DragonflyNetwork exactly; any
-        # subclass may override hops/latency, so the strict type check
-        # must refuse it
-        cluster = Cluster(
-            node_spec=cori_like_node(),
-            num_nodes=4,
-            network=_SubclassedNetwork(),
+    def test_labels_beyond_the_canonical_range_are_exact(self):
+        # explicit placements may use any label below the budget; the
+        # staging tables grow to cover them
+        spec = _mixed_spec()
+        _assert_rows_exact(
+            spec,
+            9,
+            [[8, 8, 3, 3, 5, 0, 7, 2], [0, 0, 1, 1, 1, 2, 2, 2]],
+            context=_contexts()["subclassed-dragonfly"],
         )
-        with pytest.raises(VectorizedUnsupported):
-            VectorizedScorer(_tie_heavy_spec(2), 4, cluster=cluster)
 
-    def test_non_default_dtl_raises(self):
-        with pytest.raises(VectorizedUnsupported):
-            VectorizedScorer(
-                _tie_heavy_spec(2), 4, dtl=ParallelFilesystemDTL()
-            )
 
-    def test_engine_falls_back_to_scalar(self):
-        # an unsupported DTL: vectorized=True must fall back to the
-        # scalar path and still return the scalar winner
+class TestNonDefaultContexts:
+    def test_subclassed_network_is_exact(self):
+        _assert_matches_reference(
+            _mixed_spec(), 5, 32, _contexts()["subclassed-dragonfly"]
+        )
+
+    def test_non_default_dtl_is_exact(self):
+        for name in ("parallel-fs", "burst-buffer", "contention-off"):
+            _assert_matches_reference(_mixed_spec(), 5, 32, _contexts()[name])
+
+    @given(grid=plan_mix_grids(max_analyses=4), name=st.sampled_from(
+        sorted(_contexts())
+    ))
+    @settings(max_examples=16, deadline=None)
+    def test_engine_matches_reference(self, grid, name):
+        _assert_matches_reference(*grid, _contexts()[name])
+
+
+class TestRobustSearch:
+    @given(grid=plan_mix_grids(max_components=6, max_analyses=4))
+    @settings(max_examples=8, deadline=None)
+    def test_engine_matches_reference(self, grid):
+        _assert_matches_reference(*grid, _robust_context())
+
+    def test_pinned_robust_grid(self):
+        # the (1, 2, 2) spec on 5 nodes: 1 815 candidates, no pruning
+        # (the penalty dwarfs every objective gap)
         spec = EnsembleSpec(
-            "fallback",
+            "robust",
             tuple(
-                default_member(f"em{i}", num_analyses=2, n_steps=4)
-                for i in range(3)
+                default_member(f"em{i}", num_analyses=k, n_steps=4)
+                for i, k in enumerate((1, 2, 2))
             ),
         )
-        dtl = ParallelFilesystemDTL()
-        context = PlanningContext(dtl=dtl)
-        vectorized = find_best_placement(
-            spec, 8, 32, context=context.evolve(vectorized=True)
-        )
-        scalar = find_best_placement(spec, 8, 32, context=context)
-        assert vectorized[0].placement == scalar[0].placement
-        assert vectorized[0].objective == scalar[0].objective
-        assert vectorized[1] == scalar[1]
+        _assert_matches_reference(spec, 5, 32, _robust_context())
+
+    @given(grid=plan_mix_grids(max_analyses=4))
+    @settings(max_examples=10, deadline=None)
+    def test_penalties_are_never_negative(self, grid):
+        # E[inflation] >= 1, so F bounds the utility F - penalty from
+        # above and branch-and-bound may prune against the utility
+        spec, num_nodes, cores_per_node = grid
+        term = _robust_context().robustness
+        cache = StageCache()
+        cluster = make_cori_like_cluster(num_nodes)
+        rows = list(
+            iter_canonical_assignments(
+                component_core_demands(spec), num_nodes, cores_per_node
+            )
+        )[:50]
+        for row in rows:
+            evaluation = cache.evaluate_flat(spec, row, num_nodes)
+            assert term.penalty(
+                spec,
+                assignment_to_placement(spec, row, num_nodes),
+                cluster=cluster,
+                stages=evaluation.stages_by_name(spec),
+            ) >= 0.0
 
 
 class TestBranchAndBound:
@@ -251,23 +368,14 @@ class TestBranchAndBound:
     @settings(max_examples=15, deadline=None)
     def test_never_prunes_the_optimum(self, grid, chunk_size):
         spec, num_nodes, cores_per_node = grid
-        cores = component_core_demands(spec)
-        total = count_canonical_assignments(
-            cores, num_nodes, cores_per_node
-        )
-        if total == 0:
-            with pytest.raises(PlacementError):
-                find_best_placement_vectorized(
-                    spec, num_nodes, cores_per_node, chunk_size=chunk_size
-                )
-            return
         try:
-            scalar, evaluated = find_best_placement(
+            reference, evaluated = find_best_placement_reference(
                 spec, num_nodes, cores_per_node
             )
         except PlacementError:
-            # search budget above physical capacity: the scalar engine
-            # refuses the grid, and the kernel must refuse it too
+            # an empty space, or a search budget above physical
+            # capacity: the reference refuses the grid, and the kernel
+            # must refuse it too
             with pytest.raises(PlacementError):
                 find_best_placement_vectorized(
                     spec, num_nodes, cores_per_node, chunk_size=chunk_size
@@ -276,11 +384,13 @@ class TestBranchAndBound:
         result = find_best_placement_vectorized(
             spec, num_nodes, cores_per_node, chunk_size=chunk_size
         )
+        total = count_canonical_assignments(
+            component_core_demands(spec), num_nodes, cores_per_node
+        )
         assert result.scored + result.pruned == total == evaluated
-        assert result.best.placement == scalar.placement
-        assert result.best.objective == scalar.objective
-        assert result.best.ensemble_makespan == scalar.ensemble_makespan
-        assert result.best.member_indicators == scalar.member_indicators
+        _assert_same_search((result.best, result.candidates), (
+            reference, evaluated
+        ))
 
     def test_tie_heavy_grid_keeps_first_optimum(self):
         # identical members make the objective landscape massively
@@ -288,10 +398,10 @@ class TestBranchAndBound:
         # first strict optimum (pruning is strict-< only)
         spec = _tie_heavy_spec(3)
         result = find_best_placement_vectorized(spec, 4, 32, chunk_size=64)
-        scalar, evaluated = find_best_placement(spec, 4, 32)
+        reference, evaluated = find_best_placement_reference(spec, 4, 32)
         assert result.scored + result.pruned == evaluated
-        assert result.best.placement == scalar.placement
-        assert result.best.objective == scalar.objective
+        assert result.best.placement == reference.placement
+        assert result.best.objective == reference.objective
 
     def test_pruning_disabled_scores_everything(self):
         spec = _tie_heavy_spec(3)
@@ -302,9 +412,9 @@ class TestBranchAndBound:
         assert unpruned.best.placement == pruned.best.placement
         assert unpruned.best.objective == pruned.best.objective
 
-    def test_engine_routes_large_spaces_through_the_kernel(self):
+    def test_engine_routes_large_spaces_through_the_kernel(self, monkeypatch):
         # ~10k canonical candidates through the batch path, which
-        # must return the scalar engine's exact result
+        # must return the reference loop's exact result
         spec = EnsembleSpec(
             "routed",
             tuple(
@@ -312,21 +422,25 @@ class TestBranchAndBound:
                 for i in range(3)
             ),
         )
-        scalar, n_scalar = find_best_placement(spec, 8, 32)
-        fast, n_fast = find_best_placement(
-            spec, 8, 32, context=PlanningContext(vectorized=True)
-        )
-        assert n_fast == n_scalar
-        assert fast.placement == scalar.placement
-        assert fast.objective == scalar.objective
-        assert fast.ensemble_makespan == scalar.ensemble_makespan
+        reference = find_best_placement_reference(spec, 8, 32)
+        rows: list = []
+        score_chunk = VectorizedScorer.score_chunk
+
+        def counted(self, chunk, validate=False):
+            rows.append(chunk.shape[0])
+            return score_chunk(self, chunk, validate)
+
+        monkeypatch.setattr(VectorizedScorer, "score_chunk", counted)
+        fast = find_best_placement(spec, 8, 32)
+        assert sum(rows) > 0
+        _assert_same_search(fast, reference)
 
     def test_exhaustive_policy_vectorized_same_placement(self):
         spec = _tie_heavy_spec(3)
-        plain = ExhaustiveSearchPolicy()
-        fast = ExhaustiveSearchPolicy(vectorized=True)
-        assert fast.place(spec, 4, 32) == plain.place(spec, 4, 32)
-        assert fast.evaluated == plain.evaluated
+        policy = ExhaustiveSearchPolicy()
+        reference, evaluated = find_best_placement_reference(spec, 4, 32)
+        assert policy.place(spec, 4, 32) == reference.placement
+        assert policy.evaluated == evaluated
 
 
 #: one cache for every example of the route property: the kernel must
@@ -334,14 +448,33 @@ class TestBranchAndBound:
 _SHARED_CACHE = StageCache()
 
 
+#: a 1 + 3-analysis search whose winner flipped when the kernel summed
+#: a member's analysis times with a segment reduction instead of left
+#: to right (F ...537 against the reference loop's ...539)
+_THREE_ANALYSES = (
+    EnsembleSpec(
+        "mix-13",
+        (
+            default_member("m0", num_analyses=1, n_steps=4, natoms=150_000),
+            default_member("m1", num_analyses=3, n_steps=5, natoms=250_000),
+        ),
+    ),
+    3,
+    32,
+)
+
+
 class TestKernelRoute:
-    @given(grid=plan_mix_grids())
+    @given(grid=plan_mix_grids(max_analyses=4))
+    @example(grid=_THREE_ANALYSES)
     @settings(max_examples=60, deadline=None)
     def test_matches_the_scalar_engine_on_plan_mix_shapes(self, grid):
         spec, num_nodes, cores_per_node = grid
-        context = PlanningContext(vectorized=True, cache=_SHARED_CACHE)
+        context = PlanningContext(cache=_SHARED_CACHE)
         try:
-            scalar = find_best_placement(spec, num_nodes, cores_per_node)
+            reference = find_best_placement_reference(
+                spec, num_nodes, cores_per_node
+            )
         except PlacementError as exc:
             with pytest.raises(PlacementError, match=re.escape(str(exc))):
                 find_best_placement(
@@ -351,8 +484,7 @@ class TestKernelRoute:
         fast = find_best_placement(
             spec, num_nodes, cores_per_node, context=context
         )
-        assert last_search_routing()["vectorized_used"]
-        _assert_same_search(fast, scalar)
+        _assert_same_search(fast, reference)
 
     def test_empty_space_raises_before_building_a_scorer(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -360,13 +492,11 @@ class TestKernelRoute:
 
         monkeypatch.setattr(VectorizedScorer, "__init__", refuse)
         spec = _tie_heavy_spec(2)  # 2 x (16 + 8) cores never fit one node
-        with pytest.raises(PlacementError) as scalar:
-            find_best_placement(spec, 1, 32)
+        with pytest.raises(PlacementError) as reference:
+            find_best_placement_reference(spec, 1, 32)
         with pytest.raises(PlacementError) as fast:
-            find_best_placement(
-                spec, 1, 32, context=PlanningContext(vectorized=True)
-            )
-        assert str(fast.value) == str(scalar.value)
+            find_best_placement(spec, 1, 32)
+        assert str(fast.value) == str(reference.value)
 
 
 class TestPopulationMemo:
@@ -386,7 +516,7 @@ class TestPopulationMemo:
         self, monkeypatch
     ):
         spec = _mixed_spec()
-        context = PlanningContext(vectorized=True, cache=StageCache())
+        context = PlanningContext(cache=StageCache())
         first = find_best_placement(spec, 6, 32, context=context)
         calls = self._count_assessments(monkeypatch)
         second = find_best_placement(spec, 6, 32, context=context)
@@ -420,10 +550,9 @@ class TestPopulationMemo:
         )
         spec = _tie_heavy_spec(2)
         fast = find_best_placement(
-            spec, 4, 32, context=PlanningContext(vectorized=True, cache=other)
+            spec, 4, 32, context=PlanningContext(cache=other)
         )
-        assert last_search_routing()["vectorized_used"]
-        _assert_same_search(fast, find_best_placement(spec, 4, 32))
+        _assert_same_search(fast, find_best_placement_reference(spec, 4, 32))
         assert set(other.stats().values()) == {0}
         assert VectorizedScorer(spec, 4, cache=other).cache is not other
 

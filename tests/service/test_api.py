@@ -75,6 +75,11 @@ _CROWDED = placement_to_dict(
 #: a one-member candidate for the three-member spec
 _ONE_MEMBER = placement_to_dict(EnsemblePlacement(1, _SPREAD.members[:1]))
 
+#: two 16+8-core members: never both on one 32-core node
+_TWO = EnsembleSpec(
+    "api2", tuple(default_member(f"em{i}", n_steps=2) for i in range(2))
+)
+
 
 def _with(kind: str, **wire) -> dict:
     """A valid ``kind`` request on ``_THREE``, ``wire`` set on the wire."""
@@ -254,6 +259,45 @@ class TestRoutes:
             assert "error" in json.loads(resp.read())
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "wire, message",
+        [
+            ({"num_nodes": 1}, "no feasible placement over 1 nodes"),
+            (
+                {"num_nodes": 1, "cores_per_node": 48},
+                "nodes oversubscribed (capacity 32)",
+            ),
+        ],
+        ids=["no-canonical-placement", "budget-above-the-node"],
+    )
+    def test_infeasible_search_is_400(self, server, client, wire, message):
+        # the engine's closed-form refusal runs at submit, so the job
+        # is never queued to fail twice in a worker
+        body = {
+            "request": {
+                **request_to_dict(
+                    PlacementRequest(kind="search", spec=_TWO, num_nodes=2)
+                ),
+                **wire,
+            }
+        }
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.request(
+                "POST",
+                "/jobs",
+                body=json.dumps(body),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert message in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        assert client.stats()["queue"]["submitted"] == 0
 
     @pytest.mark.parametrize(
         "length, status",

@@ -27,13 +27,13 @@ def _requests_for(grids):
     """One search request per feasible grid draw (skip infeasible)."""
     requests = []
     for spec, num_nodes, cores_per_node in grids:
-        request = PlacementRequest(
-            kind="search",
-            spec=spec,
-            num_nodes=num_nodes,
-            cores_per_node=cores_per_node,
-        )
         try:
+            request = PlacementRequest(
+                kind="search",
+                spec=spec,
+                num_nodes=num_nodes,
+                cores_per_node=cores_per_node,
+            )
             execute_request(request)
         except PlacementError:
             continue

@@ -21,6 +21,7 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.search.engine import find_best_placement
+from repro.search.reference import find_best_placement_reference
 from repro.service.schemas import (
     SCHEMA_VERSION,
     PlacementRequest,
@@ -404,7 +405,13 @@ class TestCanonicalDigest:
     @settings(max_examples=20, deadline=None)
     @given(grid=search_grids())
     def test_round_trip_preserves_digest(self, grid):
-        request = _search_request(*grid)
+        try:
+            request = _search_request(*grid)
+        except PlacementError:
+            # refused at construction exactly when the search would fail
+            with pytest.raises(PlacementError):
+                find_best_placement_reference(*grid)
+            return
         rebuilt = request_from_dict(
             _json_round_trip(request_to_dict(request))
         )

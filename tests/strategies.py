@@ -152,20 +152,21 @@ def search_grids(draw):
 
 
 @st.composite
-def plan_mix_grids(draw, max_components=8):
+def plan_mix_grids(draw, max_components=8, max_analyses=2):
     """``(spec, num_nodes, cores_per_node)`` shaped like plan-mix searches.
 
-    2-4 members of 1-2 analyses each on 1-8 nodes of 32 cores. Each
-    member draws its own ``natoms``, so members usually differ (their
-    analyses share a contention class but not a content fingerprint)
-    while identical members stay reachable. At most
-    ``max_components`` components keeps the canonical space at or
-    below ~2.1k candidates.
+    2-4 members of 1-``max_analyses`` analyses each on 1-8 nodes of 32
+    cores (plan-mix itself draws 1-2; up to 4 exercises the per-member
+    sums of three or more analyses). Each member draws its own
+    ``natoms``, so members usually differ (their analyses share a
+    contention class but not a content fingerprint) while identical
+    members stay reachable. At most ``max_components`` components keeps
+    the canonical space at or below ~2.1k candidates.
     """
     pattern = draw(
-        st.lists(st.integers(1, 2), min_size=2, max_size=4).filter(
-            lambda p: len(p) + sum(p) <= max_components
-        )
+        st.lists(
+            st.integers(1, max_analyses), min_size=2, max_size=4
+        ).filter(lambda p: len(p) + sum(p) <= max_components)
     )
     spec = EnsembleSpec(
         "mix-" + "".join(map(str, pattern)),
