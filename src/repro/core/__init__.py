@@ -26,6 +26,8 @@ Contents, by paper section:
 - :mod:`repro.core.heuristic` — the §3.4 resource-provisioning
   heuristic: pick the analysis core count satisfying Eq. 4 (Idle
   Analyzer regime) that maximizes ``E``.
+- :mod:`repro.core.columns` — Eqs. 1-9 over stage columns, equal to
+  the functions above bit for bit: what the batch engines score with.
 """
 
 from repro.core.stages import (
@@ -33,7 +35,9 @@ from repro.core.stages import (
     MemberStages,
     SimulationStages,
     estimate_steady_state,
+    steady_state_rows,
 )
+from repro.core.columns import ColumnScores, score_columns
 from repro.core.insitu import (
     CouplingRegime,
     analysis_idle_time,
@@ -67,6 +71,7 @@ from repro.core.heuristic import (
 
 __all__ = [
     "AnalysisStages",
+    "ColumnScores",
     "CoreAllocationChoice",
     "CoreSweepPoint",
     "CouplingRegime",
@@ -92,6 +97,8 @@ __all__ = [
     "placement_indicator",
     "rank_by_objective",
     "resource_usage_indicator",
+    "score_columns",
     "simulation_idle_time",
+    "steady_state_rows",
     "sweep_analysis_cores",
 ]

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.util.errors import ValidationError
-from repro.util.stats import trimmed_mean
+from repro.util.stats import trim_count, trimmed_mean
 from repro.util.validation import require_in_range, require_non_negative
 
 
@@ -80,10 +82,16 @@ class MemberStages:
         return len(self.analyses)
 
 
+#: The fraction of leading steps both estimators drop as warm-up, and
+#: the fraction of the remaining samples they trim from *each* tail.
+WARMUP_FRACTION = 0.2
+TRIM_FRACTION = 0.1
+
+
 def estimate_steady_state(
     samples: Sequence[float],
-    warmup_fraction: float = 0.2,
-    trim_fraction: float = 0.1,
+    warmup_fraction: float = WARMUP_FRACTION,
+    trim_fraction: float = TRIM_FRACTION,
 ) -> float:
     """Estimate a stage's steady-state duration from per-step samples.
 
@@ -100,3 +108,24 @@ def estimate_steady_state(
     if skip >= len(values):
         skip = len(values) - 1
     return trimmed_mean(values[skip:], trim_fraction)
+
+
+def steady_state_rows(durations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`estimate_steady_state` of each row's first ``lengths[r]``
+    samples, bit for bit: rows of one length share the warm-up skip,
+    the sort and the trim, and numpy's summation order depends only on
+    the reduced axis's element count."""
+    out = np.empty(durations.shape[0])
+    for m in np.unique(lengths):
+        mask = lengths == m
+        m = int(m)
+        if m < 1:
+            raise ValidationError(
+                "estimate_steady_state requires at least one sample"
+            )
+        skip = min(int(m * WARMUP_FRACTION), m - 1)
+        rest = np.sort(durations[mask, skip:m], axis=1)
+        size = m - skip
+        k = trim_count(size, TRIM_FRACTION)
+        out[mask] = rest[:, k : size - k].mean(axis=1)
+    return out

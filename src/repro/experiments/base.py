@@ -15,7 +15,7 @@ from repro.platform.cluster import Cluster
 from repro.runtime.results import ExecutionResult
 from repro.runtime.runner import run_ensemble
 from repro.util.errors import ValidationError
-from repro.util.validation import require_non_negative, require_positive_int
+from repro.util.validation import require_in_range, require_positive_int
 
 #: the paper's measurement protocol: averaged over 5 trials.
 DEFAULT_TRIALS = 5
@@ -152,7 +152,7 @@ def run_configuration_trials(
 ) -> List[ExecutionResult]:
     """Run one configuration over trials seeded ``base_seed + t``."""
     require_positive_int("trials", trials)
-    require_non_negative("timing_noise", timing_noise)
+    require_in_range("timing_noise", timing_noise, 0.0, 1.0)
     return [
         run_configuration(
             config,

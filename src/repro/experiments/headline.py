@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.core.objective import objective_function
 from repro.experiments.base import (
     DEFAULT_N_STEPS,
     DEFAULT_NOISE,
@@ -87,20 +86,9 @@ def run_headline_extended(
     """
     from repro.components.analysis import EigenAnalysisModel
     from repro.components.simulation import MDSimulationModel
-    from repro.core.indicators import (
-        IndicatorStage,
-        MemberMeasurement,
-        apply_stages,
-    )
-    from repro.runtime.analytic import predict_member_stages
     from repro.runtime.placement import EnsemblePlacement, MemberPlacement
     from repro.runtime.spec import EnsembleSpec, MemberSpec
-
-    order = (
-        IndicatorStage.USAGE,
-        IndicatorStage.ALLOCATION,
-        IndicatorStage.PROVISIONING,
-    )
+    from repro.scheduler.objectives import score_placement
 
     def member(name: str, ana2_cores: int) -> MemberSpec:
         sim = MDSimulationModel(f"{name}.sim", cores=16)
@@ -120,21 +108,7 @@ def run_headline_extended(
             4,
             tuple(MemberPlacement(i, (i, i)) for i in range(4)),
         )
-        stages = predict_member_stages(spec, placement)
-        values = [
-            apply_stages(
-                MemberMeasurement(
-                    m.name,
-                    stages[m.name],
-                    m.total_cores,
-                    mp.to_placement_sets(),
-                ),
-                order,
-                4,
-            )
-            for m, mp in zip(spec.members, placement.members)
-        ]
-        return objective_function(values)
+        return score_placement(spec, placement).objective
 
     f_good = evaluate(0)
     rows = []

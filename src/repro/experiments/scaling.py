@@ -24,21 +24,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.indicators import (
-    IndicatorStage,
-    MemberMeasurement,
-    apply_stages,
-)
-from repro.core.insitu import member_makespan
-from repro.core.objective import objective_function
 from repro.experiments.base import ExperimentResult
-from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import (
     EnsemblePlacement,
     pack_members_per_node,
     spread_components,
 )
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.objectives import score_placement
 
 COLUMNS = [
     "members",
@@ -50,31 +43,14 @@ COLUMNS = [
 
 DEFAULT_MEMBER_COUNTS = (1, 2, 4, 8, 16)
 
-ORDER = (
-    IndicatorStage.USAGE,
-    IndicatorStage.ALLOCATION,
-    IndicatorStage.PROVISIONING,
-)
-
 
 def _evaluate(
     spec: EnsembleSpec, placement: EnsemblePlacement
 ) -> Dict[str, float]:
-    stages = predict_member_stages(spec, placement)
-    indicators: List[float] = []
-    worst = 0.0
-    for member, mp in zip(spec.members, placement.members):
-        ms = stages[member.name]
-        measurement = MemberMeasurement(
-            member.name, ms, member.total_cores, mp.to_placement_sets()
-        )
-        indicators.append(
-            apply_stages(measurement, ORDER, placement.num_nodes)
-        )
-        worst = max(worst, member_makespan(ms, member.n_steps))
+    score = score_placement(spec, placement)
     return {
-        "objective_F": objective_function(indicators),
-        "ensemble_makespan": worst,
+        "objective_F": score.objective,
+        "ensemble_makespan": score.ensemble_makespan,
     }
 
 

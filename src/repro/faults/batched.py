@@ -19,7 +19,13 @@ with *delta replay*:
    arithmetic across every row, and the sparse set of faulted stage
    instances is patched with a scalar replay of the injector's exact
    operation sequence (stall delays, straggler scaling, crash burn +
-   recovery delay in schedule order).
+   recovery delay in schedule order);
+3. every row's steady-state stages
+   (:func:`~repro.core.stages.steady_state_rows`) are scored by one
+   :func:`~repro.core.columns.score_columns` call — the Eqs. 1-9
+   reducer the search kernel shares — with each row's own candidate's
+   core counts, node count and ``CP`` (computed once per member at
+   capture).
 
 Because the DES clock only ever *adds* timeout durations to the
 current time and *maxes* event times, replaying the same additions at
@@ -65,7 +71,6 @@ True
 from __future__ import annotations
 
 import copy
-import math
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -80,17 +85,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.indicators import (
-    FINAL_STAGE_ORDER,
-    MemberMeasurement,
-    apply_stages,
-)
-from repro.core.objective import objective_function
-from repro.core.stages import (
-    AnalysisStages,
-    MemberStages,
-    SimulationStages,
-)
+from repro.core.columns import score_columns
+from repro.core.indicators import placement_indicator
+from repro.core.stages import steady_state_rows
 from repro.dtl.base import DataTransportLayer
 from repro.dtl.dimes import InMemoryStagingDTL
 from repro.faults.injector import AnalysisDropped, StageContext
@@ -108,7 +105,7 @@ from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomSource, derive_replica_seed
-from repro.util.validation import require_non_negative, require_positive_int
+from repro.util.validation import require_in_range, require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scheduler.robust import ModelFactory, RobustScore
@@ -204,7 +201,7 @@ class MemberTimeline:
     sim_step_time: float
     ana_step_times: Tuple[float, ...]
     total_cores: int
-    placement_sets: tuple
+    cp: float  # the member's placement indicator CP (Eq. 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +250,10 @@ def capture_timeline(
     each drawing its two stages per step. The durations are therefore
     the very floats a fault-free DES run would hand its ``_stage``
     choke point, and the same inputs raise the executor's typed errors
-    (negative ``timing_noise``, a bad seed, an infeasible placement).
+    (``timing_noise`` outside [0, 1], a bad seed, an infeasible
+    placement).
     """
-    require_non_negative("timing_noise", timing_noise)
+    require_in_range("timing_noise", timing_noise, 0.0, 1.0)
     cluster = cluster or make_cori_like_cluster(placement.num_nodes)
     dtl = dtl or InMemoryStagingDTL(
         network=cluster.network,
@@ -301,7 +299,7 @@ def capture_timeline(
                     a.io_time + a.compute_time for a in member.analyses
                 ),
                 total_cores=member.total_cores,
-                placement_sets=mp.to_placement_sets(),
+                cp=placement_indicator(mp.to_placement_sets()),
             )
         )
     _tally(baseline=1)
@@ -546,112 +544,6 @@ def _replay_member(
     )
 
 
-def _steady_state_rows(dur: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`estimate_steady_state` over replica rows.
-
-    Bit-identical to running the scalar estimator on each row's first
-    ``lens[r]`` samples: rows are grouped by effective length (drops
-    shorten a replica's sample list), and within a group the warm-up
-    skip, the sort, and the trim indices are shared, so one axis-sort
-    plus one axis-mean reproduces every row's scalar float (numpy's
-    pairwise summation order depends only on the element count of the
-    reduced axis, not the memory layout — asserted by the
-    batched-vs-serial parity tests).
-    """
-    out = np.empty(dur.shape[0])
-    for m in np.unique(lens):
-        mask = lens == m
-        m = int(m)
-        if m < 1:
-            raise ValidationError(
-                "estimate_steady_state requires at least one sample"
-            )
-        skip = int(m * 0.2)
-        if skip >= m:
-            skip = m - 1
-        rest = np.sort(dur[mask, skip:m], axis=1)
-        size = m - skip
-        if size < 3:
-            out[mask] = rest.mean(axis=1)
-            continue
-        k = int(math.floor(size * 0.1))
-        if 2 * k >= size:
-            k = (size - 1) // 2
-        out[mask] = rest[:, k : size - k].mean(axis=1)
-    return out
-
-
-def _score_rows(
-    timelines: Sequence[StageTimeline],
-    replays: Sequence[_MemberReplay],
-    stride: int,
-) -> Tuple[List[float], List[float]]:
-    """Per-row (objective, ensemble makespan) of the replayed runs.
-
-    Steady-state estimation (:func:`estimate_steady_state`'s warm-up
-    skip + trimmed mean) is vectorized across all rows via
-    :func:`_steady_state_rows`; the indicator pipeline and Eq. 9 then
-    run per row through the *same* library functions the serial path
-    uses — with the row's own candidate's placement sets, core count
-    and node count — so agreement is structural, not numeric luck.
-    """
-    rows = len(timelines) * stride
-    est = []
-    for mt, rep in zip(timelines[0].members, replays):
-        full = np.full(rows, mt.n_steps)
-        est.append(
-            (
-                _steady_state_rows(rep.dur_S, full),
-                _steady_state_rows(rep.dur_W, full),
-                [
-                    _steady_state_rows(rep.dur_R[j], rep.r_len[j])
-                    for j in range(len(mt.analysis_names))
-                ],
-                [
-                    _steady_state_rows(rep.dur_A[j], rep.a_len[j])
-                    for j in range(len(mt.analysis_names))
-                ],
-            )
-        )
-
-    objectives: List[float] = []
-    makespans: List[float] = []
-    for row in range(rows):
-        timeline = timelines[row // stride]
-        indicators: List[float] = []
-        spans: List[float] = []
-        for mt, rep, (sim_c, sim_w, reads, analyzes) in zip(
-            timeline.members, replays, est
-        ):
-            stages = MemberStages(
-                simulation=SimulationStages(
-                    compute=float(sim_c[row]), write=float(sim_w[row])
-                ),
-                analyses=tuple(
-                    AnalysisStages(
-                        read=float(reads[j][row]),
-                        analyze=float(analyzes[j][row]),
-                    )
-                    for j in range(len(mt.analysis_names))
-                ),
-            )
-            measurement = MemberMeasurement(
-                name=mt.name,
-                stages=stages,
-                total_cores=mt.total_cores,
-                placement=mt.placement_sets,
-            )
-            indicators.append(
-                apply_stages(
-                    measurement, FINAL_STAGE_ORDER, timeline.num_nodes
-                )
-            )
-            spans.append(float(rep.makespan[row]))
-        objectives.append(objective_function(indicators))
-        makespans.append(max(spans))
-    return objectives, makespans
-
-
 def replay_schedules(
     timelines: Sequence[StageTimeline],
     schedules: Sequence[FaultSchedule],
@@ -686,15 +578,33 @@ def replay_schedules(
             p = copy.deepcopy(policy)
             p.on_run_start()
             policies.append(p)
+    first = timelines[0].members
     replays = [
         _replay_member([t.members[m] for t in timelines], compiled, policies)
-        for m in range(len(timelines[0].members))
+        for m in range(len(first))
     ]
 
-    objectives, makespans = (
-        np.reshape(values, (-1, stride))
-        for values in _score_rows(timelines, replays, stride)
+    # each row's steady-state stages (a drop shortens an analysis's
+    # samples), scored with its own candidate's cores, CP and node count
+    def estimates(pairs):
+        return np.column_stack([steady_state_rows(d, n) for d, n in pairs])
+
+    def per_row(values):
+        return np.repeat(np.array(values, dtype=float), stride, axis=0)
+
+    steps = [np.full(len(timelines) * stride, mt.n_steps) for mt in first]
+    scores = score_columns(
+        estimates(zip((r.dur_S for r in replays), steps)),
+        estimates(zip((r.dur_W for r in replays), steps)),
+        estimates(p for r in replays for p in zip(r.dur_R, r.r_len)),
+        estimates(p for r in replays for p in zip(r.dur_A, r.a_len)),
+        couplings=[len(mt.analysis_names) for mt in first],
+        cores=per_row([[mt.total_cores for mt in t.members] for t in timelines]),
+        placement=per_row([[mt.cp for mt in t.members] for t in timelines]),
+        total_nodes=per_row([t.num_nodes for t in timelines]),
     )
+    objectives = scores.objectives.reshape(-1, stride)
+    makespans = np.max([r.makespan for r in replays], axis=0).reshape(-1, stride)
     spans = makespans[:, 1:]  # column 0 holds the baselines
     _tally(replicas=spans.size)
     return ReplayOutcome(

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from repro.core.stages import (
+    WARMUP_FRACTION,
     AnalysisStages,
     MemberStages,
     SimulationStages,
@@ -97,7 +98,7 @@ def member_stages_from_trace(
     tracer: StageTracer,
     simulation: str,
     analyses: Sequence[str],
-    warmup_fraction: float = 0.2,
+    warmup_fraction: float = WARMUP_FRACTION,
 ) -> MemberStages:
     """Estimate a member's steady-state stages from any trace.
 

@@ -53,7 +53,7 @@ from repro.runtime.results import ExecutionResult, build_result
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ProtocolError
 from repro.util.rng import RandomSource
-from repro.util.validation import require_non_negative
+from repro.util.validation import require_in_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.reschedule.controller import RescheduleController
@@ -96,8 +96,8 @@ class EnsembleExecutor:
         Seed for the timing-noise streams (one independent stream per
         component).
     timing_noise:
-        Relative half-width of per-stage multiplicative jitter
-        (0 = deterministic).
+        Relative half-width of per-stage multiplicative jitter, in
+        [0, 1] (0 = deterministic; above 1 a draw could be negative).
     stage_real_chunks:
         When True, every W/R stage also performs a real chunk
         stage/retrieve against the DTL store (small sentinel payloads),
@@ -165,7 +165,7 @@ class EnsembleExecutor:
         drift: Optional[object] = None,
         rescheduler: Optional[RescheduleController] = None,
     ) -> None:
-        require_non_negative("timing_noise", timing_noise)
+        require_in_range("timing_noise", timing_noise, 0.0, 1.0)
         self.spec = spec
         self.placement = placement
         self.cluster = cluster or make_cori_like_cluster(placement.num_nodes)

@@ -14,17 +14,20 @@ contention assessment:
 2. **Column kernels** — staging columns are lookups into tables of the
    context DTL's own ``read_cost``/``write_cost`` per (member payload,
    producer label, consumer label) plus its ``producer_progress_tax``,
-   so any network or DTL model is scored by its own methods; ``sigma*``
-   (Eq. 1), ``E`` (Eq. 3), ``P^{U,A,P}`` (Eqs. 5-8), makespans (Eq. 2)
-   and ``F = mean - std`` (Eq. 9) follow as column reductions.
+   so any network or DTL model is scored by its own methods. The stage
+   columns and each member's ``CP`` (Eq. 6, from its remote-analysis
+   count) go to :func:`~repro.core.columns.score_columns`, the Eqs. 1-9
+   reducer the fault replay scores with too, for ``sigma*``, the
+   indicators and ``F``; makespans (Eq. 2) are ``n_steps * sigma*``.
 3. **Reduction** — a first-occurrence lexicographic argmax over
    ``(F - penalty, -makespan)`` reproduces the serial loop's strict
    ``>`` tie-breaking (see :func:`argmax_batch`).
 
-Every column repeats the scalar path's float operations in its order —
-a member's analysis times and producer overheads are summed left to
-right, as ``sum()`` adds them — so each row equals
-:func:`~repro.scheduler.objectives.score_placement` bit for bit (the
+The stage columns repeat the scalar path's float operations in its
+order — producer overheads and remote counts are summed left to right
+by :func:`~repro.core.columns.member_sum`, as ``sum()`` adds them —
+and the reducer equals the scalar functions bit for bit, so each row
+equals :func:`~repro.scheduler.objectives.score_placement` (the
 differential oracle's ``vectorized`` tier, at tolerance 0.0).
 
 :func:`find_best_placement_vectorized` adds branch-and-bound: ``E <= 1``
@@ -47,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.core.columns import co_location_indicator, member_sum, score_columns
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
@@ -193,14 +197,10 @@ class VectorizedScorer:
         comp_class: List[int] = []
         comp_solo: List[float] = []
         offsets: List[int] = []
-        ana_cols: List[int] = []
-        ana_sim_col: List[int] = []
-        ana_offsets: List[int] = []
         payload_ids: Dict[float, int] = {}
         member_payload: List[int] = []
         for member in spec.members:
             offsets.append(len(comp_class))
-            ana_offsets.append(len(ana_cols))
             payload = member.simulation.payload_bytes()  # type: ignore[attr-defined]
             member_payload.append(
                 payload_ids.setdefault(payload, len(payload_ids))
@@ -225,9 +225,6 @@ class VectorizedScorer:
                     class_cores.append(model.cores)  # type: ignore[attr-defined]
                     class_members.append([])
                 class_members[cls].append(model)
-                if model is not member.simulation:
-                    ana_cols.append(len(comp_class))
-                    ana_sim_col.append(offsets[-1])
                 comp_class.append(cls)
                 comp_solo.append(model.solo_compute_time())  # type: ignore[attr-defined]
 
@@ -244,35 +241,20 @@ class VectorizedScorer:
         )
         self._offsets = np.asarray(offsets, dtype=np.int64)
         self._sim_cols = self._offsets
-        self._ana_cols = np.asarray(ana_cols, dtype=np.int64)
-        self._ana_sim_col = np.asarray(ana_sim_col, dtype=np.int64)
+        self._ana_cols = np.delete(np.arange(self.num_components), self._offsets)
         self._ana_solo = self._comp_solo[self._ana_cols]
         self._payloads = list(payload_ids)
         self._sim_payload = np.asarray(member_payload, dtype=np.int64)
-        couplings = [m.num_couplings for m in spec.members]
-        self._ana_payload = np.repeat(self._sim_payload, couplings)
-        # per-member sums run left to right over analysis columns: the
-        # first analysis of every member, then the j-th of each member
-        # that has one, as ``sum()`` adds them in the scalar path
-        self._first_ana = np.asarray(ana_offsets, dtype=np.int64)
-        self._later_ana: List[Tuple[np.ndarray, np.ndarray]] = []
-        for j in range(1, max(couplings)):
-            members = [m for m, k in enumerate(couplings) if k > j]
-            self._later_ana.append(
-                (
-                    np.asarray(members, dtype=np.int64),
-                    np.asarray(
-                        [ana_offsets[m] + j for m in members], dtype=np.int64
-                    ),
-                )
-            )
+        self._couplings = tuple(m.num_couplings for m in spec.members)
+        self._ana_sim_col = np.repeat(self._offsets, self._couplings)
+        self._ana_payload = np.repeat(self._sim_payload, self._couplings)
+        self._k = np.asarray(self._couplings, dtype=float)
         self._n_steps = np.asarray(
             [m.n_steps for m in spec.members], dtype=float
         )
         self._total_cores = np.asarray(
             [m.total_cores for m in spec.members], dtype=float
         )
-        self._k = np.asarray(couplings, dtype=float)
 
         base = len(class_ids) + 1
         if base ** max(self.num_components, 1) >= 2 ** 62:
@@ -314,13 +296,6 @@ class VectorizedScorer:
         self._overhead = overhead.ravel()
         self._write = write.ravel()
         self._labels = count
-
-    def _member_sums(self, columns: np.ndarray) -> np.ndarray:
-        """Per-member sums of ``(B, analyses)`` columns, left to right."""
-        total = columns[:, self._first_ana]
-        for members, cols in self._later_ana:
-            total[:, members] += columns[:, cols]
-        return total
 
     # -- node-signature assessment -------------------------------------------
     def _assess_code(self, code: int) -> np.ndarray:
@@ -396,7 +371,6 @@ class VectorizedScorer:
                 f"expected (B, {self.num_components}) assignments, got "
                 f"{a.shape}"
             )
-        batch, ncomp = a.shape
         if a.size and (a.min() < 0 or a.max() >= self.num_nodes):
             raise PlacementError(
                 f"node labels must lie in [0, {self.num_nodes})"
@@ -456,43 +430,30 @@ class VectorizedScorer:
         producer = a[:, self._ana_sim_col]
         remote = ana_nodes != producer
         pair = (self._ana_payload * labels + producer) * labels + ana_nodes
-        read = self._read[pair]
-        ana_active = read + self._ana_solo * dilation[:, self._ana_cols]
-        n_remote = self._member_sums(remote.astype(float))
-        s_eff = (
+        n_remote = member_sum(remote.astype(float), self._couplings)
+        compute = (
             self._comp_solo[self._sim_cols]
             * dilation[:, self._sim_cols]
             * (1.0 + self._tax * n_remote)
-            + self._member_sums(self._overhead[pair])
+            + member_sum(self._overhead[pair], self._couplings)
         )
-        sim_active = s_eff + self._write[
-            self._sim_payload * labels + sim_nodes
-        ]
 
-        # 4. member reductions: sigma* (Eq. 1), E (Eq. 3), CP (Eq. 6),
-        # the indicator product (Eqs. 5, 7, 8), makespan (Eq. 2)
-        active = np.empty((batch, ncomp), dtype=float)
-        active[:, self._sim_cols] = sim_active
-        active[:, self._ana_cols] = ana_active
-        sigma = np.maximum.reduceat(active, self._offsets, axis=1)
-        ana_sum = self._member_sums(ana_active)
-        efficiency = sim_active / sigma + ana_sum / (self._k * sigma) - 1.0
-        co_located = (1.0 / self._k) * (
-            (self._k - n_remote) + 0.5 * n_remote
+        # 4. Eqs. 1-9 over the stage columns, with CP (Eq. 6) from each
+        # member's remote-analysis count; makespan (Eq. 2) per member
+        scores = score_columns(
+            compute,
+            self._write[self._sim_payload * labels + sim_nodes],
+            self._read[pair],
+            self._ana_solo * dilation[:, self._ana_cols],
+            self._couplings,
+            self._total_cores,
+            co_location_indicator(self._k, n_remote),
+            self.num_nodes,
         )
-        indicators = (
-            (efficiency / self._total_cores) * co_located
-        ) / self.num_nodes
-        makespans = self._n_steps * sigma
-
-        # 5. Eq. 9 over the member axis
-        mean = indicators.mean(axis=1)
-        deviation = indicators - mean[:, None]
-        objectives = mean - np.sqrt(np.mean(deviation ** 2, axis=1))
         return ChunkEvaluation(
-            objectives=objectives,
-            makespans=makespans.max(axis=1),
-            indicators=indicators,
+            objectives=scores.objectives,
+            makespans=(self._n_steps * scores.sigma).max(axis=1),
+            indicators=scores.indicators,
         )
 
     def score_assignments(
@@ -522,7 +483,7 @@ def _member_bounds(spec: EnsembleSpec, cores_per_node: int) -> List[float]:
                 free -= cores
                 fit += 1
         k = member.num_couplings
-        cp_max = (1.0 / k) * (fit + 0.5 * (k - fit))
+        cp_max = co_location_indicator(k, k - fit)
         u_max.append(cp_max / member.total_cores)
     suffix = [0.0] * (len(u_max) + 1)
     for i in range(len(u_max) - 1, -1, -1):
@@ -620,10 +581,7 @@ def find_best_placement_vectorized(
             for t in range(start + 1, start + shapes[k]):
                 if assignment[t] != sim_node:
                     n_remote += 1
-            couplings = shapes[k] - 1
-            cp = (1.0 / couplings) * (
-                (couplings - n_remote) + 0.5 * n_remote
-            )
+            cp = co_location_indicator(shapes[k] - 1, n_remote)
             prefix += cp / total_cores[k]
         bound = (
             (prefix + suffix[m]) / (num_members * num_nodes)

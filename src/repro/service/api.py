@@ -18,9 +18,10 @@ matching the repo's zero-new-dependency rule. Routes:
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
 so the HTTP path serves the same floats the library computes — the
 verify subsystem's service tier holds this to tolerance 0.0. Errors
-are JSON too: 400 for malformed payloads or a negative or non-integer
-``Content-Length``, 404 for unknown ids/routes, 405 for unsupported
-methods, 413 for bodies over :data:`MAX_BODY_BYTES`.
+are JSON too: 400 for malformed payloads, a ``priority`` that is not
+a JSON integer, or a negative or non-integer ``Content-Length``, 404
+for unknown ids/routes, 405 for unsupported methods, 413 for bodies
+over :data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 
 from repro.service.schemas import request_from_dict
 from repro.service.workers import PlacementService
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, ValidationError
 
 #: the largest ``POST /jobs`` body the service reads; larger -> 413.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -218,7 +219,13 @@ def _make_handler(server: PlacementServer):
             try:
                 payload = json.loads(raw.decode("utf-8") or "{}")
                 request = request_from_dict(payload["request"])
-                priority = int(payload.get("priority", 0))
+                priority = payload.get("priority", 0)
+                # not int(): it truncates 1.5, takes "3" and true, overflows on inf
+                if type(priority) is not int:
+                    raise ValidationError(
+                        "priority must be an integer, got "
+                        f"{type(priority).__name__}"
+                    )
                 job = service.submit(request, priority=priority)
             except (ReproError, KeyError, TypeError, ValueError) as exc:
                 self._error(400, f"bad request: {exc}")

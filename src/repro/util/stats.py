@@ -44,12 +44,17 @@ def trimmed_mean(values: Sequence[float], trim_fraction: float = 0.1) -> float:
     arr = np.sort(np.asarray(list(values), dtype=float))
     if arr.size == 0:
         raise ValidationError("trimmed_mean requires at least one value")
-    if arr.size < 3 or trim_fraction == 0:
-        return float(arr.mean())
-    k = int(math.floor(arr.size * trim_fraction))
-    if 2 * k >= arr.size:
-        k = (arr.size - 1) // 2
+    k = trim_count(arr.size, trim_fraction)
     return float(arr[k : arr.size - k].mean())
+
+
+def trim_count(size: int, trim_fraction: float) -> int:
+    """How many of ``size`` sorted values :func:`trimmed_mean` drops
+    from *each* tail: none below three values, never all of them."""
+    if size < 3 or trim_fraction == 0:
+        return 0
+    k = int(math.floor(size * trim_fraction))
+    return (size - 1) // 2 if 2 * k >= size else k
 
 
 @dataclass

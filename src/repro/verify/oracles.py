@@ -44,13 +44,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.indicators import (
-    FINAL_STAGE_ORDER,
-    MemberMeasurement,
-    apply_stages,
-)
+from repro.core.indicators import FINAL_STAGE_ORDER
 from repro.core.insitu import non_overlapped_segment
-from repro.core.objective import objective_function
 from repro.core.stages import MemberStages
 from repro.dtl.base import DataTransportLayer
 from repro.faults.models import FailureModel, NoFailureModel
@@ -517,8 +512,12 @@ def run_differential_oracle(
         spec, placement, cluster=cluster, dtl=dtl, seed=seed, timing_noise=0.0
     )
     des_indicators = result.indicator_values(FINAL_STAGE_ORDER)
-    analytic_indicators: Dict[str, float] = {}
-    for member, member_result in zip(spec.members, result.members):
+    analytic_score = score_placement(
+        spec, placement, stages=analytic, context=platform
+    )
+    for member, member_result, indicator in zip(
+        spec.members, result.members, analytic_score.member_indicators
+    ):
         pred = analytic[member.name]
         meas = member_result.stages
         pred_floats = dict(_stage_floats(pred))
@@ -543,25 +542,12 @@ def run_differential_oracle(
                 tolerance=tol["makespan"],
             )
         )
-        measurement = MemberMeasurement(
-            name=member.name,
-            stages=pred,
-            total_cores=member.total_cores,
-            placement=next(
-                mp.to_placement_sets()
-                for m, mp in zip(spec.members, placement.members)
-                if m.name == member.name
-            ),
-        )
-        analytic_indicators[member.name] = apply_stages(
-            measurement, FINAL_STAGE_ORDER, placement.num_nodes
-        )
         checks.append(
             MetricCheck(
                 scope=member.name,
                 metric="indicator",
                 paths="analytic-vs-des",
-                reference=analytic_indicators[member.name],
+                reference=indicator,
                 candidate=des_indicators[member.name],
                 tolerance=tol["indicator"],
             )
@@ -571,7 +557,7 @@ def run_differential_oracle(
             scope="ensemble",
             metric="objective",
             paths="analytic-vs-des",
-            reference=objective_function(list(analytic_indicators.values())),
+            reference=analytic_score.objective,
             candidate=result.objective(FINAL_STAGE_ORDER),
             tolerance=tol["objective"],
         )

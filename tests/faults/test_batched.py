@@ -47,6 +47,7 @@ from repro.runtime.placement import (
     EnsemblePlacement,
     MemberPlacement,
     pack_members_per_node,
+    spread_components,
 )
 from repro.runtime.runner import run_ensemble
 from repro.runtime.spec import EnsembleSpec, default_member
@@ -116,6 +117,43 @@ class TestExactParity:
             placement,
             crash_straggler_factory(0.25),
             policy_cls(),
+            **common,
+        )
+        _assert_scores_equal(serial, batched)
+
+    @pytest.mark.parametrize(
+        "layout", [pack_members_per_node, spread_components]
+    )
+    def test_nine_members_replay_exactly(self, layout):
+        # numpy sums 8 or more elements in unrolled blocks, so Eq. 9's
+        # member-axis means change scheme past eight members; unequal
+        # members and noise keep the nine indicators apart
+        wide = EnsembleSpec(
+            "wide",
+            tuple(
+                default_member(
+                    f"em{i}",
+                    num_analyses=1 + i % 2,
+                    n_steps=6,
+                    natoms=150_000 + 25_000 * i,
+                )
+                for i in range(9)
+            ),
+        )
+        placement = layout(wide)
+        common = dict(trials=6, base_seed=11, timing_noise=0.05)
+        serial = robust_score_placement(
+            wide,
+            placement,
+            crash_straggler_factory(0.25),
+            RetryBackoffPolicy(),
+            **common,
+        )
+        batched = batched_score_placement(
+            wide,
+            placement,
+            crash_straggler_factory(0.25),
+            RetryBackoffPolicy(),
             **common,
         )
         _assert_scores_equal(serial, batched)
@@ -531,7 +569,12 @@ class TestDesFreeCapture:
 
     @pytest.mark.parametrize(
         "noise, seed, match",
-        [(-0.1, 0, "timing_noise"), (0.0, -1, "seed"), (0.1, 1.5, "seed")],
+        [
+            (-0.1, 0, "timing_noise"),
+            (0.0, -1, "seed"),
+            (0.1, 1.5, "seed"),
+            (1.5, 0, "timing_noise"),
+        ],
     )
     def test_bad_input_raises_the_executors_errors(
         self, spec, placement, noise, seed, match

@@ -70,6 +70,17 @@ class TestExecution:
                 two_member_spec, colocated_placement, timing_noise=-0.1
             )
 
+    def test_noise_above_one_rejected_before_any_work(
+        self, two_member_spec, colocated_placement
+    ):
+        # a half-width above 1 could draw a negative stage duration
+        # mid-run; the bound refuses it at construction instead
+        with pytest.raises(ValidationError, match="timing_noise"):
+            EnsembleExecutor(
+                two_member_spec, colocated_placement, timing_noise=1.5
+            )
+        EnsembleExecutor(two_member_spec, colocated_placement, timing_noise=1.0)
+
 
 class TestProtocolOrdering:
     """The synchronous no-buffering protocol of §2.1/§3.1."""

@@ -291,6 +291,47 @@ class TestScoreAgreement:
             VectorizedScorer(_tie_heavy_spec(20), 40)
         VectorizedScorer(_tie_heavy_spec(19), 38)  # 3^38 < 2^62
 
+    @given(
+        couplings=st.lists(st.integers(1, 2), min_size=8, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_eight_or_more_members_are_exact(self, couplings, seed):
+        # numpy sums 8 or more elements in unrolled blocks, so the
+        # member-axis means of Eq. 9 change scheme here; identical
+        # component models keep two classes, so the int64 signature
+        # code of up to 36 components cannot overflow; with two nodes
+        # per member a random greedy row always finds room
+        spec = EnsembleSpec(
+            "wide",
+            tuple(
+                default_member(f"em{i}", num_analyses=k, n_steps=4 + i)
+                for i, k in enumerate(couplings)
+            ),
+        )
+        num_nodes = 2 * len(couplings)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(40):
+            free = [32] * num_nodes
+            row = []
+            for cores in component_core_demands(spec):
+                fits = [n for n in range(num_nodes) if free[n] >= cores]
+                node = fits[int(rng.integers(len(fits)))]
+                free[node] -= cores
+                row.append(node)
+            rows.append(row)
+        batch = VectorizedScorer(spec, num_nodes).score_assignments(rows)
+        for i, row in enumerate(rows):
+            scalar = score_placement(
+                spec, assignment_to_placement(spec, row, num_nodes)
+            )
+            assert float(batch.objectives[i]) == scalar.objective
+            assert float(batch.makespans[i]) == scalar.ensemble_makespan
+            assert tuple(batch.indicators[i].tolist()) == (
+                scalar.member_indicators
+            )
+
     def test_labels_beyond_the_canonical_range_are_exact(self):
         # explicit placements may use any label below the budget; the
         # staging tables grow to cover them

@@ -229,6 +229,10 @@ class TestRoutes:
                     },
                 )
             },
+            {"request": request_to_dict(_search()), "priority": INF},
+            {"request": request_to_dict(_search()), "priority": 1.5},
+            {"request": request_to_dict(_search()), "priority": "3"},
+            {"request": request_to_dict(_search()), "priority": True},
         ],
         ids=[
             "request-list", "request-string", "candidates-list",
@@ -239,6 +243,8 @@ class TestRoutes:
             "drift-start-float", "drift-magnitude-nan", "threshold-nan",
             "min-gain-nan", "score-placement-oversubscribed",
             "rank-candidate-oversubscribed", "rank-candidate-member-count",
+            "priority-inf", "priority-float", "priority-string",
+            "priority-bool",
         ],
     )
     def test_wrong_typed_or_non_finite_fields_are_400(self, server, body):
