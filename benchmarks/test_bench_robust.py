@@ -21,6 +21,7 @@ from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.robust import (
     crash_straggler_factory,
     rank_placements_robust,
+    robust_score_placement,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +74,7 @@ def test_bench_batched_ranking(benchmark):
     spec = _spec()
     candidates = _candidates(spec)
     factory = crash_straggler_factory(0.08)
-    common = dict(trials=TRIALS, base_seed=0, method="des")
+    common = dict(trials=TRIALS, base_seed=0)
 
     batched = benchmark(
         lambda: rank_placements_robust(
@@ -81,18 +82,26 @@ def test_bench_batched_ranking(benchmark):
             candidates,
             factory,
             RetryBackoffPolicy(),
-            engine="batched",
+            method="des",
             **common,
         )
     )
 
-    serial = rank_placements_robust(
-        spec,
-        candidates,
-        factory,
-        RetryBackoffPolicy(),
-        engine="serial",
-        **common,
+    # the serial DES reference: one robust_score_placement per
+    # candidate, best first
+    serial = sorted(
+        (
+            robust_score_placement(
+                spec,
+                placement,
+                factory,
+                RetryBackoffPolicy(),
+                name=name,
+                **common,
+            )
+            for name, placement in candidates.items()
+        ),
+        reverse=True,
     )
     assert [b.name for b in batched] == [s.name for s in serial]
     for b, s in zip(batched, serial):

@@ -3,7 +3,7 @@
 Times canonical enumeration, the cached exhaustive engine, scoring
 through a shared cache, the vectorized branch-and-bound search (against
 the scalar reference loop it replaced), and incremental annealing
-against the preserved seed implementations —
+(against the seed annealer) against the preserved seed implementations —
 asserting bit-identical results (same winners, same floats to 1e-12,
 same candidate counts) alongside the speedups.
 ``scripts/bench_search.py`` records the same comparison to
@@ -19,6 +19,7 @@ from repro.scheduler.objectives import score_placement
 from repro.search import find_best_placement
 from repro.search.cache import StageCache
 from repro.search.reference import (
+    anneal_reference,
     enumerate_placements_reference,
     find_best_placement_reference,
 )
@@ -144,14 +145,14 @@ def test_bench_incremental_annealing(benchmark):
     )
 
     def run_incremental():
-        policy = SimulatedAnnealingPolicy(incremental=True, **kwargs)
+        policy = SimulatedAnnealingPolicy(**kwargs)
         return policy.place(spec, NUM_NODES, CORES), policy.stats
 
     placement, stats = benchmark(run_incremental)
 
     t0 = time.perf_counter()
-    full = SimulatedAnnealingPolicy(incremental=False, **kwargs)
-    full_placement = full.place(spec, NUM_NODES, CORES)
+    full = SimulatedAnnealingPolicy(**kwargs)
+    full_placement = anneal_reference(full, spec, NUM_NODES, CORES)
     t_full = time.perf_counter() - t0
 
     assert placement == full_placement

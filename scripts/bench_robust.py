@@ -4,13 +4,15 @@
 One measurement with a built-in exactness check: rank the same
 candidate placements under the same failure model and recovery policy
 
-- **serially** — :func:`repro.scheduler.robust.rank_placements_robust`
-  with ``engine="serial"``, re-simulating every fault replica as a
-  full discrete-event execution (the seed path);
-- **batched** — ``engine="batched"``, no DES run at all: each
-  candidate's fault-free stage timeline is built from its effective
-  stages, and every candidate's baseline plus fault schedules are
-  delta-replayed in one sweep (:mod:`repro.faults.batched`).
+- **serially** — :func:`repro.scheduler.robust.robust_score_placement`
+  per candidate, sorted best first, re-simulating every fault replica
+  as a full discrete-event execution (the seed path, kept as the
+  reference);
+- **batched** — :func:`repro.scheduler.robust.rank_placements_robust`
+  with ``method="des"``, no DES run at all: each candidate's
+  fault-free stage timeline is built from its effective stages, and
+  every candidate's baseline plus fault schedules are delta-replayed
+  in one sweep (:mod:`repro.faults.batched`).
 
 Retry recovery is exactly replayable, so before any speedup is
 reported every candidate's robust objective, ideal objective, mean
@@ -60,6 +62,7 @@ from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
 from repro.scheduler.robust import (  # noqa: E402
     crash_straggler_factory,
     rank_placements_robust,
+    robust_score_placement,
 )
 from repro.verify.oracles import (  # noqa: E402
     DivergenceReport,
@@ -129,23 +132,34 @@ def _timed_des_runs(rank) -> tuple:
         EnsembleExecutor.run = original
 
 
+def _serial_ranking(spec, candidates, factory, policy, **common) -> list:
+    """Serial DES trials per candidate, best first: the reference."""
+    return sorted(
+        (
+            robust_score_placement(
+                spec, placement, factory, policy, name=name, **common
+            )
+            for name, placement in candidates.items()
+        ),
+        reverse=True,
+    )
+
+
 def bench_ranking(trials: int, n_steps: int) -> tuple:
     """Serial vs batched robust ranking of one candidate shortlist."""
     spec = _spec(n_steps)
     candidates = _candidates(spec)
     factory = crash_straggler_factory(FAULT_RATE)
     policy = RetryBackoffPolicy()
-    common = dict(trials=trials, base_seed=0, method="des")
+    common = dict(trials=trials, base_seed=0)
 
     serial, t_serial, serial_runs = _timed_des_runs(
-        lambda: rank_placements_robust(
-            spec, candidates, factory, policy, engine="serial", **common
-        )
+        lambda: _serial_ranking(spec, candidates, factory, policy, **common)
     )
     reset_engine_counters()
     batched, t_batched, batched_runs = _timed_des_runs(
         lambda: rank_placements_robust(
-            spec, candidates, factory, policy, engine="batched", **common
+            spec, candidates, factory, policy, method="des", **common
         )
     )
     counters = engine_counters()
@@ -210,15 +224,13 @@ def run(smoke: bool) -> dict:
     # warm both code paths so the timings compare steady-state costs
     warm_spec = _spec(4)
     warm_candidates = {"warm": next(iter(_candidates(warm_spec).values()))}
-    for engine in ("serial", "batched"):
-        rank_placements_robust(
+    for rank in (_serial_ranking, rank_placements_robust):
+        rank(
             warm_spec,
             warm_candidates,
             crash_straggler_factory(FAULT_RATE),
             RetryBackoffPolicy(),
             trials=1,
-            method="des",
-            engine=engine,
         )
 
     ranking, report = bench_ranking(trials, n_steps)

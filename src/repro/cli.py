@@ -640,6 +640,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.reschedule.drift import DEFAULT_DRIFT_CAP
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Workflow-ensemble performance indicators "
@@ -808,7 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resched.add_argument(
         "--drift-magnitude", type=float, default=2.5,
-        help="inflation factor (step) or per-step increment (ramp)",
+        help="inflation factor (step) or per-step increment (ramp); "
+        f"either inflation saturates at x{DEFAULT_DRIFT_CAP:g}, so a "
+        "larger step factor runs as the cap",
     )
     p_resched.add_argument("--drift-start", type=int, default=4)
     p_resched.add_argument(

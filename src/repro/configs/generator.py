@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.search.canonical import (
@@ -27,7 +25,6 @@ from repro.search.canonical import (
     count_canonical_assignments,
     count_raw_assignments,
     enumerate_canonical_placements,
-    iter_assignment_chunks,
 )
 from repro.search.reference import enumerate_placements_reference
 from repro.util.validation import require_positive_int
@@ -61,32 +58,6 @@ def enumerate_placements(
     # the reference product walk is the natural enumeration for it
     return enumerate_placements_reference(
         spec, num_nodes, cores_per_node, dedup_symmetric=False
-    )
-
-
-def enumerate_placement_arrays(
-    spec: EnsembleSpec,
-    num_nodes: int,
-    cores_per_node: int,
-    chunk_size: int = 8192,
-) -> Iterator[np.ndarray]:
-    """Array mode of :func:`enumerate_placements` (dedup always on).
-
-    Yields ``(B, C)`` int arrays of flat component-to-node assignments
-    (member-major, simulation first, as
-    :func:`~repro.search.canonical.component_core_demands` orders
-    components). Concatenating the chunks row by row reproduces the
-    canonical placement stream exactly — row ``r`` materializes to the
-    ``r``-th placement of ``enumerate_placements(...)`` via
-    :func:`~repro.search.canonical.assignment_to_placement` — but the
-    rows feed :class:`~repro.search.vectorized.VectorizedScorer`
-    directly, without ever building placement objects.
-    """
-    return iter_assignment_chunks(
-        component_core_demands(spec),
-        num_nodes,
-        cores_per_node,
-        chunk_size=chunk_size,
     )
 
 

@@ -45,7 +45,7 @@ from repro.scheduler.objectives import PlacementScore
 from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
 from repro.util.errors import PlacementError, ValidationError
-from repro.util.validation import require_positive_int
+from repro.util.validation import require_non_negative, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,7 @@ class ClusterObjective:
 
     def __post_init__(self) -> None:
         for name in ("utility_weight", "fairness_weight", "deadline_weight"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValidationError(
-                    f"{name} must be >= 0, got {value!r}"
-                )
+            require_non_negative(name, getattr(self, name))
         if (
             self.utility_weight == 0.0
             and self.fairness_weight == 0.0

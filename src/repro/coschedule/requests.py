@@ -22,7 +22,10 @@ from typing import Optional, Tuple
 
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.util.errors import ValidationError
-from repro.util.validation import require_positive_int
+from repro.util.validation import (
+    require_non_negative_int,
+    require_positive_int,
+)
 
 #: Valid membership-event actions.
 MEMBERSHIP_ACTIONS: Tuple[str, ...] = ("join", "leave")
@@ -100,9 +103,10 @@ class EnsembleRequest:
         placement cannot meet it, and the cluster objective's
         deadline-miss penalty prices predicted lateness.
     priority:
-        Non-negative weight class; ``weight`` (``1 + priority``) scales
-        this ensemble's F(P) in the weighted-sum objective, and queued
-        requests dequeue highest-priority-first.
+        Non-negative integer weight class; ``weight``
+        (``1 + priority``) scales this ensemble's F(P) in the
+        weighted-sum objective, and queued requests dequeue
+        highest-priority-first.
     min_nodes / max_nodes:
         Bounds on the node grant the allocator may hand this ensemble.
     membership:
@@ -132,10 +136,7 @@ class EnsembleRequest:
                 raise ValidationError(
                     f"deadline must be > 0 seconds, got {self.deadline!r}"
                 )
-        if self.priority < 0:
-            raise ValidationError(
-                f"priority must be >= 0, got {self.priority!r}"
-            )
+        require_non_negative_int("priority", self.priority)
         require_positive_int("min_nodes", self.min_nodes)
         if self.max_nodes is not None:
             require_positive_int("max_nodes", self.max_nodes)

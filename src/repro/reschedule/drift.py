@@ -15,8 +15,9 @@ Drift kinds
 -----------
 ``STEP``
     From ``start_step`` on, stage times on the node are inflated by a
-    constant ``magnitude`` factor (> 1) — a neighbour job landed, a
-    core went into thermal throttling.
+    constant ``magnitude`` factor (> 1, saturating at ``cap`` like a
+    ramp) — a neighbour job landed, a core went into thermal
+    throttling.
 ``RAMP``
     From ``start_step`` on, the inflation grows linearly by
     ``magnitude`` per step (saturating at ``cap``) — creeping
@@ -46,6 +47,12 @@ DRIFT_STAGES: Tuple[str, ...] = ("S", "W", "R", "A")
 #: default stages a drift event inflates: the compute stages.
 DEFAULT_DRIFT_STAGES: Tuple[str, ...] = ("S", "A")
 
+#: default saturation of a drift event's inflation factor. The
+#: placement service and the CLI build events with this cap, so the
+#: service refuses a step magnitude above it instead of silently
+#: running it as the cap.
+DEFAULT_DRIFT_CAP: float = 4.0
+
 
 class DriftKind(enum.Enum):
     """The drift shapes the executor understands."""
@@ -60,14 +67,16 @@ class DriftEvent:
 
     ``magnitude`` semantics depend on ``kind``: for ``STEP`` it is the
     constant inflation factor (> 1); for ``RAMP`` it is the per-step
-    inflation increment (> 0), saturating at ``cap``.
+    inflation increment (> 0). Both kinds saturate at ``cap``: a step
+    magnitude above the cap runs as the cap, exactly like a ramp that
+    has climbed past it.
     """
 
     node: int
     kind: DriftKind
     start_step: int
     magnitude: float
-    cap: float = 4.0
+    cap: float = DEFAULT_DRIFT_CAP
     stages: Tuple[str, ...] = DEFAULT_DRIFT_STAGES
 
     def __post_init__(self) -> None:

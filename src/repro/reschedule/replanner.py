@@ -44,6 +44,12 @@ from repro.runtime.effective import compute_effective_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
+from repro.search.canonical import (
+    assignment_to_placement,
+    component_core_demands,
+    node_core_demands,
+    placement_to_assignment,
+)
 from repro.util.validation import require_non_negative
 
 
@@ -150,10 +156,7 @@ class Replanner:
         self.min_gain = min_gain
         self.max_passes = max_passes
         self.cost_model = MigrationCostModel(dtl)
-        self._component_cores: List[int] = []
-        for member in spec.members:
-            self._component_cores.append(member.simulation.cores)
-            self._component_cores.extend(a.cores for a in member.analyses)
+        self._component_cores = component_core_demands(spec)
 
     # -- calibrated evaluation ---------------------------------------------
     def _remaining(
@@ -187,11 +190,9 @@ class Replanner:
         memo: Dict[EnsemblePlacement, float],
     ) -> EnsemblePlacement:
         """Greedy best-single-move descent on calibrated remaining time."""
-        flatten = SimulatedAnnealingPolicy._flatten
-        unflatten = SimulatedAnnealingPolicy._unflatten
         num_nodes = start.num_nodes
-        flat = flatten(self.spec, start)
-        demand = SimulatedAnnealingPolicy._demand(self.spec, flat)
+        flat = placement_to_assignment(start)
+        demand = node_core_demands(self._component_cores, flat)
         best_value = self._remaining(start, slowdown, remaining_steps, memo)
         for _ in range(self.max_passes):
             best_move: Optional[Tuple[int, int]] = None
@@ -205,7 +206,7 @@ class Replanner:
                         continue
                     flat[idx] = node
                     value = self._remaining(
-                        unflatten(self.spec, flat, num_nodes),
+                        assignment_to_placement(self.spec, flat, num_nodes),
                         slowdown,
                         remaining_steps,
                         memo,
@@ -221,7 +222,7 @@ class Replanner:
             demand[flat[idx]] -= cores
             demand[node] = demand.get(node, 0) + cores
             flat[idx] = node
-        return unflatten(self.spec, flat, num_nodes)
+        return assignment_to_placement(self.spec, flat, num_nodes)
 
     def _candidates(
         self,

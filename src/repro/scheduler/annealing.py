@@ -4,7 +4,8 @@ Exhaustive search grows as ``nodes^components``; the greedy policy is
 fast but member-at-a-time. For large ensembles (many members, K > 1)
 this module provides a classic annealer over the placement space:
 
-- **state**: a feasible component-to-node assignment;
+- **state**: a feasible component-to-node assignment, in the flat
+  format of :mod:`repro.search.canonical`;
 - **move**: relocate one uniformly chosen component to a random node
   with capacity (swap-free moves keep feasibility trivially);
 - **energy**: ``-F(P^{U,A,P})`` via the analytic predictor — or, with
@@ -13,6 +14,16 @@ this module provides a classic annealer over the placement space:
   objective against fault-domain fragility (node-level failure models
   make the penalty placement-dependent: co-location fuses domains);
 - **schedule**: geometric cooling with per-temperature plateaus.
+
+Every move is scored by delta evaluation through a
+:class:`~repro.search.cache.StageCache`: only members touching the two
+nodes a move changes are re-signed, and a transposition table scores
+each visited state once. The seed annealer, which re-scores every
+candidate in full through :func:`~repro.scheduler.objectives
+.score_placement`, lives on as :func:`repro.search.reference
+.anneal_reference`; the parity tests and ``scripts/bench_search.py``
+hold this loop to its trajectory move for move. Nothing at runtime
+calls the reference.
 
 Deterministic given the seed. The tests verify it matches the
 exhaustive optimum on paper-sized problems and beats greedy-breaking
@@ -27,14 +38,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.objective import objective_function
 from repro.faults.analytic import RobustnessTerm
-from repro.platform.cluster import Cluster
-from repro.platform.specs import make_cori_like_cluster
-from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext
-from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import RandomPolicy, SchedulingPolicy
 from repro.search.cache import FlatEvaluation, StageCache
+from repro.search.canonical import (
+    assignment_to_placement,
+    component_core_demands,
+    node_core_demands,
+    placement_to_assignment,
+)
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomSource
 from repro.util.validation import (
@@ -72,13 +85,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         Optional :class:`~repro.faults.analytic.RobustnessTerm`; when
         given, the annealer maximizes the penalized utility instead of
         the raw objective.
-    incremental:
-        Use delta evaluation (default): a move changes the residents
-        of exactly two nodes, so only members touching those nodes are
-        re-predicted; every other member's cached stage and indicator
-        terms carry over. The trajectory is bit-identical to full
-        re-scoring (same floats, same RNG draws, same placements) —
-        set ``False`` to force the original score-everything path.
     cache:
         Optional :class:`~repro.search.cache.StageCache` to share
         across runs; a fresh default-context cache is built per
@@ -99,9 +105,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
     robust_trials / robust_base_seed:
         Replicas per elite candidate and their base seed (common
         random numbers pair the draws across candidates).
-    robust_engine:
-        ``"batched"`` (default) replays fault replicas against one
-        captured baseline per candidate; ``"serial"`` re-simulates.
     """
 
     name = "simulated-annealing"
@@ -114,14 +117,12 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         plateau: int = 100,
         min_temperature_ratio: float = 1e-3,
         robustness: Optional[RobustnessTerm] = None,
-        incremental: bool = True,
         cache: Optional[StageCache] = None,
         robust_rank_top: int = 0,
         robust_model_factory=None,
         robust_policy=None,
         robust_trials: int = 4,
         robust_base_seed: int = 0,
-        robust_engine: str = "batched",
     ) -> None:
         self.rng = RandomSource(seed, name="annealer")
         self.initial_temperature = require_positive(
@@ -136,7 +137,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
             "min_temperature_ratio", min_temperature_ratio
         )
         self.robustness = robustness
-        self.incremental = bool(incremental)
         self.cache = cache
         if robust_rank_top:
             require_positive_int("robust_rank_top", robust_rank_top)
@@ -145,14 +145,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                     "robust_rank_top > 0 requires robust_model_factory "
                     "and robust_policy"
                 )
-            from repro.scheduler.robust import RANK_ENGINES
-
-            if robust_engine not in RANK_ENGINES:
-                valid = ", ".join(repr(e) for e in RANK_ENGINES)
-                raise ValidationError(
-                    f"unknown robust_engine {robust_engine!r}; "
-                    f"valid engines: {valid}"
-                )
         self.robust_rank_top = int(robust_rank_top)
         self.robust_model_factory = robust_model_factory
         self.robust_policy = robust_policy
@@ -160,51 +152,11 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
             "robust_trials", robust_trials
         )
         self.robust_base_seed = robust_base_seed
-        self.robust_engine = robust_engine
         #: RobustScore list from the last refinement pass (empty when
         #: refinement is off or ``place`` has not run yet).
         self.last_robust_ranking: List = []
         self.stats = AnnealingStats()
         self._elite: Dict[Tuple[int, ...], float] = {}
-
-    # -- state helpers --------------------------------------------------------
-    @staticmethod
-    def _flatten(
-        spec: EnsembleSpec, placement: EnsemblePlacement
-    ) -> List[int]:
-        nodes: List[int] = []
-        for mp in placement.members:
-            nodes.append(mp.simulation_node)
-            nodes.extend(mp.analysis_nodes)
-        return nodes
-
-    @staticmethod
-    def _unflatten(
-        spec: EnsembleSpec, flat: List[int], num_nodes: int
-    ) -> EnsemblePlacement:
-        members: List[MemberPlacement] = []
-        cursor = 0
-        for member in spec.members:
-            shape = 1 + member.num_couplings
-            chunk = flat[cursor : cursor + shape]
-            cursor += shape
-            members.append(MemberPlacement(chunk[0], tuple(chunk[1:])))
-        return EnsemblePlacement(num_nodes, tuple(members))
-
-    @staticmethod
-    def _demand(
-        spec: EnsembleSpec, flat: List[int]
-    ) -> Dict[int, int]:
-        demand: Dict[int, int] = {}
-        cursor = 0
-        for member in spec.members:
-            for cores in [member.simulation.cores] + [
-                a.cores for a in member.analyses
-            ]:
-                node = flat[cursor]
-                demand[node] = demand.get(node, 0) + cores
-                cursor += 1
-        return demand
 
     # -- elite pool -----------------------------------------------------------
     def _note_elite(self, utility: float, flat: List[int]) -> None:
@@ -233,7 +185,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         refinement can only replace it with a state that scores at
         least as well under the failure model.
         """
-        best_placement = self._unflatten(spec, best_flat, num_nodes)
+        best_placement = assignment_to_placement(spec, best_flat, num_nodes)
         if not self.robust_rank_top:
             self.last_robust_ranking = []
             return best_placement
@@ -245,7 +197,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
             self._elite.items(), key=lambda item: item[1], reverse=True
         )[: self.robust_rank_top]
         candidates = {
-            f"elite-{rank}": self._unflatten(spec, list(key), num_nodes)
+            f"elite-{rank}": assignment_to_placement(spec, key, num_nodes)
             for rank, (key, _) in enumerate(pool)
         }
         best_key = tuple(best_flat)
@@ -261,9 +213,76 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
             trials=self.robust_trials,
             base_seed=self.robust_base_seed,
             method="des",
-            engine=self.robust_engine,
         )
         return self.last_robust_ranking[0].placement
+
+    def initial_assignment(
+        self,
+        spec: EnsembleSpec,
+        num_nodes: int,
+        cores_per_node: int,
+        initial_placement: Optional[EnsemblePlacement] = None,
+    ) -> List[int]:
+        """Begin one anneal and return its start state.
+
+        Validates the budget, resets ``stats`` and the elite pool, and
+        returns the flat assignment of ``initial_placement`` (validated
+        against the budget) or, when it is omitted, of a random
+        feasible placement drawn from this policy's RNG stream.
+        :meth:`place` and the seed annealer
+        (:func:`~repro.search.reference.anneal_reference`) both start
+        here, so their RNG streams stay aligned.
+        """
+        require_positive_int("num_nodes", num_nodes)
+        self._check_total_capacity(spec, num_nodes, cores_per_node)
+        self.stats = AnnealingStats()
+        self._elite = {}
+        if initial_placement is not None:
+            if initial_placement.num_nodes != num_nodes:
+                raise ValidationError(
+                    f"initial_placement spans "
+                    f"{initial_placement.num_nodes} nodes, expected "
+                    f"{num_nodes}"
+                )
+            initial_placement.validate_against(spec, cores_per_node)
+            start = initial_placement
+        else:
+            # start from a random feasible state (reusing the random
+            # policy's retry logic, seeded from our stream)
+            start = RandomPolicy(
+                seed=int(self.rng.generator.integers(0, 2**31))
+            ).place(spec, num_nodes, cores_per_node)
+        return placement_to_assignment(start)
+
+    def _utility_of(
+        self,
+        spec: EnsembleSpec,
+        evaluation: FlatEvaluation,
+        flat: List[int],
+        num_nodes: int,
+        objective_memo: Dict[Tuple[float, ...], float],
+    ) -> float:
+        """The move-acceptance utility from a cached flat evaluation.
+
+        Mirrors ``score_placement(...).utility`` exactly: same
+        objective aggregation, and — with a robustness term — the same
+        surrogate penalty over the same (cached, bit-identical) stage
+        predictions. F is memoized on the indicator tuple (many states
+        share one); the penalty depends on the placement, so it is not.
+        """
+        indicator_key = tuple(evaluation.indicators)
+        objective = objective_memo.get(indicator_key)
+        if objective is None:
+            objective = objective_function(evaluation.indicators)
+            objective_memo[indicator_key] = objective
+        if self.robustness is None:
+            return objective
+        penalty = self.robustness.penalty(
+            spec,
+            assignment_to_placement(spec, flat, num_nodes),
+            stages=evaluation.stages_by_name(spec),
+        )
+        return objective - penalty
 
     def place(
         self,
@@ -281,54 +300,48 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         preserves the seeded random start bit for bit (the warm start
         skips the start-state RNG draw entirely, so the move sequence
         itself is still the seed's).
+
+        A move relocates one component from ``old_node`` to
+        ``new_node``; only members with a component on either node need
+        new signatures (and, on a cache miss, new predictions) — the
+        rest of the evaluation carries over unchanged. Utilities,
+        acceptance decisions, and RNG draws are bit-identical to the
+        seed annealer's full re-scoring, which the parity tests assert
+        move for move.
+
+        An anneal revisits the same few states over and over (a
+        re-planner's ~2 000 moves land on 500-650 distinct placements), so
+        a transposition table keyed by the flat assignment scores each
+        state once; a revisit reuses its evaluation and utility.
+        ``stats.evaluations`` still counts every move.
         """
-        require_positive_int("num_nodes", num_nodes)
-        self._check_total_capacity(spec, num_nodes, cores_per_node)
-        self.stats = AnnealingStats()
-        self._elite = {}
-        gen = self.rng.generator
-
-        if initial_placement is not None:
-            if initial_placement.num_nodes != num_nodes:
-                raise ValidationError(
-                    f"initial_placement spans "
-                    f"{initial_placement.num_nodes} nodes, expected "
-                    f"{num_nodes}"
-                )
-            initial_placement.validate_against(spec, cores_per_node)
-            start = initial_placement
-        else:
-            # start from a random feasible state (reusing the random
-            # policy's retry logic, seeded from our stream)
-            start = RandomPolicy(seed=int(gen.integers(0, 2**31))).place(
-                spec, num_nodes, cores_per_node
-            )
-        flat = self._flatten(spec, start)
-        component_cores: List[int] = []
-        for member in spec.members:
-            component_cores.append(member.simulation.cores)
-            component_cores.extend(a.cores for a in member.analyses)
-
-        if self.incremental:
-            return self._anneal_incremental(
-                spec, num_nodes, cores_per_node, gen, flat, component_cores
-            )
-
-        context = PlanningContext(robustness=self.robustness)
-        current = score_placement(
-            spec, self._unflatten(spec, flat, num_nodes), context=context
+        flat = self.initial_assignment(
+            spec, num_nodes, cores_per_node, initial_placement
         )
+        gen = self.rng.generator
+        component_cores = component_core_demands(spec)
+        cache = self.cache
+        if cache is None or not cache.matches(None, None):
+            cache = StageCache()
+        visited: Dict[Tuple[int, ...], Tuple[FlatEvaluation, float]] = {}
+        objective_memo: Dict[Tuple[float, ...], float] = {}
+
+        evaluation = cache.evaluate_flat(spec, flat, num_nodes)
+        current_utility = self._utility_of(
+            spec, evaluation, flat, num_nodes, objective_memo
+        )
+        visited[tuple(flat)] = (evaluation, current_utility)
         self.stats.evaluations += 1
         best_flat = list(flat)
-        best = current
-        self._note_elite(current.utility, flat)
+        best_utility = current_utility
+        self._note_elite(current_utility, flat)
 
         temperature = self.initial_temperature * max(
-            abs(current.utility), 1e-9
+            abs(current_utility), 1e-9
         )
         floor = temperature * self.min_temperature_ratio
 
-        demand = self._demand(spec, flat)
+        demand = node_core_demands(component_cores, flat)
         while temperature > floor:
             for _ in range(self.plateau):
                 idx = int(gen.integers(0, len(flat)))
@@ -349,130 +362,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                 demand[old_node] -= cores
                 demand[new_node] = demand.get(new_node, 0) + cores
 
-                candidate = score_placement(
-                    spec,
-                    self._unflatten(spec, flat, num_nodes),
-                    context=context,
-                )
-                self.stats.evaluations += 1
-                delta = candidate.utility - current.utility
-                if delta >= 0 or gen.random() < math.exp(delta / temperature):
-                    current = candidate
-                    self.stats.accepted += 1
-                    self._note_elite(candidate.utility, flat)
-                    if candidate.utility > best.utility:
-                        best = candidate
-                        best_flat = list(flat)
-                        self.stats.improved += 1
-                else:
-                    # revert the move
-                    flat[idx] = old_node
-                    demand[new_node] -= cores
-                    demand[old_node] += cores
-            temperature *= self.cooling
-
-        return self._robust_refine(spec, num_nodes, best_flat)
-
-    # -- incremental (delta-evaluation) annealing -----------------------------
-    def _utility_of(
-        self,
-        spec: EnsembleSpec,
-        evaluation: FlatEvaluation,
-        flat: List[int],
-        num_nodes: int,
-        robust_cluster: Optional[Cluster],
-        objective_memo: Dict[Tuple[float, ...], float],
-    ) -> float:
-        """The move-acceptance utility from a cached flat evaluation.
-
-        Mirrors ``score_placement(...).utility`` exactly: same
-        objective aggregation, and — with a robustness term — the same
-        surrogate penalty over the same (cached, bit-identical) stage
-        predictions. F is memoized on the indicator tuple (many states
-        share one); the penalty depends on the placement, so it is not.
-        """
-        indicator_key = tuple(evaluation.indicators)
-        objective = objective_memo.get(indicator_key)
-        if objective is None:
-            objective = objective_function(evaluation.indicators)
-            objective_memo[indicator_key] = objective
-        if self.robustness is None:
-            return objective
-        penalty = self.robustness.penalty(
-            spec,
-            self._unflatten(spec, flat, num_nodes),
-            cluster=robust_cluster,
-            stages=evaluation.stages_by_name(spec),
-        )
-        return objective - penalty
-
-    def _anneal_incremental(
-        self,
-        spec: EnsembleSpec,
-        num_nodes: int,
-        cores_per_node: int,
-        gen,
-        flat: List[int],
-        component_cores: List[int],
-    ) -> EnsemblePlacement:
-        """The same annealing schedule with changed-nodes-only rescoring.
-
-        A move relocates one component from ``old_node`` to
-        ``new_node``; only members with a component on either node need
-        new signatures (and, on a cache miss, new predictions) — the
-        rest of the evaluation carries over unchanged. Utilities,
-        acceptance decisions, and RNG draws are bit-identical to the
-        full path, which the parity tests assert move for move.
-
-        An anneal revisits the same few states over and over (a
-        re-planner's ~2 000 moves land on 500-650 distinct placements), so
-        a transposition table keyed by the flat assignment scores each
-        state once; a revisit reuses its evaluation and utility.
-        ``stats.evaluations`` still counts every move.
-        """
-        cache = self.cache
-        if cache is None or not cache.matches(None, None):
-            cache = StageCache()
-        robust_cluster: Optional[Cluster] = None
-        if self.robustness is not None:
-            robust_cluster = make_cori_like_cluster(num_nodes)
-        visited: Dict[Tuple[int, ...], Tuple[FlatEvaluation, float]] = {}
-        objective_memo: Dict[Tuple[float, ...], float] = {}
-
-        evaluation = cache.evaluate_flat(spec, flat, num_nodes)
-        current_utility = self._utility_of(
-            spec, evaluation, flat, num_nodes, robust_cluster, objective_memo
-        )
-        visited[tuple(flat)] = (evaluation, current_utility)
-        self.stats.evaluations += 1
-        best_flat = list(flat)
-        best_utility = current_utility
-        self._note_elite(current_utility, flat)
-
-        temperature = self.initial_temperature * max(
-            abs(current_utility), 1e-9
-        )
-        floor = temperature * self.min_temperature_ratio
-
-        demand = self._demand(spec, flat)
-        while temperature > floor:
-            for _ in range(self.plateau):
-                idx = int(gen.integers(0, len(flat)))
-                old_node = flat[idx]
-                cores = component_cores[idx]
-                options = [
-                    n
-                    for n in range(num_nodes)
-                    if n != old_node
-                    and demand.get(n, 0) + cores <= cores_per_node
-                ]
-                if not options:
-                    continue
-                new_node = options[int(gen.integers(0, len(options)))]
-                flat[idx] = new_node
-                demand[old_node] -= cores
-                demand[new_node] = demand.get(new_node, 0) + cores
-
                 key = tuple(flat)
                 seen = visited.get(key)
                 if seen is None:
@@ -485,7 +374,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                     )
                     candidate_utility = self._utility_of(
                         spec, candidate_eval, flat, num_nodes,
-                        robust_cluster, objective_memo,
+                        objective_memo,
                     )
                     visited[key] = (candidate_eval, candidate_utility)
                 else:

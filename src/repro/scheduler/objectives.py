@@ -143,14 +143,8 @@ def score_placement(
         evaluation = cache.member_terms(spec, placement)
         penalty = 0.0
         if robustness is not None:
-            if cluster is None:
-                cluster = make_cori_like_cluster(placement.num_nodes)
             penalty = robustness.penalty(
-                spec,
-                placement,
-                cluster=cluster,
-                dtl=dtl,
-                stages=evaluation.stages_by_name(spec),
+                spec, placement, stages=evaluation.stages_by_name(spec)
             )
         return PlacementScore(
             placement=placement,
@@ -188,9 +182,7 @@ def score_placement(
     if robustness is not None:
         # reuse this call's stage prediction — the surrogate needs the
         # same (spec, placement, cluster, dtl) stages
-        penalty = robustness.penalty(
-            spec, placement, cluster=cluster, dtl=dtl, stages=stages
-        )
+        penalty = robustness.penalty(spec, placement, stages=stages)
     return PlacementScore(
         placement=placement,
         objective=objective_function(indicators),

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.search.cache import StageCache
 
-from repro.configs.generator import enumerate_placements
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.context import PlanningContext

@@ -3,16 +3,31 @@
 The analytic scorer (:mod:`repro.scheduler.objectives`) ranks
 placements by the ideal, failure-free F(P^{U,A,P}). This module ranks
 them by *robust* F(P): the indicator objective measured from
-discrete-event executions with fault injection enabled, averaged over
-independent fault-schedule draws. A placement that looks optimal in
-steady state can lose its edge once crashes and stragglers stretch its
-stages — co-location, for instance, couples a member's fate to fewer
-nodes but concentrates the blast radius of a straggling simulation.
+executions with fault injection enabled, averaged over independent
+fault-schedule draws. A placement that looks optimal in steady state
+can lose its edge once crashes and stragglers stretch its stages —
+co-location, for instance, couples a member's fate to fewer nodes but
+concentrates the blast radius of a straggling simulation.
 
-Because robust scores come from full DES runs they cost milliseconds,
-not microseconds — use them to re-rank a shortlist (e.g. the paper's
-C1/C2 candidates or a policy's top choices), not to drive inner-loop
-search. For inner-loop robustness there are two cheaper routes:
+What lives where:
+
+- :func:`rank_placements_robust` is the one ranking entry point. Its
+  ``method="des"`` always delta-replays through
+  :func:`repro.faults.batched.rank_placements_batched`: no DES run at
+  all, each candidate's fault-free timeline is built from its
+  effective stages and every candidate's baseline and fault replicas
+  replay in one sweep (``BENCH_robust.json``);
+- :func:`robust_score_placement` runs the serial DES — one failure-free
+  execution plus one injected execution per trial. Nothing at runtime
+  calls it; it is the reference the differential oracle, the tests and
+  the serial arm of ``scripts/bench_robust.py`` hold the replay to
+  (float-identical for the exactly-replayable recovery policies,
+  within the oracle's band for the adaptive one).
+
+Robust scores cost milliseconds per candidate, not microseconds — use
+them to re-rank a shortlist (e.g. the paper's C1/C2 candidates or a
+policy's top choices), not to drive inner-loop search. For inner-loop
+robustness there are two cheaper routes:
 
 - :func:`surrogate_score_placement` (or ``method="surrogate"`` on
   :func:`rank_placements_robust`) prices the same failure regime with
@@ -37,6 +52,7 @@ import numpy as np
 
 from repro.dtl.base import DataTransportLayer
 from repro.faults.analytic import surrogate_resilience
+from repro.faults.batched import rank_placements_batched
 from repro.faults.models import FailureModel, FaultKind, RandomFailureModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.monitoring.resilience import compute_resilience
@@ -57,10 +73,6 @@ ModelFactory = Callable[[int], FailureModel]
 
 #: valid ``method`` values for :func:`rank_placements_robust`.
 RANK_METHODS: Tuple[str, ...] = ("des", "surrogate")
-
-#: valid ``engine`` values for the DES method of
-#: :func:`rank_placements_robust`.
-RANK_ENGINES: Tuple[str, ...] = ("serial", "batched")
 
 
 def crash_straggler_factory(
@@ -316,7 +328,6 @@ def rank_placements_robust(
     base_seed: int = 0,
     timing_noise: float = 0.0,
     method: str = "des",
-    engine: str = "serial",
     crn: bool = True,
     context: Optional[PlanningContext] = None,
 ) -> List[RobustScore]:
@@ -337,30 +348,24 @@ def rank_placements_robust(
         DES-method controls (ignored by the surrogate method except
         for ``base_seed``).
     method:
-        ``"des"`` executes injected trials per candidate;
-        ``"surrogate"`` prices each candidate in closed form —
-        same ranking on the paper's C1/C2 candidates, >= 10x faster.
-    engine:
-        DES-method execution strategy. ``"serial"`` re-simulates every
-        fault replica; ``"batched"`` delegates to
-        :func:`repro.faults.batched.rank_placements_batched` — no DES
-        run at all: each candidate's fault-free timeline is built from
-        its effective stages and every candidate's baseline and fault
-        replicas are delta-replayed in one sweep, bit-identical scores
-        for exactly-replayable recovery policies at >= 10x the speed
-        (``BENCH_robust.json``).
-        Ignored by the surrogate method.
+        ``"des"`` averages injected trials per candidate, delta-replayed
+        by :func:`repro.faults.batched.rank_placements_batched` without
+        a DES run: bit-identical to ranking with
+        :func:`robust_score_placement` for the exactly-replayable
+        recovery policies, at >= 10x the speed (``BENCH_robust.json``).
+        ``"surrogate"`` prices each candidate in closed form — the
+        serial DES ranking of the paper's C1/C2 candidates, >= 10x
+        faster than it.
     crn:
         Use common random numbers: every candidate's replica ``t``
         draws the same fault schedule (seeds ``base_seed + t``), so
         candidate comparisons are paired. ``False`` decorrelates
         candidates by hashing their names into the replica seeds.
-        The default matches the historical serial behaviour exactly.
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`
         (:data:`~repro.scheduler.context.DEFAULT_CONTEXT` when
         ``None``). Its ``cluster``/``dtl`` are threaded into every
-        scoring call (DES, batched, and surrogate alike); its
+        scoring call (replay and surrogate alike); its
         ``cache`` shares stage predictions across the surrogate
         method's candidates with matching local patterns (a
         default-context cache is built when omitted; the DES method
@@ -374,7 +379,7 @@ def rank_placements_robust(
     Raises
     ------
     ValidationError
-        On an unknown ``method`` or ``engine``.
+        On an unknown ``method``.
     """
     if context is None:
         context = DEFAULT_CONTEXT
@@ -384,11 +389,6 @@ def rank_placements_robust(
         valid = ", ".join(repr(m) for m in RANK_METHODS)
         raise ValidationError(
             f"unknown ranking method {method!r}; valid methods: {valid}"
-        )
-    if engine not in RANK_ENGINES:
-        valid = ", ".join(repr(e) for e in RANK_ENGINES)
-        raise ValidationError(
-            f"unknown ranking engine {engine!r}; valid engines: {valid}"
         )
     if method == "surrogate":
         model = model_factory(base_seed)
@@ -405,35 +405,15 @@ def rank_placements_robust(
             for name, placement in candidates.items()
         ]
         return sorted(scores, reverse=True)
-    if engine == "batched":
-        from repro.faults.batched import rank_placements_batched
-
-        return rank_placements_batched(
-            spec,
-            candidates,
-            model_factory,
-            policy,
-            trials=trials,
-            base_seed=base_seed,
-            timing_noise=timing_noise,
-            crn=crn,
-            cluster=cluster,
-            dtl=dtl,
-        )
-    scores = [
-        robust_score_placement(
-            spec,
-            placement,
-            model_factory,
-            policy,
-            trials=trials,
-            base_seed=base_seed,
-            timing_noise=timing_noise,
-            cluster=cluster,
-            dtl=dtl,
-            name=name,
-            seed_label="" if crn else name,
-        )
-        for name, placement in candidates.items()
-    ]
-    return sorted(scores, reverse=True)
+    return rank_placements_batched(
+        spec,
+        candidates,
+        model_factory,
+        policy,
+        trials=trials,
+        base_seed=base_seed,
+        timing_noise=timing_noise,
+        crn=crn,
+        cluster=cluster,
+        dtl=dtl,
+    )

@@ -11,7 +11,10 @@ it supersedes (same placements, same score floats):
   enumeration: one representative per node-relabeling class, capacity
   pruning inside the recursion, closed-form counting over capacity
   multisets, and :func:`search_space_size`, the closed-form
-  feasibility check every search (and the service) makes first;
+  feasibility check every search (and the service) makes first. It
+  owns the flat component-to-node assignment format too
+  (:func:`placement_to_assignment` and its inverse
+  :func:`assignment_to_placement`);
 - :mod:`~repro.search.cache` — :class:`StageCache`, memoized stage
   prediction keyed by each member's local co-location signature, with
   delta (changed-nodes-only) re-evaluation for move-based search, plus
@@ -24,9 +27,10 @@ it supersedes (same placements, same score floats):
 - :mod:`~repro.search.engine` — :func:`find_best_placement`, the one
   exhaustive search entry point, a thin front end that runs the kernel
   for any :class:`~repro.scheduler.context.PlanningContext`;
-- :mod:`~repro.search.reference` — the seed enumerator and the scalar
-  search loop (:func:`find_best_placement_reference`), kept as the
-  baselines the benchmarks and property tests diff against.
+- :mod:`~repro.search.reference` — the seed enumerator, the scalar
+  search loop (:func:`find_best_placement_reference`) and the seed
+  annealer (:func:`anneal_reference`), kept as the baselines the
+  benchmarks and property tests diff against.
 
 See ``docs/PERFORMANCE.md`` for the architecture and the determinism
 guarantees.
@@ -43,9 +47,12 @@ from repro.search.canonical import (
     iter_assignment_chunks,
     iter_canonical_assignments,
     member_shapes,
+    node_core_demands,
+    placement_to_assignment,
     search_space_size,
 )
 from repro.search.reference import (
+    anneal_reference,
     canonical_signature,
     count_feasible_placements_reference,
     enumerate_placements_reference,
@@ -87,6 +94,7 @@ __all__ = [
     "StageCache",
     "VectorizedScorer",
     "VectorizedSearchResult",
+    "anneal_reference",
     "argmax_batch",
     "assignment_to_placement",
     "canonical_signature",
@@ -102,5 +110,7 @@ __all__ = [
     "iter_assignment_chunks",
     "iter_canonical_assignments",
     "member_shapes",
+    "node_core_demands",
+    "placement_to_assignment",
     "search_space_size",
 ]

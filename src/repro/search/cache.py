@@ -54,6 +54,7 @@ from repro.platform.specs import cori_like_network, cori_like_node
 from repro.runtime.effective import member_effective_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.search.canonical import placement_to_assignment
 from repro.util.errors import PlacementError
 
 #: the default platform's node and network specs, built once: both are
@@ -492,21 +493,13 @@ class StageCache:
         return (indicator, makespan)
 
     # -- placement-level API --------------------------------------------------
-    @staticmethod
-    def _flatten(placement: EnsemblePlacement) -> List[int]:
-        flat: List[int] = []
-        for mp in placement.members:
-            flat.append(mp.simulation_node)
-            flat.extend(mp.analysis_nodes)
-        return flat
-
     def predict(
         self, spec: EnsembleSpec, placement: EnsemblePlacement
     ) -> Dict[str, MemberStages]:
         """Memoized drop-in for :func:`~repro.runtime.analytic
         .predict_member_stages` under this cache's context."""
         evaluation = self.evaluate_flat(
-            spec, self._flatten(placement), placement.num_nodes
+            spec, placement_to_assignment(placement), placement.num_nodes
         )
         return {
             member.name: stages
@@ -518,7 +511,7 @@ class StageCache:
     ) -> "FlatEvaluation":
         """Cached per-member indicator/makespan terms for a placement."""
         return self.evaluate_flat(
-            spec, self._flatten(placement), placement.num_nodes
+            spec, placement_to_assignment(placement), placement.num_nodes
         )
 
     def stats(self) -> Dict[str, int]:

@@ -65,12 +65,50 @@ def assignment_to_placement(
     """Materialize a flat component-to-node assignment as a placement."""
     members: List[MemberPlacement] = []
     cursor = 0
-    for member in spec.members:
-        shape = 1 + member.num_couplings
+    for shape in member_shapes(spec):
         chunk = assignment[cursor : cursor + shape]
         cursor += shape
         members.append(MemberPlacement(chunk[0], tuple(chunk[1:])))
     return EnsemblePlacement(num_nodes=num_nodes, members=tuple(members))
+
+
+def placement_to_assignment(placement: EnsemblePlacement) -> List[int]:
+    """The flat component-to-node assignment of a placement.
+
+    The inverse of :func:`assignment_to_placement`: member-major, each
+    member's simulation node followed by its analysis nodes.
+
+    Examples
+    --------
+    >>> from repro.runtime.spec import EnsembleSpec, default_member
+    >>> spec = EnsembleSpec("demo", (default_member("em1", num_analyses=2),
+    ...                              default_member("em2")))
+    >>> placement = EnsemblePlacement(
+    ...     2, (MemberPlacement(0, (0, 1)), MemberPlacement(1, (1,))))
+    >>> placement_to_assignment(placement)
+    [0, 0, 1, 1, 1]
+    >>> assignment_to_placement(spec, [0, 0, 1, 1, 1], 2) == placement
+    True
+    """
+    assignment: List[int] = []
+    for mp in placement.members:
+        assignment.append(mp.simulation_node)
+        assignment.extend(mp.analysis_nodes)
+    return assignment
+
+
+def node_core_demands(
+    component_cores: Sequence[int], assignment: Sequence[int]
+) -> Dict[int, int]:
+    """Cores each occupied node carries under a flat assignment.
+
+    ``component_cores`` is :func:`component_core_demands` of the spec
+    the assignment places; unoccupied nodes are absent.
+    """
+    demand: Dict[int, int] = {}
+    for node, cores in zip(assignment, component_cores):
+        demand[node] = demand.get(node, 0) + cores
+    return demand
 
 
 def iter_canonical_assignments(

@@ -3,24 +3,31 @@
 The fast engine's contract is *bit-identical results, less work* — the
 only way to keep that promise honest over time is to keep the slow
 implementations around and diff against them. This module preserves
-the original product-then-dedup enumerator exactly as it shipped, and
-:func:`find_best_placement_reference`, the scalar search loop the
-column kernel replaced. The property tests assert the canonical
-generator reproduces the enumerator's stream and the engine returns
-the loop's winner, floats and candidate count; the benchmarks in
-``scripts/bench_search.py`` measure the speedup against both. Only
-tests and benchmarks call the search loop; at runtime, only the
-labelled (``dedup_symmetric=False``) enumeration reaches this module.
+three of them:
+
+- the original product-then-dedup enumerator, exactly as it shipped;
+- :func:`find_best_placement_reference`, the scalar search loop the
+  column kernel replaced;
+- :func:`anneal_reference`, the seed annealer, which re-scores every
+  candidate in full where :class:`~repro.scheduler.annealing
+  .SimulatedAnnealingPolicy` evaluates deltas.
+
+The property tests assert the canonical generator reproduces the
+enumerator's stream, the engine returns the loop's winner, floats and
+candidate count, and the annealer walks the seed annealer's trajectory
+move for move; the benchmarks in ``scripts/bench_search.py`` measure
+the speedup against all three. Only tests and benchmarks call the
+search loop and the seed annealer; at runtime, only the labelled
+(``dedup_symmetric=False``) enumeration reaches this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.objective import objective_function
-from repro.platform.cluster import Cluster
-from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.search.cache import StageCache
@@ -28,11 +35,13 @@ from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
     iter_canonical_assignments,
+    node_core_demands,
 )
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.scheduler.annealing import SimulatedAnnealingPolicy
     from repro.scheduler.context import PlanningContext
     from repro.scheduler.objectives import PlacementScore
 
@@ -157,7 +166,6 @@ def find_best_placement_reference(
     evaluated = 0
     best = None
     best_key: Optional[Tuple[float, float]] = None
-    robust_cluster: Optional[Cluster] = None
     # candidates frequently repeat the exact indicator tuple (different
     # node labels, same local patterns) — memoize F over it, which
     # reuses the identical float rather than re-aggregating
@@ -174,18 +182,9 @@ def find_best_placement_reference(
             objective_memo[indicator_key] = objective
         penalty = 0.0
         if robustness is not None:
-            placement = assignment_to_placement(spec, assignment, num_nodes)
-            if cluster is None:
-                if robust_cluster is None:
-                    robust_cluster = make_cori_like_cluster(num_nodes)
-                penalty_cluster = robust_cluster
-            else:
-                penalty_cluster = cluster
             penalty = robustness.penalty(
                 spec,
-                placement,
-                cluster=penalty_cluster,
-                dtl=dtl,
+                assignment_to_placement(spec, assignment, num_nodes),
                 stages=evaluation.stages_by_name(spec),
             )
         # PlacementScore._key with num_nodes fixed across candidates:
@@ -209,3 +208,90 @@ def find_best_placement_reference(
             f"{cores_per_node} cores"
         )
     return best, evaluated
+
+
+def anneal_reference(
+    policy: "SimulatedAnnealingPolicy",
+    spec: EnsembleSpec,
+    num_nodes: int,
+    cores_per_node: int,
+    initial_placement: Optional[EnsemblePlacement] = None,
+) -> EnsemblePlacement:
+    """The seed annealer: ``policy``'s schedule, every move re-scored.
+
+    Runs :class:`~repro.scheduler.annealing.SimulatedAnnealingPolicy`'s
+    schedule — start state, move draws, Metropolis acceptance, cooling
+    — from ``policy``'s configuration and RNG stream, but scores every
+    candidate in full with :func:`~repro.scheduler.objectives
+    .score_placement` (no cache, no transposition table), and records
+    its move statistics on ``policy.stats``.
+    :meth:`SimulatedAnnealingPolicy.place` must return the same
+    placement with the same ``stats`` from a fresh policy built alike.
+    Returns the anneal's winner; the optional robust refinement of
+    ``place`` re-ranks after the anneal and is not part of it.
+    """
+    # the scheduler enumerates through this module, so import it late
+    from repro.scheduler.context import PlanningContext
+    from repro.scheduler.objectives import score_placement
+
+    flat = policy.initial_assignment(
+        spec, num_nodes, cores_per_node, initial_placement
+    )
+    gen = policy.rng.generator
+    stats = policy.stats
+    component_cores = component_core_demands(spec)
+
+    context = PlanningContext(robustness=policy.robustness)
+    current = score_placement(
+        spec, assignment_to_placement(spec, flat, num_nodes), context=context
+    )
+    stats.evaluations += 1
+    best_flat = list(flat)
+    best = current
+
+    temperature = policy.initial_temperature * max(
+        abs(current.utility), 1e-9
+    )
+    floor = temperature * policy.min_temperature_ratio
+
+    demand = node_core_demands(component_cores, flat)
+    while temperature > floor:
+        for _ in range(policy.plateau):
+            idx = int(gen.integers(0, len(flat)))
+            old_node = flat[idx]
+            cores = component_cores[idx]
+            options = [
+                n
+                for n in range(num_nodes)
+                if n != old_node
+                and demand.get(n, 0) + cores <= cores_per_node
+            ]
+            if not options:
+                continue
+            new_node = options[int(gen.integers(0, len(options)))]
+            flat[idx] = new_node
+            demand[old_node] -= cores
+            demand[new_node] = demand.get(new_node, 0) + cores
+
+            candidate = score_placement(
+                spec,
+                assignment_to_placement(spec, flat, num_nodes),
+                context=context,
+            )
+            stats.evaluations += 1
+            delta = candidate.utility - current.utility
+            if delta >= 0 or gen.random() < math.exp(delta / temperature):
+                current = candidate
+                stats.accepted += 1
+                if candidate.utility > best.utility:
+                    best = candidate
+                    best_flat = list(flat)
+                    stats.improved += 1
+            else:
+                # revert the move
+                flat[idx] = old_node
+                demand[new_node] -= cores
+                demand[old_node] += cores
+        temperature *= policy.cooling
+
+    return assignment_to_placement(spec, best_flat, num_nodes)

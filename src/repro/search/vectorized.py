@@ -53,7 +53,6 @@ import numpy as np
 from repro.core.columns import co_location_indicator, member_sum, score_columns
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
-from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
@@ -63,6 +62,7 @@ from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
     iter_assignment_chunks,
+    member_shapes,
     search_space_size,
 )
 from repro.util.errors import PlacementError, ValidationError
@@ -533,15 +533,12 @@ def find_best_placement_vectorized(
     # which the winner's re-score below reads too
     scorer = VectorizedScorer(spec, num_nodes, cluster, dtl, cache)
     offsets = scorer._offsets
-    shapes = [1 + m.num_couplings for m in spec.members]
+    shapes = member_shapes(spec)
     total_cores = [m.total_cores for m in spec.members]
     num_members = len(spec.members)
     suffix = _member_bounds(spec, cores_per_node)
     counter = CompletionCounter(component_cores, num_nodes, cores_per_node)
     member_of = {int(offsets[m]): m for m in range(num_members)}
-    penalty_cluster = cluster
-    if robustness is not None and cluster is None:
-        penalty_cluster = make_cori_like_cluster(num_nodes)
 
     def penalties(chunk: np.ndarray) -> np.ndarray:
         """Each row's robustness penalty, priced as the reference loop does."""
@@ -553,8 +550,6 @@ def find_best_placement_vectorized(
             out[r] = robustness.penalty(
                 spec,
                 assignment_to_placement(spec, row, num_nodes),
-                cluster=penalty_cluster,
-                dtl=dtl,
                 stages=evaluation.stages_by_name(spec),
             )
         return out

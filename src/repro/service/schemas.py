@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 from repro.components.analysis import EigenAnalysisModel
 from repro.components.base import ComponentModel
 from repro.components.simulation import MDSimulationModel
+from repro.coschedule.allocator import ClusterObjective
 from repro.coschedule.requests import (
     EnsembleRequest,
     MembershipEvent,
@@ -289,7 +290,8 @@ class RescheduleOptions:
 
     The drift is a single node-attributed event
     (:class:`~repro.reschedule.drift.DriftEvent`): ``drift_kind``
-    selects the shape (``"step"``: constant factor from
+    selects the shape (``"step"``: a constant factor above 1 and at
+    most :data:`~repro.reschedule.drift.DEFAULT_DRIFT_CAP`, from
     ``drift_start`` on; ``"ramp"``: per-step increment), and the
     controller knobs mirror
     :class:`~repro.reschedule.controller.RescheduleController`.
@@ -314,12 +316,19 @@ class RescheduleOptions:
             )
         require_non_negative_int("drift_node", self.drift_node)
         require_non_negative_int("drift_start", self.drift_start)
-        # finite and > 0 (a ramp's bound); a step must also exceed 1
+        # deferred like the worker's reschedule stack: the package pulls
+        # in the re-planner, which plain search jobs never need
+        from repro.reschedule.drift import DEFAULT_DRIFT_CAP
+
+        # finite and > 0 (a ramp's bound); a step must also exceed 1,
+        # and stay within the event's cap, which would clip it silently
         require_positive("drift_magnitude", self.drift_magnitude)
-        if self.drift_kind == "step" and self.drift_magnitude <= 1.0:
+        if self.drift_kind == "step" and not (
+            1.0 < self.drift_magnitude <= DEFAULT_DRIFT_CAP
+        ):
             raise ValidationError(
-                f"step drift_magnitude must be > 1, got "
-                f"{self.drift_magnitude!r}"
+                f"step drift_magnitude must be in (1, "
+                f"{DEFAULT_DRIFT_CAP:g}], got {self.drift_magnitude!r}"
             )
         require_positive("threshold", self.threshold)
         if self.threshold <= 1.0:
@@ -360,9 +369,9 @@ class CoscheduleOptions:
     :class:`PlacementRequest`'s ``spec`` must equal the first stream
     entry's spec, and ``num_nodes`` is the cluster size). The three
     weights configure the :class:`~repro.coschedule.allocator
-    .ClusterObjective`; ``max_partitions`` bounds the allocator's
-    exhaustive grant-lattice before it falls back to greedy
-    water-filling.
+    .ClusterObjective` (:meth:`objective`), which validates them;
+    ``max_partitions`` bounds the allocator's exhaustive grant-lattice
+    before it falls back to greedy water-filling.
     """
 
     requests: Tuple["EnsembleRequest", ...]
@@ -377,21 +386,16 @@ class CoscheduleOptions:
                 "a coschedule request needs at least one stream entry"
             )
         validate_stream(self.requests)
-        for label in ("utility_weight", "fairness_weight", "deadline_weight"):
-            value = getattr(self, label)
-            if value < 0:
-                raise ValidationError(
-                    f"{label} must be >= 0, got {value!r}"
-                )
-        if (
-            self.utility_weight == 0
-            and self.fairness_weight == 0
-            and self.deadline_weight == 0
-        ):
-            raise ValidationError(
-                "at least one cluster objective weight must be positive"
-            )
+        self.objective()
         require_positive_int("max_partitions", self.max_partitions)
+
+    def objective(self) -> ClusterObjective:
+        """The cluster objective the three weights configure."""
+        return ClusterObjective(
+            utility_weight=self.utility_weight,
+            fairness_weight=self.fairness_weight,
+            deadline_weight=self.deadline_weight,
+        )
 
 
 def membership_event_to_dict(event: MembershipEvent) -> dict:

@@ -143,7 +143,7 @@ def _execute_coschedule(
     first-optimum-wins allocation, canonical digests), so the payload
     — including its content digest — is identical on any worker.
     """
-    from repro.coschedule import ClusterObjective, CoScheduler
+    from repro.coschedule import CoScheduler
 
     options = request.coschedule
     if options is None:  # pragma: no cover - guarded by __post_init__
@@ -152,11 +152,7 @@ def _execute_coschedule(
     scheduler = CoScheduler(
         total_nodes=request.num_nodes,
         cores_per_node=request.cores_per_node,
-        objective=ClusterObjective(
-            utility_weight=options.utility_weight,
-            fairness_weight=options.fairness_weight,
-            deadline_weight=options.deadline_weight,
-        ),
+        objective=options.objective(),
         context=PlanningContext(
             robustness=None,
             cache=stage_cache,
@@ -217,31 +213,16 @@ def execute_request(
     if request.kind == "coschedule":
         return _execute_coschedule(request, stage_cache=stage_cache)
     if request.kind == "rank":
-        if request.rank_method == "des":
-            # full injected trials, replayed by the batched engine
-            # without a DES run: every candidate's baseline and fault
-            # replicas replay in one sweep (common random numbers pair
-            # candidates)
-            ranking = rank_placements_robust(
-                request.spec,
-                request.candidates,
-                crash_straggler_factory(request.robust_rate),
-                make_policy(request.policy),
-                trials=request.trials,
-                base_seed=request.base_seed,
-                method="des",
-                engine="batched",
-            )
-        else:
-            ranking = rank_placements_robust(
-                request.spec,
-                request.candidates,
-                crash_straggler_factory(request.robust_rate),
-                make_policy(request.policy),
-                base_seed=request.base_seed,
-                method="surrogate",
-                context=context,
-            )
+        ranking = rank_placements_robust(
+            request.spec,
+            request.candidates,
+            crash_straggler_factory(request.robust_rate),
+            make_policy(request.policy),
+            trials=request.trials,
+            base_seed=request.base_seed,
+            method=request.rank_method,
+            context=context,
+        )
         return {"ranking": [robust_score_to_dict(s) for s in ranking]}
     raise ValidationError(f"unknown request kind {request.kind!r}")
 

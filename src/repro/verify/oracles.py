@@ -58,6 +58,7 @@ from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.search.cache import StageCache
+from repro.search.canonical import placement_to_assignment
 from repro.util.errors import ValidationError
 
 #: Per-metric relative tolerances of the banded tiers. ``0.0`` means
@@ -470,7 +471,7 @@ def run_differential_oracle(
     scorer = VectorizedScorer(
         spec, placement.num_nodes, cluster=cluster, dtl=dtl
     )
-    batch = scorer.score_assignments([StageCache._flatten(placement)])
+    batch = scorer.score_assignments([placement_to_assignment(placement)])
     checks.append(
         MetricCheck(
             scope="ensemble",

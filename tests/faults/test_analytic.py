@@ -38,6 +38,9 @@ from repro.faults.recovery import (
     RecoveryPolicy,
     RetryBackoffPolicy,
 )
+from repro.dtl.dimes import InMemoryStagingDTL
+from repro.platform.specs import make_cori_like_cluster
+from repro.runtime.analytic import predict_member_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import (
     pack_members_per_node,
@@ -475,6 +478,34 @@ class TestRobustnessTerm:
         )
         assert p1 > 0
         assert p2 == pytest.approx(2 * p1)
+
+    def test_penalty_with_stages_ignores_the_platform(self, spec, placement):
+        # the search paths price penalties from stages they already
+        # hold and build no cluster for it: given stages, the surrogate
+        # reads neither the cluster nor the DTL
+        term = RobustnessTerm(
+            policy=RetryBackoffPolicy(),
+            model=RandomFailureModel(rate=0.1),
+        )
+        stages = predict_member_stages(spec, placement)
+        platforms = [
+            dict(cluster=make_cori_like_cluster(placement.num_nodes)),
+            dict(
+                cluster=make_cori_like_cluster(
+                    placement.num_nodes, contention_enabled=False
+                )
+            ),
+            dict(dtl=InMemoryStagingDTL(producer_progress_tax=0.03)),
+        ]
+        priced = [
+            term.penalty(spec, placement, stages=stages, **platform)
+            for platform in platforms
+        ]
+        assert priced[0] > 0
+        assert priced == [term.penalty(spec, placement, stages=stages)] * 3
+        # without stages the platforms predict different ones, so the
+        # equality above is not vacuous
+        assert term.penalty(spec, placement, **platforms[1]) != priced[0]
 
     def test_builder_gets_the_candidate_placement(self):
         seen = []

@@ -59,6 +59,7 @@ from repro.scheduler.robust import (
 )
 from repro.util.errors import PlacementError, ValidationError
 from tests.strategies import common_settings, des_ensembles, des_placements
+from tests.tolerances import BATCHED_ADAPTIVE_REL
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,35 @@ def candidates(spec):
     pool = list(enumerate_placements(spec, 2, 32))
     stride = max(1, len(pool) // 3)
     return {f"c{i}": p for i, p in enumerate(pool[::stride][:3])}
+
+
+def _serial_ranking(
+    spec, candidates, factory, policy, crn=True, context=None, **common
+):
+    """The serial DES reference ranking: one
+    :func:`robust_score_placement` per candidate, best first — what
+    ``rank_placements_robust(method="des")`` ran before the replay
+    became its only engine."""
+    platform = (
+        {} if context is None
+        else dict(cluster=context.cluster, dtl=context.dtl)
+    )
+    return sorted(
+        (
+            robust_score_placement(
+                spec,
+                placement,
+                factory,
+                policy,
+                name=name,
+                seed_label="" if crn else name,
+                **platform,
+                **common,
+            )
+            for name, placement in candidates.items()
+        ),
+        reverse=True,
+    )
 
 
 def _assert_scores_equal(serial, batched):
@@ -275,13 +305,12 @@ class TestAdaptiveBanded:
 
 class TestRankEngineParity:
     def test_batched_ranking_matches_serial(self, spec, candidates):
-        common = dict(trials=3, base_seed=0, method="des")
-        serial = rank_placements_robust(
+        common = dict(trials=3, base_seed=0)
+        serial = _serial_ranking(
             spec,
             candidates,
             crash_straggler_factory(0.2),
             RetryBackoffPolicy(),
-            engine="serial",
             **common,
         )
         batched = rank_placements_robust(
@@ -289,23 +318,45 @@ class TestRankEngineParity:
             candidates,
             crash_straggler_factory(0.2),
             RetryBackoffPolicy(),
-            engine="batched",
+            method="des",
             **common,
         )
         assert [s.name for s in serial] == [b.name for b in batched]
         for s, b in zip(serial, batched):
             _assert_scores_equal(s, b)
 
-    def test_unknown_engine_rejected(self, spec, candidates):
-        with pytest.raises(ValidationError, match="engine"):
-            rank_placements_robust(
+    def test_adaptive_ranking_within_band_of_serial(self, spec, candidates):
+        # library callers of method="des" with the adaptive policy used
+        # to get the serial DES; the replay approximates its global
+        # budget drain within the oracle's banded tier
+        assert len(candidates) >= 3
+        common = dict(trials=4, base_seed=3)
+        serial = _serial_ranking(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            AdaptiveRecoveryPolicy(),
+            **common,
+        )
+        replayed = {
+            score.name: score
+            for score in rank_placements_robust(
                 spec,
                 candidates,
-                crash_straggler_factory(0.2),
-                RetryBackoffPolicy(),
+                crash_straggler_factory(0.3),
+                AdaptiveRecoveryPolicy(),
                 method="des",
-                engine="warp",
+                **common,
             )
+        }
+        assert sorted(replayed) == sorted(s.name for s in serial)
+        for reference in serial:
+            score = replayed[reference.name]
+            assert score.ideal_objective == reference.ideal_objective
+            for metric in ("objective", "mean_inflation", "mean_goodput"):
+                assert getattr(score, metric) == pytest.approx(
+                    getattr(reference, metric), rel=BATCHED_ADAPTIVE_REL
+                ), metric
 
 
 class TestCommonRandomNumbers:
@@ -626,14 +677,8 @@ class TestOneSweep:
             ),
             reverse=True,
         )
-        serial = rank_placements_robust(
-            spec,
-            candidates,
-            factory,
-            policy_cls(),
-            method="des",
-            engine="serial",
-            **common,
+        serial = _serial_ranking(
+            spec, candidates, factory, policy_cls(), **common
         )
         for other in (per_candidate, serial):
             assert [s.name for s in swept] == [s.name for s in other]
@@ -674,19 +719,22 @@ class TestOneSweep:
 
     @pytest.mark.parametrize("policy_cls", EXACT_POLICIES)
     def test_without_crn_matches_serial(self, spec, candidates, policy_cls):
-        common = dict(trials=3, base_seed=2, crn=False, method="des")
-        rankings = [
-            rank_placements_robust(
-                spec,
-                candidates,
-                crash_straggler_factory(0.3),
-                policy_cls(),
-                engine=engine,
-                **common,
-            )
-            for engine in ("serial", "batched")
-        ]
-        serial, batched = rankings
+        common = dict(trials=3, base_seed=2, crn=False)
+        serial = _serial_ranking(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            policy_cls(),
+            **common,
+        )
+        batched = rank_placements_robust(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            policy_cls(),
+            method="des",
+            **common,
+        )
         assert [s.name for s in serial] == [b.name for b in batched]
         for s, b in zip(serial, batched):
             _assert_scores_equal(s, b)
@@ -699,34 +747,42 @@ class TestOneSweep:
             cluster=make_cori_like_cluster(2, contention_enabled=False),
             dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
         )
-        common = dict(trials=3, base_seed=9, method="des", context=context)
-        serial, batched = (
-            rank_placements_robust(
-                spec,
-                candidates,
-                crash_straggler_factory(0.3),
-                policy_cls(),
-                engine=engine,
-                **common,
-            )
-            for engine in ("serial", "batched")
+        common = dict(trials=3, base_seed=9, context=context)
+        serial = _serial_ranking(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            policy_cls(),
+            **common,
+        )
+        batched = rank_placements_robust(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            policy_cls(),
+            method="des",
+            **common,
         )
         assert [s.name for s in serial] == [b.name for b in batched]
         for s, b in zip(serial, batched):
             _assert_scores_equal(s, b)
 
     def test_noisy_sweep_matches_serial(self, spec, candidates):
-        common = dict(trials=3, base_seed=4, timing_noise=0.1, method="des")
-        serial, batched = (
-            rank_placements_robust(
-                spec,
-                candidates,
-                crash_straggler_factory(0.3),
-                CheckpointRestartPolicy(),
-                engine=engine,
-                **common,
-            )
-            for engine in ("serial", "batched")
+        common = dict(trials=3, base_seed=4, timing_noise=0.1)
+        serial = _serial_ranking(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            CheckpointRestartPolicy(),
+            **common,
+        )
+        batched = rank_placements_robust(
+            spec,
+            candidates,
+            crash_straggler_factory(0.3),
+            CheckpointRestartPolicy(),
+            method="des",
+            **common,
         )
         assert [s.name for s in serial] == [b.name for b in batched]
         for s, b in zip(serial, batched):

@@ -189,15 +189,3 @@ class TestRobustRefinement:
     def test_top_requires_factory_and_policy(self):
         with pytest.raises(ValidationError, match="robust_rank_top"):
             SimulatedAnnealingPolicy(robust_rank_top=2)
-
-    def test_unknown_robust_engine_rejected(self):
-        from repro.faults.recovery import RetryBackoffPolicy
-        from repro.scheduler.robust import crash_straggler_factory
-
-        with pytest.raises(ValidationError, match="robust_engine"):
-            SimulatedAnnealingPolicy(
-                robust_rank_top=2,
-                robust_model_factory=crash_straggler_factory(0.1),
-                robust_policy=RetryBackoffPolicy(),
-                robust_engine="quantum",
-            )

@@ -228,7 +228,6 @@ class TestRankPlacementsRobustPins:
             RetryBackoffPolicy(),
             trials=2,
             method="des",
-            engine="batched",
             context=_contexts()["platform"],
         )
         assert [(s.name, s.objective, s.mean_inflation) for s in ranking] == [

@@ -9,26 +9,59 @@ actually spans.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.configs.generator import (
     count_feasible_placements,
     enumerate_placements,
 )
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.scheduler.policies import RandomPolicy
 from repro.search.canonical import (
+    assignment_to_placement,
     component_core_demands,
     count_canonical_assignments,
     count_raw_assignments,
     enumerate_canonical_placements,
     iter_canonical_assignments,
+    node_core_demands,
+    placement_to_assignment,
 )
 from repro.search.reference import (
     canonical_signature,
     count_feasible_placements_reference,
     enumerate_placements_reference,
 )
+from repro.util.errors import PlacementError
 from tests.strategies import search_grids
+
+
+class TestFlatAssignmentFormat:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=search_grids(), seed=st.integers(0, 2**31 - 1))
+    def test_round_trip_and_node_demands(self, grid, seed):
+        spec, num_nodes, cores_per_node = grid
+        try:
+            placement = RandomPolicy(seed=seed).place(
+                spec, num_nodes, cores_per_node
+            )
+        except PlacementError:
+            assume(False)
+        assignment = placement_to_assignment(placement)
+        assert (
+            assignment_to_placement(spec, assignment, placement.num_nodes)
+            == placement
+        )
+        expected = {}
+        for member, mp in zip(spec.members, placement.members):
+            nodes = (mp.simulation_node,) + mp.analysis_nodes
+            models = (member.simulation,) + tuple(member.analyses)
+            for node, model in zip(nodes, models):
+                expected[node] = expected.get(node, 0) + model.cores
+        demand = node_core_demands(component_core_demands(spec), assignment)
+        assert demand == expected
+        assert max(demand.values()) <= cores_per_node
 
 
 class TestCanonicalMatchesReference:

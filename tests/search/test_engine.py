@@ -3,8 +3,8 @@
 Covers :func:`repro.search.engine.find_best_placement` against a
 verbatim seed loop (reference enumerator + ``score_placement`` + first
 strict optimum), the rewired :class:`ExhaustiveSearchPolicy`, the
-incremental annealer's trajectory parity, robust ranking through the
-cache, and the planner's probe memoization.
+incremental annealer's trajectory parity with the seed annealer,
+robust ranking through the cache, and the planner's probe memoization.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ from repro.scheduler.robust import (
 )
 from repro.search import find_best_placement
 from repro.search.cache import StageCache
-from repro.search.reference import enumerate_placements_reference
+from repro.search.reference import (
+    anneal_reference,
+    enumerate_placements_reference,
+)
 from repro.util.errors import PlacementError
 
 
@@ -116,14 +119,10 @@ class TestIncrementalAnnealing:
     def test_trajectory_parity(self, two_member_spec, seed):
         # the incremental annealer must make the same RNG draws, the
         # same acceptance decisions, and land on the same placement as
-        # the full score-everything path
-        full = SimulatedAnnealingPolicy(
-            seed=seed, incremental=False, **self.KWARGS
-        )
-        fast = SimulatedAnnealingPolicy(
-            seed=seed, incremental=True, **self.KWARGS
-        )
-        full_placement = full.place(two_member_spec, 3, 32)
+        # the seed annealer's full score-everything path
+        full = SimulatedAnnealingPolicy(seed=seed, **self.KWARGS)
+        fast = SimulatedAnnealingPolicy(seed=seed, **self.KWARGS)
+        full_placement = anneal_reference(full, two_member_spec, 3, 32)
         fast_placement = fast.place(two_member_spec, 3, 32)
         assert fast_placement == full_placement
         assert fast.stats.evaluations == full.stats.evaluations
@@ -141,23 +140,23 @@ class TestIncrementalAnnealing:
         packed = EnsemblePlacement(
             4, tuple(MemberPlacement(i, (i,)) for i in range(3))
         )
-        full = SimulatedAnnealingPolicy(seed=0, plateau=30, incremental=False)
-        fast = SimulatedAnnealingPolicy(seed=0, plateau=30, incremental=True)
-        full_placement = full.place(spec, 4, 32, initial_placement=packed)
+        full = SimulatedAnnealingPolicy(seed=0, plateau=30)
+        fast = SimulatedAnnealingPolicy(seed=0, plateau=30)
+        full_placement = anneal_reference(
+            full, spec, 4, 32, initial_placement=packed
+        )
         fast_placement = fast.place(spec, 4, 32, initial_placement=packed)
         assert fast_placement == full_placement
         assert fast.stats == full.stats
 
     def test_trajectory_parity_with_robustness(self, two_member_spec):
         full = SimulatedAnnealingPolicy(
-            seed=3, incremental=False,
-            robustness=_robustness_term(), **self.KWARGS,
+            seed=3, robustness=_robustness_term(), **self.KWARGS
         )
         fast = SimulatedAnnealingPolicy(
-            seed=3, incremental=True,
-            robustness=_robustness_term(), **self.KWARGS,
+            seed=3, robustness=_robustness_term(), **self.KWARGS
         )
-        full_placement = full.place(two_member_spec, 3, 32)
+        full_placement = anneal_reference(full, two_member_spec, 3, 32)
         fast_placement = fast.place(two_member_spec, 3, 32)
         assert fast_placement == full_placement
         assert fast.stats.accepted == full.stats.accepted

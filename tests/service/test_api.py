@@ -15,6 +15,8 @@ import urllib.request
 
 import pytest
 
+from repro.coschedule.requests import EnsembleRequest
+from repro.reschedule.drift import DEFAULT_DRIFT_CAP
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
@@ -22,6 +24,7 @@ from repro.search.engine import find_best_placement
 from repro.service.api import MAX_BODY_BYTES, PlacementServer, make_server
 from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
+    CoscheduleOptions,
     PlacementRequest,
     RescheduleOptions,
     placement_to_dict,
@@ -103,6 +106,25 @@ def _reschedule(**options) -> dict:
     )
     payload = request_to_dict(request)
     payload["reschedule"].update(options)
+    return payload
+
+
+def _coschedule(entry=None, **options) -> dict:
+    """A two-entry coschedule stream on 4 nodes, ``options`` and the
+    second entry's ``entry`` fields set on the wire."""
+    stream = (
+        EnsembleRequest(name="a", spec=_spec()),
+        EnsembleRequest(name="b", spec=_spec(), arrival_time=5.0),
+    )
+    request = PlacementRequest(
+        kind="coschedule",
+        spec=stream[0].spec,
+        num_nodes=4,
+        coschedule=CoscheduleOptions(requests=stream),
+    )
+    payload = request_to_dict(request)
+    payload["coschedule"].update(options)
+    payload["coschedule"]["requests"][1].update(entry or {})
     return payload
 
 
@@ -216,6 +238,7 @@ class TestRoutes:
             {"request": _reschedule(drift_node=1.5)},
             {"request": _reschedule(drift_start=1.5)},
             {"request": _reschedule(drift_magnitude=NAN)},
+            {"request": _reschedule(drift_magnitude=DEFAULT_DRIFT_CAP + 1)},
             {"request": _reschedule(threshold=NAN)},
             {"request": _reschedule(min_gain=NAN)},
             {"request": _with("score", placement=_CROWDED)},
@@ -233,6 +256,11 @@ class TestRoutes:
             {"request": request_to_dict(_search()), "priority": 1.5},
             {"request": request_to_dict(_search()), "priority": "3"},
             {"request": request_to_dict(_search()), "priority": True},
+            {"request": _coschedule(fairness_weight=NAN)},
+            {"request": _coschedule(deadline_weight=INF)},
+            {"request": _coschedule({"priority": INF})},
+            {"request": _coschedule({"priority": 1.5})},
+            {"request": _coschedule({"priority": True})},
         ],
         ids=[
             "request-list", "request-string", "candidates-list",
@@ -240,11 +268,14 @@ class TestRoutes:
             "seed-negative", "seed-float", "seed-bool", "seed-null",
             "reschedule-seed-negative", "reschedule-seed-bool",
             "drift-node-off-placement", "drift-node-float",
-            "drift-start-float", "drift-magnitude-nan", "threshold-nan",
+            "drift-start-float", "drift-magnitude-nan",
+            "drift-magnitude-above-cap", "threshold-nan",
             "min-gain-nan", "score-placement-oversubscribed",
             "rank-candidate-oversubscribed", "rank-candidate-member-count",
             "priority-inf", "priority-float", "priority-string",
-            "priority-bool",
+            "priority-bool", "coschedule-weight-nan",
+            "coschedule-weight-inf", "stream-priority-inf",
+            "stream-priority-float", "stream-priority-bool",
         ],
     )
     def test_wrong_typed_or_non_finite_fields_are_400(self, server, body):

@@ -302,26 +302,44 @@ class TestDesRankPath:
         from repro.scheduler.robust import (
             crash_straggler_factory,
             rank_placements_robust,
+            robust_score_placement,
         )
 
         request = self._rank_request(rank_method="des", trials=4)
         payload = execute_request(request)
+        factory = crash_straggler_factory(request.robust_rate)
         direct = rank_placements_robust(
             request.spec,
             request.candidates,
-            crash_straggler_factory(request.robust_rate),
+            factory,
             RetryBackoffPolicy(),
             trials=4,
             base_seed=request.base_seed,
             method="des",
-            engine="batched",
         )
-        assert [e["name"] for e in payload["ranking"]] == [
-            s.name for s in direct
-        ]
-        assert [e["objective"] for e in payload["ranking"]] == [
-            s.objective for s in direct
-        ]
+        # the serial DES reference: retry recovery replays exactly
+        serial = sorted(
+            (
+                robust_score_placement(
+                    request.spec,
+                    placement,
+                    factory,
+                    RetryBackoffPolicy(),
+                    trials=4,
+                    base_seed=request.base_seed,
+                    name=name,
+                )
+                for name, placement in request.candidates.items()
+            ),
+            reverse=True,
+        )
+        for ranking in (direct, serial):
+            assert [e["name"] for e in payload["ranking"]] == [
+                s.name for s in ranking
+            ]
+            assert [e["objective"] for e in payload["ranking"]] == [
+                s.objective for s in ranking
+            ]
 
     def test_des_rank_scores_carry_trials(self):
         payload = execute_request(

@@ -1,9 +1,10 @@
 """Documentation health: internal links resolve (mirrors the CI job).
 
 The CI ``docs`` job runs ``scripts/check_doc_links.py`` and the
-``repro.faults``, ``repro.scheduler`` and ``repro.search`` doctests;
-this test keeps the link check in the tier-1 suite so a broken
-cross-reference fails locally too.
+``repro.core``, ``repro.util``, ``repro.faults``,
+``repro.monitoring``, ``repro.scheduler`` and ``repro.search``
+doctests; this test keeps the link check in the tier-1 suite so a
+broken cross-reference fails locally too.
 """
 
 import sys

@@ -33,6 +33,10 @@ OBJECTIVE_REL = DEFAULT_TOLERANCES["objective"]
 #: First-order fault surrogate vs the DES trial mean (tier 2).
 SURROGATE_REL = DEFAULT_TOLERANCES["surrogate"]
 
+#: Delta replay vs serial DES trials under the adaptive recovery
+#: policy, whose budget drains in global event order (banded tier 0).
+BATCHED_ADAPTIVE_REL = DEFAULT_TOLERANCES["batched_adaptive"]
+
 #: Noisy-executor convergence: with timing noise the steady-state
 #: estimates only approach the analytic values statistically.
 NOISY_REL = 0.05
