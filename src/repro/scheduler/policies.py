@@ -22,16 +22,14 @@ the ensemble).
 from __future__ import annotations
 
 import abc
-import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.search.cache import StageCache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
+from repro.search.cache import StageCache
+from repro.search.canonical import iter_canonical_assignments
 from repro.util.errors import PlacementError
 from repro.util.rng import RandomSource
 from repro.util.validation import require_positive_int
@@ -88,7 +86,7 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
 
     name = "exhaustive"
 
-    def __init__(self, cache: Optional["StageCache"] = None) -> None:
+    def __init__(self, cache: Optional[StageCache] = None) -> None:
         self.evaluated = 0
         self.cache = cache
 
@@ -115,10 +113,14 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
     """Member-at-a-time placement maximizing the partial-ensemble F.
 
     For each member, candidate local placements are every assignment of
-    its 1 + K components to nodes with remaining capacity, deduplicated
-    by the multiset of unused-so-far nodes (untouched empty nodes are
-    interchangeable). The member adopts the candidate whose addition
-    maximizes F(P^{U,A,P}) of the members placed so far.
+    its 1 + K components to nodes with remaining capacity, walked by
+    :func:`~repro.search.canonical.iter_canonical_assignments` with the
+    nodes earlier members use opened: those stay distinct, while the
+    untouched empty nodes are interchangeable and each member opens
+    them in order of first use. The candidate count therefore depends
+    on the nodes in use, not on the budget. The member adopts the
+    candidate whose addition maximizes F(P^{U,A,P}) of the members
+    placed so far.
     """
 
     name = "greedy-indicator"
@@ -138,10 +140,14 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
 
         placed: List[MemberPlacement] = []
         free: Dict[int, int] = {n: cores_per_node for n in range(num_nodes)}
+        used = 0  # members open nodes in first-use order: 0..used-1
 
         for i, member in enumerate(spec.members):
             candidates = self._member_candidates(
-                member, free, cores_per_node
+                member,
+                tuple(free[n] for n in range(used)),
+                num_nodes,
+                cores_per_node,
             )
             if not candidates:
                 raise PlacementError(
@@ -175,9 +181,10 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
             assert best is not None
             chosen = best[1]
             placed.append(chosen)
-            free[chosen.simulation_node] -= member.simulation.cores
-            for ana, node in zip(member.analyses, chosen.analysis_nodes):
-                free[node] -= ana.cores
+            nodes = (chosen.simulation_node,) + chosen.analysis_nodes
+            for node, cores in zip(nodes, self._component_cores(member)):
+                free[node] -= cores
+            used = max(used, 1 + max(nodes))
 
         return EnsemblePlacement(num_nodes, tuple(placed))
 
@@ -222,45 +229,25 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
     def _member_candidates(
         self,
         member: MemberSpec,
-        free: Dict[int, int],
+        opened: Sequence[int],
+        num_nodes: int,
         cores_per_node: int,
     ) -> List[MemberPlacement]:
-        cores = self._component_cores(member)
-        nodes = sorted(free)
-        candidates: List[MemberPlacement] = []
-        seen: set = set()
-        for assignment in itertools.product(nodes, repeat=len(cores)):
-            demand: Dict[int, int] = {}
-            ok = True
-            for node, c in zip(assignment, cores):
-                demand[node] = demand.get(node, 0) + c
-                if demand[node] > free[node]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # dedup: untouched empty nodes are interchangeable — relabel
-            # fresh (currently empty) nodes by order of first use
-            fresh = {n for n in nodes if free[n] == cores_per_node}
-            relabel: Dict[int, int] = {}
-            sig = []
-            counter = 0
-            for node in assignment:
-                if node in fresh:
-                    if node not in relabel:
-                        relabel[node] = counter
-                        counter += 1
-                    sig.append(("fresh", relabel[node]))
-                else:
-                    sig.append(("used", node))
-            key = tuple(sig)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(
-                MemberPlacement(assignment[0], tuple(assignment[1:]))
+        """The member's feasible local placements, in walk order.
+
+        ``opened`` holds the free cores of the nodes in use, ``0..
+        len(opened)-1``; the remaining nodes are empty and
+        interchangeable.
+        """
+        return [
+            MemberPlacement(assignment[0], assignment[1:])
+            for assignment in iter_canonical_assignments(
+                self._component_cores(member),
+                num_nodes,
+                cores_per_node,
+                opened=opened,
             )
-        return candidates
+        ]
 
 
 class RoundRobinPolicy(SchedulingPolicy):

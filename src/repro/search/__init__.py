@@ -7,10 +7,13 @@ annealing move. This package replaces the *work*, not the *answers* —
 every fast path is asserted bit-identical to the seed implementation
 it supersedes (same placements, same score floats):
 
-- :mod:`~repro.search.canonical` — restricted-growth-string
-  enumeration: one representative per node-relabeling class, capacity
-  pruning inside the recursion, closed-form counting over capacity
-  multisets, and :func:`search_space_size`, the closed-form
+- :mod:`~repro.search.canonical` — the one placement-space walker
+  (:func:`iter_assignment_chunks`): restricted growth strings over a
+  pool of interchangeable empty nodes beside any already-occupied
+  (``opened``) ones, so one recursion walks the canonical, the
+  labelled and the greedy's member spaces, with capacity pruning
+  inside it; :class:`CompletionCounter`, closed-form counting over
+  capacity multisets; and :func:`search_space_size`, the closed-form
   feasibility check every search (and the service) makes first. It
   owns the flat component-to-node assignment format too
   (:func:`placement_to_assignment` and its inverse
@@ -26,11 +29,12 @@ it supersedes (same placements, same score floats):
   scored row equals the :class:`StageCache` scalar scores bit for bit;
 - :mod:`~repro.search.engine` — :func:`find_best_placement`, the one
   exhaustive search entry point, a thin front end that runs the kernel
-  for any :class:`~repro.scheduler.context.PlanningContext`;
-- :mod:`~repro.search.reference` — the seed enumerator, the scalar
-  search loop (:func:`find_best_placement_reference`) and the seed
-  annealer (:func:`anneal_reference`), kept as the baselines the
-  benchmarks and property tests diff against.
+  for any :class:`~repro.scheduler.context.PlanningContext`.
+
+:mod:`repro.search.reference` keeps the seed enumerator, the scalar
+search loop and the seed annealer as the baselines the benchmarks and
+property tests diff against. Nothing at runtime imports it, and this
+package does not re-export it: import it by its module path.
 
 See ``docs/PERFORMANCE.md`` for the architecture and the determinism
 guarantees.
@@ -42,8 +46,6 @@ from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
     count_canonical_assignments,
-    count_raw_assignments,
-    enumerate_canonical_placements,
     iter_assignment_chunks,
     iter_canonical_assignments,
     member_shapes,
@@ -51,41 +53,14 @@ from repro.search.canonical import (
     placement_to_assignment,
     search_space_size,
 )
-from repro.search.reference import (
-    anneal_reference,
-    canonical_signature,
-    count_feasible_placements_reference,
-    enumerate_placements_reference,
-    find_best_placement_reference,
+from repro.search.engine import find_best_placement
+from repro.search.vectorized import (
+    MIN_VECTORIZED_CANDIDATES,
+    VectorizedScorer,
+    VectorizedSearchResult,
+    argmax_batch,
+    find_best_placement_vectorized,
 )
-
-# engine and vectorized score through repro.scheduler.objectives, which
-# (via repro.scheduler.policies) enumerates through
-# repro.configs.generator, which uses repro.search.canonical — loading
-# them eagerly here would close that cycle. PEP 562 lazy loading keeps
-# the public surface flat while the canonical/cache layers stay
-# importable from anywhere in the scheduler stack.
-_LAZY_EXPORTS = {
-    "MIN_VECTORIZED_CANDIDATES": "repro.search.vectorized",
-    "VectorizedScorer": "repro.search.vectorized",
-    "VectorizedSearchResult": "repro.search.vectorized",
-    "argmax_batch": "repro.search.vectorized",
-    "find_best_placement": "repro.search.engine",
-    "find_best_placement_vectorized": "repro.search.vectorized",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
 
 __all__ = [
     "CompletionCounter",
@@ -94,18 +69,11 @@ __all__ = [
     "StageCache",
     "VectorizedScorer",
     "VectorizedSearchResult",
-    "anneal_reference",
     "argmax_batch",
     "assignment_to_placement",
-    "canonical_signature",
     "component_core_demands",
     "count_canonical_assignments",
-    "count_feasible_placements_reference",
-    "count_raw_assignments",
-    "enumerate_canonical_placements",
-    "enumerate_placements_reference",
     "find_best_placement",
-    "find_best_placement_reference",
     "find_best_placement_vectorized",
     "iter_assignment_chunks",
     "iter_canonical_assignments",

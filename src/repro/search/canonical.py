@@ -1,27 +1,31 @@
-"""Canonical placement enumeration (restricted growth strings).
+"""The placement-space walker (restricted growth strings over a pool).
 
 The seed enumerator walked all ``nodes^components`` raw assignments and
 discarded node-relabeling duplicates with a ``seen`` set — exponential
-work even when the surviving canonical space is tiny. This module
-generates exactly one representative per relabeling class *directly*:
+work even when the surviving space is tiny. :func:`iter_assignment_chunks`
+walks every placement space directly. Its ``opened`` input holds the
+remaining capacities of nodes ``0..len(opened)-1``, already occupied
+and therefore distinct; the other nodes are one pool of
+interchangeable empty nodes, opened in order of first use:
 
-- A canonical assignment is a **restricted growth string** (RGS): node
-  labels appear in order of first use, so component ``i`` may only use
-  a node already opened by components ``0..i-1`` or open the next
-  fresh label. Every relabeling class contains exactly one RGS, and it
-  is the lexicographically smallest member of its class — i.e. the
-  representative the seed's first-occurrence dedup kept. The streams
-  are therefore identical, element for element.
-- Capacity pruning happens **inside the recursion**: a prefix that
-  oversubscribes a node is abandoned before any of its completions are
-  materialized, so infeasible subtrees cost one comparison instead of
-  ``nodes^(remaining)`` iterations.
-- Counting never materializes placements at all:
-  :func:`count_canonical_assignments` and :func:`count_raw_assignments`
-  run a memoized recursion over *capacity multisets* — two partial
-  states whose remaining node capacities agree as multisets have the
-  same number of completions, which collapses the tree to polynomial
-  size for the node counts searched here.
+- ``opened=()`` is the **canonical** space: each assignment is a
+  restricted growth string (RGS), the lexicographically smallest member
+  of its relabeling class — the representative the seed's
+  first-occurrence dedup kept, so the streams are identical, element
+  for element;
+- every node opened is the **labelled** space, the seed's product walk
+  without the dedup, in the same order;
+- a prefix opened is a partially occupied allocation:
+  :class:`~repro.scheduler.policies.GreedyIndicatorPolicy` walks each
+  member's space with the nodes earlier members use opened.
+
+Capacity pruning happens **inside the recursion**: a prefix that
+oversubscribes a node is abandoned before any of its completions are
+materialized. Counting never materializes placements at all:
+:class:`CompletionCounter` runs a memoized recursion over *capacity
+multisets* — two partial states whose remaining node capacities agree
+as multisets have the same number of completions, which collapses the
+tree to polynomial size for the node counts searched here.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import numpy as np
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.util.errors import PlacementError
-from repro.util.validation import require_positive_int
+from repro.util.errors import PlacementError, ValidationError
+from repro.util.validation import require_non_negative_int, require_positive_int
 
 #: Signature of a branch-and-bound prune hook for
 #: :func:`iter_assignment_chunks`: ``(component_index, assignment,
@@ -111,46 +115,48 @@ def node_core_demands(
     return demand
 
 
+def _opened_capacities(
+    opened: Sequence[int], num_nodes: int, cores_per_node: int
+) -> List[int]:
+    """``opened`` as a list: at most ``num_nodes`` ints in ``[0,
+    cores_per_node]``, booleans refused."""
+    caps = list(opened)
+    if len(caps) > num_nodes:
+        raise ValidationError(
+            f"{len(caps)} opened nodes exceed the {num_nodes}-node budget"
+        )
+    for cap in caps:
+        if require_non_negative_int("opened capacity", cap) > cores_per_node:
+            raise ValidationError(
+                f"opened capacity {cap} exceeds {cores_per_node} cores"
+            )
+    return caps
+
+
 def iter_canonical_assignments(
     component_cores: Sequence[int],
     num_nodes: int,
     cores_per_node: int,
+    opened: Sequence[int] = (),
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield feasible canonical (RGS) assignments in lexicographic order.
+    """The rows of :func:`iter_assignment_chunks`, as tuples.
 
-    Each yielded tuple assigns every component a node label; labels are
-    opened in order of first use and no node's total demand exceeds
-    ``cores_per_node``. The order matches the seed product-then-dedup
-    enumerator's output order exactly (first occurrence in raw
-    lexicographic order *is* the RGS representative).
+    Examples
+    --------
+    A 16-core simulation and its 8-core analysis on two 32-core nodes:
+    canonical, labelled, and with node 0 already holding 24 cores:
+
+    >>> list(iter_canonical_assignments([16, 8], 2, 32))
+    [(0, 0), (0, 1)]
+    >>> list(iter_canonical_assignments([16, 8], 2, 32, opened=(32, 32)))
+    [(0, 0), (0, 1), (1, 0), (1, 1)]
+    >>> list(iter_canonical_assignments([16, 8], 2, 32, opened=(8,)))
+    [(1, 0), (1, 1)]
     """
-    require_positive_int("num_nodes", num_nodes)
-    require_positive_int("cores_per_node", cores_per_node)
-    n = len(component_cores)
-    if n == 0:
-        return
-    assignment = [0] * n
-    # remaining capacity of opened nodes, indexed by label
-    caps: List[int] = []
-
-    def rec(i: int) -> Iterator[Tuple[int, ...]]:
-        if i == n:
-            yield tuple(assignment)
-            return
-        cores = component_cores[i]
-        for label in range(len(caps)):
-            if caps[label] >= cores:
-                caps[label] -= cores
-                assignment[i] = label
-                yield from rec(i + 1)
-                caps[label] += cores
-        if len(caps) < num_nodes and cores_per_node >= cores:
-            caps.append(cores_per_node - cores)
-            assignment[i] = len(caps) - 1
-            yield from rec(i + 1)
-            caps.pop()
-
-    yield from rec(0)
+    chunks = iter_assignment_chunks(
+        component_cores, num_nodes, cores_per_node, opened=opened
+    )
+    return (tuple(row) for chunk in chunks for row in chunk.tolist())
 
 
 def iter_assignment_chunks(
@@ -160,17 +166,16 @@ def iter_assignment_chunks(
     chunk_size: int = 8192,
     boundaries: Sequence[int] = (),
     prune: Optional[PruneHook] = None,
+    opened: Sequence[int] = (),
 ) -> Iterator[np.ndarray]:
-    """Yield canonical assignments as ``(B, C)`` index arrays.
+    """Yield the feasible assignments of a space as ``(B, C)`` arrays.
 
-    Array mode of :func:`iter_canonical_assignments`: concatenating the
-    yielded chunks row by row reproduces the scalar stream exactly —
-    same assignments, same order (property-tested against the seed
-    reference enumerator). Rows are emitted in blocks so a batch kernel
-    can score thousands of candidates per numpy dispatch; the last
-    recursion level is filled column-wise (all feasible labels of the
-    final component at once), which keeps per-candidate Python cost
-    below the cost of building a tuple.
+    Labels ``0..len(opened)-1`` are the opened nodes; the pool's labels
+    follow in order of first use (see the module docstring). Rows come
+    in lexicographic order, in blocks so a batch kernel can score
+    thousands of candidates per numpy dispatch; the last component is
+    filled column-wise, which keeps per-candidate Python cost below
+    the cost of building a tuple. Arguments are checked at the call.
 
     With ``prune`` given, it is consulted whenever the recursion
     reaches a component index in ``boundaries`` (conventionally the
@@ -182,12 +187,11 @@ def iter_assignment_chunks(
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
     require_positive_int("chunk_size", chunk_size)
+    # remaining capacity of opened nodes, indexed by label
+    caps = _opened_capacities(opened, num_nodes, cores_per_node)
     n = len(component_cores)
-    if n == 0:
-        return
     boundary_set = frozenset(boundaries) if prune is not None else frozenset()
     assignment = [0] * n
-    caps: List[int] = []
     buf = np.empty((chunk_size, n), dtype=np.int64)
     fill = 0
 
@@ -229,21 +233,27 @@ def iter_assignment_chunks(
             yield from rec(i + 1)
             caps.pop()
 
-    yield from rec(0)
-    if fill:
-        yield buf[:fill].copy()
+    def walk() -> Iterator[np.ndarray]:
+        if n == 0:
+            return
+        yield from rec(0)
+        if fill:
+            yield buf[:fill].copy()
+
+    return walk()
 
 
 class CompletionCounter:
-    """Closed-form completion counts of partial canonical assignments.
+    """Closed-form completion counts of partial assignments.
 
-    Generalizes :func:`count_canonical_assignments` to arbitrary
-    partial states: :meth:`count` sizes the subtree rooted at
-    (component index, opened-label capacities) without materializing a
-    single assignment, sharing one capacity-multiset memo across every
-    query of a search. Branch-and-bound uses it to tally exactly how
-    many candidates each pruned subtree contained, so
-    ``scored + pruned`` always equals the full canonical count.
+    :meth:`count` sizes the walker's subtree rooted at (component
+    index, opened capacities) without materializing an assignment, so
+    ``count(0, opened)`` is the length of the stream with ``opened``.
+    Placing the next component on any opened node of remaining
+    capacity ``r`` leads to the same sub-count, so the transition
+    multiplies by the multiplicity of ``r``, and one memo serves every
+    query of a search. Branch-and-bound tallies each pruned subtree
+    with it, so ``scored + pruned`` always equals the full count.
     """
 
     def __init__(
@@ -260,19 +270,25 @@ class CompletionCounter:
         self._memo: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
 
     def count(self, index: int, caps: Sequence[int]) -> int:
-        """Completions of a prefix ending at ``index`` with ``caps`` open."""
-        if not 0 <= index <= len(self._cores):
-            raise ValueError(
+        """Completions of a prefix ending at ``index`` with ``caps`` open.
+
+        ``caps`` obeys the walker's ``opened`` checks.
+        """
+        if require_non_negative_int("component index", index) > len(
+            self._cores
+        ):
+            raise ValidationError(
                 f"component index {index} out of range 0..{len(self._cores)}"
             )
+        caps = _opened_capacities(caps, self._num_nodes, self._cores_per_node)
+        if not self._cores:  # the walker yields no row for no component
+            return 0
         return self._rec(
             index, tuple(sorted(caps)), self._num_nodes - len(caps)
         )
 
     def total(self) -> int:
-        """The full canonical count (empty prefix)."""
-        if not self._cores:
-            return 0
+        """The full canonical count (no node opened)."""
         return self.count(0, ())
 
     def _rec(self, i: int, caps: Tuple[int, ...], unopened: int) -> int:
@@ -284,6 +300,7 @@ class CompletionCounter:
             return cached
         c = self._cores[i]
         total = 0
+        # multiplicity of each distinct remaining capacity
         mult: Dict[int, int] = {}
         for r in caps:
             mult[r] = mult.get(r, 0) + 1
@@ -305,47 +322,10 @@ def count_canonical_assignments(
     num_nodes: int,
     cores_per_node: int,
 ) -> int:
-    """Count feasible canonical assignments without materializing them.
-
-    Memoized on (component index, multiset of opened-node capacities,
-    unopened node count): placing the next component on any opened node
-    of remaining capacity ``r`` leads to the same sub-count, so the
-    transition multiplies by the multiplicity of ``r`` instead of
-    branching per node.
-    """
-    require_positive_int("num_nodes", num_nodes)
-    require_positive_int("cores_per_node", cores_per_node)
-    cores = list(component_cores)
-    if not cores:
-        return 0
-    memo: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
-
-    def rec(i: int, caps: Tuple[int, ...], unopened: int) -> int:
-        if i == len(cores):
-            return 1
-        key = (i, caps, unopened)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        c = cores[i]
-        total = 0
-        # multiplicity of each distinct remaining capacity
-        mult: Dict[int, int] = {}
-        for r in caps:
-            mult[r] = mult.get(r, 0) + 1
-        for r, m in mult.items():
-            if r >= c:
-                nxt = list(caps)
-                nxt.remove(r)
-                nxt.append(r - c)
-                total += m * rec(i + 1, tuple(sorted(nxt)), unopened)
-        if unopened > 0 and cores_per_node >= c:
-            nxt = tuple(sorted(caps + (cores_per_node - c,)))
-            total += rec(i + 1, nxt, unopened - 1)
-        memo[key] = total
-        return total
-
-    return rec(0, (), num_nodes)
+    """Count feasible canonical assignments without materializing them."""
+    return CompletionCounter(
+        component_cores, num_nodes, cores_per_node
+    ).total()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -380,64 +360,3 @@ def search_space_size(
         raise PlacementError(f"nodes oversubscribed (capacity {node_cores})")
     return total
 
-
-def count_raw_assignments(
-    component_cores: Sequence[int],
-    num_nodes: int,
-    cores_per_node: int,
-) -> int:
-    """Count feasible *labeled* assignments (no symmetry dedup).
-
-    Same capacity-multiset memoization as
-    :func:`count_canonical_assignments`, but every node starts opened:
-    an assignment to any of the ``m`` nodes sharing a remaining
-    capacity contributes ``m`` labeled variants.
-    """
-    require_positive_int("num_nodes", num_nodes)
-    require_positive_int("cores_per_node", cores_per_node)
-    cores = list(component_cores)
-    if not cores:
-        return 0
-    memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-
-    def rec(i: int, caps: Tuple[int, ...]) -> int:
-        if i == len(cores):
-            return 1
-        key = (i, caps)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        c = cores[i]
-        total = 0
-        mult: Dict[int, int] = {}
-        for r in caps:
-            mult[r] = mult.get(r, 0) + 1
-        for r, m in mult.items():
-            if r >= c:
-                nxt = list(caps)
-                nxt.remove(r)
-                nxt.append(r - c)
-                total += m * rec(i + 1, tuple(sorted(nxt)))
-        memo[key] = total
-        return total
-
-    return rec(0, tuple([cores_per_node] * num_nodes))
-
-
-def enumerate_canonical_placements(
-    spec: EnsembleSpec,
-    num_nodes: int,
-    cores_per_node: int,
-) -> Iterator[EnsemblePlacement]:
-    """Yield one placement per node-relabeling class of ``spec``.
-
-    Equivalent to the seed ``enumerate_placements(...,
-    dedup_symmetric=True)`` stream — same placements, same order —
-    without ever touching the infeasible or duplicate parts of the raw
-    ``nodes^components`` space.
-    """
-    cores = component_core_demands(spec)
-    for assignment in iter_canonical_assignments(
-        cores, num_nodes, cores_per_node
-    ):
-        yield assignment_to_placement(spec, assignment, num_nodes)

@@ -12,13 +12,14 @@ three of them:
   candidate in full where :class:`~repro.scheduler.annealing
   .SimulatedAnnealingPolicy` evaluates deltas.
 
-The property tests assert the canonical generator reproduces the
-enumerator's stream, the engine returns the loop's winner, floats and
+The property tests assert the placement-space walker reproduces the
+enumerator's streams (deduplicated with no node opened, labelled with
+every node opened), the engine returns the loop's winner, floats and
 candidate count, and the annealer walks the seed annealer's trajectory
 move for move; the benchmarks in ``scripts/bench_search.py`` measure
-the speedup against all three. Only tests and benchmarks call the
-search loop and the seed annealer; at runtime, only the labelled
-(``dedup_symmetric=False``) enumeration reaches this module.
+the speedup against all three. Only tests and benchmarks import this
+module: nothing at runtime reaches it, and :mod:`repro.search` does
+not re-export it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.core.objective import objective_function
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
+from repro.scheduler.objectives import PlacementScore, score_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import (
     assignment_to_placement,
@@ -40,10 +43,8 @@ from repro.search.canonical import (
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.scheduler.annealing import SimulatedAnnealingPolicy
-    from repro.scheduler.context import PlanningContext
-    from repro.scheduler.objectives import PlacementScore
 
 
 def canonical_signature(flat_assignment: Sequence[int]) -> Tuple[int, ...]:
@@ -69,8 +70,10 @@ def enumerate_placements_reference(
 
     Exponential in the component count regardless of how small the
     canonical space is — superseded by
-    :func:`repro.search.canonical.enumerate_canonical_placements`,
-    which yields the identical stream.
+    :func:`repro.search.canonical.iter_assignment_chunks`, which
+    yields the identical streams without walking the raw space: the
+    deduplicated one with no node opened, the ``dedup_symmetric=False``
+    one with every node opened.
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
@@ -136,8 +139,8 @@ def find_best_placement_reference(
     num_nodes: int,
     cores_per_node: int,
     *,
-    context: Optional["PlanningContext"] = None,
-) -> Tuple["PlacementScore", int]:
+    context: Optional[PlanningContext] = None,
+) -> Tuple[PlacementScore, int]:
     """The scalar search loop: one canonical assignment at a time.
 
     Streams the canonical assignments through
@@ -147,10 +150,6 @@ def find_best_placement_reference(
     .find_best_placement` must return exactly this (winner, floats,
     ``evaluated``) or raise the same :class:`PlacementError` class.
     """
-    # the scheduler enumerates through this module, so import it late
-    from repro.scheduler.context import DEFAULT_CONTEXT
-    from repro.scheduler.objectives import PlacementScore
-
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
     if context is None:
@@ -230,10 +229,6 @@ def anneal_reference(
     Returns the anneal's winner; the optional robust refinement of
     ``place`` re-ranks after the anneal and is not part of it.
     """
-    # the scheduler enumerates through this module, so import it late
-    from repro.scheduler.context import PlanningContext
-    from repro.scheduler.objectives import score_placement
-
     flat = policy.initial_assignment(
         spec, num_nodes, cores_per_node, initial_placement
     )

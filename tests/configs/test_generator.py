@@ -31,12 +31,6 @@ class TestEnumeration:
         }
         assert patterns == {(0, (0,)), (0, (1,))}
 
-    def test_without_dedup_counts_raw_assignments(self, one_member):
-        placements = list(
-            enumerate_placements(one_member, 2, 32, dedup_symmetric=False)
-        )
-        assert len(placements) == 4  # 2^2 assignments, all feasible
-
     def test_capacity_filters_infeasible(self, two_members):
         # 1 node of 32 cores cannot hold 48 cores of components
         assert list(enumerate_placements(two_members, 1, 32)) == []
@@ -90,3 +84,10 @@ class TestEnumeration:
             list(enumerate_placements(one_member, 0, 32))
         with pytest.raises(ValidationError):
             list(enumerate_placements(one_member, 2, 0))
+
+    def test_invalid_args_raise_at_the_call(self, one_member):
+        # no list(): the arguments are checked before a generator exists
+        with pytest.raises(ValidationError):
+            enumerate_placements(one_member, 0, 32)
+        with pytest.raises(ValidationError):
+            enumerate_placements(one_member, 2, 0)

@@ -1,8 +1,13 @@
 """Tests for the scheduling policies."""
 
-import pytest
+import itertools
+from typing import Dict, List
 
-from repro.runtime.spec import EnsembleSpec, default_member
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.runtime.placement import MemberPlacement
+from repro.runtime.spec import EnsembleSpec, MemberSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import (
     ExhaustiveSearchPolicy,
@@ -10,7 +15,9 @@ from repro.scheduler.policies import (
     RandomPolicy,
     RoundRobinPolicy,
 )
+from repro.search.canonical import CompletionCounter
 from repro.util.errors import PlacementError
+from tests.strategies import search_grids
 
 
 @pytest.fixture
@@ -131,3 +138,100 @@ class TestBaselines:
             for s in range(6)
         }
         assert len(results) > 1
+
+
+def _seed_member_candidates(
+    self,
+    member: MemberSpec,
+    free: Dict[int, int],
+    cores_per_node: int,
+) -> List[MemberPlacement]:
+    """The greedy's original member walk, verbatim: every node tuple of
+    the whole budget, deduplicated by relabeling the empty nodes."""
+    cores = self._component_cores(member)
+    nodes = sorted(free)
+    candidates: List[MemberPlacement] = []
+    seen: set = set()
+    for assignment in itertools.product(nodes, repeat=len(cores)):
+        demand: Dict[int, int] = {}
+        ok = True
+        for node, c in zip(assignment, cores):
+            demand[node] = demand.get(node, 0) + c
+            if demand[node] > free[node]:
+                ok = False
+                break
+        if not ok:
+            continue
+        # dedup: untouched empty nodes are interchangeable — relabel
+        # fresh (currently empty) nodes by order of first use
+        fresh = {n for n in nodes if free[n] == cores_per_node}
+        relabel: Dict[int, int] = {}
+        sig = []
+        counter = 0
+        for node in assignment:
+            if node in fresh:
+                if node not in relabel:
+                    relabel[node] = counter
+                    counter += 1
+                sig.append(("fresh", relabel[node]))
+            else:
+                sig.append(("used", node))
+        key = tuple(sig)
+        if key in seen:
+            continue
+        seen.add(key)
+        candidates.append(
+            MemberPlacement(assignment[0], tuple(assignment[1:]))
+        )
+    return candidates
+
+
+class TestGreedyMemberSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=search_grids(), data=st.data())
+    def test_member_space_equals_the_seed_walk(self, grid, data):
+        # members open nodes in first-use order, so the nodes in use
+        # are always a prefix, each with fewer free cores than an
+        # empty node
+        spec, num_nodes, cores_per_node = grid
+        member = data.draw(st.sampled_from(spec.members))
+        opened = tuple(
+            data.draw(
+                st.lists(
+                    st.integers(0, cores_per_node - 1),
+                    max_size=num_nodes,
+                )
+            )
+        )
+        free = {
+            n: opened[n] if n < len(opened) else cores_per_node
+            for n in range(num_nodes)
+        }
+        policy = GreedyIndicatorPolicy()
+        candidates = policy._member_candidates(
+            member, opened, num_nodes, cores_per_node
+        )
+        assert candidates == _seed_member_candidates(
+            policy, member, free, cores_per_node
+        )
+        counter = CompletionCounter(
+            policy._component_cores(member), num_nodes, cores_per_node
+        )
+        assert counter.count(0, opened) == len(candidates)
+
+    def test_candidates_do_not_grow_with_the_budget(self):
+        # 3 members of K=2 fill at most 9 nodes, so 96 nodes offer the
+        # same member spaces: a walk over every node tuple of the
+        # budget would visit 96^3 per member to find them
+        spec = EnsembleSpec(
+            "k2x3",
+            tuple(
+                default_member(f"em{i}", num_analyses=2, n_steps=5)
+                for i in range(3)
+            ),
+        )
+        small, large = GreedyIndicatorPolicy(), GreedyIndicatorPolicy()
+        on_nine = small.place(spec, 9, 32)
+        on_ninety_six = large.place(spec, 96, 32)
+        assert on_ninety_six.members == on_nine.members
+        assert small.evaluated == large.evaluated == 15

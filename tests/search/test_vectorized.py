@@ -55,8 +55,12 @@ from repro.search.canonical import (
     count_canonical_assignments,
     iter_assignment_chunks,
     iter_canonical_assignments,
+    placement_to_assignment,
 )
-from repro.search.reference import find_best_placement_reference
+from repro.search.reference import (
+    enumerate_placements_reference,
+    find_best_placement_reference,
+)
 from repro.search.vectorized import (
     VectorizedScorer,
     argmax_batch,
@@ -194,9 +198,12 @@ class TestChunkedEnumeration:
     def test_chunks_concatenate_to_canonical_stream(self, grid, chunk_size):
         spec, num_nodes, cores_per_node = grid
         cores = component_core_demands(spec)
-        reference = list(
-            iter_canonical_assignments(cores, num_nodes, cores_per_node)
-        )
+        reference = [
+            tuple(placement_to_assignment(p))
+            for p in enumerate_placements_reference(
+                spec, num_nodes, cores_per_node
+            )
+        ]
         chunks = list(
             iter_assignment_chunks(
                 cores, num_nodes, cores_per_node, chunk_size=chunk_size
@@ -216,8 +223,11 @@ class TestChunkedEnumeration:
         spec, num_nodes, cores_per_node = grid
         cores = component_core_demands(spec)
         counter = CompletionCounter(cores, num_nodes, cores_per_node)
-        assert counter.total() == count_canonical_assignments(
-            cores, num_nodes, cores_per_node
+        assert counter.total() == sum(
+            len(chunk)
+            for chunk in iter_assignment_chunks(
+                cores, num_nodes, cores_per_node
+            )
         )
 
 

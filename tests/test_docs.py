@@ -2,8 +2,8 @@
 
 The CI ``docs`` job runs ``scripts/check_doc_links.py`` and the
 ``repro.core``, ``repro.util``, ``repro.faults``,
-``repro.monitoring``, ``repro.scheduler`` and ``repro.search``
-doctests; this test keeps the link check in the tier-1 suite so a
+``repro.monitoring``, ``repro.scheduler``, ``repro.search`` and
+``repro.configs`` doctests; this test keeps the link check in the tier-1 suite so a
 broken cross-reference fails locally too.
 """
 

@@ -5,8 +5,14 @@ These tests protect downstream users: everything advertised in
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).parent.parent / "src"
 
 PACKAGES = [
     "repro",
@@ -56,6 +62,31 @@ class TestApiSurface:
         import repro
 
         assert repro.__version__
+
+
+class TestRuntimeImports:
+    def test_reference_implementations_stay_off_the_runtime_path(self):
+        # repro.search.reference is a test and benchmark oracle: no
+        # runtime package may load it (a fresh process, since the test
+        # suite itself imports it)
+        code = (
+            "import sys\n"
+            "import repro.configs, repro.scheduler, repro.search\n"
+            "import repro.service.api, repro.cli\n"
+            "print('repro.search.reference' in sys.modules)\n"
+        )
+        path = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestReadmeQuickstart:
