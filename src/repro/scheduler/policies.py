@@ -22,7 +22,8 @@ the ensemble).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+import bisect
+from typing import List, Optional, Sequence, Tuple
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
@@ -137,17 +138,17 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)
         self.evaluated = 0
+        # one memo per call: scoring never builds the budget's cluster
+        context = PlanningContext(cache=StageCache())
 
         placed: List[MemberPlacement] = []
-        free: Dict[int, int] = {n: cores_per_node for n in range(num_nodes)}
-        used = 0  # members open nodes in first-use order: 0..used-1
+        # free cores of the nodes in use, opened in first-use order;
+        # every node past them is still empty
+        free: List[int] = []
 
         for i, member in enumerate(spec.members):
             candidates = self._member_candidates(
-                member,
-                tuple(free[n] for n in range(used)),
-                num_nodes,
-                cores_per_node,
+                member, tuple(free), num_nodes, cores_per_node
             )
             if not candidates:
                 raise PlacementError(
@@ -155,14 +156,16 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
                     f"insufficient free cores"
                 )
             # look-ahead: prefer candidates whose residual capacity can
-            # still hold every remaining member (first-fit-decreasing
+            # still hold every remaining member (best-fit-decreasing
             # check); fall back to all candidates if none pass — a
-            # failed FFD is pessimistic, not a proof of infeasibility.
+            # failed check is pessimistic, not a proof of infeasibility.
             remaining = spec.members[i + 1 :]
             safe = [
                 c
                 for c in candidates
-                if self._residual_feasible(member, c, free, remaining)
+                if self._residual_feasible(
+                    member, c, free, num_nodes, cores_per_node, remaining
+                )
             ]
             if safe:
                 candidates = safe
@@ -174,39 +177,55 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
                 trial = EnsemblePlacement(
                     num_nodes, tuple(placed + [candidate])
                 )
-                score = score_placement(partial_spec, trial)
+                score = score_placement(partial_spec, trial, context=context)
                 self.evaluated += 1
                 if best is None or score > best[0]:
                     best = (score, candidate)
             assert best is not None
             chosen = best[1]
             placed.append(chosen)
-            nodes = (chosen.simulation_node,) + chosen.analysis_nodes
-            for node, cores in zip(nodes, self._component_cores(member)):
-                free[node] -= cores
-            used = max(used, 1 + max(nodes))
+            self._take(member, chosen, free, cores_per_node)
 
         return EnsemblePlacement(num_nodes, tuple(placed))
+
+    def _take(
+        self,
+        member: MemberSpec,
+        candidate: MemberPlacement,
+        free: List[int],
+        cores_per_node: int,
+    ) -> None:
+        """Charge ``candidate``'s cores to ``free``, opening new nodes."""
+        nodes = (candidate.simulation_node,) + candidate.analysis_nodes
+        for node, cores in zip(nodes, self._component_cores(member)):
+            if node >= len(free):
+                free.extend([cores_per_node] * (node + 1 - len(free)))
+            free[node] -= cores
 
     def _residual_feasible(
         self,
         member: MemberSpec,
         candidate: MemberPlacement,
-        free: Dict[int, int],
+        free: List[int],
+        num_nodes: int,
+        cores_per_node: int,
         remaining: Sequence[MemberSpec],
     ) -> bool:
         """Can the remaining members still fit after taking ``candidate``?
 
-        First-fit-decreasing over the residual free map — a standard
-        bin-packing heuristic: sufficient when it succeeds, inconclusive
-        when it fails (hence only used as a preference filter).
+        Best-fit decreasing over the residual free capacities — a
+        standard bin-packing heuristic: sufficient when it succeeds,
+        inconclusive when it fails (hence only used as a preference
+        filter). The answer depends only on the multiset of
+        capacities, so the nodes in use are one sorted list and the
+        empty ones a count.
         """
-        residual = dict(free)
-        residual[candidate.simulation_node] -= member.simulation.cores
-        for ana, node in zip(member.analyses, candidate.analysis_nodes):
-            residual[node] -= ana.cores
-        if any(v < 0 for v in residual.values()):
+        residual = list(free)
+        self._take(member, candidate, residual, cores_per_node)
+        if any(v < 0 for v in residual):
             return False
+        empty = num_nodes - len(residual)
+        residual.sort()
         components = sorted(
             (
                 cores
@@ -216,14 +235,16 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
             reverse=True,
         )
         for cores in components:
-            target = None
-            for node in sorted(residual, key=lambda n: residual[n]):
-                if residual[node] >= cores:
-                    target = node  # best-fit: tightest node that fits
-                    break
-            if target is None:
+            # best-fit: the tightest capacity that holds the component
+            at = bisect.bisect_left(residual, cores)
+            if at < len(residual):
+                left = residual.pop(at) - cores
+            elif empty and cores <= cores_per_node:
+                empty -= 1
+                left = cores_per_node - cores
+            else:
                 return False
-            residual[target] -= cores
+            bisect.insort(residual, left)
         return True
 
     def _member_candidates(

@@ -3,34 +3,44 @@
 Built on :class:`http.server.ThreadingHTTPServer` — no web framework,
 matching the repo's zero-new-dependency rule. Routes:
 
-====================  =====================================================
-``POST /jobs``        submit ``{"request": <request dict>, "priority": n}``
-                      -> 201 with the job snapshot (cache hits come back
-                      already ``done`` with ``cached: true``)
-``GET /jobs``         every tracked job (without result payloads)
-``GET /jobs/<id>``    one job, including its result when done
-``DELETE /jobs/<id>`` cancel a pending job -> ``{"cancelled": bool}``
-``GET /health``       liveness: status, worker count, uptime
-``GET /stats``        queue counters, result-cache hit/miss/eviction,
-                      aggregated StageCache statistics
-====================  =====================================================
+========================  =================================================
+``POST /jobs``            submit ``{"request": <request dict>, "priority":
+                          n}`` -> 201 with the job snapshot (cache hits
+                          come back already ``done`` with ``cached: true``)
+``GET /jobs``             every tracked job (without result payloads)
+``GET /jobs/<id>``        one job, including its result when done
+``GET /jobs/<id>?wait=s`` the same, once the job is terminal or ``s``
+                          seconds (capped at :data:`MAX_WAIT_S`) passed
+``DELETE /jobs/<id>``     cancel a pending job -> ``{"cancelled": bool}``
+``GET /health``           liveness: status, worker count, uptime
+``GET /stats``            queue counters, result-cache hit/miss/eviction,
+                          aggregated StageCache statistics
+========================  =================================================
 
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
 so the HTTP path serves the same floats the library computes — the
 verify subsystem's service tier holds this to tolerance 0.0. Errors
 are JSON too: 400 for malformed payloads, a ``priority`` that is not
-a JSON integer, or a negative or non-integer ``Content-Length``, 404
-for unknown ids/routes, 405 for unsupported methods, 413 for bodies
-over :data:`MAX_BODY_BYTES`.
+a JSON integer, a ``wait`` that is not a finite number >= 0, or a
+negative or non-integer ``Content-Length``, 404 for unknown ids
+(including finished jobs the queue has evicted) and routes, 405 for
+unsupported methods, 413 for bodies over :data:`MAX_BODY_BYTES`.
+
+Connections are HTTP/1.1 keep-alive. A response the handler closes
+the connection after says ``Connection: close``; an idle connection
+is released after :data:`IDLE_TIMEOUT_S`, and
+:meth:`PlacementServer.stop` closes every open one.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.service.schemas import request_from_dict
 from repro.service.workers import PlacementService
@@ -38,6 +48,10 @@ from repro.util.errors import ReproError, ValidationError
 
 #: the largest ``POST /jobs`` body the service reads; larger -> 413.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: the longest ``GET /jobs/<id>?wait=`` block, in seconds.
+MAX_WAIT_S = 10.0
+#: seconds a keep-alive connection may sit idle before it is closed.
+IDLE_TIMEOUT_S = 30.0
 
 
 class PlacementServer:
@@ -65,6 +79,9 @@ class PlacementServer:
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+        self._connections: Set[socket.socket] = set()
+        self._stopped = False
 
     @property
     def host(self) -> str:
@@ -93,12 +110,29 @@ class PlacementServer:
         self.httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop accepting HTTP, then shut the worker pool down."""
+        """Stop accepting HTTP, hang up every open connection, then
+        shut the worker pool down."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        with self._lock:
+            self._stopped = True
+            connections = list(self._connections)
+        for connection in connections:
+            _hang_up(connection)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self.service.stop()
+
+    def _opened(self, connection: socket.socket) -> None:
+        with self._lock:
+            if not self._stopped:
+                self._connections.add(connection)
+                return
+        _hang_up(connection)  # accepted while stopping
+
+    def _closed(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._connections.discard(connection)
 
     def __enter__(self) -> "PlacementServer":
         return self.start()
@@ -125,15 +159,41 @@ def make_server(
     return PlacementServer(service=service, host=host, port=port)
 
 
+def _hang_up(connection: socket.socket) -> None:
+    """Shut ``connection`` down; its handler's blocked read sees EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:  # its handler has closed it already
+        pass
+
+
 def _make_handler(server: PlacementServer):
     service = server.service
 
     class Handler(BaseHTTPRequestHandler):
         # the service speaks JSON everywhere, including errors
         protocol_version = "HTTP/1.1"
+        # headers and body leave in two sends; with Nagle's algorithm
+        # the body would wait for the client's delayed ACK (~40 ms)
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
 
         def log_message(self, *args) -> None:  # quiet by default
             pass
+
+        def setup(self) -> None:
+            super().setup()
+            server._opened(self.connection)
+
+        def finish(self) -> None:
+            server._closed(self.connection)
+            super().finish()
+
+        def handle(self) -> None:
+            try:
+                super().handle()
+            except ConnectionError:  # the client or stop() hung up
+                self.close_connection = True
 
         # -- plumbing -------------------------------------------------------
         def _send(self, status: int, payload: dict) -> None:
@@ -141,6 +201,8 @@ def _make_handler(server: PlacementServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -154,6 +216,25 @@ def _make_handler(server: PlacementServer):
             if len(parts) == 1:
                 return parts[0], None
             return parts[0], "/".join(parts[1:])
+
+        def _wait_seconds(self) -> float:
+            """The ``wait`` query parameter, capped; 0 when absent."""
+            query = urllib.parse.parse_qs(
+                self.path.partition("?")[2], keep_blank_values=True
+            )
+            if "wait" not in query:
+                return 0.0
+            raw = query["wait"][-1]
+            try:
+                wait = float(raw)
+            except ValueError:
+                wait = float("nan")
+            if not 0.0 <= wait < float("inf"):
+                raise ValueError(
+                    f"wait must be a finite number of seconds >= 0, "
+                    f"got {raw!r}"
+                )
+            return min(wait, MAX_WAIT_S)
 
         # -- verbs ----------------------------------------------------------
         def do_GET(self) -> None:
@@ -180,7 +261,12 @@ def _make_handler(server: PlacementServer):
                     },
                 )
             elif head == "jobs":
-                job = service.queue.poll(rest)
+                try:
+                    wait = self._wait_seconds()
+                except ValueError as exc:
+                    self._error(400, f"bad request: {exc}")
+                    return
+                job = service.queue.wait(rest, wait)
                 if job is None:
                     self._error(404, f"unknown job {rest!r}")
                 else:
@@ -190,11 +276,12 @@ def _make_handler(server: PlacementServer):
 
         def do_POST(self) -> None:
             head, rest = self._route()
-            if head != "jobs" or rest is not None:
-                self._error(404, f"no route POST {self.path}")
-                return
             # a body we refuse is never read, so the connection cannot
             # carry another request after the error
+            if head != "jobs" or rest is not None:
+                self.close_connection = True
+                self._error(404, f"no route POST {self.path}")
+                return
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:

@@ -1,8 +1,11 @@
-"""Python client for the placement service (stdlib ``urllib`` only).
+"""Python client for the placement service (stdlib ``http.client`` only).
 
 A thin, dependency-free mirror of the HTTP surface: submit a
 :class:`~repro.service.schemas.PlacementRequest` (or a convenience
 search), poll, block on completion, cancel, and read health/stats.
+Each calling thread keeps one keep-alive connection, and
+:meth:`PlacementClient.wait` blocks in the server
+(``GET /jobs/<id>?wait=``) instead of polling on a timer.
 Deserialization goes through :mod:`repro.service.schemas`, so
 :meth:`PlacementClient.result_score` hands back a real
 :class:`~repro.scheduler.objectives.PlacementScore` carrying the
@@ -11,10 +14,13 @@ service's floats unchanged.
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
+import weakref
 from typing import List, Optional
 
 from repro.runtime.spec import EnsembleSpec
@@ -37,42 +43,87 @@ class ServiceError(RuntimeError):
 class PlacementClient:
     """Client bound to one service base URL.
 
+    Each thread that calls the client gets its own persistent
+    connection, reopened when the server has closed it; :meth:`close`
+    (or leaving a ``with`` block) closes them all.
+
     Parameters
     ----------
     base_url:
         e.g. ``http://127.0.0.1:8765`` (trailing slash tolerated).
     timeout:
-        Socket timeout per HTTP call, in seconds.
+        Socket timeout per HTTP call, in seconds; :meth:`wait` asks
+        the server to block for at most half of it per call.
     """
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
+        self._local = threading.local()
+        # weak: a thread's connection is freed, and closed, with the thread
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reopens one."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "PlacementClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- HTTP plumbing ------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, dropped first if the server closed it.
+
+        An idle keep-alive socket has nothing to read; a readable one
+        holds the server's EOF (or stray bytes), so it is not reused.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            with self._lock:
+                self._connections.add(connection)
+        elif connection.sock is not None and select.select(
+            [connection.sock], [], [], 0
+        )[0]:
+            connection.close()  # the next request reconnects
+        return connection
+
     def _call(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> dict:
-        url = f"{self.base_url}{path}"
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, method=method, headers=headers
-        )
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            connection.request(
+                method, self._prefix + path, body=body, headers=headers
+            )
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.status >= 400:
             try:
-                message = json.loads(exc.read().decode("utf-8"))["error"]
+                message = json.loads(data.decode("utf-8"))["error"]
             except Exception:
-                message = exc.reason
-            raise ServiceError(exc.code, message) from exc
+                message = response.reason
+            raise ServiceError(response.status, message)
+        return json.loads(data.decode("utf-8"))
 
     # -- API ----------------------------------------------------------------
     def submit(
@@ -167,9 +218,14 @@ class PlacementClient:
             priority=priority,
         )
 
-    def job(self, job_id: str) -> dict:
-        """GET one job snapshot (includes the result when done)."""
-        return self._call("GET", f"/jobs/{job_id}")
+    def job(self, job_id: str, wait: float = 0.0) -> dict:
+        """GET one job snapshot (includes the result when done).
+
+        A positive ``wait`` lets the server hold the answer until the
+        job is terminal or ``wait`` seconds (capped by the server) pass.
+        """
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._call("GET", f"/jobs/{job_id}{query}")
 
     def jobs(self) -> List[dict]:
         """GET every tracked job (without result payloads)."""
@@ -185,13 +241,12 @@ class PlacementClient:
     def stats(self) -> dict:
         return self._call("GET", "/stats")
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 30.0,
-        poll_interval: float = 0.01,
-    ) -> dict:
-        """Poll until the job is terminal; returns the final snapshot.
+    def wait(self, job_id: str, timeout: float = 30.0) -> dict:
+        """Block until the job is terminal; returns the final snapshot.
+
+        Each :meth:`job` call blocks in the server for at most half
+        the socket timeout, so a job that finishes within that costs
+        one request.
 
         Raises
         ------
@@ -199,16 +254,17 @@ class PlacementClient:
             If the job is still pending/running after ``timeout``.
         """
         deadline = time.monotonic() + timeout
+        longest = self.timeout / 2
         while True:
-            snapshot = self.job(job_id)
+            remaining = deadline - time.monotonic()
+            snapshot = self.job(job_id, wait=min(max(remaining, 0.0), longest))
             if snapshot["state"] in ("done", "failed", "cancelled"):
                 return snapshot
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {snapshot['state']} "
                     f"after {timeout}s"
                 )
-            time.sleep(poll_interval)
 
     @staticmethod
     def result_score(snapshot: dict) -> PlacementScore:

@@ -1,10 +1,11 @@
-"""The placement job queue: submit / poll / cancel / pop_completed.
+"""The placement job queue: submit / poll / wait / cancel.
 
 A :class:`PlacementJobQueue` is the hand-off point between request
 producers (the HTTP API, the Python client, tests) and the worker pool
 that drains it. Semantics follow the task-queue idiom of ensemble
 brokers (submit returns immediately with a job handle; completion is
-observed by polling or by draining ``pop_completed``):
+observed by polling, or by one blocking :meth:`~PlacementJobQueue.wait`
+that the resolving call wakes):
 
 - **priority ordering** — higher ``priority`` first; ties resolve in
   submission order (FIFO), so two equal-priority submissions never
@@ -16,7 +17,11 @@ observed by polling or by draining ``pop_completed``):
   sequence);
 - **lifecycle** — ``PENDING -> RUNNING -> DONE | FAILED``, with
   ``CANCELLED`` reachable only from ``PENDING`` (a running job cannot
-  be preempted; its worker owns it until it resolves).
+  be preempted; its worker owns it until it resolves);
+- **bounded retention** — at most :data:`MAX_FINISHED_JOBS` terminal
+  records are kept; past that the one that finished first is evicted,
+  and polling its id answers None (the HTTP API's 404 ``unknown job``).
+  Unfinished jobs are never evicted.
 
 All mutating calls are thread-safe; :meth:`claim_next` blocks workers
 on a condition variable so an idle pool costs nothing.
@@ -28,11 +33,17 @@ import enum
 import heapq
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.service.schemas import PlacementRequest, canonical_digest
 from repro.util.errors import ValidationError
+
+#: terminal job records the queue retains; the oldest finished goes
+#: first. Matches the :class:`~repro.service.cache.ResultCache`
+#: default, which keeps answering re-submissions by digest.
+MAX_FINISHED_JOBS = 1024
 
 
 class JobState(enum.Enum):
@@ -94,16 +105,21 @@ class PlacementJob:
 class PlacementJobQueue:
     """Thread-safe priority queue of placement jobs.
 
-    The queue owns every job it has ever seen (until popped via
+    The queue owns every unfinished job and the last
+    :data:`MAX_FINISHED_JOBS` finished ones (until popped via
     :meth:`pop_completed`), so ``poll`` answers for running and
-    finished jobs alike. Workers claim with :meth:`claim_next` and
-    resolve with :meth:`complete` / :meth:`fail` / :meth:`requeue`.
+    recently finished jobs alike. Workers claim with :meth:`claim_next`
+    and resolve with :meth:`complete` / :meth:`fail` / :meth:`requeue`;
+    :meth:`wait` blocks a reader until the job is resolved.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
+        self._resolved = threading.Condition(self._lock)
         self._jobs: Dict[str, PlacementJob] = {}
+        # ids of the terminal records in _jobs, oldest finished first
+        self._finished: "OrderedDict[str, None]" = OrderedDict()
         # heap entries: (-priority, seq, job_id); lazily invalidated on
         # cancel/update_priority (stale entries are skipped on pop)
         self._heap: List[tuple] = []
@@ -159,18 +175,35 @@ class PlacementJobQueue:
                 request=request,
                 digest=digest,
                 seq=seq,
-                state=JobState.DONE,
                 result=result,
                 cached=cached,
-                finished_at=time.monotonic(),
             )
             self._jobs[job.id] = job
+            self._finish_locked(job, JobState.DONE)
             return job
 
     def poll(self, job_id: str) -> Optional[PlacementJob]:
-        """The job for ``job_id``, or None if unknown/popped."""
+        """The job for ``job_id``, or None if unknown, evicted or popped."""
         with self._lock:
             return self._jobs.get(job_id)
+
+    def wait(
+        self, job_id: str, timeout: Optional[float] = None
+    ) -> Optional[PlacementJob]:
+        """Block until ``job_id`` is terminal or ``timeout`` s have passed.
+
+        Returns the job, terminal or not, or None if the id is unknown.
+        ``timeout=None`` waits without limit; ``0`` does not block. The
+        answer goes through :meth:`poll`; a record evicted while the
+        caller waited is still returned from the object held.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None:
+                return None
+            if timeout is None or timeout > 0:
+                self._resolved.wait_for(lambda: job.state.terminal, timeout)
+        return self.poll(job_id) or job
 
     def jobs(self) -> List[PlacementJob]:
         """Snapshot of every tracked job, in submission order."""
@@ -183,8 +216,7 @@ class PlacementJobQueue:
             job = self._jobs.get(job_id)
             if job is None or job.state is not JobState.PENDING:
                 return False
-            job.state = JobState.CANCELLED
-            job.finished_at = time.monotonic()
+            self._finish_locked(job, JobState.CANCELLED)
             return True
 
     def update_priority(self, job_id: str, priority: int) -> bool:
@@ -201,9 +233,8 @@ class PlacementJobQueue:
     def pop_completed(self) -> List[PlacementJob]:
         """Remove and return every terminal job (submission order)."""
         with self._lock:
-            done = [j for j in self._jobs.values() if j.state.terminal]
-            for job in done:
-                del self._jobs[job.id]
+            done = [self._jobs.pop(job_id) for job_id in self._finished]
+            self._finished.clear()
             return sorted(done, key=lambda j: j.seq)
 
     # -- worker side --------------------------------------------------------
@@ -249,17 +280,15 @@ class PlacementJobQueue:
         """Resolve a RUNNING job as DONE with ``result``."""
         with self._lock:
             job = self._require_running(job_id)
-            job.state = JobState.DONE
             job.result = result
-            job.finished_at = time.monotonic()
+            self._finish_locked(job, JobState.DONE)
 
     def fail(self, job_id: str, error: str) -> None:
         """Resolve a RUNNING job as FAILED with ``error``."""
         with self._lock:
             job = self._require_running(job_id)
-            job.state = JobState.FAILED
             job.error = error
-            job.finished_at = time.monotonic()
+            self._finish_locked(job, JobState.FAILED)
 
     def requeue(self, job_id: str) -> None:
         """Return a RUNNING job to PENDING (crash-retry path)."""
@@ -274,19 +303,37 @@ class PlacementJobQueue:
 
         Request coalescing: once one worker has computed a digest,
         identical jobs still waiting in the queue are completed in
-        place (marked ``cached``) instead of recomputing. Their heap
-        records go stale and are skipped on pop. Returns the count.
+        place (marked ``cached``) instead of recomputing. Every pending
+        job has a heap record, so only the heap is scanned, not the
+        finished records; those heap records go stale and are skipped
+        on pop. Returns the count.
         """
         with self._lock:
-            count = 0
-            for job in self._jobs.values():
-                if job.state is JobState.PENDING and job.digest == digest:
-                    job.state = JobState.DONE
-                    job.result = result
-                    job.cached = True
-                    job.finished_at = time.monotonic()
-                    count += 1
-            return count
+            pending: Dict[str, PlacementJob] = {}
+            for _, _, job_id in self._heap:  # a job may have two records
+                job = self._jobs.get(job_id)
+                if (
+                    job is not None
+                    and job.state is JobState.PENDING
+                    and job.digest == digest
+                ):
+                    pending[job_id] = job
+            duplicates = sorted(pending.values(), key=lambda j: j.seq)
+            for job in duplicates:
+                job.result = result
+                job.cached = True
+                self._finish_locked(job, JobState.DONE)
+            return len(duplicates)
+
+    def _finish_locked(self, job: PlacementJob, state: JobState) -> None:
+        """Make ``job`` terminal, wake its waiters, evict past the bound."""
+        job.state = state
+        job.finished_at = time.monotonic()
+        self._finished[job.id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            evicted, _ = self._finished.popitem(last=False)
+            del self._jobs[evicted]
+        self._resolved.notify_all()
 
     def _require_running(self, job_id: str) -> PlacementJob:
         job = self._jobs.get(job_id)

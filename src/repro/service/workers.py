@@ -340,21 +340,14 @@ class PlacementService:
         self, job_id: str, timeout: Optional[float] = None
     ) -> PlacementJob:
         """Block until ``job_id`` reaches a terminal state."""
-        import time
-
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.queue.poll(job_id)
-            if job is None:
-                raise ValidationError(f"unknown job {job_id!r}")
-            if job.state.terminal:
-                return job
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job.state.value} after "
-                    f"{timeout}s"
-                )
-            time.sleep(0.002)
+        job = self.queue.wait(job_id, timeout)
+        if job is None:
+            raise ValidationError(f"unknown job {job_id!r}")
+        if not job.state.terminal:
+            raise TimeoutError(
+                f"job {job_id} still {job.state.value} after {timeout}s"
+            )
+        return job
 
     # -- worker loop --------------------------------------------------------
     def _worker_loop(self, stage_cache: StageCache) -> None:

@@ -222,7 +222,8 @@ class TestGreedyMemberSpace:
     def test_candidates_do_not_grow_with_the_budget(self):
         # 3 members of K=2 fill at most 9 nodes, so 96 nodes offer the
         # same member spaces: a walk over every node tuple of the
-        # budget would visit 96^3 per member to find them
+        # budget would visit 96^3 per member to find them. At 50 000
+        # nodes, scoring and the look-ahead must not touch every node
         spec = EnsembleSpec(
             "k2x3",
             tuple(
@@ -230,8 +231,119 @@ class TestGreedyMemberSpace:
                 for i in range(3)
             ),
         )
-        small, large = GreedyIndicatorPolicy(), GreedyIndicatorPolicy()
+        small, large, huge = (GreedyIndicatorPolicy() for _ in range(3))
         on_nine = small.place(spec, 9, 32)
         on_ninety_six = large.place(spec, 96, 32)
+        on_fifty_thousand = huge.place(spec, 50_000, 32)
         assert on_ninety_six.members == on_nine.members
-        assert small.evaluated == large.evaluated == 15
+        assert on_fifty_thousand.members == on_nine.members
+        assert small.evaluated == large.evaluated == huge.evaluated == 15
+
+
+def _seed_residual_feasible(
+    self,
+    member: MemberSpec,
+    candidate: MemberPlacement,
+    free: Dict[int, int],
+    remaining,
+) -> bool:
+    """The greedy's original look-ahead, verbatim: best-fit over a free
+    map of every node of the budget, sorting all of them per component."""
+    residual = dict(free)
+    residual[candidate.simulation_node] -= member.simulation.cores
+    for ana, node in zip(member.analyses, candidate.analysis_nodes):
+        residual[node] -= ana.cores
+    if any(v < 0 for v in residual.values()):
+        return False
+    components = sorted(
+        (
+            cores
+            for m in remaining
+            for cores in self._component_cores(m)
+        ),
+        reverse=True,
+    )
+    for cores in components:
+        target = None
+        for node in sorted(residual, key=lambda n: residual[n]):
+            if residual[node] >= cores:
+                target = node  # best-fit: tightest node that fits
+                break
+        if target is None:
+            return False
+        residual[target] -= cores
+    return True
+
+
+@st.composite
+def _members(draw, name: str, cores_per_node: int) -> MemberSpec:
+    # demands around the node size, so exact fits and misfits are common
+    cores = st.integers(1, cores_per_node + 1)
+    return default_member(
+        name,
+        num_analyses=draw(st.integers(1, 3)),
+        n_steps=2,
+        sim_cores=draw(cores),
+        ana_cores=draw(cores),
+    )
+
+
+class TestGreedyBudgetIndependence:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_residual_check_equals_the_seed_check(self, data):
+        cores_per_node = data.draw(st.integers(1, 8))
+        num_nodes = data.draw(st.integers(1, 8))
+        free = data.draw(
+            st.lists(
+                st.integers(0, cores_per_node),
+                max_size=num_nodes,
+            )
+        )
+        member = data.draw(_members("m", cores_per_node))
+        nodes = data.draw(
+            st.lists(
+                st.integers(0, num_nodes - 1),
+                min_size=1 + len(member.analyses),
+                max_size=1 + len(member.analyses),
+            )
+        )
+        candidate = MemberPlacement(nodes[0], tuple(nodes[1:]))
+        remaining = [
+            data.draw(_members(f"r{i}", cores_per_node))
+            for i in range(data.draw(st.integers(0, 3)))
+        ]
+        free_map = {
+            n: free[n] if n < len(free) else cores_per_node
+            for n in range(num_nodes)
+        }
+        policy = GreedyIndicatorPolicy()
+        before = list(free)
+        assert policy._residual_feasible(
+            member, candidate, free, num_nodes, cores_per_node, remaining
+        ) == _seed_residual_feasible(
+            policy, member, candidate, free_map, remaining
+        )
+        assert free == before
+
+    def test_place_never_builds_the_budget_cluster(
+        self, monkeypatch, k2_spec
+    ):
+        import repro.platform.specs
+        import repro.runtime.analytic
+        import repro.scheduler.objectives
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("the greedy built a Cori-like cluster")
+
+        for module in (
+            repro.platform.specs,
+            repro.runtime.analytic,
+            repro.scheduler.objectives,
+        ):
+            monkeypatch.setattr(module, "make_cori_like_cluster", spy)
+        GreedyIndicatorPolicy().place(k2_spec, 3, 32)
+        assert built == []

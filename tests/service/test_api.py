@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import statistics
+import threading
+import time
+import types
 import urllib.error
 import urllib.request
 
@@ -21,6 +25,7 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
 from repro.search.engine import find_best_placement
+from repro.service import api
 from repro.service.api import MAX_BODY_BYTES, PlacementServer, make_server
 from repro.service.client import PlacementClient, ServiceError
 from repro.service.schemas import (
@@ -45,7 +50,8 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return PlacementClient(server.url)
+    with PlacementClient(server.url) as client:
+        yield client
 
 
 def _spec(n_steps: int = 2) -> EnsembleSpec:
@@ -354,7 +360,23 @@ class TestRoutes:
             conn.endheaders()
             resp = conn.getresponse()
             assert resp.status == status
+            # the unread body ends the connection, and the reply says so
+            assert resp.getheader("Connection") == "close"
+            assert resp.will_close
             assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_post_to_unknown_route_closes_the_connection(self, server):
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.request("POST", "/frobnicate", body=b'{"request": {}}')
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert resp.getheader("Connection") == "close"
+            resp.read()
         finally:
             conn.close()
 
@@ -418,3 +440,194 @@ class TestWireEncoding:
             body = json.loads(resp.read())
         assert body["state"] in ("pending", "running", "done")
         client.wait(body["id"], timeout=30.0)
+
+
+@pytest.fixture()
+def stalled():
+    """A one-worker server whose jobs wait for ``release``, and a client."""
+    from repro.service.workers import PlacementService
+
+    release = threading.Event()
+
+    def stalling(request, stage_cache=None):
+        release.wait(10.0)
+        return {"ok": True}
+
+    service = PlacementService(workers=1, execute_fn=stalling)
+    server = PlacementServer(service=service, port=0).start()
+    client = PlacementClient(server.url)
+    try:
+        yield types.SimpleNamespace(
+            client=client, release=release, server=server
+        )
+    finally:
+        release.set()
+        client.close()
+        server.stop()
+
+
+def _count_accepts(server: PlacementServer) -> list:
+    """Record the peer address of every connection the server accepts."""
+    accepted = []
+    process = server.httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        return process(request, client_address)
+
+    server.httpd.process_request = counting
+    return accepted
+
+
+class TestLongPoll:
+    def test_wait_returns_done_in_one_get(self, stalled):
+        client, release = stalled.client, stalled.release
+        job = client.submit(_search())
+        threading.Timer(0.1, release.set).start()
+        start = time.monotonic()
+        snapshot = client._call("GET", f"/jobs/{job['id']}?wait=5")
+        assert snapshot["state"] == "done"
+        assert snapshot["result"] == {"ok": True}
+        assert time.monotonic() - start < 5.0
+
+    def test_expired_wait_returns_the_unfinished_snapshot(self, stalled):
+        client = stalled.client
+        job = client.submit(_search())
+        start = time.monotonic()
+        snapshot = client.job(job["id"], wait=0.2)
+        assert time.monotonic() - start >= 0.2
+        assert snapshot["state"] in ("pending", "running")
+        assert snapshot["result"] is None
+
+    def test_unknown_id_is_404_without_blocking(self, client):
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as err:
+            client.job("job-does-not-exist", wait=5.0)
+        assert err.value.status == 404
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "abc", ""])
+    def test_bad_wait_is_400(self, client, raw):
+        job = client.submit(_search())
+        with pytest.raises(ServiceError) as err:
+            client._call("GET", f"/jobs/{job['id']}?wait={raw}")
+        assert err.value.status == 400
+        assert "wait" in str(err.value)
+
+    def test_client_wait_makes_one_request(self, stalled):
+        client, release = stalled.client, stalled.release
+        job = client.submit(_search())
+        calls = []
+        job_call = client.job
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return job_call(*args, **kwargs)
+
+        client.job = counted
+        threading.Timer(0.1, release.set).start()
+        snapshot = client.wait(job["id"], timeout=10.0)
+        assert snapshot["state"] == "done"
+        assert len(calls) == 1
+
+    def test_client_wait_times_out(self, stalled):
+        client = stalled.client
+        job = client.submit(_search())
+        with pytest.raises(TimeoutError, match="still"):
+            client.wait(job["id"], timeout=0.2)
+
+
+class TestConnections:
+    def test_one_thread_reuses_one_connection(self, server, client):
+        accepted = _count_accepts(server)
+        client.health()
+        client.wait(client.submit(_search())["id"], timeout=30.0)
+        client.jobs()
+        client.stats()
+        assert len(accepted) == 1
+
+    def test_each_thread_gets_its_own_connection(self, server, client):
+        accepted = _count_accepts(server)
+        statuses = []
+
+        def calls():
+            for _ in range(3):
+                statuses.append(client.health()["status"])
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert statuses == ["ok"] * 6
+        assert len(accepted) == 2
+
+    def test_keep_alive_round_trips_are_not_delayed(self, client):
+        # the handler writes headers and body in two sends; with Nagle's
+        # algorithm on, each body would wait out a ~40 ms delayed ACK
+        client.health()
+        times = []
+        for _ in range(50):
+            start = time.perf_counter()
+            client.health()
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 0.01
+
+    def test_stop_hangs_up_open_connections(self):
+        server = make_server(port=0, workers=1).start()
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.request("GET", "/health")
+            assert conn.getresponse().read()
+            server.stop()
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("GET", "/health")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+
+    def test_long_poll_parked_across_stop_ends_quietly(self, stalled, capfd):
+        client, release, server = (
+            stalled.client, stalled.release, stalled.server
+        )
+        job = client.submit(_search())
+        outcome = []
+
+        def long_poll():
+            try:
+                outcome.append(client.job(job["id"], wait=5.0))
+            except (http.client.HTTPException, OSError) as exc:
+                outcome.append(exc)
+
+        poller = threading.Thread(target=long_poll)
+        poller.start()
+        time.sleep(0.2)  # the GET is parked in the queue's wait
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()  # hangs up, then waits for the stalled job
+        poller.join(timeout=5.0)
+        assert not poller.is_alive()
+        assert isinstance(outcome[0], OSError)  # no answer after stop
+        release.set()  # the parked handler wakes to a hung-up socket
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        deadline = time.monotonic() + 5.0
+        while server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._connections
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_client_reconnects_after_the_idle_timeout(self, monkeypatch):
+        # the handler class reads the constant when the server is built
+        monkeypatch.setattr(api, "IDLE_TIMEOUT_S", 0.2)
+        with make_server(port=0, workers=1) as srv:
+            accepted = _count_accepts(srv)
+            with PlacementClient(srv.url) as client:
+                client.wait(client.submit(_search())["id"], timeout=30.0)
+                time.sleep(0.6)  # the server hangs up the idle connection
+                job = client.submit(_search(num_nodes=3))
+                finished = client.wait(job["id"], timeout=30.0)
+            assert finished["state"] == "done"
+            assert len(accepted) == 2

@@ -2,16 +2,22 @@
 
 Exercised single-threaded — claim/complete/fail/requeue are called
 directly, the way a worker would, so every ordering assertion is
-deterministic.
+deterministic. Only the blocking-wait tests add a waiter thread.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.service import jobs
 from repro.service.jobs import JobState, PlacementJobQueue
 from repro.service.schemas import PlacementRequest, canonical_digest
+from repro.service.workers import PlacementService
 from repro.util.errors import ValidationError
 
 
@@ -220,3 +226,195 @@ class TestPopCompletedAndStats:
         assert queue.poll(other.id).state is JobState.PENDING
         # the coalesced jobs' heap entries are stale, not claimable
         assert queue.claim_next(timeout=0).id == other.id
+
+
+def _resolve_by(how: str, queue: PlacementJobQueue, job) -> None:
+    if how == "cancel":
+        queue.cancel(job.id)
+        return
+    if how == "duplicate":
+        # an identical job computed elsewhere resolves the pending one
+        queue.complete_pending_duplicates(job.digest, {"score": 1})
+        return
+    assert queue.claim_next(timeout=0).id == job.id
+    if how == "complete":
+        queue.complete(job.id, {"score": 1})
+    else:
+        queue.fail(job.id, "boom")
+
+
+class TestWait:
+    @pytest.mark.parametrize(
+        "how, state",
+        [
+            ("complete", JobState.DONE),
+            ("fail", JobState.FAILED),
+            ("cancel", JobState.CANCELLED),
+            ("duplicate", JobState.DONE),
+        ],
+    )
+    def test_wait_wakes_when_the_job_resolves(self, how, state):
+        queue = PlacementJobQueue()
+        job = queue.submit(_request())
+        woken = []
+        waiter = threading.Thread(
+            target=lambda: woken.append(
+                (queue.wait(job.id, timeout=10.0), time.monotonic())
+            )
+        )
+        waiter.start()
+        time.sleep(0.05)  # let the waiter block
+        assert not woken
+        resolved_at = time.monotonic()
+        _resolve_by(how, queue, job)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        finished, woke_at = woken[0]
+        assert finished is job
+        assert finished.state is state
+        assert woke_at - resolved_at < 5.0
+
+    def test_expired_wait_returns_the_unfinished_job(self):
+        queue = PlacementJobQueue()
+        job = queue.submit(_request())
+        start = time.monotonic()
+        assert queue.wait(job.id, timeout=0.05) is job
+        assert time.monotonic() - start >= 0.05
+        assert job.state is JobState.PENDING
+
+    def test_zero_timeout_does_not_block(self):
+        queue = PlacementJobQueue()
+        job = queue.submit(_request())
+        assert queue.wait(job.id, timeout=0) is job
+
+    def test_unknown_id_is_none(self):
+        assert PlacementJobQueue().wait("job-nope", timeout=5.0) is None
+
+    def test_record_evicted_during_the_wait_is_still_returned(
+        self, monkeypatch
+    ):
+        # no finished record is retained, so the job leaves the table
+        # the moment it completes; the waiter answers from its own hold
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 0)
+        queue = PlacementJobQueue()
+        job = queue.submit(_request())
+        woken = []
+        waiter = threading.Thread(
+            target=lambda: woken.append(queue.wait(job.id, timeout=10.0))
+        )
+        waiter.start()
+        time.sleep(0.05)
+        _resolve_by("complete", queue, job)
+        waiter.join(timeout=5.0)
+        assert queue.poll(job.id) is None
+        assert woken == [job]
+        assert job.state is JobState.DONE
+
+    def test_waiters_and_workers_under_contention(self, monkeypatch):
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 8)
+        queue = PlacementJobQueue()
+        submitted = [
+            queue.submit(_request(num_nodes=n)) for n in range(2, 202)
+        ]
+        queue.close()  # workers exit once the queue is drained
+        answers = [[] for _ in range(4)]
+
+        def worker():
+            while (job := queue.claim_next(timeout=5.0)) is not None:
+                queue.complete(job.id, {"seq": job.seq})
+
+        def waiter(i):
+            for job in submitted[i::4]:
+                answers[i].append(queue.wait(job.id, timeout=10.0))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)] + [
+            threading.Thread(target=waiter, args=(i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # a waiter sees its job resolved, or already evicted, never stuck
+        answers = [a for chunk in answers for a in chunk]
+        assert len(answers) == 200
+        assert all(a is None or a.state is JobState.DONE for a in answers)
+        assert all(job.state is JobState.DONE for job in submitted)
+        assert all(job.result == {"seq": job.seq} for job in submitted)
+        # the bound kept exactly the last eight to finish
+        kept = queue.jobs()
+        kept_ids = {job.id for job in kept}
+        evicted = [job for job in submitted if job.id not in kept_ids]
+        assert len(kept) == 8
+        assert min(j.finished_at for j in kept) >= max(
+            j.finished_at for j in evicted
+        )
+        assert queue.stats() == {
+            "pending": 0, "running": 0, "done": 8, "failed": 0,
+            "cancelled": 0, "submitted": 200,
+        }
+
+
+class TestRetention:
+    def test_oldest_finished_record_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 2)
+        queue = PlacementJobQueue()
+        a, b, c, d = (queue.submit(_request(num_nodes=n)) for n in range(2, 6))
+        for job in (c, a):  # c finishes first, then a
+            queue.cancel(job.id)
+        assert queue.poll(c.id) is c
+        cached = queue.add_finished(_request(num_nodes=9), {"score": 1})
+        # the third finished record pushes out the first to finish
+        assert queue.poll(c.id) is None
+        assert queue.poll(a.id) is a
+        assert queue.poll(cached.id) is cached
+        # unfinished jobs are never evicted
+        assert queue.poll(b.id) is b and queue.poll(d.id) is d
+        stats = queue.stats()
+        assert stats["submitted"] == 5
+        assert stats["cancelled"] == 1 and stats["done"] == 1
+        assert stats["pending"] == 2
+        assert [j.id for j in queue.pop_completed()] == [a.id, cached.id]
+        assert queue.pop_completed() == []
+
+    def test_soak_keeps_the_retained_records_bounded(self):
+        requests = [
+            PlacementRequest(
+                kind="search",
+                spec=_request().spec,
+                num_nodes=2,
+                base_seed=seed,
+            )
+            for seed in range(10_000)
+        ]
+        ids = []
+        with PlacementService(
+            workers=2, execute_fn=lambda request, stage_cache=None: {}
+        ) as service:
+            # batches well under the bound: a batch's own jobs are never
+            # evicted before they are waited on
+            for start in range(0, len(requests), 500):
+                batch = [
+                    service.submit(request).id
+                    for request in requests[start : start + 500]
+                ]
+                for job_id in batch:
+                    service.wait(job_id, timeout=10.0)
+                ids.extend(batch)
+            stats = service.stats()["queue"]
+            assert stats["submitted"] == 10_000
+            retained = sum(
+                count for key, count in stats.items() if key != "submitted"
+            )
+            assert retained == len(service.queue.jobs())
+            assert retained <= jobs.MAX_FINISHED_JOBS
+            assert service.queue.poll(ids[0]) is None
+            assert service.queue.poll(ids[-1]) is not None
+            # the result cache still answers a re-submission by digest
+            again = service.submit(requests[-1])
+            assert again.state is JobState.DONE and again.cached
