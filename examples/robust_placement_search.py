@@ -20,7 +20,7 @@ Run (finishes in a few seconds):
 
 import time
 
-from repro.faults.analytic import RobustnessTerm, node_crash_builder
+from repro.faults.analytic import node_crash_term
 from repro.faults.models import NodeFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.runtime.placement import (
@@ -113,11 +113,7 @@ def main() -> None:
         f"same order: {[s.name for s in des] == [s.name for s in surrogate]})"
     )
 
-    term = RobustnessTerm(
-        policy=POLICY,
-        model_builder=node_crash_builder(NODE_CRASH_RATE),
-        weight=1.0,
-    )
+    term = node_crash_term(NODE_CRASH_RATE)
     ideal_plan = ResourceConstrainedPlanner().plan(spec, num_nodes=3)
     robust_plan = ResourceConstrainedPlanner(
         context=PlanningContext(robustness=term)

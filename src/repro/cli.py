@@ -36,9 +36,14 @@ Commands
     Execute one configuration twice under a node-attributed drift
     scenario — once statically, once with the online rescheduling
     controller attached — and print both makespans, the improvement,
-    and the migration log. ``--verify`` audits the rescheduled run
-    with the invariant checker (migration-aware); ``--json`` emits
-    the comparison as JSON.
+    and the migration log. The flags build a service ``reschedule``
+    request, run by the service's own executor. ``--verify`` audits
+    the rescheduled run with the invariant checker (migration-aware);
+    ``--json`` emits the comparison as JSON.
+``coschedule [--requests N --nodes M ...]``
+    Co-schedule the canonical mixed-deadline stream on one cluster
+    through the service's ``coschedule`` request path, and compare it
+    with FIFO exclusive allocation.
 ``verify [configs...] [--faults] [--service] [--json]``
     Run the differential oracle harness over the canonical Table 2
     scenarios (analytic vs cached search vs surrogate vs DES) and
@@ -58,6 +63,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -70,6 +76,20 @@ from repro.runtime.runner import run_ensemble
 from repro.util.errors import ReproError
 
 ALL_CONFIGS = {**TABLE2_CONFIGS, **TABLE4_CONFIGS}
+
+
+class UsageError(Exception):
+    """A command-line mistake the parser cannot see (exit status 2)."""
+
+
+def _config(name: str):
+    """The named configuration; an unknown name is a usage error."""
+    config = ALL_CONFIGS.get(name)
+    if config is None:
+        raise UsageError(
+            f"unknown configuration {name!r}; valid: {sorted(ALL_CONFIGS)}"
+        )
+    return config
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -85,14 +105,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = ALL_CONFIGS.get(args.config)
-    if config is None:
-        print(
-            f"unknown configuration {args.config!r}; "
-            f"valid: {sorted(ALL_CONFIGS)}",
-            file=sys.stderr,
-        )
-        return 2
+    config = _config(args.config)
     from repro.runtime.executor import EnsembleExecutor
 
     spec = build_spec(config, n_steps=args.steps)
@@ -120,17 +133,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     names = args.configs or ["C1.1", "C1.2", "C1.3", "C1.4", "C1.5"]
     unknown = [n for n in names if n not in ALL_CONFIGS]
     if unknown:
-        print(f"unknown configurations: {unknown}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown configurations: {unknown}")
     configs = [ALL_CONFIGS[n] for n in names]
     k = {c.num_analyses_per_member for c in configs}
     n = {c.num_members for c in configs}
     if len(k) != 1 or len(n) != 1:
-        print(
-            "compared configurations must share member/analysis counts",
-            file=sys.stderr,
+        raise UsageError(
+            "compared configurations must share member/analysis counts"
         )
-        return 2
     spec = build_spec(configs[0], n_steps=args.steps)
     candidates = {c.name: c.placement() for c in configs}
     results = compare_placements(spec, candidates)
@@ -192,6 +202,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.faults.analytic import node_crash_term
     from repro.runtime.spec import EnsembleSpec, default_member
     from repro.scheduler.context import PlanningContext
     from repro.scheduler.planner import ResourceConstrainedPlanner
@@ -205,23 +216,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             for i in range(args.members)
         ),
     )
-    robustness = None
-    if args.robust_rate > 0:
-        from repro.faults.analytic import RobustnessTerm, node_crash_builder
-        from repro.faults.recovery import make_policy
-
-        robustness = RobustnessTerm(
-            policy=make_policy(args.policy),
-            model_builder=node_crash_builder(args.robust_rate),
-            weight=args.robust_weight,
-        )
+    robustness = node_crash_term(
+        args.robust_rate, args.policy, args.robust_weight
+    )
     planner = ResourceConstrainedPlanner(
         context=PlanningContext(robustness=robustness)
     )
     plan = planner.plan(spec, num_nodes=args.nodes)
     if args.json:
-        import json
-
         from repro.service.schemas import (
             SCHEMA_VERSION,
             placement_to_dict,
@@ -353,29 +355,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     if args.config is None:
-        print(
+        raise UsageError(
             "a configuration name is required unless --experiment or "
-            "--validate is given",
-            file=sys.stderr,
+            "--validate is given"
         )
-        return 2
-    config = ALL_CONFIGS.get(args.config)
-    if config is None:
-        print(
-            f"unknown configuration {args.config!r}; "
-            f"valid: {sorted(ALL_CONFIGS)}",
-            file=sys.stderr,
-        )
-        return 2
+    config = _config(args.config)
     try:
         kinds = tuple(FaultKind(k) for k in args.kinds.split(","))
     except ValueError:
-        print(
+        raise UsageError(
             f"unknown fault kind in {args.kinds!r}; "
-            f"valid: {[k.value for k in FaultKind]}",
-            file=sys.stderr,
-        )
-        return 2
+            f"valid: {[k.value for k in FaultKind]}"
+        ) from None
 
     from repro.runtime.executor import EnsembleExecutor
 
@@ -427,89 +418,56 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_reschedule(args: argparse.Namespace) -> int:
-    config = ALL_CONFIGS.get(args.config)
-    if config is None:
-        print(
-            f"unknown configuration {args.config!r}; "
-            f"valid: {sorted(ALL_CONFIGS)}",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.reschedule import (
-        DriftEvent,
-        DriftKind,
-        RescheduleController,
-        StaticDriftModel,
-    )
-    from repro.runtime.executor import EnsembleExecutor
+    from repro.service.schemas import PlacementRequest, RescheduleOptions
+    from repro.service.workers import execute_reschedule
 
-    spec = build_spec(config, n_steps=args.steps)
+    config = _config(args.config)
     placement = config.placement()
-    drift = StaticDriftModel(
-        (
-            DriftEvent(
-                node=args.drift_node,
-                kind=DriftKind(args.drift_kind),
-                start_step=args.drift_start,
-                magnitude=args.drift_magnitude,
-            ),
-        )
+    request = PlacementRequest(
+        kind="reschedule",
+        spec=build_spec(config, n_steps=args.steps),
+        num_nodes=placement.num_nodes,
+        placement=placement,
+        reschedule=RescheduleOptions(
+            drift_node=args.drift_node,
+            drift_kind=args.drift_kind,
+            drift_magnitude=args.drift_magnitude,
+            drift_start=args.drift_start,
+            window=args.window,
+            threshold=args.threshold,
+            min_dwell=args.min_dwell,
+            max_migrations=args.max_migrations,
+            seed=args.seed,
+        ),
     )
-    static = run_ensemble(
-        spec, placement, seed=args.seed, timing_noise=args.noise,
-        drift=drift,
+    payload = execute_reschedule(
+        request, timing_noise=args.noise, verify=args.verify
     )
-    controller = RescheduleController(
-        window=args.window,
-        threshold=args.threshold,
-        min_dwell=args.min_dwell,
-        max_migrations=args.max_migrations,
-    )
-    executor = EnsembleExecutor(
-        spec,
-        placement,
-        seed=args.seed,
-        timing_noise=args.noise,
-        drift=drift,
-        rescheduler=controller,
-        verify=args.verify,
-    )
-    rescheduled = executor.run()
-    improvement = 1.0 - (
-        rescheduled.ensemble_makespan / static.ensemble_makespan
-    )
-    summary = controller.summary()
+    invariants = payload.pop("invariants", None)
     if args.json:
-        import json
-
+        drift = {
+            "node": args.drift_node,
+            "kind": args.drift_kind,
+            "magnitude": args.drift_magnitude,
+            "start_step": args.drift_start,
+        }
         print(
             json.dumps(
-                {
-                    "config": args.config,
-                    "drift": {
-                        "node": args.drift_node,
-                        "kind": args.drift_kind,
-                        "magnitude": args.drift_magnitude,
-                        "start_step": args.drift_start,
-                    },
-                    "static_makespan": static.ensemble_makespan,
-                    "rescheduled_makespan": rescheduled.ensemble_makespan,
-                    "improvement": improvement,
-                    "controller": summary,
-                },
+                {"config": args.config, "drift": drift, **payload},
                 indent=2,
             )
         )
         return 0
+    summary = payload["controller"]
     print(
         f"{args.config} under {args.drift_kind} drift on node "
         f"{args.drift_node} (x{args.drift_magnitude:g} from step "
         f"{args.drift_start}):"
     )
-    print(f"  static makespan      {static.ensemble_makespan:10.2f} s")
+    print(f"  static makespan      {payload['static_makespan']:10.2f} s")
     print(
-        f"  rescheduled makespan {rescheduled.ensemble_makespan:10.2f} s "
-        f"({improvement:+.1%})"
+        f"  rescheduled makespan {payload['rescheduled_makespan']:10.2f} s "
+        f"({payload['improvement']:+.1%})"
     )
     print(
         f"  replans: {summary['replans_triggered']} triggered, "
@@ -527,49 +485,54 @@ def _cmd_reschedule(args: argparse.Namespace) -> int:
             f"{moves or 'rebind only'} "
             f"(delay {record['delay']:.4f} s)"
         )
-    if executor.invariant_report is not None:
+    if invariants is not None:
         print()
-        print(executor.invariant_report.to_text())
+        print(invariants.to_text())
     return 0
 
 
 def _cmd_coschedule(args: argparse.Namespace) -> int:
     from repro.coschedule import (
-        ClusterObjective,
-        CoScheduler,
         canonical_mixed_deadline_stream,
         fifo_exclusive_schedule,
     )
+    from repro.service.schemas import CoscheduleOptions, PlacementRequest
+    from repro.service.workers import execute_request
 
-    stream = canonical_mixed_deadline_stream(
-        num_requests=args.requests,
-        arrival_spacing=args.spacing,
-    )
-    scheduler = CoScheduler(
-        total_nodes=args.nodes,
-        cores_per_node=args.cores,
-        objective=ClusterObjective(
-            utility_weight=args.utility_weight,
-            fairness_weight=args.fairness_weight,
-            deadline_weight=args.deadline_weight,
+    options = CoscheduleOptions(
+        requests=tuple(
+            canonical_mixed_deadline_stream(
+                num_requests=args.requests,
+                arrival_spacing=args.spacing,
+            )
         ),
-        robust_rate=args.robust_rate,
-        policy=args.policy,
+        utility_weight=args.utility_weight,
+        fairness_weight=args.fairness_weight,
+        deadline_weight=args.deadline_weight,
     )
-    result = scheduler.run(stream)
-    fifo = fifo_exclusive_schedule(stream, args.nodes, args.cores)
+    payload = execute_request(
+        PlacementRequest(
+            kind="coschedule",
+            spec=options.requests[0].spec,
+            num_nodes=args.nodes,
+            cores_per_node=args.cores,
+            robust_rate=args.robust_rate,
+            policy=args.policy,
+            coschedule=options,
+        )
+    )
+    result = payload["coschedule"]
+    fifo = fifo_exclusive_schedule(options.requests, args.nodes, args.cores)
     ratio = (
-        result.utilization / fifo.utilization
+        result["utilization"] / fifo.utilization
         if fifo.utilization > 0
         else float("inf")
     )
     if args.json:
-        import json
-
         print(
             json.dumps(
                 {
-                    "coschedule": result.to_dict(),
+                    "coschedule": result,
                     "fifo": fifo.to_dict(),
                     "utilization_ratio": ratio,
                 },
@@ -581,39 +544,35 @@ def _cmd_coschedule(args: argparse.Namespace) -> int:
         f"co-scheduled {args.requests} ensembles on {args.nodes} x "
         f"{args.cores} cores:"
     )
-    for decision in result.decisions:
+    for decision in result["decisions"]:
         print(
-            f"  [{decision.time:9.2f}s] {decision.request:<8} "
-            f"{decision.action.value:<7} {decision.reason}"
+            f"  [{decision['time']:9.2f}s] {decision['request']:<8} "
+            f"{decision['action']:<7} {decision['reason']}"
         )
     print()
-    for completion in result.completions:
-        met = (
-            "-"
-            if completion.met_deadline is None
-            else ("yes" if completion.met_deadline else "NO")
-        )
+    for completion in result["completions"]:
+        met = completion["met_deadline"]
+        met = "-" if met is None else ("yes" if met else "NO")
         print(
-            f"  {completion.name:<8} finished {completion.finished_at:10.2f}s "
-            f"on {completion.nodes_granted} nodes "
-            f"(deadline met: {met}, migrations: {completion.migrations})"
+            f"  {completion['name']:<8} finished "
+            f"{completion['finished_at']:10.2f}s "
+            f"on {completion['nodes_granted']} nodes "
+            f"(deadline met: {met}, migrations: {completion['migrations']})"
         )
     print()
     print(
-        f"  makespan     co {result.makespan:10.2f}s   "
+        f"  makespan     co {result['makespan']:10.2f}s   "
         f"fifo {fifo.makespan:10.2f}s"
     )
     print(
-        f"  utilization  co {result.utilization:10.1%}   "
+        f"  utilization  co {result['utilization']:10.1%}   "
         f"fifo {fifo.utilization:10.1%}   (x{ratio:.2f})"
     )
-    print(f"  schedule digest {result.digest()[:16]}")
+    print(f"  schedule digest {payload['digest'][:16]}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
     from repro.verify.oracles import verify_scenarios
 
     reports = verify_scenarios(
@@ -810,9 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resched.add_argument(
         "--drift-magnitude", type=float, default=2.5,
-        help="inflation factor (step) or per-step increment (ramp); "
-        f"either inflation saturates at x{DEFAULT_DRIFT_CAP:g}, so a "
-        "larger step factor runs as the cap",
+        help=f"inflation factor in (1, {DEFAULT_DRIFT_CAP:g}] (step) or "
+        "per-step increment (ramp); a ramp's inflation saturates at "
+        f"x{DEFAULT_DRIFT_CAP:g}",
     )
     p_resched.add_argument("--drift-start", type=int, default=4)
     p_resched.add_argument(
@@ -920,6 +879,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

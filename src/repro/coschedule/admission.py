@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.configs.generator import count_feasible_placements
-from repro.faults.analytic import RobustnessTerm, node_crash_builder
-from repro.faults.recovery import make_policy
+from repro.faults.analytic import node_crash_term, surrogate_resilience
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.search.engine import find_best_placement
@@ -132,16 +131,10 @@ class AdmissionController:
         require_positive_int("cores_per_node", cores_per_node)
         self.total_nodes = total_nodes
         self.cores_per_node = cores_per_node
-        self.robust_rate = robust_rate
-        self.policy = policy
+        self._term = node_crash_term(robust_rate, policy)
         base = context or PlanningContext()
-        if robust_rate > 0:
-            base = base.evolve(
-                robustness=RobustnessTerm(
-                    policy=make_policy(policy),
-                    model_builder=node_crash_builder(robust_rate),
-                )
-            )
+        if self._term is not None:
+            base = base.evolve(robustness=self._term)
         self._context = base
         # probe memos keyed by spec identity (the value keeps the spec
         # alive so ids are never recycled); memo hits only skip
@@ -217,15 +210,13 @@ class AdmissionController:
         best = self.best_placement(request.spec, self.grant_cap(request))
         if best is None:
             return None
-        if self.robust_rate <= 0:
+        if self._term is None:
             return best.ensemble_makespan
-        from repro.faults.analytic import surrogate_resilience
-
         report = surrogate_resilience(
             request.spec,
             best.placement,
-            node_crash_builder(self.robust_rate)(0),
-            make_policy(self.policy),
+            self._term.model_for(best.placement),
+            self._term.policy,
             cluster=self._context.cluster,
             dtl=self._context.dtl,
         )

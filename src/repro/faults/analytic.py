@@ -73,6 +73,7 @@ from repro.faults.recovery import (
     DropAnalysisPolicy,
     RecoveryPolicy,
     RetryBackoffPolicy,
+    make_policy,
 )
 from repro.platform.cluster import Cluster
 from repro.runtime.analytic import predict_member_stages
@@ -666,3 +667,30 @@ def node_crash_builder(
         )
 
     return build
+
+
+def node_crash_term(
+    rate: float, policy: str = "retry", weight: float = 1.0
+) -> Optional[RobustnessTerm]:
+    """The node-crash :class:`RobustnessTerm` at ``rate``, or None at 0.
+
+    Node-level crash domains (:func:`node_crash_builder`) priced under
+    the recovery policy named ``policy``, weighted by ``weight``: the
+    term ``plan --robust-rate``, service requests and co-scheduling
+    admission all search with.
+
+    Examples
+    --------
+    >>> node_crash_term(0.0) is None
+    True
+    >>> term = node_crash_term(0.05, "restart", weight=2.0)
+    >>> term.policy.name, term.weight
+    ('restart', 2.0)
+    """
+    if rate <= 0:
+        return None
+    return RobustnessTerm(
+        policy=make_policy(policy),
+        model_builder=node_crash_builder(rate),
+        weight=weight,
+    )

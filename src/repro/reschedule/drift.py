@@ -48,9 +48,9 @@ DRIFT_STAGES: Tuple[str, ...] = ("S", "W", "R", "A")
 DEFAULT_DRIFT_STAGES: Tuple[str, ...] = ("S", "A")
 
 #: default saturation of a drift event's inflation factor. The
-#: placement service and the CLI build events with this cap, so the
-#: service refuses a step magnitude above it instead of silently
-#: running it as the cap.
+#: placement service and the CLI build events with this cap, so both
+#: refuse a step magnitude above it instead of silently running it as
+#: the cap.
 DEFAULT_DRIFT_CAP: float = 4.0
 
 

@@ -1,8 +1,9 @@
 """Python client for the placement service (stdlib ``http.client`` only).
 
 A thin, dependency-free mirror of the HTTP surface: submit a
-:class:`~repro.service.schemas.PlacementRequest` (or a convenience
-search), poll, block on completion, cancel, and read health/stats.
+:class:`~repro.service.schemas.PlacementRequest` of any kind (or a
+convenience search), poll, block on completion, cancel, and read
+health/stats.
 Each calling thread keeps one keep-alive connection, and
 :meth:`PlacementClient.wait` blocks in the server
 (``GET /jobs/<id>?wait=``) instead of polling on a timer.
@@ -20,8 +21,7 @@ import select
 import threading
 import time
 import urllib.parse
-import weakref
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.objectives import PlacementScore
@@ -44,8 +44,10 @@ class PlacementClient:
     """Client bound to one service base URL.
 
     Each thread that calls the client gets its own persistent
-    connection, reopened when the server has closed it; :meth:`close`
-    (or leaving a ``with`` block) closes them all.
+    connection, reopened when the server has closed it. The client
+    closes every connection it opens: a thread's connection once the
+    thread has exited (when the next thread opens one), and all of
+    them at :meth:`close` (or on leaving a ``with`` block).
 
     Parameters
     ----------
@@ -62,14 +64,16 @@ class PlacementClient:
         url = urllib.parse.urlsplit(self.base_url)
         self._host, self._port, self._prefix = url.hostname, url.port, url.path
         self._local = threading.local()
-        # weak: a thread's connection is freed, and closed, with the thread
-        self._connections: weakref.WeakSet = weakref.WeakSet()
+        # strong, so no connection is left to the garbage collector
+        self._connections: Dict[
+            threading.Thread, http.client.HTTPConnection
+        ] = {}
         self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close every thread's connection; a later call reopens one."""
         with self._lock:
-            connections = list(self._connections)
+            connections = list(self._connections.values())
         for connection in connections:
             connection.close()
 
@@ -92,7 +96,14 @@ class PlacementClient:
                 self._host, self._port, timeout=self.timeout
             )
             with self._lock:
-                self._connections.add(connection)
+                exited = [
+                    thread
+                    for thread in self._connections
+                    if not thread.is_alive()
+                ]
+                for thread in exited:
+                    self._connections.pop(thread).close()
+                self._connections[threading.current_thread()] = connection
         elif connection.sock is not None and select.select(
             [connection.sock], [], [], 0
         )[0]:
@@ -151,68 +162,6 @@ class PlacementClient:
                 spec=spec,
                 num_nodes=num_nodes,
                 cores_per_node=cores_per_node,
-                **kwargs,
-            ),
-            priority=priority,
-        )
-
-    def submit_reschedule(
-        self,
-        spec: EnsembleSpec,
-        num_nodes: int,
-        placement,
-        reschedule=None,
-        cores_per_node: int = 32,
-        priority: int = 0,
-        **kwargs,
-    ) -> dict:
-        """Convenience: submit a static-vs-rescheduled drift comparison.
-
-        ``reschedule`` is an optional
-        :class:`~repro.service.schemas.RescheduleOptions` carrying the
-        drift scenario and controller knobs (defaults apply when
-        omitted).
-        """
-        return self.submit(
-            PlacementRequest(
-                kind="reschedule",
-                spec=spec,
-                num_nodes=num_nodes,
-                cores_per_node=cores_per_node,
-                placement=placement,
-                reschedule=reschedule,
-                **kwargs,
-            ),
-            priority=priority,
-        )
-
-    def submit_coschedule(
-        self,
-        requests,
-        total_nodes: int,
-        cores_per_node: int = 32,
-        coschedule=None,
-        priority: int = 0,
-        **kwargs,
-    ) -> dict:
-        """Convenience: co-schedule an ensemble stream on one cluster.
-
-        ``requests`` is a sequence of
-        :class:`~repro.coschedule.requests.EnsembleRequest`; pass a
-        prebuilt :class:`~repro.service.schemas.CoscheduleOptions` as
-        ``coschedule`` to set objective weights (the stream inside it
-        wins over ``requests``).
-        """
-        from repro.service.schemas import CoscheduleOptions
-
-        options = coschedule or CoscheduleOptions(requests=tuple(requests))
-        return self.submit(
-            PlacementRequest(
-                kind="coschedule",
-                spec=options.requests[0].spec,
-                num_nodes=total_nodes,
-                cores_per_node=cores_per_node,
-                coschedule=options,
                 **kwargs,
             ),
             priority=priority,

@@ -9,7 +9,9 @@ surrogate ranker (:func:`~repro.scheduler.robust
 .rank_placements_robust`). Purity is what makes the service
 deterministic: the same request computes the identical payload on any
 worker, any pool size, any submission order — asserted exactly by the
-service determinism tests.
+service determinism tests. The CLI's ``reschedule`` and ``coschedule``
+commands run the same functions (:func:`execute_reschedule`,
+:func:`execute_request`), so each decision has one implementation.
 
 :class:`PlacementService` wraps a :class:`~repro.service.jobs
 .PlacementJobQueue`, a :class:`~repro.service.cache.ResultCache`, and
@@ -39,7 +41,7 @@ import concurrent.futures
 import threading
 from typing import Callable, Dict, List, Optional
 
-from repro.faults.analytic import RobustnessTerm, node_crash_builder
+from repro.faults.analytic import node_crash_term
 from repro.faults.recovery import make_policy
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
@@ -64,23 +66,25 @@ class JobTimeout(Exception):
     """Raised internally when a job exceeds its execution deadline."""
 
 
-def _robustness_term(request: PlacementRequest) -> Optional[RobustnessTerm]:
-    if request.robust_rate <= 0:
-        return None
-    return RobustnessTerm(
-        policy=make_policy(request.policy),
-        model_builder=node_crash_builder(request.robust_rate),
-        weight=request.robust_weight,
-    )
-
-
-def _execute_reschedule(request: PlacementRequest) -> dict:
+def execute_reschedule(
+    request: PlacementRequest,
+    *,
+    timing_noise: float = 0.0,
+    verify: bool = False,
+) -> dict:
     """Static vs rescheduled DES comparison under the request's drift.
 
     Both runs share one seed and one compiled drift schedule, so the
     only difference between them is the controller's migrations — the
     improvement is attributable, and the payload is deterministic
     (same request, same floats, any worker).
+
+    ``timing_noise`` and ``verify`` are not wire fields: the service
+    runs noise-free and unaudited, and only the CLI sets them. With
+    ``verify`` the rescheduled run is audited by the invariant checker
+    and the payload also carries its
+    :class:`~repro.verify.invariants.InvariantReport` under
+    ``"invariants"``.
     """
     from repro.reschedule import (
         DriftEvent,
@@ -88,7 +92,7 @@ def _execute_reschedule(request: PlacementRequest) -> dict:
         RescheduleController,
         StaticDriftModel,
     )
-    from repro.runtime.runner import run_ensemble
+    from repro.runtime.executor import EnsembleExecutor
     from repro.service.schemas import RescheduleOptions
 
     options = request.reschedule or RescheduleOptions()
@@ -102,12 +106,13 @@ def _execute_reschedule(request: PlacementRequest) -> dict:
             ),
         )
     )
-    static = run_ensemble(
+    static = EnsembleExecutor(
         request.spec,
         request.placement,
         seed=options.seed,
+        timing_noise=timing_noise,
         drift=drift,
-    )
+    ).run()
     controller = RescheduleController(
         window=options.window,
         threshold=options.threshold,
@@ -115,22 +120,28 @@ def _execute_reschedule(request: PlacementRequest) -> dict:
         min_gain=options.min_gain,
         max_migrations=options.max_migrations,
     )
-    rescheduled = run_ensemble(
+    executor = EnsembleExecutor(
         request.spec,
         request.placement,
         seed=options.seed,
+        timing_noise=timing_noise,
         drift=drift,
         rescheduler=controller,
+        verify=verify,
     )
+    rescheduled = executor.run()
     improvement = 1.0 - (
         rescheduled.ensemble_makespan / static.ensemble_makespan
     )
-    return {
+    payload = {
         "static_makespan": static.ensemble_makespan,
         "rescheduled_makespan": rescheduled.ensemble_makespan,
         "improvement": improvement,
         "controller": controller.summary(),
     }
+    if verify:
+        payload["invariants"] = executor.invariant_report
+    return payload
 
 
 def _execute_coschedule(
@@ -145,18 +156,13 @@ def _execute_coschedule(
     """
     from repro.coschedule import CoScheduler
 
-    options = request.coschedule
-    if options is None:  # pragma: no cover - guarded by __post_init__
-        raise ValidationError("coschedule request without options")
-
+    options = request.coschedule  # set on every coschedule request
     scheduler = CoScheduler(
         total_nodes=request.num_nodes,
         cores_per_node=request.cores_per_node,
         objective=options.objective(),
-        context=PlanningContext(
-            robustness=None,
-            cache=stage_cache,
-        ),
+        # no robustness term: admission builds its own from the rate
+        context=PlanningContext(cache=stage_cache),
         robust_rate=request.robust_rate,
         policy=request.policy,
         max_partitions=options.max_partitions,
@@ -191,8 +197,12 @@ def execute_request(
     :class:`~repro.scheduler.context.PlanningContext` (float-identical
     to the legacy keyword spelling by the oracle's exact context tier).
     """
-    robustness = _robustness_term(request)
-    context = PlanningContext(robustness=robustness, cache=stage_cache)
+    context = PlanningContext(
+        robustness=node_crash_term(
+            request.robust_rate, request.policy, request.robust_weight
+        ),
+        cache=stage_cache,
+    )
     if request.kind == "search":
         best, evaluated = find_best_placement(
             request.spec,
@@ -209,7 +219,7 @@ def execute_request(
         )
         return {"score": score_to_dict(score)}
     if request.kind == "reschedule":
-        return _execute_reschedule(request)
+        return execute_reschedule(request)
     if request.kind == "coschedule":
         return _execute_coschedule(request, stage_cache=stage_cache)
     if request.kind == "rank":

@@ -223,16 +223,16 @@ def _service_checks(
     from repro.service.client import PlacementClient
     from repro.service.schemas import PlacementRequest
 
-    client = PlacementClient(service_url)
-    snapshot = client.submit(
-        PlacementRequest(
-            kind="score",
-            spec=spec,
-            num_nodes=placement.num_nodes,
-            placement=placement,
+    with PlacementClient(service_url) as client:
+        snapshot = client.submit(
+            PlacementRequest(
+                kind="score",
+                spec=spec,
+                num_nodes=placement.num_nodes,
+                placement=placement,
+            )
         )
-    )
-    service_score = client.result_score(client.wait(snapshot["id"]))
+        service_score = client.result_score(client.wait(snapshot["id"]))
     checks = [
         MetricCheck(
             scope="ensemble",

@@ -8,6 +8,7 @@ status codes are exercised end to end.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import statistics
@@ -16,6 +17,7 @@ import time
 import types
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -187,8 +189,10 @@ class TestRoutes:
             return {"ok": True}
 
         service = PlacementService(workers=1, execute_fn=stalling)
-        with PlacementServer(service=service, port=0) as srv:
-            client = PlacementClient(srv.url)
+        with (
+            PlacementServer(service=service, port=0) as srv,
+            PlacementClient(srv.url) as client,
+        ):
             client.submit(_search(num_nodes=2))  # occupies the worker
             pending = client.submit(_search(num_nodes=3))
             assert client.cancel(pending["id"]) is True
@@ -562,6 +566,25 @@ class TestConnections:
             assert not thread.is_alive()
         assert statuses == ["ok"] * 6
         assert len(accepted) == 2
+
+    def test_exited_threads_leave_no_socket_to_the_collector(self, server):
+        client = PlacementClient(server.url)
+        statuses = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(3):
+                thread = threading.Thread(
+                    target=lambda: statuses.append(client.health()["status"])
+                )
+                thread.start()
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            client.close()
+            del thread
+            gc.collect()
+        assert statuses == ["ok"] * 3
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_keep_alive_round_trips_are_not_delayed(self, client):
         # the handler writes headers and body in two sends; with Nagle's

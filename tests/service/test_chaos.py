@@ -245,8 +245,10 @@ class TestStatsOverHttp:
         service = PlacementService(
             workers=2, max_retries=CRASH_EVERY, execute_fn=injector
         )
-        with PlacementServer(service=service, port=0) as server:
-            client = PlacementClient(server.url)
+        with (
+            PlacementServer(service=service, port=0) as server,
+            PlacementClient(server.url) as client,
+        ):
             snapshots = [
                 client.wait(client.submit(request)["id"], timeout=120.0)
                 for request in _mixed_requests()

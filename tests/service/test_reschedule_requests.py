@@ -152,14 +152,14 @@ class TestExecution:
 class TestOverHttp:
     @pytest.fixture()
     def client(self):
-        with make_server(port=0, workers=2) as server:
-            yield PlacementClient(server.url)
+        with (
+            make_server(port=0, workers=2) as server,
+            PlacementClient(server.url) as client,
+        ):
+            yield client
 
     def test_submit_reschedule_end_to_end(self, client):
-        job = client.submit_reschedule(
-            _spec(), num_nodes=4, placement=_placement(),
-            reschedule=_options(),
-        )
+        job = client.submit(_reschedule_request(options=_options()))
         snapshot = client.wait(job["id"], timeout=60.0)
         assert snapshot["state"] == "done"
         result = snapshot["result"]

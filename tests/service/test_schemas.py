@@ -10,6 +10,7 @@ semantic field changes it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -33,6 +34,7 @@ from repro.service.schemas import (
     placement_to_dict,
     request_from_dict,
     request_to_dict,
+    robust_score_from_dict,
     score_from_dict,
     score_to_dict,
     spec_from_dict,
@@ -149,6 +151,55 @@ class TestPlacementAndScoreRoundTrip:
         assert rebuilt.robust_penalty == best.robust_penalty
         assert rebuilt.placement == best.placement
         assert rebuilt == best  # PlacementScore key equality
+
+    @pytest.mark.parametrize("method", ["surrogate", "des"])
+    def test_served_ranking_deserializes_to_the_direct_scores(self, method):
+        from repro.faults.recovery import make_policy
+        from repro.scheduler.robust import (
+            RobustScore,
+            crash_straggler_factory,
+            rank_placements_robust,
+        )
+        from repro.service.workers import execute_request
+
+        spec = EnsembleSpec(
+            "rank",
+            tuple(default_member(f"em{i}", n_steps=6) for i in range(2)),
+        )
+        candidates = {
+            "colocated": EnsemblePlacement(
+                2, (MemberPlacement(0, (0,)), MemberPlacement(1, (1,)))
+            ),
+            "crossed": EnsemblePlacement(
+                2, (MemberPlacement(0, (1,)), MemberPlacement(1, (0,)))
+            ),
+        }
+        request = PlacementRequest(
+            kind="rank",
+            spec=spec,
+            num_nodes=2,
+            candidates=candidates,
+            robust_rate=0.05,
+            rank_method=method,
+        )
+        served = _json_round_trip(execute_request(request))["ranking"]
+        direct = rank_placements_robust(
+            spec,
+            candidates,
+            crash_straggler_factory(0.05),
+            make_policy("retry"),
+            trials=request.trials,
+            base_seed=request.base_seed,
+            method=method,
+        )
+        assert len(served) == len(direct) == 2
+        for entry, score in zip(served, direct):
+            rebuilt = robust_score_from_dict(entry)
+            assert isinstance(rebuilt, RobustScore)
+            for field in dataclasses.fields(RobustScore):
+                assert getattr(rebuilt, field.name) == getattr(
+                    score, field.name
+                ), field.name
 
 
 class TestRequestValidation:

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+#: stdout of pinned commands, byte for byte
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN_CLI / name).read_text()
 
 
 class TestList:
@@ -198,3 +208,91 @@ class TestFiguresOutput:
 
         loaded = ExperimentResult.load(outdir / "fig8.json")
         assert loaded.experiment_id == "fig8"
+
+
+class TestReschedule:
+    ARGS = ["reschedule", "C1.3", "--steps", "16", "--verify"]
+
+    def test_text_is_golden(self, capsys):
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == _golden(
+            "reschedule-c1.3-steps16-verify.txt"
+        )
+
+    def test_json_is_golden(self, capsys):
+        assert main(self.ARGS + ["--json"]) == 0
+        assert capsys.readouterr().out == _golden(
+            "reschedule-c1.3-steps16-verify.json"
+        )
+
+    def test_noise_free_json_is_the_service_payload(self, capsys):
+        from repro.configs.base import build_spec
+        from repro.configs.table2 import TABLE2_CONFIGS
+        from repro.service.schemas import PlacementRequest, RescheduleOptions
+        from repro.service.workers import execute_request
+
+        assert main(["reschedule", "C1.3", "--noise", "0", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        config = TABLE2_CONFIGS["C1.3"]
+        placement = config.placement()
+        served = execute_request(
+            PlacementRequest(
+                kind="reschedule",
+                spec=build_spec(config, n_steps=24),
+                num_nodes=placement.num_nodes,
+                placement=placement,
+                reschedule=RescheduleOptions(),
+            )
+        )
+        assert printed.pop("config") == "C1.3"
+        assert printed.pop("drift") == {
+            "node": 0, "kind": "step", "magnitude": 2.5, "start_step": 4,
+        }
+        assert printed == json.loads(json.dumps(served))
+
+    def test_step_magnitude_above_the_cap_is_rejected(self, capsys):
+        assert main(["reschedule", "C1.3", "--drift-magnitude", "9"]) == 1
+        assert capsys.readouterr().err == (
+            "error: step drift_magnitude must be in (1, 4], got 9.0\n"
+        )
+
+    def test_drift_node_off_the_placement_is_rejected(self, capsys):
+        assert main(["reschedule", "C1.3", "--drift-node", "7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: reschedule.drift_node 7 must lie below the "
+            "placement's 3 nodes\n"
+        )
+
+    def test_unknown_configuration_fails(self, capsys):
+        assert main(["reschedule", "C9.9"]) == 2
+        assert "unknown configuration" in capsys.readouterr().err
+
+
+class TestCoschedule:
+    def test_text_is_golden(self, capsys):
+        assert main(["coschedule"]) == 0
+        assert capsys.readouterr().out == _golden("coschedule.txt")
+
+    def test_json_is_golden(self, capsys):
+        assert main(["coschedule", "--json"]) == 0
+        assert capsys.readouterr().out == _golden("coschedule.json")
+
+    def test_json_schedule_is_the_service_payload(self, capsys):
+        from repro.coschedule import canonical_mixed_deadline_stream
+        from repro.service.schemas import CoscheduleOptions, PlacementRequest
+        from repro.service.workers import execute_request
+
+        assert main(["coschedule", "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        stream = tuple(canonical_mixed_deadline_stream())
+        served = execute_request(
+            PlacementRequest(
+                kind="coschedule",
+                spec=stream[0].spec,
+                num_nodes=6,
+                coschedule=CoscheduleOptions(requests=stream),
+            )
+        )
+        assert printed["coschedule"] == json.loads(
+            json.dumps(served["coschedule"])
+        )

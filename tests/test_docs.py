@@ -98,6 +98,21 @@ def test_coscheduling_worked_example_is_golden():
         )
 
 
+def test_rescheduling_worked_example_is_golden(capsys):
+    # the CLI session in docs/RESCHEDULING.md is golden: re-run the
+    # command and require the doc's block to be its exact stdout
+    from repro.cli import main
+
+    command = "python -m repro reschedule C1.3 --steps 16 --verify"
+    text = (REPO_ROOT / "docs" / "RESCHEDULING.md").read_text()
+    block = text.split(f"```console\n$ {command}\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert main(command.split()[3:]) == 0
+    assert capsys.readouterr().out == block, (
+        "RESCHEDULING.md worked example drifted from the CLI output"
+    )
+
+
 def test_fault_models_reference_exists():
     doc = REPO_ROOT / "docs" / "FAULT_MODELS.md"
     text = doc.read_text()
