@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,15 @@ GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 
 def _golden(name: str) -> str:
     return (GOLDEN_CLI / name).read_text()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _figure_pins() -> dict:
+    """SHA-256 of full ``figures`` stdout and of each ``--output`` file."""
+    return json.loads(_golden("figures-sha256.json"))
 
 
 class TestList:
@@ -173,6 +183,15 @@ class TestFigures:
                          "headline", "ablation-contention"):
             assert artifact in out
 
+    def test_fast_figures_are_golden(self, capsys):
+        assert main(["figures", "--fast"]) == 0
+        assert capsys.readouterr().out == _golden("figures-fast.txt")
+
+    def test_full_figures_digest_is_pinned(self, capsys):
+        assert main(["figures"]) == 0
+        out = capsys.readouterr().out
+        assert _sha256(out.encode()) == _figure_pins()["figures"]
+
 
 class TestCompare:
     def test_default_set(self, capsys):
@@ -208,6 +227,18 @@ class TestFiguresOutput:
 
         loaded = ExperimentResult.load(outdir / "fig8.json")
         assert loaded.experiment_id == "fig8"
+
+    def test_json_artifacts_are_pinned(self, capsys, tmp_path):
+        assert main(["figures", "--fast", "--output", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            _golden("figures-fast.txt")
+            + f"saved 11 JSON artifacts to {tmp_path}\n"
+        )
+        written = {
+            path.name: _sha256(path.read_bytes())
+            for path in tmp_path.glob("*.json")
+        }
+        assert written == _figure_pins()["figures --fast --output"]
 
 
 class TestReschedule:
