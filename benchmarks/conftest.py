@@ -13,7 +13,19 @@ full-protocol (5-trial, 37-step) numbers.
 
 import pytest
 
+from repro.experiments.base import _shared_trials
+
 
 @pytest.fixture
 def bench_settings():
     return dict(trials=2, n_steps=8, timing_noise=0.02)
+
+
+@pytest.fixture
+def cold_rounds():
+    """``benchmark.pedantic`` settings for the figures that share trials.
+
+    The shared trial memo is cleared before each of 5 rounds, so every
+    round runs its trials instead of timing cache hits.
+    """
+    return dict(setup=_shared_trials.cache_clear, rounds=5)

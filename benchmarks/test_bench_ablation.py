@@ -21,8 +21,10 @@ def _spans(result, variant):
     }
 
 
-def test_bench_contention_ablation(benchmark, bench_settings):
-    result = benchmark(lambda: run_contention_ablation(**bench_settings))
+def test_bench_contention_ablation(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_contention_ablation(**bench_settings), **cold_rounds
+    )
     on, off = _spans(result, "contention-on"), _spans(result, "contention-off")
     # with contention on, C1.4's analysis co-location costs > 15%
     gap_on = on["C1.4"] / on["C1.5"]
@@ -36,16 +38,20 @@ def test_bench_contention_ablation(benchmark, bench_settings):
     print("\n" + result.to_text())
 
 
-def test_bench_locality_ablation(benchmark, bench_settings):
-    result = benchmark(lambda: run_locality_ablation(**bench_settings))
+def test_bench_locality_ablation(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_locality_ablation(**bench_settings), **cold_rounds
+    )
     dimes, bb = _spans(result, "dimes"), _spans(result, "burst-buffer")
     assert dimes["Cc"] < dimes["Cf"]  # locality rewards co-location
     assert bb["Cc"] > bb["Cf"]  # placement-insensitive tier does not
     print("\n" + result.to_text())
 
 
-def test_bench_tax_ablation(benchmark, bench_settings):
-    result = benchmark(lambda: run_tax_ablation(**bench_settings))
+def test_bench_tax_ablation(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_tax_ablation(**bench_settings), **cold_rounds
+    )
     on, off = _spans(result, "tax-on"), _spans(result, "tax-off")
     assert on["Cc"] < on["Cf"]
     assert off["Cf"] < off["Cc"]

@@ -9,8 +9,10 @@ highest.
 from repro.experiments.fig3 import max_miss_ratio, mean_miss_ratio, run_fig3
 
 
-def test_bench_fig3(benchmark, bench_settings):
-    result = benchmark(lambda: run_fig3(**bench_settings))
+def test_bench_fig3(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_fig3(**bench_settings), **cold_rounds
+    )
 
     baseline = mean_miss_ratio(result, "Cf")
     for config in ("Cc", "C1.1", "C1.2", "C1.3", "C1.4", "C1.5"):

@@ -12,8 +12,10 @@ from repro.experiments.fig4 import (
 )
 
 
-def test_bench_fig4(benchmark, bench_settings):
-    result = benchmark(lambda: run_fig4(**bench_settings))
+def test_bench_fig4(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_fig4(**bench_settings), **cold_rounds
+    )
 
     c15_worst = worst_member_makespan(result, "C1.5")
     for straggler in ("C1.1", "C1.2", "C1.4"):

@@ -8,8 +8,10 @@ member-level story (C1.1/C1.4 worst).
 from repro.experiments.fig5 import run_fig5
 
 
-def test_bench_fig5(benchmark, bench_settings):
-    result = benchmark(lambda: run_fig5(**bench_settings))
+def test_bench_fig5(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_fig5(**bench_settings), **cold_rounds
+    )
 
     spans = {
         row["configuration"]: row["ensemble_makespan"] for row in result.rows

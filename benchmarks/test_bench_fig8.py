@@ -8,8 +8,10 @@ ranks C1.5 > C1.4 > {C1.1, C1.2, C1.3}.
 from repro.experiments.fig8 import ranking, run_fig8
 
 
-def test_bench_fig8(benchmark, bench_settings):
-    result = benchmark(lambda: run_fig8(**bench_settings))
+def test_bench_fig8(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_fig8(**bench_settings), **cold_rounds
+    )
 
     c14 = result.row_for("configuration", "C1.4")
     c15 = result.row_for("configuration", "C1.5")

@@ -11,8 +11,10 @@ from repro.experiments.fig9 import run_fig9
 TWO_NODE = {"C2.6", "C2.7", "C2.8"}
 
 
-def test_bench_fig9(benchmark, bench_settings):
-    result = benchmark(lambda: run_fig9(**bench_settings))
+def test_bench_fig9(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_fig9(**bench_settings), **cold_rounds
+    )
 
     up = {row["configuration"]: row["U,P"] for row in result.rows}
     worst_two_node = min(up[c] for c in TWO_NODE)

@@ -11,8 +11,10 @@ import math
 from repro.experiments.headline import run_headline, run_headline_extended
 
 
-def test_bench_headline(benchmark, bench_settings):
-    result = benchmark(lambda: run_headline(**bench_settings))
+def test_bench_headline(benchmark, bench_settings, cold_rounds):
+    result = benchmark.pedantic(
+        lambda: run_headline(**bench_settings), **cold_rounds
+    )
 
     for set_name in ("set1 (K=1)", "set2 (K=2)"):
         rows = {

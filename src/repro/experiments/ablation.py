@@ -25,6 +25,7 @@ from repro.experiments.base import (
     DEFAULT_NOISE,
     DEFAULT_TRIALS,
     ExperimentResult,
+    _shared_trials,
     run_configuration_trials,
     trial_mean,
 )
@@ -42,20 +43,21 @@ def _makespan(
     dtl_factory=None,
 ) -> float:
     config = get_config(config_name)
-    cluster = make_cori_like_cluster(
-        config.num_nodes, contention_enabled=contention_enabled
-    )
-    dtl = None
-    if dtl_factory is not None:
-        dtl = dtl_factory(cluster)
-    results = run_configuration_trials(
-        config,
-        trials=trials,
-        n_steps=n_steps,
-        timing_noise=noise,
-        cluster=cluster,
-        dtl=dtl,
-    )
+    if contention_enabled and dtl_factory is None:
+        # the default platform: the cluster and DTL the executor builds
+        results = _shared_trials(config, trials, n_steps, 0, noise)
+    else:
+        cluster = make_cori_like_cluster(
+            config.num_nodes, contention_enabled=contention_enabled
+        )
+        results = run_configuration_trials(
+            config,
+            trials=trials,
+            n_steps=n_steps,
+            timing_noise=noise,
+            cluster=cluster,
+            dtl=None if dtl_factory is None else dtl_factory(cluster),
+        )
     return trial_mean([r.ensemble_makespan for r in results])
 
 
@@ -96,17 +98,11 @@ def run_locality_ablation(
     timing_noise: float = DEFAULT_NOISE,
 ) -> ExperimentResult:
     """Cf vs Cc under DIMES and under a placement-insensitive tier."""
-    def dimes(cluster):
-        return InMemoryStagingDTL(
-            network=cluster.network,
-            memory_bandwidth=cluster.node_spec.memory_bandwidth,
-        )
-
     def burst(cluster):
         return BurstBufferDTL()
 
     rows: List[Dict] = []
-    for variant, factory in (("dimes", dimes), ("burst-buffer", burst)):
+    for variant, factory in (("dimes", None), ("burst-buffer", burst)):
         for name in ("Cf", "Cc"):
             rows.append(
                 {
@@ -133,12 +129,6 @@ def run_tax_ablation(
     timing_noise: float = DEFAULT_NOISE,
 ) -> ExperimentResult:
     """Cf vs Cc with the DIMES progress tax present and zeroed."""
-    def taxed(cluster):
-        return InMemoryStagingDTL(
-            network=cluster.network,
-            memory_bandwidth=cluster.node_spec.memory_bandwidth,
-        )
-
     def untaxed(cluster):
         return InMemoryStagingDTL(
             network=cluster.network,
@@ -147,7 +137,7 @@ def run_tax_ablation(
         )
 
     rows: List[Dict] = []
-    for variant, factory in (("tax-on", taxed), ("tax-off", untaxed)):
+    for variant, factory in (("tax-on", None), ("tax-off", untaxed)):
         for name in ("Cf", "Cc"):
             rows.append(
                 {

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -164,6 +165,43 @@ def run_configuration_trials(
         )
         for t in range(trials)
     ]
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_trials(
+    config: Configuration,
+    trials: int,
+    n_steps: int,
+    base_seed: int,
+    timing_noise: float,
+    /,
+) -> Tuple[ExecutionResult, ...]:
+    """The default-platform trials of ``config``, run once per key.
+
+    Figures 3-5 and 8-9 (and the headline, through 8 and 9) are views
+    of the same trial sets, and the ablations' "on" variants run the
+    default platform too, so every one of them reads its trials here.
+    Keyed by value (``Configuration`` is frozen) and bounded to 32
+    sets. Callers only read the results; positional-only arguments keep
+    one cache key per set.
+
+    A repeat call returns the same result objects:
+
+    >>> from repro.configs.table2 import get_config
+    >>> first = _shared_trials(get_config("C1.5"), 2, 2, 0, 0.0)
+    >>> again = _shared_trials(get_config("C1.5"), 2, 2, 0, 0.0)
+    >>> again is first and all(a is b for a, b in zip(again, first))
+    True
+    """
+    return tuple(
+        run_configuration_trials(
+            config,
+            trials=trials,
+            n_steps=n_steps,
+            base_seed=base_seed,
+            timing_noise=timing_noise,
+        )
+    )
 
 
 def trial_mean(values: Sequence[float]) -> float:

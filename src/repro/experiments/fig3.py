@@ -27,7 +27,7 @@ from repro.experiments.base import (
     DEFAULT_NOISE,
     DEFAULT_TRIALS,
     ExperimentResult,
-    run_configuration_trials,
+    _shared_trials,
     trial_mean,
 )
 
@@ -53,12 +53,8 @@ def run_fig3(
     for config in table2():
         if config_names is not None and config.name not in config_names:
             continue
-        results = run_configuration_trials(
-            config,
-            trials=trials,
-            n_steps=n_steps,
-            base_seed=base_seed,
-            timing_noise=timing_noise,
+        results = _shared_trials(
+            config, trials, n_steps, base_seed, timing_noise
         )
         component_names = list(results[0].component_metrics)
         for comp in component_names:

@@ -24,7 +24,7 @@ from repro.experiments.base import (
     DEFAULT_NOISE,
     DEFAULT_TRIALS,
     ExperimentResult,
-    run_configuration_trials,
+    _shared_trials,
     trial_mean,
 )
 from repro.experiments.fig8 import COLUMNS
@@ -42,12 +42,8 @@ def run_fig9(
     for config in table4():
         if config.name not in config_names:
             continue
-        results = run_configuration_trials(
-            config,
-            trials=trials,
-            n_steps=n_steps,
-            base_seed=base_seed,
-            timing_noise=timing_noise,
+        results = _shared_trials(
+            config, trials, n_steps, base_seed, timing_noise
         )
         per_trial = [
             ensemble_objective_paths(

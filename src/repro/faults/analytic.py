@@ -677,7 +677,7 @@ def node_crash_term(
     Node-level crash domains (:func:`node_crash_builder`) priced under
     the recovery policy named ``policy``, weighted by ``weight``: the
     term ``plan --robust-rate``, service requests and co-scheduling
-    admission all search with.
+    admission all search with. A rate outside ``[0, 1]`` is rejected.
 
     Examples
     --------
@@ -686,8 +686,14 @@ def node_crash_term(
     >>> term = node_crash_term(0.05, "restart", weight=2.0)
     >>> term.policy.name, term.weight
     ('restart', 2.0)
+    >>> node_crash_term(-1.0)
+    Traceback (most recent call last):
+        ...
+    repro.util.errors.ValidationError: rate must lie in [0, 1], got -1.0
     """
-    if rate <= 0:
+    if not 0.0 <= rate <= 1.0:
+        raise ValidationError(f"rate must lie in [0, 1], got {rate!r}")
+    if rate == 0:
         return None
     return RobustnessTerm(
         policy=make_policy(policy),

@@ -52,6 +52,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_WAIT_S = 10.0
 #: seconds a keep-alive connection may sit idle before it is closed.
 IDLE_TIMEOUT_S = 30.0
+#: seconds between the accept loop's checks for a stop request, which
+#: bounds how long :meth:`PlacementServer.stop` waits for the loop.
+STOP_POLL_S = 0.05
 
 
 class PlacementServer:
@@ -99,7 +102,9 @@ class PlacementServer:
         """Start workers and serve HTTP on a background thread."""
         self.service.start()
         self._thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": STOP_POLL_S},
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -107,7 +112,7 @@ class PlacementServer:
     def serve_forever(self) -> None:
         """Start workers and serve on the calling thread (CLI path)."""
         self.service.start()
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(poll_interval=STOP_POLL_S)
 
     def stop(self) -> None:
         """Stop accepting HTTP, hang up every open connection, then

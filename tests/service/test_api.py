@@ -612,6 +612,13 @@ class TestConnections:
         finally:
             conn.close()
 
+    def test_start_stop_cycles_are_prompt(self):
+        # stop() waits at most one accept-loop poll (STOP_POLL_S)
+        for _ in range(3):
+            start = time.perf_counter()
+            make_server(port=0, workers=1).start().stop()
+            assert time.perf_counter() - start < 0.25
+
     def test_long_poll_parked_across_stop_ends_quietly(self, stalled, capfd):
         client, release, server = (
             stalled.client, stalled.release, stalled.server

@@ -122,6 +122,20 @@ class TestPlan:
         )
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rate, shown", [("-1", "-1.0"), ("2", "2.0"), ("nan", "nan")]
+    )
+    def test_robust_rate_outside_unit_interval_fails(
+        self, capsys, rate, shown
+    ):
+        assert (
+            main(["plan", "--robust-rate", rate, "--members", "1",
+                  "--nodes", "1", "--steps", "4"]) == 1
+        )
+        assert capsys.readouterr().err == (
+            f"error: rate must lie in [0, 1], got {shown}\n"
+        )
+
 
 class TestPlanJson:
     def test_json_output_is_wire_format(self, capsys):
