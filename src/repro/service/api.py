@@ -19,21 +19,34 @@ matching the repo's zero-new-dependency rule. Routes:
 
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
 so the HTTP path serves the same floats the library computes — the
-verify subsystem's service tier holds this to tolerance 0.0. Errors
-are JSON too: 400 for malformed payloads, a ``priority`` that is not
-a JSON integer, a ``wait`` that is not a finite number >= 0, or a
-negative or non-integer ``Content-Length``, 404 for unknown ids
-(including finished jobs the queue has evicted) and routes, 405 for
-unsupported methods, 413 for bodies over :data:`MAX_BODY_BYTES`.
+verify subsystem's service tier holds this to tolerance 0.0. Every
+error is a JSON ``{"error": ...}`` body, the ones :mod:`http.server`
+raises itself included: 400 for malformed payloads, a ``priority``
+that is not a JSON integer, a ``wait`` that is not a finite number
+>= 0, a negative or non-integer ``Content-Length``, or a malformed
+request line; 404 for unknown ids (including finished jobs the queue
+has evicted) and routes; 405, with ``Allow``, for a method without a
+handler; 411 for a ``POST`` body sent with ``Transfer-Encoding``; 413
+for bodies over :data:`MAX_BODY_BYTES`.
 
-Connections are HTTP/1.1 keep-alive. A response the handler closes
-the connection after says ``Connection: close``; an idle connection
-is released after :data:`IDLE_TIMEOUT_S`, and
+A ``POST /jobs`` body parses once: :attr:`PlacementServer.body_memo`
+maps the SHA-256 of the exact body bytes to its parsed request and
+priority, bounded like the service's result cache, so a byte-identical
+repeat skips :func:`~repro.service.schemas.request_from_dict` (and,
+holding the same request object, its digest). Only bodies that parsed
+are kept.
+
+Connections are HTTP/1.1 keep-alive. The server closes a connection
+after any error :mod:`http.server` raises itself, after a 405, 411 or
+413 and after a request whose body its route leaves unread, and says
+``Connection: close`` in that response; an idle connection is
+released after :data:`IDLE_TIMEOUT_S`, and
 :meth:`PlacementServer.stop` closes every open one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import threading
@@ -42,7 +55,8 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Set, Tuple
 
-from repro.service.schemas import request_from_dict
+from repro.service.cache import ResultCache
+from repro.service.schemas import PlacementRequest, request_from_dict
 from repro.service.workers import PlacementService
 from repro.util.errors import ReproError, ValidationError
 
@@ -68,6 +82,13 @@ class PlacementServer:
     host / port:
         Bind address; port 0 picks an ephemeral port (read it back
         from :attr:`port` — the pattern the tests use).
+
+    Attributes
+    ----------
+    body_memo:
+        The parsed ``POST /jobs`` bodies, ``(request, priority)`` by
+        the SHA-256 of the body bytes, least recently used evicted
+        past the result cache's capacity.
     """
 
     def __init__(
@@ -77,6 +98,9 @@ class PlacementServer:
         port: int = 8765,
     ) -> None:
         self.service = service or PlacementService()
+        self.body_memo = ResultCache(
+            max_entries=self.service.result_cache.max_entries
+        )
         self.started_at = time.monotonic()
         handler = _make_handler(self)
         self.httpd = ThreadingHTTPServer((host, port), handler)
@@ -154,8 +178,6 @@ def make_server(
     job_timeout: Optional[float] = None,
 ) -> PlacementServer:
     """Build a :class:`PlacementServer` with a fresh service."""
-    from repro.service.cache import ResultCache
-
     service = PlacementService(
         workers=workers,
         result_cache=ResultCache(max_entries=cache_entries),
@@ -172,8 +194,22 @@ def _hang_up(connection: socket.socket) -> None:
         pass
 
 
+def _parse_submission(raw: bytes) -> Tuple[PlacementRequest, int]:
+    """The request and priority a ``POST /jobs`` body carries."""
+    payload = json.loads(raw.decode("utf-8") or "{}")
+    request = request_from_dict(payload["request"])
+    priority = payload.get("priority", 0)
+    # not int(): it truncates 1.5, takes "3" and true, overflows on inf
+    if type(priority) is not int:
+        raise ValidationError(
+            f"priority must be an integer, got {type(priority).__name__}"
+        )
+    return request, priority
+
+
 def _make_handler(server: PlacementServer):
     service = server.service
+    body_memo = server.body_memo
 
     class Handler(BaseHTTPRequestHandler):
         # the service speaks JSON everywhere, including errors
@@ -200,19 +236,55 @@ def _make_handler(server: PlacementServer):
             except ConnectionError:  # the client or stop() hung up
                 self.close_connection = True
 
+        def __getattr__(self, name: str):
+            # http.server answers 501 for a method with no do_ handler
+            if name.startswith("do_"):
+                return self._method_not_allowed
+            raise AttributeError(name)
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            # http.server's own refusals: a bad request line or version,
+            # oversized headers. Its HTML page always closes the
+            # connection, and has no status line or headers when the
+            # request line named no version; this JSON one closes too,
+            # and always has them.
+            self.close_connection = True
+            self.request_version = self.protocol_version
+            self._error(code, message or self.responses[code][0])
+
         # -- plumbing -------------------------------------------------------
-        def _send(self, status: int, payload: dict) -> None:
+        def _send(self, status: int, payload: dict, **headers: str) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                self.send_header(name, value)
             if self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":  # the client reads no HEAD body
+                self.wfile.write(body)
 
         def _error(self, status: int, message: str) -> None:
             self._send(status, {"error": message})
+
+        def _close_if_body(self) -> None:
+            """Close after answering a request whose body goes unread:
+            left in the stream, it would parse as the next request."""
+            if (
+                "Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0") != "0"
+            ):
+                self.close_connection = True
+
+        def _method_not_allowed(self) -> None:
+            self.close_connection = True  # any body goes unread
+            self._send(
+                405,
+                {"error": f"method {self.command} not allowed"},
+                Allow="GET, POST, DELETE",
+            )
 
         def _route(self) -> Tuple[str, Optional[str]]:
             parts = [p for p in self.path.split("?")[0].split("/") if p]
@@ -243,6 +315,7 @@ def _make_handler(server: PlacementServer):
 
         # -- verbs ----------------------------------------------------------
         def do_GET(self) -> None:
+            self._close_if_body()
             head, rest = self._route()
             if head == "health" and rest is None:
                 self._send(
@@ -287,6 +360,14 @@ def _make_handler(server: PlacementServer):
                 self.close_connection = True
                 self._error(404, f"no route POST {self.path}")
                 return
+            if "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+                self._error(
+                    411,
+                    "length required: send the body with a "
+                    "Content-Length, not a Transfer-Encoding",
+                )
+                return
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
@@ -308,23 +389,23 @@ def _make_handler(server: PlacementServer):
                 )
                 return
             raw = self.rfile.read(length) if length else b""
+            key = hashlib.sha256(raw).hexdigest()
+            parsed = body_memo.get(key)
             try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-                request = request_from_dict(payload["request"])
-                priority = payload.get("priority", 0)
-                # not int(): it truncates 1.5, takes "3" and true, overflows on inf
-                if type(priority) is not int:
-                    raise ValidationError(
-                        "priority must be an integer, got "
-                        f"{type(priority).__name__}"
-                    )
+                if parsed is None:
+                    parsed = _parse_submission(raw)
+                    body_memo.put(key, parsed)
+                request, priority = parsed
                 job = service.submit(request, priority=priority)
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
+            except (
+                ReproError, KeyError, TypeError, ValueError, RecursionError
+            ) as exc:
                 self._error(400, f"bad request: {exc}")
                 return
             self._send(201, job.to_dict())
 
         def do_DELETE(self) -> None:
+            self._close_if_body()
             head, rest = self._route()
             if head != "jobs" or rest is None:
                 self._error(404, f"no route DELETE {self.path}")

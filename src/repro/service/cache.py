@@ -13,19 +13,26 @@ floats), so a hit returns exactly the bytes-equivalent payload a
 worker produced — bit-identical floats, as the determinism tests
 assert. Eviction is least-recently-*used* (hits refresh recency), and
 the hit/miss/eviction counters feed ``GET /stats``.
+
+The HTTP server reuses the same LRU, at the same capacity, as its
+memo of parsed ``POST /jobs`` bodies
+(:attr:`~repro.service.api.PlacementServer.body_memo`), keyed by the
+SHA-256 of the body bytes.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.util.errors import ValidationError
 
 
 class ResultCache:
     """Thread-safe LRU of result payloads, keyed by request digest.
+
+    A value may be any object; the cache never copies or inspects it.
 
     Parameters
     ----------
@@ -41,12 +48,12 @@ class ResultCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, digest: str) -> Optional[dict]:
+    def get(self, digest: str) -> Optional[Any]:
         """The cached payload for ``digest``, or None (counted)."""
         with self._lock:
             payload = self._entries.get(digest)
@@ -57,7 +64,7 @@ class ResultCache:
             self.hits += 1
             return payload
 
-    def put(self, digest: str, payload: dict) -> None:
+    def put(self, digest: str, payload: Any) -> None:
         """Insert (or refresh) one payload, evicting LRU on overflow."""
         with self._lock:
             if digest in self._entries:

@@ -6,7 +6,10 @@ convenience search), poll, block on completion, cancel, and read
 health/stats.
 Each calling thread keeps one keep-alive connection, and
 :meth:`PlacementClient.wait` blocks in the server
-(``GET /jobs/<id>?wait=``) instead of polling on a timer.
+(``GET /jobs/<id>?wait=``) instead of polling on a timer. A submit
+whose ``201`` is already terminal (a result-cache hit comes back
+``done``) ends its job: the thread keeps that snapshot, and
+:meth:`PlacementClient.wait` returns it without a request.
 Deserialization goes through :mod:`repro.service.schemas`, so
 :meth:`PlacementClient.result_score` hands back a real
 :class:`~repro.scheduler.objectives.PlacementScore` carrying the
@@ -25,6 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.objectives import PlacementScore
+from repro.service.jobs import JobState
 from repro.service.schemas import (
     PlacementRequest,
     request_to_dict,
@@ -140,12 +144,19 @@ class PlacementClient:
     def submit(
         self, request: PlacementRequest, priority: int = 0
     ) -> dict:
-        """POST the request; returns the job snapshot (with its id)."""
-        return self._call(
+        """POST the request; returns the job snapshot (with its id).
+
+        A terminal snapshot is kept for this thread, and :meth:`wait`
+        on its id returns it without asking the server again.
+        """
+        snapshot = self._call(
             "POST",
             "/jobs",
             {"request": request_to_dict(request), "priority": priority},
         )
+        if JobState(snapshot["state"]).terminal:
+            self._local.terminal = snapshot
+        return snapshot
 
     def submit_search(
         self,
@@ -193,21 +204,26 @@ class PlacementClient:
     def wait(self, job_id: str, timeout: float = 30.0) -> dict:
         """Block until the job is terminal; returns the final snapshot.
 
-        Each :meth:`job` call blocks in the server for at most half
-        the socket timeout, so a job that finishes within that costs
-        one request.
+        If this thread's last terminal :meth:`submit` answer is for
+        ``job_id``, that snapshot is returned without a request.
+        Otherwise each :meth:`job` call blocks in the server for at
+        most half the socket timeout, so a job that finishes within
+        that costs one request.
 
         Raises
         ------
         TimeoutError
             If the job is still pending/running after ``timeout``.
         """
+        kept = getattr(self._local, "terminal", None)
+        if kept is not None and kept["id"] == job_id:
+            return kept
         deadline = time.monotonic() + timeout
         longest = self.timeout / 2
         while True:
             remaining = deadline - time.monotonic()
             snapshot = self.job(job_id, wait=min(max(remaining, 0.0), longest))
-            if snapshot["state"] in ("done", "failed", "cancelled"):
+            if JobState(snapshot["state"]).terminal:
                 return snapshot
             if time.monotonic() >= deadline:
                 raise TimeoutError(

@@ -30,6 +30,7 @@ were constructed — share one digest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Dict, Optional, Tuple
@@ -615,6 +616,15 @@ class PlacementRequest:
             )
         require_positive_int("trials", self.trials)
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """This request's :func:`canonical_digest`, rendered on first use.
+
+        A request is frozen, so its digest is computed once per object.
+        """
+        rendered = canonical_json(request_to_dict(self))
+        return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
 
 def request_to_dict(request: PlacementRequest) -> dict:
     """Serialize a request (including the schema version)."""
@@ -712,6 +722,7 @@ def canonical_digest(request: PlacementRequest) -> str:
     placement/candidates, and the fault model — so two requests share
     a digest iff the service would compute the identical result for
     both. Submission metadata (priority, timeouts) never enters.
+    The digest is rendered once per request object and then read from
+    :attr:`PlacementRequest.digest`.
     """
-    rendered = canonical_json(request_to_dict(request))
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+    return request.digest

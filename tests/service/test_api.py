@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -134,6 +135,36 @@ def _coschedule(entry=None, **options) -> dict:
     payload["coschedule"].update(options)
     payload["coschedule"]["requests"][1].update(entry or {})
     return payload
+
+
+def _exchange(server: PlacementServer, raw: bytes) -> list:
+    """Send ``raw`` on a fresh socket; every answer until the server
+    closes it, as (status, lower-cased headers, body) triples."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=5.0
+    ) as sock:
+        sock.sendall(raw)
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # unread request bytes
+                break
+            if not chunk:
+                break
+            received += chunk
+    answers = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines)
+        }
+        length = int(headers.get("content-length", len(rest)))
+        answers.append((int(status_line.split()[1]), headers, rest[:length]))
+        received = rest[length:]
+    return answers
 
 
 class TestRoutes:
@@ -383,6 +414,67 @@ class TestRoutes:
             resp.read()
         finally:
             conn.close()
+
+    def test_chunked_post_is_411_and_closes(self, server):
+        # the chunk bytes are never read, so they must not be parsed as
+        # a second request on the same connection
+        answers = _exchange(
+            server,
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        )
+        assert [status for status, _, _ in answers] == [411]
+        _, headers, body = answers[0]
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_unread_body_closes_the_connection(self, server):
+        # a GET's body, unread, would be parsed as the next request line
+        answers = _exchange(
+            server,
+            b"GET /health HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 14\r\n\r\n"
+            b'{"ignored": 1}',
+        )
+        assert [status for status, _, _ in answers] == [200]
+        _, headers, body = answers[0]
+        assert headers["connection"] == "close"
+        assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize("method", ["PUT", "PATCH", "HEAD", "OPTIONS"])
+    def test_method_without_a_handler_is_405(self, server, method):
+        conn = http.client.HTTPConnection(
+            server.host, server.port, timeout=5.0
+        )
+        try:
+            conn.request(method, "/jobs/x")
+            resp = conn.getresponse()
+            body = resp.read()
+            assert resp.status == 405
+            assert resp.getheader("Allow") == "GET, POST, DELETE"
+            assert resp.getheader("Content-Type") == "application/json"
+            if method == "HEAD":  # the answer has headers only
+                assert body == b""
+            else:
+                assert method in json.loads(body)["error"]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GARBAGE", b"GET /health HTTP/x.y", b"GET /health HTTP/2.0"],
+        ids=["syntax", "version", "unsupported-version"],
+    )
+    def test_malformed_request_line_is_a_json_error(self, server, line):
+        answers = _exchange(server, line + b"\r\nHost: x\r\n\r\n")
+        assert len(answers) == 1
+        status, headers, body = answers[0]
+        assert status in (400, 505)
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
 
     def test_stats_surfaces_all_layers(self, client):
         client.wait(client.submit(_search())["id"], timeout=30.0)
