@@ -53,9 +53,7 @@ from repro.coschedule import (  # noqa: E402
     CoScheduler,
     EnsembleRequest,
     canonical_mixed_deadline_stream,
-    coschedule_counters,
     fifo_exclusive_schedule,
-    reset_coschedule_counters,
 )
 from repro.coschedule.scenarios import (  # noqa: E402
     CANONICAL_ARRIVAL_SPACING,
@@ -64,6 +62,8 @@ from repro.coschedule.scenarios import (  # noqa: E402
     CANONICAL_TOTAL_NODES,
 )
 from repro.search.engine import find_best_placement  # noqa: E402
+from repro.service.workers import ENGINE_SECTIONS  # noqa: E402
+from repro.util.registry import Counters, counting  # noqa: E402
 from repro.verify.oracles import (  # noqa: E402
     DivergenceReport,
     MetricCheck,
@@ -179,13 +179,13 @@ def bench_scenario(num_requests: int) -> dict:
     )
     t_fifo = time.perf_counter() - t0
 
-    reset_coschedule_counters()
-    t0 = time.perf_counter()
-    result = CoScheduler(
-        total_nodes=CANONICAL_TOTAL_NODES,
-        cores_per_node=CANONICAL_CORES_PER_NODE,
-    ).run(stream)
-    t_coscheduled = time.perf_counter() - t0
+    with counting(Counters(**ENGINE_SECTIONS)) as registry:
+        t0 = time.perf_counter()
+        result = CoScheduler(
+            total_nodes=CANONICAL_TOTAL_NODES,
+            cores_per_node=CANONICAL_CORES_PER_NODE,
+        ).run(stream)
+        t_coscheduled = time.perf_counter() - t0
 
     gain = (
         result.utilization / fifo.utilization
@@ -214,7 +214,7 @@ def bench_scenario(num_requests: int) -> dict:
         "result_digest": result.digest(),
         "fifo_seconds": t_fifo,
         "coscheduled_seconds": t_coscheduled,
-        "counters": coschedule_counters(),
+        "counters": registry.snapshot()["coschedule"],
     }
 
 

@@ -53,8 +53,6 @@ from repro.reschedule import (  # noqa: E402
     DriftKind,
     RescheduleController,
     StaticDriftModel,
-    reschedule_counters,
-    reset_reschedule_counters,
 )
 from repro.runtime import run_ensemble  # noqa: E402
 from repro.runtime.executor import EnsembleExecutor  # noqa: E402
@@ -63,6 +61,8 @@ from repro.runtime.placement import (  # noqa: E402
     MemberPlacement,
 )
 from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
+from repro.service.workers import ENGINE_SECTIONS  # noqa: E402
+from repro.util.registry import Counters, counting  # noqa: E402
 from repro.verify.oracles import (  # noqa: E402
     DivergenceReport,
     MetricCheck,
@@ -196,7 +196,6 @@ def bench_scenario(n_steps: int) -> tuple:
     )
     t_static = time.perf_counter() - t0
 
-    reset_reschedule_counters()
     controller = _controller()
     executor = EnsembleExecutor(
         spec=spec,
@@ -207,9 +206,10 @@ def bench_scenario(n_steps: int) -> tuple:
         rescheduler=controller,
         verify=True,
     )
-    t0 = time.perf_counter()
-    rescheduled = executor.run()
-    t_rescheduled = time.perf_counter() - t0
+    with counting(Counters(**ENGINE_SECTIONS)) as registry:
+        t0 = time.perf_counter()
+        rescheduled = executor.run()
+        t_rescheduled = time.perf_counter() - t0
 
     invariants = executor.invariant_report
     checks = [
@@ -269,7 +269,7 @@ def bench_scenario(n_steps: int) -> tuple:
         "static_seconds": t_static,
         "rescheduled_seconds": t_rescheduled,
         "summary": controller.summary(),
-        "counters": reschedule_counters(),
+        "counters": registry.snapshot()["reschedule"],
         "invariant_checks": (
             invariants.checks_performed if invariants else 0
         ),

@@ -52,10 +52,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.configs.generator import enumerate_placements  # noqa: E402
-from repro.faults.batched import (  # noqa: E402
-    engine_counters,
-    reset_engine_counters,
-)
 from repro.faults.recovery import RetryBackoffPolicy  # noqa: E402
 from repro.runtime.executor import EnsembleExecutor  # noqa: E402
 from repro.runtime.spec import EnsembleSpec, default_member  # noqa: E402
@@ -64,6 +60,8 @@ from repro.scheduler.robust import (  # noqa: E402
     rank_placements_robust,
     robust_score_placement,
 )
+from repro.service.workers import ENGINE_SECTIONS  # noqa: E402
+from repro.util.registry import Counters, counting  # noqa: E402
 from repro.verify.oracles import (  # noqa: E402
     DivergenceReport,
     MetricCheck,
@@ -156,13 +154,13 @@ def bench_ranking(trials: int, n_steps: int) -> tuple:
     serial, t_serial, serial_runs = _timed_des_runs(
         lambda: _serial_ranking(spec, candidates, factory, policy, **common)
     )
-    reset_engine_counters()
-    batched, t_batched, batched_runs = _timed_des_runs(
-        lambda: rank_placements_robust(
-            spec, candidates, factory, policy, method="des", **common
+    with counting(Counters(**ENGINE_SECTIONS)) as registry:
+        batched, t_batched, batched_runs = _timed_des_runs(
+            lambda: rank_placements_robust(
+                spec, candidates, factory, policy, method="des", **common
+            )
         )
-    )
-    counters = engine_counters()
+    counters = registry.snapshot()["batched"]
 
     checks = [
         MetricCheck(

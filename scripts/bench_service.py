@@ -191,7 +191,6 @@ def bench_rank_des(trials: int) -> tuple:
     sim and replayed replica.
     """
     from repro.configs.generator import enumerate_placements
-    from repro.faults.batched import reset_engine_counters
 
     spec = _bench_spec()
     pool = list(enumerate_placements(spec, 2, 32))
@@ -207,7 +206,6 @@ def bench_rank_des(trials: int) -> tuple:
     )
     direct = execute_request(request)
 
-    reset_engine_counters()
     service = PlacementService(workers=WORKERS)
     with service:
         t0 = time.perf_counter()

@@ -42,8 +42,6 @@ from repro.coschedule.loop import (
     CoScheduler,
     EnsembleCompletion,
     TimelineEvent,
-    coschedule_counters,
-    reset_coschedule_counters,
 )
 from repro.coschedule.requests import (
     MEMBERSHIP_ACTIONS,
@@ -77,9 +75,7 @@ __all__ = [
     "ResidentWorkload",
     "TimelineEvent",
     "canonical_mixed_deadline_stream",
-    "coschedule_counters",
     "decisions_digest",
     "fifo_exclusive_schedule",
-    "reset_coschedule_counters",
     "validate_stream",
 ]

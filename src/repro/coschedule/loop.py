@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +43,7 @@ from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore
 from repro.search.cache import StageCache
 from repro.util.errors import ValidationError
+from repro.util.registry import count
 
 from repro.coschedule.admission import (
     AdmissionAction,
@@ -61,40 +61,6 @@ from repro.coschedule.requests import (
     MembershipEvent,
     validate_stream,
 )
-
-# -- process-wide counters (the /stats section) ------------------------------
-_COSCHEDULE_LOCK = threading.Lock()
-_COSCHEDULE_COUNTERS: Dict[str, int] = {
-    "streams": 0,
-    "arrivals": 0,
-    "admitted": 0,
-    "queued": 0,
-    "rejected": 0,
-    "dequeued": 0,
-    "completions": 0,
-    "repartitions": 0,
-    "membership_events": 0,
-    "migrations": 0,
-}
-
-
-def coschedule_counters() -> Dict[str, int]:
-    """Snapshot of the co-scheduling counters (process-wide)."""
-    with _COSCHEDULE_LOCK:
-        return dict(_COSCHEDULE_COUNTERS)
-
-
-def reset_coschedule_counters() -> None:
-    """Zero the co-scheduling counters."""
-    with _COSCHEDULE_LOCK:
-        for key in _COSCHEDULE_COUNTERS:
-            _COSCHEDULE_COUNTERS[key] = 0
-
-
-def _count(key: str, amount: int = 1) -> None:
-    with _COSCHEDULE_LOCK:
-        _COSCHEDULE_COUNTERS[key] += amount
-
 
 def _placement_dict(placement: EnsemblePlacement) -> dict:
     return {
@@ -349,7 +315,7 @@ class CoScheduler:
     ) -> CoScheduleResult:
         """Schedule the whole stream; return the audited result."""
         stream = validate_stream(tuple(requests))
-        _count("streams")
+        count("coschedule", "streams")
 
         events: List[Tuple[float, int, int, str, object]] = []
         seq = 0
@@ -422,7 +388,7 @@ class CoScheduler:
                 for name in order
             ]
             allocation = self.allocator.allocate(workloads, now=now)
-            _count("repartitions")
+            count("coschedule", "repartitions")
             entries_detail = []
             for name in order:
                 resident = residents[name]
@@ -433,7 +399,7 @@ class CoScheduler:
                     resident.pending_delay += cost
                     resident.migration_cost += cost
                     resident.migrations += moves
-                    _count("migrations", moves)
+                    count("coschedule", "migrations", moves)
                 resident.score = entry.score
                 resident.physical = new_physical
                 resident.member_nodes = {
@@ -522,7 +488,7 @@ class CoScheduler:
                     reason=reason,
                 )
             )
-            _count("completions")
+            count("coschedule", "completions")
 
         def drain_queue(now: float) -> bool:
             """Admit every queued request that now fits; True if any did."""
@@ -558,7 +524,7 @@ class CoScheduler:
                                 free_nodes=free,
                             )
                         )
-                        _count("rejected")
+                        count("coschedule", "rejected")
                         continue
                 if floor is not None and floor <= free:
                     decisions.append(
@@ -576,8 +542,8 @@ class CoScheduler:
                             free_nodes=free,
                         )
                     )
-                    _count("dequeued")
-                    _count("admitted")
+                    count("coschedule", "dequeued")
+                    count("coschedule", "admitted")
                     admit(request, now)
                     admitted_any = True
                 else:
@@ -590,15 +556,15 @@ class CoScheduler:
             integrate_to(now)
             if kind == "arrival":
                 request = payload
-                _count("arrivals")
+                count("coschedule", "arrivals")
                 decision = self.admission.decide(request, headroom(), now)
                 decisions.append(decision)
                 if decision.action is AdmissionAction.ACCEPT:
-                    _count("admitted")
+                    count("coschedule", "admitted")
                     admit(request, now)
                     repartition(now, f"arrival:{request.name}")
                 elif decision.action is AdmissionAction.QUEUE:
-                    _count("queued")
+                    count("coschedule", "queued")
                     queue.append(
                         (
                             request.priority,
@@ -608,7 +574,7 @@ class CoScheduler:
                         )
                     )
                 else:
-                    _count("rejected")
+                    count("coschedule", "rejected")
                 horizon = max(horizon, now)
             elif kind == "finish":
                 name, generation = payload
@@ -641,7 +607,7 @@ class CoScheduler:
                         )
                     )
                     continue
-                _count("membership_events")
+                count("coschedule", "membership_events")
                 resident.advance(now)
                 emptied = self._apply_membership(resident, event)
                 timeline.append(

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.dtl.base import DataTransportLayer, TransferCost
 from repro.platform.network import DragonflyNetwork
+from repro.platform.node import NodeSpec
 from repro.util.validation import require_non_negative, require_positive
 
 
@@ -84,6 +85,27 @@ class InMemoryStagingDTL(DataTransportLayer):
         )
         self.service_bandwidth = require_positive(
             "service_bandwidth", service_bandwidth
+        )
+
+    @classmethod
+    def for_platform(
+        cls, network: DragonflyNetwork, node_spec: NodeSpec
+    ) -> "InMemoryStagingDTL":
+        """The default tier of a platform: every parameter but the
+        network and the node's memory bandwidth at its default."""
+        return cls(
+            network=network, memory_bandwidth=node_spec.memory_bandwidth
+        )
+
+    def cost_key(self) -> tuple:
+        """Tiers with equal keys price every transfer identically."""
+        return (
+            self.network.spec,
+            self.memory_bandwidth,
+            self.marshal_bandwidth,
+            self.service_latency,
+            self.service_bandwidth,
+            self.producer_progress_tax,
         )
 
     # -- cost model ------------------------------------------------------------

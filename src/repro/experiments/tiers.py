@@ -54,9 +54,8 @@ TierFactory = Callable[[Cluster], DataTransportLayer]
 def default_tiers() -> Dict[str, TierFactory]:
     """The three Figure-2 tiers with realistic parameters."""
     return {
-        "in-memory": lambda cl: InMemoryStagingDTL(
-            network=cl.network,
-            memory_bandwidth=cl.node_spec.memory_bandwidth,
+        "in-memory": lambda cl: InMemoryStagingDTL.for_platform(
+            cl.network, cl.node_spec
         ),
         "burst-buffer": lambda cl: BurstBufferDTL(),
         "parallel-fs": lambda cl: ParallelFilesystemDTL(

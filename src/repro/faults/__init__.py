@@ -76,11 +76,9 @@ from repro.faults.batched import (
     StageTimeline,
     batched_score_placement,
     capture_timeline,
-    engine_counters,
     rank_placements_batched,
     replay_schedules,
     replay_tier,
-    reset_engine_counters,
     score_from_timeline,
 )
 
@@ -119,12 +117,10 @@ __all__ = [
     "WeibullBurstArrivals",
     "batched_score_placement",
     "capture_timeline",
-    "engine_counters",
     "make_policy",
     "rank_placements_batched",
     "replay_schedules",
     "replay_tier",
-    "reset_engine_counters",
     "score_from_timeline",
     "surrogate_resilience",
 ]

@@ -71,7 +71,6 @@ True
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -104,47 +103,12 @@ from repro.runtime.effective import compute_effective_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
+from repro.util.registry import count
 from repro.util.rng import RandomSource, derive_replica_seed
 from repro.util.validation import require_in_range, require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scheduler.robust import ModelFactory, RobustScore
-
-
-# -- engine counters ---------------------------------------------------------
-# Module-global so the service's /stats endpoint and bench tooling can
-# report how much replay work the engine has done without threading a
-# stats object through every call.
-
-_COUNTER_LOCK = threading.Lock()
-_counters: Dict[str, int] = {
-    "baseline_sims": 0,
-    "replicas_replayed": 0,
-}
-
-
-def engine_counters() -> Dict[str, int]:
-    """A snapshot of the batched engine's work counters.
-
-    ``baseline_sims`` counts captured fault-free baselines (no DES run
-    is involved) and ``replicas_replayed`` the fault replicas scored by
-    delta replay.
-    """
-    with _COUNTER_LOCK:
-        return dict(_counters)
-
-
-def reset_engine_counters() -> None:
-    """Zero the counters (tests and benchmarks isolate runs with this)."""
-    with _COUNTER_LOCK:
-        _counters["baseline_sims"] = 0
-        _counters["replicas_replayed"] = 0
-
-
-def _tally(baseline: int = 0, replicas: int = 0) -> None:
-    with _COUNTER_LOCK:
-        _counters["baseline_sims"] += baseline
-        _counters["replicas_replayed"] += replicas
 
 
 def replay_tier(policy: RecoveryPolicy) -> str:
@@ -255,9 +219,8 @@ def capture_timeline(
     """
     require_in_range("timing_noise", timing_noise, 0.0, 1.0)
     cluster = cluster or make_cori_like_cluster(placement.num_nodes)
-    dtl = dtl or InMemoryStagingDTL(
-        network=cluster.network,
-        memory_bandwidth=cluster.node_spec.memory_bandwidth,
+    dtl = dtl or InMemoryStagingDTL.for_platform(
+        cluster.network, cluster.node_spec
     )
     effective = compute_effective_stages(spec, placement, cluster, dtl)
     root = RandomSource(seed, name="executor")
@@ -302,7 +265,7 @@ def capture_timeline(
                 cp=placement_indicator(mp.to_placement_sets()),
             )
         )
-    _tally(baseline=1)
+    count("batched", "baseline_sims")
     return StageTimeline(
         spec_name=spec.name,
         members=tuple(members),
@@ -606,7 +569,7 @@ def replay_schedules(
     objectives = scores.objectives.reshape(-1, stride)
     makespans = np.max([r.makespan for r in replays], axis=0).reshape(-1, stride)
     spans = makespans[:, 1:]  # column 0 holds the baselines
-    _tally(replicas=spans.size)
+    count("batched", "replicas_replayed", spans.size)
     return ReplayOutcome(
         objectives=tuple(objectives[:, 1:].ravel().tolist()),
         makespans=tuple(spans.ravel().tolist()),

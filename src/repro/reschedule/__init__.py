@@ -19,8 +19,6 @@ attached and zero drift is byte-identical to a bare run.
 from repro.reschedule.controller import (
     RescheduleController,
     ScriptedMigration,
-    reschedule_counters,
-    reset_reschedule_counters,
 )
 from repro.reschedule.detector import DriftAlert, DriftDetector
 from repro.reschedule.drift import (
@@ -68,6 +66,4 @@ __all__ = [
     "TelemetryFeed",
     "calibrated_remaining_makespan",
     "coerce_drift",
-    "reschedule_counters",
-    "reset_reschedule_counters",
 ]

@@ -33,7 +33,6 @@ runs through real migrations.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +51,7 @@ from repro.reschedule.telemetry import (
 )
 from repro.runtime.effective import compute_effective_stages
 from repro.util.errors import ValidationError
+from repro.util.registry import count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dtl.base import DataTransportLayer
@@ -59,36 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.effective import EffectiveMember
     from repro.runtime.placement import EnsemblePlacement
     from repro.runtime.spec import EnsembleSpec
-
-# module counters: cumulative across runs, surfaced by GET /stats and
-# the benchmarks (mirrors repro.faults.batched.engine_counters).
-_COUNTER_LOCK = threading.Lock()
-_COUNTERS: Dict[str, int] = {
-    "runs": 0,
-    "replans_triggered": 0,
-    "replans_accepted": 0,
-    "migrations": 0,
-    "components_moved": 0,
-}
-
-
-def reschedule_counters() -> Dict[str, int]:
-    """Cumulative controller counters (process-wide)."""
-    with _COUNTER_LOCK:
-        return dict(_COUNTERS)
-
-
-def reset_reschedule_counters() -> None:
-    """Zero the cumulative counters (benchmarks isolate measurements)."""
-    with _COUNTER_LOCK:
-        for key in _COUNTERS:
-            _COUNTERS[key] = 0
-
-
-def _bump(key: str, amount: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[key] += amount
-
 
 @dataclass(frozen=True)
 class ScriptedMigration:
@@ -238,7 +208,7 @@ class RescheduleController:
         self._cooldown_until = 0
         self.migration_log = []
         self.last_decision = None
-        _bump("runs")
+        count("reschedule", "runs")
 
     @property
     def placement(self) -> Optional["EnsemblePlacement"]:
@@ -309,8 +279,8 @@ class RescheduleController:
         if pending.moves:
             self.migrations_executed += 1
             self.components_moved += len(pending.moves)
-            _bump("migrations")
-            _bump("components_moved", len(pending.moves))
+            count("reschedule", "migrations")
+            count("reschedule", "components_moved", len(pending.moves))
         self._last_moves[member_name] = (step, pending.moves, pending.delay)
         return pending.delay
 
@@ -340,7 +310,7 @@ class RescheduleController:
     def _attempt_replan(self, step: int) -> None:
         assert self._replanner is not None
         self.replans_triggered += 1
-        _bump("replans_triggered")
+        count("reschedule", "replans_triggered")
         slowdown = self.telemetry.slowdown_factors(
             self._current_placement.num_nodes
         )
@@ -355,7 +325,7 @@ class RescheduleController:
             self.replans_rejected += 1
             return
         self.replans_accepted += 1
-        _bump("replans_accepted")
+        count("reschedule", "replans_accepted")
         self._stage_pending(decision.placement, decision.plan)
 
     def _maybe_trigger_scripted(self, step: int) -> None:

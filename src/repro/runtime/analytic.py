@@ -44,9 +44,8 @@ def predict_member_stages(
     if cluster is None:
         cluster = make_cori_like_cluster(placement.num_nodes)
     if dtl is None:
-        dtl = InMemoryStagingDTL(
-            network=cluster.network,
-            memory_bandwidth=cluster.node_spec.memory_bandwidth,
+        dtl = InMemoryStagingDTL.for_platform(
+            cluster.network, cluster.node_spec
         )
     effective = compute_effective_stages(
         spec, placement, cluster, dtl, allow_oversubscription=allow_oversubscription

@@ -169,9 +169,8 @@ class EnsembleExecutor:
         self.spec = spec
         self.placement = placement
         self.cluster = cluster or make_cori_like_cluster(placement.num_nodes)
-        self.dtl = dtl or InMemoryStagingDTL(
-            network=self.cluster.network,
-            memory_bandwidth=self.cluster.node_spec.memory_bandwidth,
+        self.dtl = dtl or InMemoryStagingDTL.for_platform(
+            self.cluster.network, self.cluster.node_spec
         )
         self.seed = seed
         self.timing_noise = timing_noise

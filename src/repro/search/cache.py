@@ -57,10 +57,17 @@ from repro.runtime.spec import EnsembleSpec
 from repro.search.canonical import placement_to_assignment
 from repro.util.errors import PlacementError
 
-#: the default platform's node and network specs, built once: both are
-#: frozen, so :meth:`StageCache.matches` compares against them per call
+#: the default platform's node, network and contention specs, built
+#: once: :meth:`StageCache.matches` compares against them per call
 _DEFAULT_NODE = cori_like_node()
-_DEFAULT_NETWORK = cori_like_network().spec
+_DEFAULT_PLATFORM = (
+    _DEFAULT_NODE,
+    cori_like_network().spec,
+    ContentionModel(
+        core_freq_hz=_DEFAULT_NODE.core_freq_hz,
+        memory_bandwidth=_DEFAULT_NODE.memory_bandwidth,
+    ),
+)
 
 #: DTL types whose staging costs depend on node pairs only through the
 #: dragonfly hop count (or not at all) — for these, signatures use hop
@@ -100,7 +107,6 @@ class StageCache:
         cluster: Optional[Cluster] = None,
         dtl: Optional[DataTransportLayer] = None,
     ) -> None:
-        self._default_context = cluster is None and dtl is None
         if cluster is None:
             self._node_spec = cori_like_node()
             self._network = cori_like_network()
@@ -113,9 +119,8 @@ class StageCache:
             self._network = cluster.network
             self._contention = cluster.contention
         if dtl is None:
-            dtl = InMemoryStagingDTL(
-                network=self._network,
-                memory_bandwidth=self._node_spec.memory_bandwidth,
+            dtl = InMemoryStagingDTL.for_platform(
+                self._network, self._node_spec
             )
         self.dtl = dtl
         self._hop_keyed = isinstance(dtl, _HOP_DETERMINED_DTLS)
@@ -155,63 +160,27 @@ class StageCache:
         ``cluster`` / ``dtl`` arguments; a mismatched cache is simply
         ignored (correctness first), never consulted.
         """
-        if cluster is not None:
-            if cluster.node_spec != self._node_spec:
-                return False
-            if cluster.network.spec != self._network.spec:
-                return False
-            c = cluster.contention
-            if (
-                c.core_freq_hz != self._contention.core_freq_hz
-                or c.memory_bandwidth != self._contention.memory_bandwidth
-                or c.enabled != self._contention.enabled
-            ):
-                return False
-        elif not self._default_cluster_context():
-            return False
-        if dtl is None:
-            return self._is_default_dtl()
-        if dtl is self.dtl:
-            return True
-        if isinstance(self.dtl, InMemoryStagingDTL) and isinstance(
-            dtl, InMemoryStagingDTL
+        node_spec, network_spec, c = (
+            _DEFAULT_PLATFORM
+            if cluster is None
+            else (cluster.node_spec, cluster.network.spec, cluster.contention)
+        )
+        if (
+            node_spec != self._node_spec
+            or network_spec != self._network.spec
+            or c.core_freq_hz != self._contention.core_freq_hz
+            or c.memory_bandwidth != self._contention.memory_bandwidth
+            or c.enabled != self._contention.enabled
         ):
-            a, b = self.dtl, dtl
-            return (
-                a.network.spec == b.network.spec
-                and a.memory_bandwidth == b.memory_bandwidth
-                and a.marshal_bandwidth == b.marshal_bandwidth
-                and a.service_latency == b.service_latency
-                and a.service_bandwidth == b.service_bandwidth
-                and a.producer_progress_tax == b.producer_progress_tax
-            )
-        return False
-
-    def _default_cluster_context(self) -> bool:
-        default = _DEFAULT_NODE
-        return (
-            self._node_spec == default
-            and self._network.spec == _DEFAULT_NETWORK
-            and self._contention.enabled
-            and self._contention.core_freq_hz == default.core_freq_hz
-            and self._contention.memory_bandwidth == default.memory_bandwidth
-        )
-
-    def _is_default_dtl(self) -> bool:
-        if not isinstance(self.dtl, InMemoryStagingDTL):
             return False
-        reference = InMemoryStagingDTL(
-            network=self._network,
-            memory_bandwidth=self._node_spec.memory_bandwidth,
-        )
-        a, b = self.dtl, reference
-        return (
-            a.network.spec == b.network.spec
-            and a.memory_bandwidth == b.memory_bandwidth
-            and a.marshal_bandwidth == b.marshal_bandwidth
-            and a.service_latency == b.service_latency
-            and a.service_bandwidth == b.service_bandwidth
-            and a.producer_progress_tax == b.producer_progress_tax
+        if dtl is None:  # the caller's default tier on this platform
+            dtl = InMemoryStagingDTL.for_platform(
+                self._network, self._node_spec
+            )
+        return dtl is self.dtl or (
+            isinstance(self.dtl, InMemoryStagingDTL)
+            and isinstance(dtl, InMemoryStagingDTL)
+            and self.dtl.cost_key() == dtl.cost_key()
         )
 
     # -- fingerprints --------------------------------------------------------

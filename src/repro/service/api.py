@@ -14,7 +14,9 @@ matching the repo's zero-new-dependency rule. Routes:
 ``DELETE /jobs/<id>``     cancel a pending job -> ``{"cancelled": bool}``
 ``GET /health``           liveness: status, worker count, uptime
 ``GET /stats``            queue counters, result-cache hit/miss/eviction,
-                          aggregated StageCache statistics
+                          aggregated StageCache statistics, and this
+                          service's engine counters (``batched``,
+                          ``reschedule``, ``coschedule``)
 ========================  =================================================
 
 Request/response bodies use :mod:`repro.service.schemas` exclusively,
@@ -38,9 +40,10 @@ are kept.
 
 Connections are HTTP/1.1 keep-alive. The server closes a connection
 after any error :mod:`http.server` raises itself, after a 405, 411 or
-413 and after a request whose body its route leaves unread, and says
-``Connection: close`` in that response; an idle connection is
-released after :data:`IDLE_TIMEOUT_S`, and
+413 and after a request whose body its route does not use, and says
+``Connection: close`` in that response. It reads such a body first
+when it can, and drains any other one after answering (:func:`_linger`);
+an idle connection is released after :data:`IDLE_TIMEOUT_S`, and
 :meth:`PlacementServer.stop` closes every open one.
 """
 
@@ -69,6 +72,8 @@ IDLE_TIMEOUT_S = 30.0
 #: seconds between the accept loop's checks for a stop request, which
 #: bounds how long :meth:`PlacementServer.stop` waits for the loop.
 STOP_POLL_S = 0.05
+#: the longest :func:`_linger` drains a connection, in seconds.
+LINGER_S = 2.0
 
 
 class PlacementServer:
@@ -194,6 +199,21 @@ def _hang_up(connection: socket.socket) -> None:
         pass
 
 
+def _linger(connection: socket.socket) -> None:
+    """Half-close ``connection`` and discard what the client still sends
+    until it closes or :data:`LINGER_S` passes: a close on unread bytes
+    resets the connection, which can lose the answer sent before it."""
+    deadline = time.monotonic() + LINGER_S
+    try:
+        connection.shutdown(socket.SHUT_WR)
+        while (left := deadline - time.monotonic()) > 0:
+            connection.settimeout(left)
+            if not connection.recv(65536):
+                return
+    except OSError:  # timed out, reset, or hung up by stop()
+        pass
+
+
 def _parse_submission(raw: bytes) -> Tuple[PlacementRequest, int]:
     """The request and priority a ``POST /jobs`` body carries."""
     payload = json.loads(raw.decode("utf-8") or "{}")
@@ -218,6 +238,7 @@ def _make_handler(server: PlacementServer):
         # the body would wait for the client's delayed ACK (~40 ms)
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_S
+        lingering = False  # end the connection with _linger
 
         def log_message(self, *args) -> None:  # quiet by default
             pass
@@ -235,6 +256,8 @@ def _make_handler(server: PlacementServer):
                 super().handle()
             except ConnectionError:  # the client or stop() hung up
                 self.close_connection = True
+            if self.lingering:
+                _linger(self.connection)
 
         def __getattr__(self, name: str):
             # http.server answers 501 for a method with no do_ handler
@@ -269,17 +292,29 @@ def _make_handler(server: PlacementServer):
         def _error(self, status: int, message: str) -> None:
             self._send(status, {"error": message})
 
-        def _close_if_body(self) -> None:
-            """Close after answering a request whose body goes unread:
-            left in the stream, it would parse as the next request."""
-            if (
-                "Transfer-Encoding" in self.headers
-                or self.headers.get("Content-Length", "0") != "0"
-            ):
-                self.close_connection = True
+        def _body_length(self) -> int:
+            """The declared body length; negative when it is invalid."""
+            try:
+                return int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                return -1
+
+        def _skip_body(self) -> None:
+            """Close after answering a request whose body goes unused:
+            read a valid body now, :func:`_linger` over any other one."""
+            length = self._body_length()
+            chunked = "Transfer-Encoding" in self.headers
+            if not chunked and length == 0:
+                return
+            self.close_connection = True
+            if chunked or not 0 < length <= MAX_BODY_BYTES:
+                self.lingering = True
+            else:
+                self.rfile.read(length)
 
         def _method_not_allowed(self) -> None:
-            self.close_connection = True  # any body goes unread
+            self._skip_body()
+            self.close_connection = True
             self._send(
                 405,
                 {"error": f"method {self.command} not allowed"},
@@ -315,7 +350,7 @@ def _make_handler(server: PlacementServer):
 
         # -- verbs ----------------------------------------------------------
         def do_GET(self) -> None:
-            self._close_if_body()
+            self._skip_body()
             head, rest = self._route()
             if head == "health" and rest is None:
                 self._send(
@@ -354,26 +389,22 @@ def _make_handler(server: PlacementServer):
 
         def do_POST(self) -> None:
             head, rest = self._route()
-            # a body we refuse is never read, so the connection cannot
-            # carry another request after the error
             if head != "jobs" or rest is not None:
+                self._skip_body()
                 self.close_connection = True
                 self._error(404, f"no route POST {self.path}")
                 return
             if "Transfer-Encoding" in self.headers:
-                self.close_connection = True
+                self._skip_body()
                 self._error(
                     411,
                     "length required: send the body with a "
                     "Content-Length, not a Transfer-Encoding",
                 )
                 return
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = -1
+            length = self._body_length()
             if length < 0:
-                self.close_connection = True
+                self._skip_body()
                 self._error(
                     400,
                     "bad request: Content-Length must be a non-negative "
@@ -381,7 +412,7 @@ def _make_handler(server: PlacementServer):
                 )
                 return
             if length > MAX_BODY_BYTES:
-                self.close_connection = True
+                self._skip_body()
                 self._error(
                     413,
                     f"request body of {length} bytes exceeds the "
@@ -405,7 +436,7 @@ def _make_handler(server: PlacementServer):
             self._send(201, job.to_dict())
 
         def do_DELETE(self) -> None:
-            self._close_if_body()
+            self._skip_body()
             head, rest = self._route()
             if head != "jobs" or rest is None:
                 self._error(404, f"no route DELETE {self.path}")

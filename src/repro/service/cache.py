@@ -26,7 +26,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from repro.util.errors import ValidationError
+from repro.util.validation import require_positive_int
 
 
 class ResultCache:
@@ -38,15 +38,11 @@ class ResultCache:
     ----------
     max_entries:
         Capacity; the least recently used entry is evicted on
-        overflow. Must be positive.
+        overflow. A positive integer.
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries <= 0:
-            raise ValidationError(
-                f"max_entries must be > 0, got {max_entries!r}"
-            )
-        self.max_entries = max_entries
+        self.max_entries = require_positive_int("max_entries", max_entries)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0

@@ -23,12 +23,14 @@ commands run the same functions (:func:`execute_reschedule`,
 - **per-job timeout** — each execution runs under a deadline; on
   expiry the job FAILs with a timeout error and the worker moves on
   (the stray computation finishes on a daemon thread and is
-  discarded);
+  discarded, though its work still counts);
 - **retry on worker crash** — an execution that raises is requeued up
   to ``max_retries`` times before the job FAILs with the exception
   text;
 - **graceful shutdown** — :meth:`PlacementService.stop` closes the
-  queue, lets in-flight jobs resolve, and joins the pool.
+  queue, lets in-flight jobs resolve, and joins the pool;
+- **own counters** — jobs count their engine work into the service's
+  :attr:`~PlacementService.counters`, which ``GET /stats`` reports.
 
 Each worker owns a private :class:`~repro.search.cache.StageCache`
 (warm across that worker's jobs); caches are exact memoizations, so
@@ -38,6 +40,7 @@ which worker computes a job never changes its floats.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import threading
 from typing import Callable, Dict, List, Optional
 
@@ -59,7 +62,37 @@ from repro.service.schemas import (
     score_to_dict,
 )
 from repro.util.errors import ValidationError
-from repro.util.validation import require_positive_int
+from repro.util.registry import Counters, counting
+from repro.util.validation import (
+    require_non_negative_int,
+    require_positive,
+    require_positive_int,
+)
+
+#: The sections of :attr:`PlacementService.counters`, in ``GET /stats``
+#: order: what the batched, reschedule and coschedule engines count.
+ENGINE_SECTIONS = {
+    "batched": ("baseline_sims", "replicas_replayed"),
+    "reschedule": (
+        "runs",
+        "replans_triggered",
+        "replans_accepted",
+        "migrations",
+        "components_moved",
+    ),
+    "coschedule": (
+        "streams",
+        "arrivals",
+        "admitted",
+        "queued",
+        "rejected",
+        "dequeued",
+        "completions",
+        "repartitions",
+        "membership_events",
+        "migrations",
+    ),
+}
 
 
 class JobTimeout(Exception):
@@ -194,8 +227,7 @@ def execute_request(
 
     A shared ``stage_cache`` only memoizes — payloads are bit-identical
     with or without it. Scoring and search calls route through one
-    :class:`~repro.scheduler.context.PlanningContext` (float-identical
-    to the legacy keyword spelling by the oracle's exact context tier).
+    :class:`~repro.scheduler.context.PlanningContext`.
     """
     context = PlanningContext(
         robustness=node_crash_term(
@@ -248,7 +280,7 @@ class PlacementService:
         Digest-keyed :class:`ResultCache` (a 1024-entry one is built
         when omitted).
     job_timeout:
-        Per-job execution deadline in seconds (None = unbounded).
+        Per-job execution deadline, seconds > 0 (None = unbounded).
     max_retries:
         Re-executions granted after a worker crash before the job
         FAILs.
@@ -267,10 +299,9 @@ class PlacementService:
         execute_fn: Optional[Callable[..., dict]] = None,
     ) -> None:
         require_positive_int("workers", workers)
-        if max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {max_retries!r}"
-            )
+        if job_timeout is not None:
+            require_positive("job_timeout", job_timeout)
+        require_non_negative_int("max_retries", max_retries)
         self.queue = PlacementJobQueue()
         # `or` would discard an *empty* caller cache (len 0 is falsy)
         self.result_cache = (
@@ -280,6 +311,7 @@ class PlacementService:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self._execute = execute_fn or execute_request
+        self.counters = Counters(**ENGINE_SECTIONS)
         self._stage_caches: List[StageCache] = []
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loops: List[concurrent.futures.Future] = []
@@ -371,7 +403,8 @@ class PlacementService:
 
     def _run_job(self, job: PlacementJob, stage_cache: StageCache) -> None:
         try:
-            result = self._execute_with_deadline(job.request, stage_cache)
+            with counting(self.counters):
+                result = self._execute_with_deadline(job.request, stage_cache)
         except JobTimeout:
             self.queue.fail(
                 job.id,
@@ -411,7 +444,10 @@ class PlacementService:
             except Exception as exc:  # surfaced to the retry path
                 outcome["error"] = exc
 
-        runner = threading.Thread(target=target, daemon=True)
+        # a new thread starts with an empty context: count into this one
+        runner = threading.Thread(
+            target=contextvars.copy_context().run, args=(target,), daemon=True
+        )
         runner.start()
         runner.join(self.job_timeout)
         if runner.is_alive():
@@ -436,10 +472,6 @@ class PlacementService:
 
     def stats(self) -> dict:
         """The ``GET /stats`` payload: queue, caches, pool, engines."""
-        from repro.coschedule import coschedule_counters
-        from repro.faults.batched import engine_counters
-        from repro.reschedule import reschedule_counters
-
         return {
             "queue": self.queue.stats(),
             "result_cache": self.result_cache.stats(),
@@ -447,7 +479,5 @@ class PlacementService:
             "workers": self.num_workers,
             "job_timeout": self.job_timeout,
             "max_retries": self.max_retries,
-            "batched": engine_counters(),
-            "reschedule": reschedule_counters(),
-            "coschedule": coschedule_counters(),
+            **self.counters.snapshot(),
         }

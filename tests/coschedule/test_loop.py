@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from repro.coschedule import (
     CoScheduler,
     canonical_mixed_deadline_stream,
-    coschedule_counters,
     fifo_exclusive_schedule,
-    reset_coschedule_counters,
 )
 from repro.coschedule.requests import EnsembleRequest, MembershipEvent
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.service.workers import ENGINE_SECTIONS
+from repro.util.registry import Counters, counting
 from tests.strategies import ensemble_stream
 
 loop_settings = settings(max_examples=8, deadline=None)
@@ -174,16 +174,38 @@ class TestUtilizationAndCounters:
         assert result.utilization >= 1.20 * fifo.utilization
 
     def test_counters_track_one_run(self):
-        reset_coschedule_counters()
-        CoScheduler(total_nodes=4).run(
-            [EnsembleRequest(name="c", spec=_spec("c"))]
-        )
-        counters = coschedule_counters()
-        assert counters["streams"] == 1
-        assert counters["arrivals"] == 1
-        assert counters["admitted"] == 1
-        assert counters["completions"] == 1
-        assert counters["repartitions"] >= 1
+        with counting(Counters(**ENGINE_SECTIONS)) as registry:
+            CoScheduler(total_nodes=4).run(
+                [EnsembleRequest(name="c", spec=_spec("c"))]
+            )
+        assert registry.snapshot()["coschedule"] == {
+            "streams": 1,
+            "arrivals": 1,
+            "admitted": 1,
+            "queued": 0,
+            "rejected": 0,
+            "dequeued": 0,
+            "completions": 1,
+            "repartitions": 1,
+            "membership_events": 0,
+            "migrations": 0,
+        }
+
+    def test_counters_track_the_canonical_stream(self):
+        with counting(Counters(**ENGINE_SECTIONS)) as registry:
+            CoScheduler(total_nodes=6).run(canonical_mixed_deadline_stream())
+        assert registry.snapshot()["coschedule"] == {
+            "streams": 1,
+            "arrivals": 4,
+            "admitted": 4,
+            "queued": 1,
+            "rejected": 0,
+            "dequeued": 1,
+            "completions": 4,
+            "repartitions": 6,
+            "membership_events": 0,
+            "migrations": 16,
+        }
 
     def test_empty_stream_is_a_noop_schedule(self):
         result = CoScheduler(total_nodes=4).run([])

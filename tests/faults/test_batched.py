@@ -21,10 +21,8 @@ from repro.dtl.dimes import InMemoryStagingDTL
 from repro.faults.batched import (
     batched_score_placement,
     capture_timeline,
-    engine_counters,
     rank_placements_batched,
     replay_schedules,
-    reset_engine_counters,
     score_from_timeline,
 )
 from repro.faults.batched import replay_tier
@@ -58,6 +56,7 @@ from repro.scheduler.robust import (
     robust_score_placement,
 )
 from repro.util.errors import PlacementError, ValidationError
+from repro.util.registry import Counters, counting
 from tests.strategies import common_settings, des_ensembles, des_placements
 from tests.tolerances import BATCHED_ADAPTIVE_REL
 
@@ -425,36 +424,40 @@ class TestCommonRandomNumbers:
         assert any(s.objective != by_name[s.name] for s in ranked)
 
 
+def _batched_counts(run) -> dict:
+    """The ``batched`` section that one call of ``run`` counts."""
+    with counting(
+        Counters(batched=("baseline_sims", "replicas_replayed"))
+    ) as registry:
+        run()
+    return registry.snapshot()["batched"]
+
+
 class TestEngineCounters:
     def test_score_tallies_baseline_and_replicas(self, spec, placement):
-        reset_engine_counters()
-        batched_score_placement(
-            spec,
-            placement,
-            crash_straggler_factory(0.2),
-            RetryBackoffPolicy(),
-            trials=5,
+        counts = _batched_counts(
+            lambda: batched_score_placement(
+                spec,
+                placement,
+                crash_straggler_factory(0.2),
+                RetryBackoffPolicy(),
+                trials=5,
+            )
         )
-        counters = engine_counters()
-        assert counters["baseline_sims"] == 1
-        assert counters["replicas_replayed"] == 5
+        assert counts == {"baseline_sims": 1, "replicas_replayed": 5}
 
     def test_ranking_tallies_per_candidate(self, spec, candidates):
-        reset_engine_counters()
-        rank_placements_batched(
-            spec,
-            candidates,
-            crash_straggler_factory(0.2),
-            RetryBackoffPolicy(),
-            trials=2,
+        counts = _batched_counts(
+            lambda: rank_placements_batched(
+                spec,
+                candidates,
+                crash_straggler_factory(0.2),
+                RetryBackoffPolicy(),
+                trials=2,
+            )
         )
-        counters = engine_counters()
-        assert counters["baseline_sims"] == len(candidates)
-        assert counters["replicas_replayed"] == len(candidates) * 2
-
-    def test_reset_clears_all_counters(self):
-        reset_engine_counters()
-        assert engine_counters() == {"baseline_sims": 0, "replicas_replayed": 0}
+        assert len(candidates) == 3
+        assert counts == {"baseline_sims": 3, "replicas_replayed": 3 * 2}
 
 
 class TestMutantOracle:

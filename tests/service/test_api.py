@@ -443,6 +443,51 @@ class TestRoutes:
         assert headers["connection"] == "close"
         assert json.loads(body)["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "method, path, body, headers, status",
+        [
+            ("POST", "/jobs", 9 << 20, {}, 413),
+            ("POST", "/frobnicate", 2 << 20, {}, 404),
+            ("PUT", "/jobs", 2 << 20, {}, 405),
+            ("GET", "/health", 2 << 20, {}, 200),
+            ("DELETE", "/jobs/nope", 2 << 20, {}, 404),
+            ("POST", "/jobs", 2 << 20, {"Transfer-Encoding": "chunked"}, 411),
+            ("POST", "/jobs", 2 << 20, {"Content-Length": "twelve"}, 400),
+        ],
+        ids=["413", "404-route", "405", "200-get", "404-delete", "411",
+             "400-length"],
+    )
+    def test_refusal_reaches_a_client_sending_a_body(
+        self, server, method, path, body, headers, status
+    ):
+        # the client sends its whole body before it reads: a body the
+        # server left unread would reset the connection under it
+        payload = b"x" * body
+        for _ in range(20):
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10.0
+            )
+            try:
+                conn.putrequest(method, path)
+                length = headers.get("Content-Length", str(len(payload)))
+                if "Transfer-Encoding" in headers:
+                    conn.putheader("Transfer-Encoding", "chunked")
+                    sent = b"%x\r\n%s\r\n0\r\n\r\n" % (
+                        len(payload), payload
+                    )
+                else:
+                    conn.putheader("Content-Length", length)
+                    sent = payload
+                conn.endheaders()
+                conn.send(sent)
+                resp = conn.getresponse()
+                answer = json.loads(resp.read())
+                assert resp.status == status
+                assert resp.getheader("Connection") == "close"
+                assert ("error" in answer) == (status != 200)
+            finally:
+                conn.close()
+
     @pytest.mark.parametrize("method", ["PUT", "PATCH", "HEAD", "OPTIONS"])
     def test_method_without_a_handler_is_405(self, server, method):
         conn = http.client.HTTPConnection(

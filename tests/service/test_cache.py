@@ -8,10 +8,18 @@ evicts the least-recently-used entry when full.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.service.cache import ResultCache
+from repro.util.errors import ValidationError
 
 
 class TestBasics:
+    @pytest.mark.parametrize("max_entries", [0, -1, 2.5, True, "8"])
+    def test_capacity_must_be_a_positive_int(self, max_entries):
+        with pytest.raises(ValidationError, match="max_entries"):
+            ResultCache(max_entries=max_entries)
+
     def test_miss_then_hit(self):
         cache = ResultCache(max_entries=4)
         assert cache.get("k1") is None

@@ -127,6 +127,24 @@ class TestServiceLifecycle:
         with pytest.raises(ValidationError):
             PlacementService(max_retries=-1)
 
+    @pytest.mark.parametrize(
+        "job_timeout", [-1.0, 0, 0.0, float("nan"), float("inf"), True, "30"]
+    )
+    def test_job_timeout_must_be_positive_seconds(self, job_timeout):
+        with pytest.raises(ValidationError, match="job_timeout"):
+            PlacementService(job_timeout=job_timeout)
+
+    @pytest.mark.parametrize("max_retries", [-1, 1.5, True, "1", None])
+    def test_max_retries_must_be_a_non_negative_int(self, max_retries):
+        with pytest.raises(ValidationError, match="max_retries"):
+            PlacementService(max_retries=max_retries)
+
+    @pytest.mark.parametrize("job_timeout", [None, 0.5, 30])
+    def test_valid_deadlines_are_kept(self, job_timeout):
+        service = PlacementService(job_timeout=job_timeout, max_retries=0)
+        assert service.job_timeout == job_timeout
+        assert service.stats()["job_timeout"] == job_timeout
+
 
 class TestResultCachePath:
     def test_second_submit_is_cache_hit(self):
@@ -348,10 +366,7 @@ class TestDesRankPath:
         assert all(e["trials"] == 2 for e in payload["ranking"])
 
     def test_stats_surface_engine_counters(self):
-        from repro.faults.batched import reset_engine_counters
-
         with PlacementService(workers=1) as service:
-            reset_engine_counters()
             job = service.submit(
                 self._rank_request(rank_method="des", trials=3)
             )

@@ -188,6 +188,31 @@ class TestServe:
         assert main(["verify", "C1.1", "--steps", "4", "--service"]) == 0
         assert "ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--job-timeout", "-1", "job_timeout must be > 0"),
+            ("--job-timeout", "0", "job_timeout must be > 0"),
+            ("--job-timeout", "nan", "job_timeout must be finite"),
+            ("--workers", "0", "workers must be > 0"),
+            ("--cache-entries", "0", "max_entries must be > 0"),
+        ],
+    )
+    def test_bad_settings_exit_one_before_binding(
+        self, monkeypatch, capsys, flag, value, message
+    ):
+        from repro.service import api
+
+        def no_listener(*args, **kwargs):
+            raise AssertionError("a port was bound")
+
+        monkeypatch.setattr(api, "ThreadingHTTPServer", no_listener)
+        assert main(["serve", "--port", "0", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
 
 class TestFigures:
     def test_fast_figures(self, capsys):
@@ -341,3 +366,4 @@ class TestCoschedule:
         assert printed["coschedule"] == json.loads(
             json.dumps(served["coschedule"])
         )
+
