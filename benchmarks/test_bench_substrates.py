@@ -7,39 +7,54 @@ independently of the experiment harness.
 """
 
 import numpy as np
+import pytest
 
 from repro.components.kernels.eigen import largest_singular_value
 from repro.components.md.engine import MDEngine
 from repro.components.profiles import analysis_profile, simulation_profile
 from repro.des.engine import Environment
-from repro.des.store import Store
 from repro.dtl.chunk import Chunk, ChunkKey
 from repro.platform.specs import make_cori_like_cluster
 
 
 def test_bench_des_event_throughput(benchmark):
-    """Producer/consumer pair exchanging 2000 items through a Store."""
+    """One writer and two readers coupled per step, as the executor
+    couples a simulation to its analyses, over 2000 steps.
+
+    Each step is a one-shot ``written`` event the readers wait on, one
+    ``read`` event per reader, and one ``all_of`` join the writer waits
+    on before its next write.
+    """
+    steps, readers = 2000, 2
 
     def run():
         env = Environment()
-        store = Store(env)
+        written = [env.event() for _ in range(steps)]
+        read = [[env.event() for _ in range(readers)] for _ in range(steps)]
+        joined = [env.all_of(events) for events in read]
 
-        def producer(env, store):
-            for i in range(2000):
+        def writer(env):
+            for i in range(steps):
                 yield env.timeout(0.001)
-                yield store.put(i)
+                if i:
+                    yield joined[i - 1]
+                written[i].succeed(i)
 
-        def consumer(env, store):
-            for _ in range(2000):
-                yield store.get()
+        def reader(env, j):
+            for i in range(steps):
+                yield written[i]
+                yield env.timeout(0.0005)
+                read[i][j].succeed(i)
 
-        env.process(producer(env, store))
-        done = env.process(consumer(env, store))
-        env.run(until=done)
+        env.process(writer(env))
+        for j in range(readers):
+            env.process(reader(env, j))
+        env.run(until=joined[-1])
         return env.now
 
     now = benchmark(run)
-    assert now > 0
+    # the writer paces every step; the last reads end 0.5 ms after it
+    assert now == pytest.approx(steps * 0.001 + 0.0005)
 
 
 def test_bench_contention_assessment(benchmark):

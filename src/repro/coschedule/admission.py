@@ -8,10 +8,12 @@ measurements, so the same request stream produces byte-identical
 decisions on every run (asserted by ``decisions_digest`` in the
 property suite):
 
-- **feasibility** — :func:`~repro.configs.generator
-  .count_feasible_placements` counts the canonical placements of the
-  request's spec over candidate grants without materializing any; a
-  request whose spec fits no grant up to its cap is rejected outright;
+- **feasibility** — :func:`~repro.coschedule.allocator
+  .grant_space`, the allocator's own test, applies the search
+  engine's closed-form refusal to candidate grants without
+  materializing any placement; a request whose spec fits no grant up
+  to its cap is rejected outright, so every admitted ensemble can be
+  allocated;
 - **deadline** — the best full-cap placement is found with
   :func:`~repro.search.engine.find_best_placement` and its makespan
   (priced through the analytic robustness surrogate when a failure
@@ -32,7 +34,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.configs.generator import count_feasible_placements
+from repro.coschedule.allocator import (
+    grant_space,
+    min_feasible_grant,
+    physical_cores,
+)
 from repro.faults.analytic import node_crash_term, surrogate_resilience
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
@@ -136,6 +142,7 @@ class AdmissionController:
         if self._term is not None:
             base = base.evolve(robustness=self._term)
         self._context = base
+        self._node_cores = physical_cores(base)
         # probe memos keyed by spec identity (the value keeps the spec
         # alive so ids are never recycled); memo hits only skip
         # recomputation of a deterministic function
@@ -152,9 +159,13 @@ class AdmissionController:
         return min(request.max_nodes, self.total_nodes)
 
     def feasible_count(self, request: EnsembleRequest) -> int:
-        """Canonical placements of the request's spec at its grant cap."""
-        return count_feasible_placements(
-            request.spec, self.grant_cap(request), self.cores_per_node
+        """Placements the search engine scores at the request's grant
+        cap (:func:`~repro.coschedule.allocator.grant_space`)."""
+        return grant_space(
+            request.spec,
+            self.grant_cap(request),
+            self.cores_per_node,
+            self._node_cores,
         )
 
     def min_feasible_nodes(
@@ -162,22 +173,20 @@ class AdmissionController:
     ) -> Optional[int]:
         """Smallest grant in ``[lo, hi]`` the spec fits on, else None.
 
-        Feasibility is monotone in the grant (every placement over
-        ``n`` nodes is canonical over ``n + 1``), so the first feasible
-        count walking up from ``lo`` is the minimum.
+        The allocator's test (:func:`~repro.coschedule.allocator
+        .min_feasible_grant`), memoized per spec.
         """
         hi = self.total_nodes if hi is None else min(hi, self.total_nodes)
         key = id(spec)
         memo = self._min_nodes.get(key)
         if memo is not None and memo[1] is not None and lo <= memo[1] <= hi:
             return memo[1]
-        for nodes in range(lo, hi + 1):
-            if count_feasible_placements(
-                spec, nodes, self.cores_per_node
-            ) > 0:
-                self._min_nodes[key] = (spec, nodes)
-                return nodes
-        return None
+        nodes = min_feasible_grant(
+            spec, lo, hi, self.cores_per_node, self._node_cores
+        )
+        if nodes is not None:
+            self._min_nodes[key] = (spec, nodes)
+        return nodes
 
     def best_placement(self, spec: EnsembleSpec, nodes: int):
         """Memoized ``find_best_placement`` at one grant (None = infeasible)."""
@@ -241,6 +250,9 @@ class AdmissionController:
         )
         feasible = self.feasible_count(request)
         if min_nodes is None:
+            physical = ""
+            if self.cores_per_node > self._node_cores:
+                physical = f" of a {self._node_cores}-core node"
             return AdmissionDecision(
                 request=request.name,
                 time=now,
@@ -248,7 +260,7 @@ class AdmissionController:
                 reason=(
                     f"infeasible: no placement of {request.spec.name!r} "
                     f"fits on any grant up to {cap} x "
-                    f"{self.cores_per_node} cores"
+                    f"{self.cores_per_node} cores{physical}"
                 ),
                 min_feasible_nodes=None,
                 feasible_placements=feasible,

@@ -38,14 +38,60 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.platform.specs import cori_like_node
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore
 from repro.search.cache import StageCache
+from repro.search.canonical import component_core_demands, search_space_size
 from repro.search.engine import find_best_placement
 from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import require_non_negative, require_positive_int
+
+
+def physical_cores(context: PlanningContext) -> int:
+    """Cores of the node ``find_best_placement`` scores on in ``context``."""
+    if context.cluster is None:
+        return cori_like_node().cores
+    return context.cluster.node_spec.cores
+
+
+def grant_space(
+    spec: EnsembleSpec, nodes: int, cores_per_node: int, node_cores: int
+) -> int:
+    """Placements ``find_best_placement`` searches over a ``nodes`` grant.
+
+    The engine's own closed-form refusal (:func:`~repro.search
+    .canonical.search_space_size`), read as 0: a grant is infeasible
+    when it admits no canonical placement, or when ``cores_per_node``
+    exceeds the physical ``node_cores`` and some candidate would
+    oversubscribe a node.
+    """
+    demands = tuple(component_core_demands(spec))
+    try:
+        return search_space_size(demands, nodes, cores_per_node, node_cores)
+    except PlacementError:
+        return 0
+
+
+def min_feasible_grant(
+    spec: EnsembleSpec,
+    lo: int,
+    hi: int,
+    cores_per_node: int,
+    node_cores: int,
+) -> Optional[int]:
+    """Smallest grant in ``[lo, hi]`` the search engine accepts, else None.
+
+    Admission and allocation share this one feasibility test
+    (:func:`grant_space`), so an admitted ensemble always has a grant
+    the allocator can search.
+    """
+    for nodes in range(lo, hi + 1):
+        if grant_space(spec, nodes, cores_per_node, node_cores):
+            return nodes
+    return None
 
 
 @dataclass(frozen=True)
@@ -249,6 +295,7 @@ class ClusterAllocator:
         if cache is None or not cache.matches(base.cluster, base.dtl):
             cache = StageCache(base.cluster, base.dtl)
         self._context = base.evolve(cache=cache)
+        self._node_cores = physical_cores(base)
         self.max_partitions = max_partitions
         self._best: Dict[
             Tuple[int, int], Tuple[EnsembleSpec, Optional[PlacementScore]]
@@ -291,11 +338,13 @@ class ClusterAllocator:
             cap = self.total_nodes
             if resident.max_nodes is not None:
                 cap = min(cap, resident.max_nodes)
-            lo = None
-            for nodes in range(resident.min_nodes, cap + 1):
-                if self.best_for(resident.spec, nodes) is not None:
-                    lo = nodes
-                    break
+            lo = min_feasible_grant(
+                resident.spec,
+                resident.min_nodes,
+                cap,
+                self.cores_per_node,
+                self._node_cores,
+            )
             if lo is None:
                 raise PlacementError(
                     f"resident {resident.name!r} fits no grant up to "

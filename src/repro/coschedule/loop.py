@@ -37,7 +37,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.runtime.placement import (
+    EnsemblePlacement,
+    MemberPlacement,
+    placement_to_dict,
+)
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore
@@ -61,25 +65,6 @@ from repro.coschedule.requests import (
     MembershipEvent,
     validate_stream,
 )
-
-def _placement_dict(placement: EnsemblePlacement) -> dict:
-    return {
-        "num_nodes": placement.num_nodes,
-        "members": [
-            {
-                "simulation_node": mp.simulation_node,
-                "analysis_nodes": list(mp.analysis_nodes),
-            }
-            for mp in placement.members
-        ],
-    }
-
-
-def _used_node_count(placement: EnsemblePlacement) -> int:
-    used = set()
-    for mp in placement.members:
-        used.update(mp.used_nodes)
-    return len(used)
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,7 @@ class EnsembleCompletion:
                 "num_nodes": self.score.num_nodes,
                 "member_indicators": list(self.score.member_indicators),
                 "robust_penalty": self.score.robust_penalty,
-                "placement": _placement_dict(self.score.placement),
+                "placement": placement_to_dict(self.score.placement),
             },
         }
 
@@ -421,22 +406,15 @@ class CoScheduler:
                         "name": name,
                         "node_offset": entry.node_offset,
                         "num_nodes": entry.num_nodes,
-                        "used_nodes": _used_node_count(new_physical),
-                        "used_node_list": sorted(
-                            {
-                                n
-                                for mp in new_physical.members
-                                for n in mp.used_nodes
-                            }
-                        ),
+                        "used_nodes": len(new_physical.used_nodes),
+                        "used_node_list": sorted(new_physical.used_nodes),
                         "utility": entry.score.utility,
                         "migration_cost": cost,
                         "finish_time": resident.finish_time,
                     }
                 )
             used_now = sum(
-                _used_node_count(residents[name].physical)
-                for name in order
+                len(residents[name].physical.used_nodes) for name in order
             )
             timeline.append(
                 TimelineEvent(

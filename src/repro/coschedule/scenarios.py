@@ -23,6 +23,7 @@ from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore
 from repro.search.engine import find_best_placement
+from repro.util.errors import PlacementError
 
 from repro.coschedule.requests import EnsembleRequest
 
@@ -144,7 +145,10 @@ def fifo_exclusive_schedule(
     then runs its best full-cluster placement (the same
     :func:`~repro.search.engine.find_best_placement` the co-scheduler
     uses) to completion. Elastic membership is ignored — the baseline
-    models the paper's static one-ensemble-per-allocation world.
+    models the paper's static one-ensemble-per-allocation world. A
+    request the search engine refuses on the whole cluster (no
+    placement fits, or ``cores_per_node`` lets a candidate oversubscribe
+    the physical node) is skipped, as admission rejects it.
     """
     clock = 0.0
     busy_node_seconds = 0.0
@@ -153,21 +157,18 @@ def fifo_exclusive_schedule(
         requests, key=lambda r: (r.arrival_time, r.name)
     )
     for request in ordered:
-        best, _ = find_best_placement(
-            request.spec,
-            total_nodes,
-            cores_per_node,
-            context=context,
-        )
+        try:
+            best, _ = find_best_placement(
+                request.spec,
+                total_nodes,
+                cores_per_node,
+                context=context,
+            )
+        except PlacementError:
+            continue
         started = max(clock, request.arrival_time)
         finished = started + best.ensemble_makespan
-        used = len(
-            {
-                node
-                for mp in best.placement.members
-                for node in mp.used_nodes
-            }
-        )
+        used = len(best.placement.used_nodes)
         busy_node_seconds += used * best.ensemble_makespan
         deadline_at = request.deadline_at
         entries.append(

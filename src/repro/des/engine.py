@@ -1,9 +1,46 @@
 """The discrete-event simulation environment (clock + event queue).
 
 :class:`Environment` owns virtual time. Events are scheduled into a
-binary heap keyed on ``(time, priority, sequence)``; the sequence
-number makes scheduling stable, so two runs of the same simulation
-program produce byte-identical traces.
+binary heap keyed on ``(time, sequence)``; the sequence number makes
+scheduling stable, so two runs of the same simulation program produce
+byte-identical traces.
+
+The executor's coupling protocol (``W_i`` before ``R_i`` before
+``W_{i+1}``, no buffering) needs only these primitives. Per step, the
+writer triggers a one-shot ``written`` event; each reader waits on it,
+reads, and triggers its own ``read`` event; and the writer joins that
+step's reads with one :meth:`Environment.all_of` before its next write,
+as ``repro.runtime.executor`` couples a simulation to its analyses:
+
+>>> env = Environment()
+>>> steps, log = 2, []
+>>> written = [env.event() for _ in range(steps)]
+>>> read = [[env.event(), env.event()] for _ in range(steps)]
+>>> joined = [env.all_of(events) for events in read]
+>>> def writer():
+...     for i in range(steps):
+...         yield env.timeout(2.0)  # compute step i
+...         if i:
+...             yield joined[i - 1]  # every R_{i-1} before W_i
+...         log.append((env.now, "W", i))
+...         written[i].succeed(i)
+>>> def reader(j, cost):
+...     for i in range(steps):
+...         yield written[i]
+...         yield env.timeout(cost)
+...         log.append((env.now, f"R{j}", i))
+...         read[i][j].succeed(i)
+>>> _ = env.process(writer())
+>>> _ = [env.process(reader(j, cost)) for j, cost in enumerate((1.0, 3.0))]
+>>> env.run()
+>>> for entry in log:
+...     print(*entry)
+2.0 W 0
+3.0 R0 0
+5.0 R1 0
+5.0 W 1
+6.0 R0 1
+8.0 R1 1
 """
 
 from __future__ import annotations
@@ -11,7 +48,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
-from repro.des.events import AllOf, AnyOf, Event, EventPriority, Timeout
+from repro.des.events import AllOf, Event, Timeout
 from repro.des.process import Process
 from repro.util.errors import SimulationError, ValidationError
 
@@ -33,9 +70,8 @@ class Environment:
         if initial_time < 0:
             raise ValidationError(f"initial_time must be >= 0, got {initial_time!r}")
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._next_id = 0
-        self._active_process: Optional[Process] = None
         self._processes: List[Process] = []
 
     # -- clock ----------------------------------------------------------------
@@ -43,11 +79,6 @@ class Environment:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories --------------------------------------------------------
     def event(self) -> Event:
@@ -77,23 +108,12 @@ class Environment:
         """Event that triggers when every event in ``events`` has."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when at least one event in ``events`` has."""
-        return AnyOf(self, events)
-
     # -- scheduling --------------------------------------------------------------
-    def schedule(
-        self,
-        event: Event,
-        delay: float = 0.0,
-        priority: EventPriority = EventPriority.NORMAL,
-    ) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Insert ``event`` into the queue ``delay`` seconds from now."""
         if delay < 0:
             raise ValidationError(f"schedule delay must be >= 0, got {delay!r}")
-        heapq.heappush(
-            self._queue, (self._now + delay, int(priority), self._next_id, event)
-        )
+        heapq.heappush(self._queue, (self._now + delay, self._next_id, event))
         self._next_id += 1
 
     def peek(self) -> float:
@@ -109,7 +129,7 @@ class Environment:
                 f"no events scheduled at t={self._now:g}; "
                 f"{self._stalled_processes()}"
             )
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _eid, event = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when

@@ -11,25 +11,12 @@ Events are single-shot: triggering a triggered event raises
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from repro.util.errors import SimulationError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.engine import Environment
-
-
-class EventPriority(enum.IntEnum):
-    """Tie-break ordering for events scheduled at the same instant.
-
-    Lower values run first. ``URGENT`` is used internally for resource
-    bookkeeping so releases are visible before same-instant acquires.
-    """
-
-    URGENT = 0
-    NORMAL = 1
-    LOW = 2
 
 
 class Event:
@@ -80,7 +67,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
         self._triggered = True
-        self.env.schedule(self, delay=0.0, priority=EventPriority.NORMAL)
+        self.env.schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -91,7 +78,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._exception = exception
         self._triggered = True
-        self.env.schedule(self, delay=0.0, priority=EventPriority.NORMAL)
+        self.env.schedule(self)
         return self
 
     # -- engine hook ---------------------------------------------------------
@@ -132,25 +119,21 @@ class Timeout(Event):
         self.due = env.now + delay
         self._value = value
         self._triggered = True  # scheduled immediately at construction
-        env.schedule(self, delay=delay, priority=EventPriority.NORMAL)
+        env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:
         return (
             f"<Timeout delay={self.delay:g} due=t{self.due:g} "
-            f"priority={EventPriority.NORMAL.name} {self._state_name()}>"
+            f"{self._state_name()}>"
         )
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
+class AllOf(Event):
+    """Triggers when *all* constituent events have triggered.
 
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    Its value maps each constituent's index to that event's value.
+    Fails fast if any constituent fails.
+    """
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -160,7 +143,7 @@ class _Condition(Event):
                 raise ValidationError("all events must share one Environment")
         self._remaining = len(self.events)
         if self._remaining == 0:
-            self.succeed(self._collect())
+            self.succeed({})
             return
         for ev in self.events:
             if ev.processed:
@@ -168,23 +151,6 @@ class _Condition(Event):
             else:
                 assert ev.callbacks is not None
                 ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            i: ev._value
-            for i, ev in enumerate(self.events)
-            if ev.triggered and ev._exception is None
-        }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when *all* constituent events have triggered.
-
-    Fails fast if any constituent fails.
-    """
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -194,16 +160,4 @@ class AllOf(_Condition):
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers when *any* constituent event triggers (or any fails)."""
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self.succeed(self._collect())
+            self.succeed({i: ev._value for i, ev in enumerate(self.events)})

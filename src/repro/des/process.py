@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.des.events import Event, Interrupt
+from repro.des.events import Event
 from repro.util.errors import SimulationError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,36 +54,9 @@ class Process(Event):
             waiting = f" waiting_on={type(self._waiting_on).__name__}"
         return f"<Process {self.name} alive at t={self.env.now:g}{waiting}>"
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        The interrupted process stops waiting on its current event and
-        must handle (or propagate) the exception.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        target = self._waiting_on
-        if target is not None and not target.processed:
-            # Detach so the original event no longer resumes us.
-            assert target.callbacks is not None
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._waiting_on = None
-        kicker = Event(self.env)
-        kicker.callbacks.append(  # type: ignore[union-attr]
-            lambda _ev: self._throw(Interrupt(cause))
-        )
-        kicker.succeed()
-
     # -- engine plumbing -----------------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        env = self.env
-        prev, env._active_process = env.active_process, self
         try:
             if event._exception is not None:
                 target = self._generator.throw(event._exception)
@@ -95,23 +68,6 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            env._active_process = prev
-        self._wait_on(target)
-
-    def _throw(self, exc: BaseException) -> None:
-        env = self.env
-        prev, env._active_process = env.active_process, self
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as err:
-            self.fail(err)
-            return
-        finally:
-            env._active_process = prev
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:

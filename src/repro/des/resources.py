@@ -1,12 +1,12 @@
 """Counted-capacity resources with FIFO queuing.
 
-:class:`Resource` models a pool of interchangeable units (e.g. CPU
-cores of a node). Processes ``yield resource.request(n)`` to acquire
-``n`` units and call ``resource.release(request)`` (or use the request
-as a context manager) to return them. Grants are strictly FIFO: a
-large request at the head of the queue blocks later, smaller ones —
-matching how a batch scheduler backfills *not* being modeled here
-keeps member placement effects easy to reason about.
+:class:`Resource` models a pool of interchangeable units. In
+congestion-aware runs the executor holds one unit-capacity resource per
+node NIC, so remote reads from one producer node serialize. Processes ``yield resource.request(n)`` to acquire
+``n`` units and call ``resource.release(request)`` to return them.
+Grants are strictly FIFO: a large request at the head of the queue
+blocks later, smaller ones (no backfilling), which keeps contention
+effects easy to reason about.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from repro.util.errors import SimulationError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.engine import Environment
-
-
-class Preempted(Exception):
-    """Raised in a waiter whose pending request was cancelled."""
 
 
 class Request(Event):
@@ -39,23 +35,6 @@ class Request(Event):
         self.resource = resource
         self.amount = amount
         self.granted = False
-
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        if self.granted:
-            raise SimulationError("cannot cancel a granted request; release instead")
-        if self.triggered:
-            return
-        self.resource._withdraw(self)
-        self.fail(Preempted())
-
-    # -- context manager: `with (yield res.request(n)):` ----------------------
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        if self.granted:
-            self.resource.release(self)
 
 
 class Resource:
@@ -105,13 +84,6 @@ class Resource:
         self._grant_waiters()
 
     # -- internals --------------------------------------------------------------
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self._waiters.remove(request)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        self._grant_waiters()
-
     def _grant_waiters(self) -> None:
         while self._waiters:
             head = self._waiters[0]

@@ -107,8 +107,10 @@ class RescheduleController:
         migration bill, to be adopted.
     max_migrations:
         Migration waves allowed per run (thrash guard).
-    use_annealer / annealer_seed / annealer_plateau:
-        Warm-started annealing inside the re-planner.
+    use_annealer:
+        Warm-started annealing inside the re-planner (its seed and
+        effort are the re-planner's ``ANNEAL_SEED`` and
+        ``ANNEAL_PLATEAU``).
     scripted:
         Forced migrations (tests/benchmarks); detection is disabled
         when any are given.
@@ -123,8 +125,6 @@ class RescheduleController:
         min_gain: float = 0.0,
         max_migrations: int = 4,
         use_annealer: bool = True,
-        annealer_seed: int = 0,
-        annealer_plateau: int = 30,
         scripted: Sequence[ScriptedMigration] = (),
     ) -> None:
         self.window = window
@@ -134,8 +134,6 @@ class RescheduleController:
         self.min_gain = min_gain
         self.max_migrations = max_migrations
         self.use_annealer = use_annealer
-        self.annealer_seed = annealer_seed
-        self.annealer_plateau = annealer_plateau
         self.scripted = tuple(
             sorted(scripted, key=lambda event: event.step)
         )
@@ -188,8 +186,6 @@ class RescheduleController:
             dtl,
             cores_per_node=cluster.node_spec.cores,
             use_annealer=self.use_annealer,
-            annealer_seed=self.annealer_seed,
-            annealer_plateau=self.annealer_plateau,
             min_gain=self.min_gain,
         )
         self.bindings = bindings_for(effective)

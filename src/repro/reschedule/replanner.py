@@ -52,6 +52,13 @@ from repro.search.canonical import (
 )
 from repro.util.validation import require_non_negative
 
+#: Seed and moves per temperature of the warm-started anneal.
+ANNEAL_SEED = 0
+ANNEAL_PLATEAU = 30
+#: Hill-climb sweep limit. Each sweep applies the best single move of
+#: any component; the climb stops early at a local optimum.
+MAX_PASSES = 4
+
 
 def calibrated_remaining_makespan(
     spec: EnsembleSpec,
@@ -120,17 +127,14 @@ class Replanner:
         holds, so calibrated predictions and migration prices use the
         run's own platform model).
     use_annealer:
-        Warm-start a :class:`SimulatedAnnealingPolicy` from the
-        current placement to propose a structural candidate (default).
-        The calibrated hill-climb always runs regardless.
-    annealer_seed / annealer_plateau:
-        Determinism and effort of the warm-started anneal.
+        Warm-start a :class:`SimulatedAnnealingPolicy` (seed
+        ``ANNEAL_SEED``, ``ANNEAL_PLATEAU`` moves per temperature) from
+        the current placement to propose a structural candidate
+        (default). The calibrated hill-climb, at most ``MAX_PASSES``
+        sweeps, always runs regardless.
     min_gain:
         Minimum *net* DES-seconds saving a candidate must promise
         (after paying its migration bill) to be accepted.
-    max_passes:
-        Hill-climb sweep limit (each sweep tries every component's
-        best single move; it stops early at a local optimum).
     """
 
     def __init__(
@@ -140,10 +144,7 @@ class Replanner:
         dtl: DataTransportLayer,
         cores_per_node: int,
         use_annealer: bool = True,
-        annealer_seed: int = 0,
-        annealer_plateau: int = 30,
         min_gain: float = 0.0,
-        max_passes: int = 4,
     ) -> None:
         require_non_negative("min_gain", min_gain)
         self.spec = spec
@@ -151,10 +152,7 @@ class Replanner:
         self.dtl = dtl
         self.cores_per_node = cores_per_node
         self.use_annealer = use_annealer
-        self.annealer_seed = annealer_seed
-        self.annealer_plateau = annealer_plateau
         self.min_gain = min_gain
-        self.max_passes = max_passes
         self.cost_model = MigrationCostModel(dtl)
         self._component_cores = component_core_demands(spec)
 
@@ -194,7 +192,7 @@ class Replanner:
         flat = placement_to_assignment(start)
         demand = node_core_demands(self._component_cores, flat)
         best_value = self._remaining(start, slowdown, remaining_steps, memo)
-        for _ in range(self.max_passes):
+        for _ in range(MAX_PASSES):
             best_move: Optional[Tuple[int, int]] = None
             for idx in range(len(flat)):
                 old_node = flat[idx]
@@ -236,8 +234,7 @@ class Replanner:
         ]
         if self.use_annealer:
             annealer = SimulatedAnnealingPolicy(
-                seed=self.annealer_seed,
-                plateau=self.annealer_plateau,
+                seed=ANNEAL_SEED, plateau=ANNEAL_PLATEAU
             )
             annealed = annealer.place(
                 self.spec,

@@ -128,6 +128,20 @@ class EnsemblePlacement:
         return demand
 
 
+def placement_to_dict(placement: EnsemblePlacement) -> dict:
+    """The wire form of a placement (service payloads, co-schedule logs)."""
+    return {
+        "num_nodes": placement.num_nodes,
+        "members": [
+            {
+                "simulation_node": mp.simulation_node,
+                "analysis_nodes": list(mp.analysis_nodes),
+            }
+            for mp in placement.members
+        ],
+    }
+
+
 def pack_members_per_node(spec: EnsembleSpec) -> EnsemblePlacement:
     """The fully co-located placement: member i entirely on node i.
 

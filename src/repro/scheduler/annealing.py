@@ -89,22 +89,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         Optional :class:`~repro.search.cache.StageCache` to share
         across runs; a fresh default-context cache is built per
         ``place`` call when omitted or incompatible.
-    robust_rank_top:
-        When > 0, keep the ``robust_rank_top`` best *distinct*
-        accepted states (the elite pool) and, after the anneal, re-rank
-        them with DES-under-failures via
-        :func:`~repro.scheduler.robust.rank_placements_robust` — the
-        returned placement is the robust winner, not necessarily the
-        analytic one. The annealing trajectory itself is untouched
-        (elite bookkeeping consumes no RNG draws), so runs with and
-        without refinement explore identical move sequences. The
-        ranking is exposed on ``last_robust_ranking``.
-    robust_model_factory / robust_policy:
-        Failure model factory and recovery policy for the refinement
-        pass; both required when ``robust_rank_top > 0``.
-    robust_trials / robust_base_seed:
-        Replicas per elite candidate and their base seed (common
-        random numbers pair the draws across candidates).
     """
 
     name = "simulated-annealing"
@@ -118,11 +102,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         min_temperature_ratio: float = 1e-3,
         robustness: Optional[RobustnessTerm] = None,
         cache: Optional[StageCache] = None,
-        robust_rank_top: int = 0,
-        robust_model_factory=None,
-        robust_policy=None,
-        robust_trials: int = 4,
-        robust_base_seed: int = 0,
     ) -> None:
         self.rng = RandomSource(seed, name="annealer")
         self.initial_temperature = require_positive(
@@ -138,83 +117,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         )
         self.robustness = robustness
         self.cache = cache
-        if robust_rank_top:
-            require_positive_int("robust_rank_top", robust_rank_top)
-            if robust_model_factory is None or robust_policy is None:
-                raise ValidationError(
-                    "robust_rank_top > 0 requires robust_model_factory "
-                    "and robust_policy"
-                )
-        self.robust_rank_top = int(robust_rank_top)
-        self.robust_model_factory = robust_model_factory
-        self.robust_policy = robust_policy
-        self.robust_trials = require_positive_int(
-            "robust_trials", robust_trials
-        )
-        self.robust_base_seed = robust_base_seed
-        #: RobustScore list from the last refinement pass (empty when
-        #: refinement is off or ``place`` has not run yet).
-        self.last_robust_ranking: List = []
         self.stats = AnnealingStats()
-        self._elite: Dict[Tuple[int, ...], float] = {}
-
-    # -- elite pool -----------------------------------------------------------
-    def _note_elite(self, utility: float, flat: List[int]) -> None:
-        """Record an accepted state in the elite pool.
-
-        Pure bookkeeping — no RNG draws — so enabling refinement never
-        perturbs the annealing trajectory. Distinct states are keyed by
-        their flat assignment; re-visits keep the max utility.
-        """
-        if not self.robust_rank_top:
-            return
-        key = tuple(flat)
-        prev = self._elite.get(key)
-        if prev is None or utility > prev:
-            self._elite[key] = utility
-
-    def _robust_refine(
-        self,
-        spec: EnsembleSpec,
-        num_nodes: int,
-        best_flat: List[int],
-    ) -> EnsemblePlacement:
-        """Re-rank the elite pool under injected failures; best wins.
-
-        The analytic winner is always in the candidate set, so
-        refinement can only replace it with a state that scores at
-        least as well under the failure model.
-        """
-        best_placement = assignment_to_placement(spec, best_flat, num_nodes)
-        if not self.robust_rank_top:
-            self.last_robust_ranking = []
-            return best_placement
-        # deferred: scheduler.robust pulls in the executor stack, which
-        # this module does not need on the pure-analytic path.
-        from repro.scheduler.robust import rank_placements_robust
-
-        pool = sorted(
-            self._elite.items(), key=lambda item: item[1], reverse=True
-        )[: self.robust_rank_top]
-        candidates = {
-            f"elite-{rank}": assignment_to_placement(spec, key, num_nodes)
-            for rank, (key, _) in enumerate(pool)
-        }
-        best_key = tuple(best_flat)
-        if best_key not in self._elite or all(
-            key != best_key for key, _ in pool
-        ):
-            candidates["elite-best"] = best_placement
-        self.last_robust_ranking = rank_placements_robust(
-            spec,
-            candidates,
-            self.robust_model_factory,
-            self.robust_policy,
-            trials=self.robust_trials,
-            base_seed=self.robust_base_seed,
-            method="des",
-        )
-        return self.last_robust_ranking[0].placement
 
     def initial_assignment(
         self,
@@ -225,7 +128,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
     ) -> List[int]:
         """Begin one anneal and return its start state.
 
-        Validates the budget, resets ``stats`` and the elite pool, and
+        Validates the budget, resets ``stats``, and
         returns the flat assignment of ``initial_placement`` (validated
         against the budget) or, when it is omitted, of a random
         feasible placement drawn from this policy's RNG stream.
@@ -236,7 +139,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)
         self.stats = AnnealingStats()
-        self._elite = {}
         if initial_placement is not None:
             if initial_placement.num_nodes != num_nodes:
                 raise ValidationError(
@@ -334,7 +236,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         self.stats.evaluations += 1
         best_flat = list(flat)
         best_utility = current_utility
-        self._note_elite(current_utility, flat)
 
         temperature = self.initial_temperature * max(
             abs(current_utility), 1e-9
@@ -385,7 +286,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                     evaluation = candidate_eval
                     current_utility = candidate_utility
                     self.stats.accepted += 1
-                    self._note_elite(candidate_utility, flat)
                     if candidate_utility > best_utility:
                         best_utility = candidate_utility
                         best_flat = list(flat)
@@ -397,4 +297,4 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                     demand[old_node] += cores
             temperature *= self.cooling
 
-        return self._robust_refine(spec, num_nodes, best_flat)
+        return assignment_to_placement(spec, best_flat, num_nodes)

@@ -47,7 +47,11 @@ from repro.coschedule.requests import (
 from repro.faults.recovery import POLICY_NAMES
 from repro.platform.contention import WorkloadProfile
 from repro.platform.specs import cori_like_node
-from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.runtime.placement import (
+    EnsemblePlacement,
+    MemberPlacement,
+    placement_to_dict,
+)
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.scheduler.objectives import PlacementScore
 from repro.scheduler.robust import RobustScore
@@ -206,19 +210,6 @@ def spec_from_dict(payload: dict) -> EnsembleSpec:
 
 
 # -- placements --------------------------------------------------------------
-def placement_to_dict(placement: EnsemblePlacement) -> dict:
-    return {
-        "num_nodes": placement.num_nodes,
-        "members": [
-            {
-                "simulation_node": mp.simulation_node,
-                "analysis_nodes": list(mp.analysis_nodes),
-            }
-            for mp in placement.members
-        ],
-    }
-
-
 def placement_from_dict(payload: dict) -> EnsemblePlacement:
     return EnsemblePlacement(
         num_nodes=payload["num_nodes"],

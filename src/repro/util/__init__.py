@@ -15,12 +15,7 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.rng import RandomSource, spawn_rngs
-from repro.util.stats import (
-    RunningStats,
-    population_std,
-    summarize,
-    trimmed_mean,
-)
+from repro.util.stats import population_std, trimmed_mean
 from repro.util.units import (
     GIB,
     KIB,
@@ -50,7 +45,6 @@ __all__ = [
     "ProtocolError",
     "RandomSource",
     "ReproError",
-    "RunningStats",
     "SECONDS",
     "SimulationError",
     "ValidationError",
@@ -62,6 +56,5 @@ __all__ = [
     "require_positive",
     "require_positive_int",
     "spawn_rngs",
-    "summarize",
     "trimmed_mean",
 ]

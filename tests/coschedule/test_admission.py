@@ -5,16 +5,21 @@ The headline property (ISSUE 10): the same request stream produces
 independently constructed controllers and full scheduler runs.
 """
 
+import pytest
 from hypothesis import given, settings
 
 from repro.coschedule import (
     AdmissionAction,
     AdmissionController,
+    ClusterAllocator,
     CoScheduler,
+    ResidentWorkload,
+    canonical_mixed_deadline_stream,
     decisions_digest,
 )
 from repro.coschedule.requests import EnsembleRequest
 from repro.runtime.spec import EnsembleSpec, default_member
+from repro.util.errors import PlacementError
 from tests.strategies import ensemble_stream
 
 #: CoScheduler-running properties search real placements per example,
@@ -125,3 +130,43 @@ class TestDecisionEvidence:
         first = controller.min_feasible_nodes(spec)
         second = controller.min_feasible_nodes(spec)
         assert first == second == 1
+
+
+class TestBudgetAbovePhysicalNode:
+    """A 48-core budget on the 32-core node: admission must refuse what
+    the allocator's search refuses, or an admitted ensemble fails."""
+
+    def test_admission_rejects_what_allocation_refuses(self):
+        # two 16+8 members can co-locate 40 cores under a 48-core budget
+        spec = _spec("wide", members=2)
+        controller = AdmissionController(total_nodes=6, cores_per_node=48)
+        decision = controller.decide(
+            EnsembleRequest(name="wide", spec=spec), free_nodes=6, now=0.0
+        )
+        assert decision.action is AdmissionAction.REJECT
+        assert decision.min_feasible_nodes is None
+        assert decision.feasible_placements == 0
+        assert decision.reason == (
+            "infeasible: no placement of 'wide' fits on any grant up to "
+            "6 x 48 cores of a 32-core node"
+        )
+        allocator = ClusterAllocator(6, cores_per_node=48)
+        with pytest.raises(PlacementError, match="'wide' fits no grant"):
+            allocator.allocate([ResidentWorkload(name="wide", spec=spec)])
+
+    def test_admitted_spec_is_allocated(self):
+        # one 16+8 member never exceeds 32 cores on a node
+        spec = _spec("narrow")
+        controller = AdmissionController(total_nodes=6, cores_per_node=48)
+        assert controller.min_feasible_nodes(spec) == 1
+        allocation = ClusterAllocator(6, cores_per_node=48).allocate(
+            [ResidentWorkload(name="narrow", spec=spec)]
+        )
+        assert allocation.entries[0].num_nodes == 6
+
+    def test_every_admitted_request_completes(self):
+        stream = canonical_mixed_deadline_stream()
+        result = CoScheduler(total_nodes=6, cores_per_node=48).run(stream)
+        assert result.rejected == ("ens1", "ens2", "ens4")
+        assert result.admitted == ("ens3",)
+        assert [c.name for c in result.completions] == ["ens3"]

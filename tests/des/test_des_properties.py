@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.des.engine import Environment
 from repro.des.resources import Resource
-from repro.des.store import Store
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -107,49 +106,53 @@ class TestResourceInvariants:
         assert sorted(served) == list(range(njobs))
 
 
-class TestStoreInvariants:
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=50)
-    def test_items_preserved_and_fifo(self, items):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def producer(env, store):
-            for item in items:
-                yield store.put(item)
-                yield env.timeout(0.1)
-
-        def consumer(env, store):
-            for _ in items:
-                got.append((yield store.get()))
-
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
-        env.run()
-        assert got == items
+class TestHandoffInvariants:
+    """The executor's per-step coupling: W_i before R_i before W_{i+1}."""
 
     @given(
-        st.lists(st.integers(), min_size=1, max_size=20),
-        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     )
     @settings(max_examples=50)
-    def test_bounded_store_never_overfills(self, items, capacity):
+    def test_each_write_waits_for_every_read_of_the_last_step(
+        self, steps, read_costs, write_cost
+    ):
         env = Environment()
-        store = Store(env, capacity=capacity)
-        max_seen = [0]
+        written = [env.event() for _ in range(steps)]
+        read = [[env.event() for _ in read_costs] for _ in range(steps)]
+        joined = [env.all_of(events) for events in read]
+        write_at, read_at = [], [[] for _ in read_costs]
+        received = [[] for _ in read_costs]
 
-        def producer(env, store):
-            for item in items:
-                yield store.put(item)
-                max_seen[0] = max(max_seen[0], len(store))
+        def writer(env):
+            for i in range(steps):
+                yield env.timeout(write_cost)
+                if i:
+                    yield joined[i - 1]
+                write_at.append(env.now)
+                written[i].succeed(i)
 
-        def consumer(env, store):
-            for _ in items:
-                yield env.timeout(1.0)
-                yield store.get()
+        def reader(env, j, cost):
+            for i in range(steps):
+                received[j].append((yield written[i]))
+                yield env.timeout(cost)
+                read_at[j].append(env.now)
+                read[i][j].succeed(i)
 
-        env.process(producer(env, store))
-        env.process(consumer(env, store))
+        env.process(writer(env))
+        for j, cost in enumerate(read_costs):
+            env.process(reader(env, j, cost))
         env.run()
-        assert max_seen[0] <= capacity
+        assert len(write_at) == steps
+        for j, cost in enumerate(read_costs):
+            assert received[j] == list(range(steps))
+            assert len(read_at[j]) == steps
+            for i in range(steps):
+                assert read_at[j][i] == write_at[i] + cost
+                if i + 1 < steps:
+                    assert write_at[i + 1] >= read_at[j][i]

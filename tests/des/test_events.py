@@ -1,4 +1,4 @@
-"""Tests for DES event primitives: lifecycle, conditions."""
+"""Tests for DES event primitives: lifecycle, the all-of join."""
 
 import pytest
 
@@ -96,26 +96,6 @@ class TestAllOf:
         env.process(fail_one(env, evs[0]))
         env.run()
         assert caught == ["member died"]
-
-
-class TestAnyOf:
-    def test_triggers_on_first(self, env):
-        results = []
-
-        def waiter(env, evs):
-            result = yield env.any_of(evs)
-            results.append((env.now, dict(result)))
-
-        def fire(env, ev, delay, value):
-            yield env.timeout(delay)
-            ev.succeed(value)
-
-        evs = [env.event(), env.event()]
-        env.process(waiter(env, evs))
-        env.process(fire(env, evs[0], 5.0, "slow"))
-        env.process(fire(env, evs[1], 1.0, "fast"))
-        env.run()
-        assert results == [(1.0, {1: "fast"})]
 
     def test_cross_environment_events_rejected(self, env):
         other = Environment()

@@ -1,9 +1,8 @@
-"""Tests for DES processes: resumption, completion, interrupts, errors."""
+"""Tests for DES processes: resumption, completion, errors."""
 
 import pytest
 
 from repro.des.engine import Environment
-from repro.des.events import Interrupt
 from repro.util.errors import SimulationError, ValidationError
 
 
@@ -78,79 +77,3 @@ class TestProcessBasics:
         p = env.process(proc(env))
         env.run()
         assert not p.ok
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as i:
-                causes.append((i.cause, env.now))
-
-        def attacker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt("preempted")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert causes == [("preempted", 2.0)]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        def attacker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert log == [3.0]
-
-    def test_interrupting_finished_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(0.5)
-
-        def attacker(env, target):
-            yield env.timeout(2.0)
-            with pytest.raises(SimulationError):
-                target.interrupt()
-
-        q = env.process(quick(env))
-        env.process(attacker(env, q))
-        env.run()
-
-    def test_self_interrupt_rejected(self, env):
-        def proc(env):
-            me = env.active_process
-            with pytest.raises(SimulationError):
-                me.interrupt()
-            yield env.timeout(0.1)
-
-        env.process(proc(env))
-        env.run()
-
-    def test_unhandled_interrupt_fails_process(self, env):
-        def victim(env):
-            yield env.timeout(100.0)
-
-        def attacker(env, target):
-            yield env.timeout(1.0)
-            target.interrupt("die")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert v.triggered and not v.ok

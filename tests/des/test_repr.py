@@ -34,7 +34,7 @@ class TestEventRepr:
 
 
 class TestTimeoutRepr:
-    def test_shows_delay_due_time_and_priority(self):
+    def test_shows_delay_and_due_time(self):
         env = Environment()
         env.timeout(5.0)  # keeps the queue alive past the horizon
         env.run(until=2.0)
@@ -42,7 +42,6 @@ class TestTimeoutRepr:
         text = repr(t)
         assert "delay=3.5" in text
         assert "due=t5.5" in text
-        assert "priority=NORMAL" in text
         assert "triggered" in text
         env.run()
         assert "processed" in repr(t)

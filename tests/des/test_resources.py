@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des.resources import Preempted, Resource
+from repro.des.resources import Resource
 from repro.util.errors import SimulationError, ValidationError
 
 
@@ -134,51 +134,3 @@ class TestQueueing:
         res.request(1)
         res.request(1)
         assert res.queue_length == 2
-
-    def test_cancel_pending_request(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            req = res.request(1)
-            yield req
-            yield env.timeout(5.0)
-            res.release(req)
-
-        def canceller(env, res):
-            yield env.timeout(1.0)
-            doomed = res.request(1)
-            doomed.cancel()
-            try:
-                yield doomed
-            except Preempted:
-                return "cancelled"
-
-        env.process(holder(env, res))
-        p = env.process(canceller(env, res))
-        assert env.run(until=p) == "cancelled"
-
-    def test_cancel_granted_request_rejected(self, env):
-        res = Resource(env, capacity=1)
-
-        def proc(env, res):
-            req = res.request(1)
-            yield req
-            with pytest.raises(SimulationError):
-                req.cancel()
-
-        env.process(proc(env, res))
-        env.run()
-
-
-class TestContextManager:
-    def test_with_block_releases(self, env):
-        res = Resource(env, capacity=1)
-
-        def proc(env, res):
-            with (yield res.request(1)):
-                assert res.in_use == 1
-                yield env.timeout(1.0)
-            assert res.in_use == 0
-
-        env.process(proc(env, res))
-        env.run()

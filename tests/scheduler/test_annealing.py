@@ -133,59 +133,3 @@ class TestTranspositionTable:
         sa = SimulatedAnnealingPolicy(seed=0, plateau=30, cache=cache)
         sa.place(spec, 4, 32, initial_placement=packed)
         assert cache.evaluate_flat_calls < sa.stats.evaluations
-
-
-class TestRobustRefinement:
-    """DES re-ranking of the elite pool after the anneal converges."""
-
-    def _refiner(self, seed=3, top=3, **overrides):
-        from repro.faults.recovery import RetryBackoffPolicy
-        from repro.scheduler.robust import crash_straggler_factory
-
-        fields = dict(
-            seed=seed,
-            plateau=40,
-            cooling=0.85,
-            min_temperature_ratio=1e-2,
-            robust_rank_top=top,
-            robust_model_factory=crash_straggler_factory(0.2),
-            robust_policy=RetryBackoffPolicy(),
-            robust_trials=2,
-        )
-        fields.update(overrides)
-        return SimulatedAnnealingPolicy(**fields)
-
-    def test_refinement_preserves_the_anneal_trajectory(self, k1_spec):
-        """Elite bookkeeping draws no RNG, so the walk with refinement
-        on is step-for-step the walk with it off."""
-        plain = fast_annealer(seed=3)
-        plain.place(k1_spec, 3, 32)
-        refined = self._refiner(seed=3)
-        refined.place(k1_spec, 3, 32)
-        assert refined.stats == plain.stats
-
-    def test_returns_the_robust_winner(self, k1_spec):
-        sa = self._refiner()
-        placement = sa.place(k1_spec, 3, 32)
-        assert sa.last_robust_ranking
-        assert placement == sa.last_robust_ranking[0].placement
-        objectives = [s.objective for s in sa.last_robust_ranking]
-        assert objectives == sorted(objectives, reverse=True)
-
-    def test_pool_bounded_by_top_plus_best(self, k1_spec):
-        top = 2
-        sa = self._refiner(top=top)
-        sa.place(k1_spec, 3, 32)
-        assert 1 <= len(sa.last_robust_ranking) <= top + 1
-        assert all(
-            s.name.startswith("elite") for s in sa.last_robust_ranking
-        )
-
-    def test_disabled_refinement_leaves_ranking_empty(self, k1_spec):
-        sa = fast_annealer(seed=3)
-        sa.place(k1_spec, 3, 32)
-        assert sa.last_robust_ranking == []
-
-    def test_top_requires_factory_and_policy(self):
-        with pytest.raises(ValidationError, match="robust_rank_top"):
-            SimulatedAnnealingPolicy(robust_rank_top=2)

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.coschedule import canonical_mixed_deadline_stream
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
@@ -19,6 +20,7 @@ from repro.search.engine import find_best_placement
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobState
 from repro.service.schemas import (
+    CoscheduleOptions,
     PlacementRequest,
     score_from_dict,
 )
@@ -78,6 +80,30 @@ class TestExecuteRequest:
         assert sorted(names) == ["colocated", "split"]
         objectives = [entry["objective"] for entry in payload["ranking"]]
         assert objectives == sorted(objectives, reverse=True)
+
+
+class TestCoschedulePath:
+    def test_budget_above_the_physical_node_is_done_first_time(self):
+        # a 48-core budget on the 32-core node: admission rejects the
+        # ensembles the allocator's search refuses, so the job neither
+        # fails nor retries
+        stream = tuple(canonical_mixed_deadline_stream())
+        request = PlacementRequest(
+            kind="coschedule",
+            spec=stream[0].spec,
+            num_nodes=6,
+            cores_per_node=48,
+            coschedule=CoscheduleOptions(requests=stream),
+        )
+        with PlacementService(workers=1, max_retries=1) as service:
+            job = service.submit(request)
+            finished = service.wait(job.id, timeout=60.0)
+        assert finished.state is JobState.DONE
+        assert finished.attempts == 1
+        decisions = finished.result["coschedule"]["decisions"]
+        assert [d["action"] for d in decisions] == [
+            "reject", "reject", "accept", "reject"
+        ]
 
 
 class TestServiceLifecycle:

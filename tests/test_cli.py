@@ -347,6 +347,15 @@ class TestCoschedule:
         assert main(["coschedule", "--json"]) == 0
         assert capsys.readouterr().out == _golden("coschedule.json")
 
+    def test_budget_above_the_physical_node_rejects_what_cannot_run(
+        self, capsys
+    ):
+        assert main(["coschedule", "--cores", "48"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("reject  infeasible") == 3
+        assert "6 x 48 cores of a 32-core node" in out
+        assert "ens3     finished" in out
+
     def test_json_schedule_is_the_service_payload(self, capsys):
         from repro.coschedule import canonical_mixed_deadline_stream
         from repro.service.schemas import CoscheduleOptions, PlacementRequest

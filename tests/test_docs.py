@@ -1,10 +1,11 @@
 """Documentation health: internal links resolve (mirrors the CI job).
 
 The CI ``docs`` job runs ``scripts/check_doc_links.py`` and the
-``repro.core``, ``repro.util``, ``repro.faults``,
-``repro.monitoring``, ``repro.scheduler``, ``repro.search`` and
-``repro.configs`` doctests; this test keeps the link check in the tier-1 suite so a
-broken cross-reference fails locally too.
+``repro.core``, ``repro.util``, ``repro.des``, ``repro.faults``,
+``repro.monitoring``, ``repro.scheduler``, ``repro.search``,
+``repro.configs`` and ``repro.experiments`` doctests; this test keeps
+the link check in the tier-1 suite so a broken cross-reference fails
+locally too.
 """
 
 import sys

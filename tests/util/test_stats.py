@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.errors import ValidationError
-from repro.util.stats import (
-    RunningStats,
-    population_std,
-    summarize,
-    trimmed_mean,
-)
+from repro.util.stats import population_std, trimmed_mean
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -74,46 +69,3 @@ class TestTrimmedMean:
         tm = trimmed_mean(values, 0.2)
         eps = 1e-9 * max(1.0, abs(min(values)), abs(max(values)))
         assert min(values) - eps <= tm <= max(values) + eps
-
-
-class TestRunningStats:
-    def test_matches_batch_statistics(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=500)
-        rs = RunningStats()
-        rs.extend(values)
-        assert rs.mean == pytest.approx(float(values.mean()))
-        assert rs.std == pytest.approx(float(values.std()), rel=1e-9)
-        assert rs.min == pytest.approx(float(values.min()))
-        assert rs.max == pytest.approx(float(values.max()))
-        assert rs.count == 500
-
-    def test_empty_accumulator_raises(self):
-        rs = RunningStats()
-        with pytest.raises(ValidationError):
-            _ = rs.mean
-        with pytest.raises(ValidationError):
-            _ = rs.variance
-        with pytest.raises(ValidationError):
-            _ = rs.min
-
-    def test_single_observation(self):
-        rs = RunningStats()
-        rs.add(5.0)
-        assert rs.mean == 5.0
-        assert rs.variance == 0.0
-
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.count == 3
-        assert s.mean == pytest.approx(2.0)
-        assert s.median == pytest.approx(2.0)
-        assert s.min == 1.0
-        assert s.max == 3.0
-        assert s.std == pytest.approx(population_std([1.0, 2.0, 3.0]))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            summarize([])
