@@ -599,6 +599,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.platform.specs import cori_like_node
     from repro.reschedule.drift import DEFAULT_DRIFT_CAP
 
     parser = argparse.ArgumentParser(
@@ -811,7 +812,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cosched.add_argument(
         "--nodes", type=int, default=6, help="cluster size in nodes"
     )
-    p_cosched.add_argument("--cores", type=int, default=32)
+    node_cores = cori_like_node().cores
+    p_cosched.add_argument(
+        "--cores", type=int, default=node_cores,
+        help=f"cores per node the co-scheduler may grant (default: the "
+        f"physical node's {node_cores}). A larger budget makes admission "
+        f"reject every ensemble whose placement would put more than "
+        f"{node_cores} cores on one node (3 of the 4 canonical ensembles "
+        f"at --cores 48); the service's search kind refuses such a budget "
+        f"at the door",
+    )
     p_cosched.add_argument(
         "--utility-weight", type=float, default=1.0,
         help="weight on the priority-weighted sum of per-ensemble F(P)",

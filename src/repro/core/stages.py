@@ -116,9 +116,8 @@ def steady_state_rows(durations: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     the sort and the trim, and numpy's summation order depends only on
     the reduced axis's element count."""
     out = np.empty(durations.shape[0])
-    for m in np.unique(lengths):
+    for m in sorted(set(lengths.tolist())):
         mask = lengths == m
-        m = int(m)
         if m < 1:
             raise ValidationError(
                 "estimate_steady_state requires at least one sample"

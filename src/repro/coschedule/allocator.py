@@ -300,7 +300,6 @@ class ClusterAllocator:
         self._best: Dict[
             Tuple[int, int], Tuple[EnsembleSpec, Optional[PlacementScore]]
         ] = {}
-        self.searches = 0
 
     @property
     def stage_cache(self) -> StageCache:
@@ -324,7 +323,6 @@ class ClusterAllocator:
         except PlacementError:
             best = None
         self._best[key] = (spec, best)
-        self.searches += 1
         return best
 
     # -- grant-vector search --------------------------------------------------

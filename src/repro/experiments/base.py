@@ -13,6 +13,7 @@ import numpy as np
 from repro.configs.base import Configuration, build_spec
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
+from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.results import ExecutionResult
 from repro.runtime.runner import run_ensemble
 from repro.util.errors import ValidationError
@@ -151,20 +152,28 @@ def run_configuration_trials(
     cluster: Optional[Cluster] = None,
     dtl: Optional[DataTransportLayer] = None,
 ) -> List[ExecutionResult]:
-    """Run one configuration over trials seeded ``base_seed + t``."""
+    """Run one configuration over trials seeded ``base_seed + t``.
+
+    The trials share one spec and one :class:`~repro.runtime.executor
+    .EnsembleExecutor`, which prices the placement on its first run
+    and only re-seeds between trials, so the set pays for one platform
+    assessment. Each result equals what :func:`run_configuration`
+    returns for that trial's seed.
+    """
     require_positive_int("trials", trials)
     require_in_range("timing_noise", timing_noise, 0.0, 1.0)
-    return [
-        run_configuration(
-            config,
-            n_steps=n_steps,
-            seed=base_seed + t,
-            timing_noise=timing_noise,
-            cluster=cluster,
-            dtl=dtl,
-        )
-        for t in range(trials)
-    ]
+    executor = EnsembleExecutor(
+        build_spec(config, n_steps=n_steps),
+        config.placement(),
+        cluster=cluster,
+        dtl=dtl,
+        timing_noise=timing_noise,
+    )
+    results = []
+    for t in range(trials):
+        executor.seed = base_seed + t
+        results.append(executor.run())
+    return results
 
 
 @functools.lru_cache(maxsize=32)

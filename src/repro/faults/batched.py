@@ -99,12 +99,15 @@ from repro.faults.recovery import (
 )
 from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
-from repro.runtime.effective import compute_effective_stages
+from repro.runtime.effective import (
+    component_streams,
+    compute_effective_stages,
+)
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
 from repro.util.registry import count
-from repro.util.rng import RandomSource, derive_replica_seed
+from repro.util.rng import derive_replica_seed
 from repro.util.validation import require_in_range, require_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -207,15 +210,16 @@ def capture_timeline(
 ) -> StageTimeline:
     """Build a candidate's fault-free numeline without running the DES.
 
-    The platform defaults, the effective stage times and the RNG layout
-    are the :class:`~repro.runtime.executor.EnsembleExecutor`'s: root
-    ``RandomSource(seed, name="executor")``, one child stream spawned
-    per component in member order (the simulation, then its analyses),
-    each drawing its two stages per step. The durations are therefore
-    the very floats a fault-free DES run would hand its ``_stage``
-    choke point, and the same inputs raise the executor's typed errors
-    (``timing_noise`` outside [0, 1], a bad seed, an infeasible
-    placement).
+    The platform defaults, the effective stage times and the noise
+    streams are the :class:`~repro.runtime.executor.EnsembleExecutor`'s:
+    :func:`~repro.runtime.effective.component_streams` lays the streams
+    out for both, and each component's ``2 * n_steps`` factors come
+    from the same one vector draw
+    (:meth:`~repro.util.rng.RandomSource.jitter_factors`) the executor
+    makes. The durations are therefore the very floats a fault-free
+    DES run would hand its ``_stage`` choke point, and the same inputs
+    raise the executor's typed errors (``timing_noise`` outside [0, 1],
+    a bad seed, an infeasible placement).
     """
     require_in_range("timing_noise", timing_noise, 0.0, 1.0)
     cluster = cluster or make_cori_like_cluster(placement.num_nodes)
@@ -223,17 +227,11 @@ def capture_timeline(
         cluster.network, cluster.node_spec
     )
     effective = compute_effective_stages(spec, placement, cluster, dtl)
-    root = RandomSource(seed, name="executor")
+    streams = component_streams(effective, seed)
 
     def durations(name: str, first: float, second: float, n: int):
-        # each step jitters ``first`` (S or R), then ``second`` (W or
-        # A), on the component's own stream: one vector draw yields the
-        # doubles of the 2n scalar draws, and zero noise draws nothing
-        if timing_noise == 0:
-            return np.full(n, first), np.full(n, second)
-        u = root.spawn(name).generator.uniform(
-            1.0 - timing_noise, 1.0 + timing_noise, size=2 * n
-        )
+        # each step jitters ``first`` (S or R), then ``second`` (W or A)
+        u = streams[name].jitter_factors(timing_noise, 2 * n)
         return first * u[0::2], second * u[1::2]
 
     members: List[MemberTimeline] = []

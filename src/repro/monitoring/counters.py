@@ -96,10 +96,11 @@ def synthesize_counters(
     misses = references * assessment.llc_miss_ratio
     if noise > 0:
         rng = rng or RandomSource(0, name="counters")
-        instructions = rng.uniform_jitter(instructions, noise)
-        cycles = rng.uniform_jitter(cycles, noise)
-        references = rng.uniform_jitter(references, noise)
-        misses = min(rng.uniform_jitter(misses, noise), references)
+        factors = rng.jitter_factors(noise, 4).tolist()
+        instructions *= factors[0]
+        cycles *= factors[1]
+        references *= factors[2]
+        misses = min(misses * factors[3], references)
     return HardwareCounters(
         instructions=instructions,
         cycles=cycles,

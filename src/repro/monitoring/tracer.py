@@ -4,6 +4,8 @@ The executor records one :class:`StageRecord` per fine-grained stage
 per in situ step — the raw material for steady-state estimation
 (:func:`repro.core.stages.estimate_steady_state`), for the Table-1
 metrics, and for the protocol-ordering assertions in the test suite.
+:class:`StageTracer` keeps them in columns and builds the record
+objects only when asked for them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,18 @@ ANALYSIS_STAGES: Tuple[Stage, ...] = (
 )
 
 
+def _check_record(component: str, step: int, start: float, end: float) -> None:
+    """Reject a record no stage execution can produce."""
+    if not component:
+        raise ValidationError("component must be non-empty")
+    if step < 0:
+        raise ValidationError(f"step must be >= 0, got {step}")
+    if end < start:
+        raise ValidationError(
+            f"stage ends ({end}) before it starts ({start})"
+        )
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """One stage execution: who, what, when."""
@@ -51,72 +65,141 @@ class StageRecord:
     end: float
 
     def __post_init__(self) -> None:
-        if not self.component:
-            raise ValidationError("component must be non-empty")
-        if self.step < 0:
-            raise ValidationError(f"step must be >= 0, got {self.step}")
-        if self.end < self.start:
-            raise ValidationError(
-                f"stage ends ({self.end}) before it starts ({self.start})"
-            )
+        _check_record(self.component, self.step, self.start, self.end)
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
+class _Column:
+    """One (component, stage) pair's records, one list per field."""
+
+    __slots__ = ("component", "stage", "steps", "starts", "ends")
+
+    def __init__(self, component: str, stage: Stage) -> None:
+        self.component = component
+        self.stage = stage
+        self.steps: List[int] = []
+        self.starts: List[float] = []
+        self.ends: List[float] = []
+
+
 class StageTracer:
-    """Collects stage records during a run and serves queries over them."""
+    """Collects stage records during a run and serves queries over them.
+
+    Records are stored once, in columns: per (component, stage) pair a
+    list of steps, one of starts and one of ends, plus the column each
+    record went to, in insertion order. :attr:`records` and
+    :meth:`of_component` build :class:`StageRecord` objects from them on
+    demand; the queries a run's results read (:meth:`durations`,
+    :meth:`component_span`, :meth:`stage_end`, :meth:`num_steps`) read
+    the columns.
+
+    >>> tracer = StageTracer()
+    >>> tracer.record("sim", Stage.SIM_COMPUTE, 1, 2.0, 3.5)
+    >>> tracer.record("sim", Stage.SIM_COMPUTE, 0, 0.0, 1.0)
+    >>> tracer.durations("sim", Stage.SIM_COMPUTE)  # ordered by step
+    [1.0, 1.5]
+    >>> [r.step for r in tracer.records]  # in insertion order
+    [1, 0]
+    """
 
     def __init__(self) -> None:
-        self._records: List[StageRecord] = []
-        self._by_component: Dict[str, List[StageRecord]] = {}
+        self._columns: Dict[str, Dict[Stage, _Column]] = {}
+        self._order: List[_Column] = []
 
     def record(
         self, component: str, stage: Stage, step: int, start: float, end: float
-    ) -> StageRecord:
-        """Append one stage record."""
-        rec = StageRecord(component, stage, step, start, end)
-        self._records.append(rec)
-        self._by_component.setdefault(component, []).append(rec)
-        return rec
+    ) -> None:
+        """Append one stage record (validated as :class:`StageRecord`)."""
+        _check_record(component, step, start, end)
+        stages = self._columns.get(component)
+        if stages is None:
+            stages = self._columns[component] = {}
+        column = stages.get(stage)
+        if column is None:
+            column = stages[stage] = _Column(component, stage)
+        column.steps.append(step)
+        column.starts.append(start)
+        column.ends.append(end)
+        self._order.append(column)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._order)
 
     @property
     def records(self) -> List[StageRecord]:
         """All records in insertion order."""
-        return list(self._records)
+        return _build(self._order)
 
     @property
     def components(self) -> List[str]:
-        return list(self._by_component)
+        return list(self._columns)
+
+    def _stages(self, component: str) -> Dict[Stage, _Column]:
+        stages = self._columns.get(component)
+        if stages is None:
+            raise ValidationError(f"no records for component {component!r}")
+        return stages
 
     def of_component(self, component: str) -> List[StageRecord]:
         """All records of one component (insertion order)."""
-        if component not in self._by_component:
-            raise ValidationError(f"no records for component {component!r}")
-        return list(self._by_component[component])
+        self._stages(component)
+        return _build([c for c in self._order if c.component == component])
 
     def durations(self, component: str, stage: Stage) -> List[float]:
-        """Per-step durations of one component's stage, ordered by step."""
-        recs = [r for r in self.of_component(component) if r.stage == stage]
-        recs.sort(key=lambda r: r.step)
-        return [r.duration for r in recs]
+        """Per-step durations of one component's stage, ordered by step.
+
+        The sort is stable: records of one step keep their insertion
+        order.
+        """
+        column = self._stages(component).get(stage)
+        if column is None:
+            return []
+        starts, ends, steps = column.starts, column.ends, column.steps
+        if steps == sorted(steps):
+            return [end - start for start, end in zip(starts, ends)]
+        order = sorted(range(len(steps)), key=steps.__getitem__)
+        return [ends[i] - starts[i] for i in order]
 
     def stage_end(self, component: str, stage: Stage, step: int) -> Optional[float]:
         """End time of a specific stage instance (None if absent)."""
-        for r in self._by_component.get(component, ()):
-            if r.stage == stage and r.step == step:
-                return r.end
-        return None
+        column = self._columns.get(component, {}).get(stage)
+        if column is None or step not in column.steps:
+            return None
+        return column.ends[column.steps.index(step)]
 
     def component_span(self, component: str) -> Tuple[float, float]:
         """(first start, last end) over all of a component's records."""
-        recs = self.of_component(component)
-        return min(r.start for r in recs), max(r.end for r in recs)
+        columns = self._stages(component).values()
+        return (
+            min(min(c.starts) for c in columns),
+            max(max(c.ends) for c in columns),
+        )
 
     def num_steps(self, component: str) -> int:
         """Number of distinct steps a component recorded."""
-        return len({r.step for r in self.of_component(component)})
+        return len(
+            set().union(*(c.steps for c in self._stages(component).values()))
+        )
+
+
+def _build(order: List[_Column]) -> List[StageRecord]:
+    """The records ``order`` names, one per entry: each entry takes its
+    column's next unread record."""
+    read: Dict[_Column, int] = {}
+    records = []
+    for column in order:
+        i = read.get(column, 0)
+        read[column] = i + 1
+        records.append(
+            StageRecord(
+                column.component,
+                column.stage,
+                column.steps[i],
+                column.starts[i],
+                column.ends[i],
+            )
+        )
+    return records

@@ -17,7 +17,7 @@ truth shared by the analytic predictor and the discrete-event executor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
@@ -25,6 +25,7 @@ from repro.platform.contention import ContentionAssessment
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
 from repro.util.errors import PlacementError
+from repro.util.rng import RandomSource
 
 
 @dataclass(frozen=True)
@@ -174,3 +175,24 @@ def member_effective_stages(
         n_steps=member_spec.n_steps,
         total_cores=member_spec.total_cores,
     )
+
+
+def component_streams(
+    effective: Sequence[EffectiveMember], seed: Optional[int]
+) -> Dict[str, RandomSource]:
+    """Each component's timing-noise stream: the executor's RNG layout.
+
+    One child of ``RandomSource(seed, name="executor")`` per component,
+    spawned in member order (the simulation, then its analyses). Each
+    stream jitters its component's two timed stages per step, in step
+    order: S then W for a simulation, R then A for an analysis. The
+    executor and :func:`~repro.faults.batched.capture_timeline` both
+    draw from these streams, so a captured numeline holds the floats a
+    fault-free DES run hands its stages.
+    """
+    root = RandomSource(seed, name="executor")
+    return {
+        component.name: root.spawn(component.name)
+        for member in effective
+        for component in (member.simulation, *member.analyses)
+    }

@@ -14,7 +14,10 @@ Every stage instance is recorded into a
 :class:`~repro.monitoring.tracer.StageTracer`. Optional multiplicative
 timing noise (seeded) perturbs each stage instance independently,
 modeling step-to-step variation; with zero noise the run is exactly
-the analytic steady state after the first step.
+the analytic steady state after the first step. Each component draws
+its factors from its own stream
+(:func:`~repro.runtime.effective.component_streams`), all ``2 *
+n_steps`` of them in one vector call before the event loop starts.
 
 With ``stage_real_chunks=True`` the execution additionally pushes real
 (small) chunk payloads through the DTL's functional store in lockstep
@@ -26,7 +29,16 @@ the data path implement the same protocol.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional, Set
+import functools
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Set,
+)
 
 import numpy as np
 
@@ -47,7 +59,11 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.monitoring.tracer import Stage, StageTracer
 from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
-from repro.runtime.effective import EffectiveMember, compute_effective_stages
+from repro.runtime.effective import (
+    EffectiveMember,
+    component_streams,
+    compute_effective_stages,
+)
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.results import ExecutionResult, build_result
 from repro.runtime.spec import EnsembleSpec
@@ -94,10 +110,15 @@ class EnsembleExecutor:
         to the cluster.
     seed:
         Seed for the timing-noise streams (one independent stream per
-        component).
+        component, laid out by :func:`~repro.runtime.effective
+        .component_streams`). Each run reads it afresh, so one executor
+        runs a set of seeded trials by setting it between runs.
     timing_noise:
         Relative half-width of per-stage multiplicative jitter, in
         [0, 1] (0 = deterministic; above 1 a draw could be negative).
+        A component's factors come from one vector draw per run; only
+        a congestion-aware analysis draws one scalar per stage share,
+        because a remote read's draw count depends on its local share.
     stage_real_chunks:
         When True, every W/R stage also performs a real chunk
         stage/retrieve against the DTL store (small sentinel payloads),
@@ -146,6 +167,27 @@ class EnsembleExecutor:
         re-placements (with their DTL state-transfer pause) at step
         boundaries. With zero drift the controller never fires, and
         the trace is byte-identical to a bare run.
+
+    Examples
+    --------
+    One executor runs a set of seeded trials. Only its first run prices
+    the placement, and every run equals a fresh executor's at its seed:
+
+    >>> from repro.runtime.placement import pack_members_per_node
+    >>> from repro.runtime.spec import EnsembleSpec, default_member
+    >>> spec = EnsembleSpec("demo", (default_member("em1", n_steps=4),))
+    >>> placement = pack_members_per_node(spec)
+    >>> executor = EnsembleExecutor(spec, placement, timing_noise=0.02)
+    >>> makespans = []
+    >>> for seed in (0, 1):
+    ...     executor.seed = seed
+    ...     makespans.append(executor.run().ensemble_makespan)
+    >>> makespans == [
+    ...     EnsembleExecutor(spec, placement, seed=seed, timing_noise=0.02)
+    ...     .run().ensemble_makespan
+    ...     for seed in (0, 1)
+    ... ]
+    True
     """
 
     def __init__(
@@ -186,19 +228,30 @@ class EnsembleExecutor:
         self.invariant_report: Optional[InvariantReport] = None
         self.drift_schedule: Optional[DriftSchedule] = None
         self.migration_log: List[MigrationRecord] = []
+        self._effective: Optional[List[EffectiveMember]] = None
 
     def run(self) -> ExecutionResult:
-        """Execute the ensemble; returns the full result bundle."""
-        effective = compute_effective_stages(
-            self.spec,
-            self.placement,
-            self.cluster,
-            self.dtl,
-            allow_oversubscription=self.allow_oversubscription,
-        )
+        """Execute the ensemble; returns the full result bundle.
+
+        The first run prices the placement
+        (:func:`~repro.runtime.effective.compute_effective_stages`) and
+        every later run reuses that pricing: the spec, placement,
+        cluster and DTL are fixed at construction, so a set of trials
+        pays for one platform assessment. Each run draws its timing
+        noise from the current :attr:`seed`.
+        """
+        if self._effective is None:
+            self._effective = compute_effective_stages(
+                self.spec,
+                self.placement,
+                self.cluster,
+                self.dtl,
+                allow_oversubscription=self.allow_oversubscription,
+            )
+        effective = self._effective
         env = Environment()
         tracer = StageTracer()
-        root_rng = RandomSource(self.seed, name="executor")
+        streams = component_streams(effective, self.seed)
         nics = None
         if self.congestion_aware:
             nics = {
@@ -245,7 +298,7 @@ class EnsembleExecutor:
         member_procs = []
         for member in effective:
             procs = self._launch_member(
-                env, bindings[member.name], tracer, root_rng, nics,
+                env, bindings[member.name], tracer, streams, nics,
                 injector, checker, drift, controller,
             )
             member_procs.extend(procs)
@@ -284,7 +337,7 @@ class EnsembleExecutor:
         env: Environment,
         binding,
         tracer: StageTracer,
-        root_rng: RandomSource,
+        streams: Dict[str, RandomSource],
         nics=None,
         injector: Optional[FaultInjector] = None,
         checker: Optional[InvariantChecker] = None,
@@ -302,17 +355,21 @@ class EnsembleExecutor:
         noise = self.timing_noise
         dtl = self.dtl if self.stage_real_chunks else None
         dropped: Set[str] = set()
-        sim_rng = root_rng.spawn(member.simulation.name)
+        # two timed stages per step; a congestion-aware analysis draws
+        # per read share instead, so its count is not known up front
+        sim_jitter = _jitter(streams[member.simulation.name], noise, 2 * n)
         procs = [
             env.process(
                 _simulation_process(
-                    env, binding, tracer, sim_rng, noise, written, all_read,
+                    env, binding, tracer, sim_jitter, written, all_read,
                     dtl, injector, dropped, checker, drift, controller,
                 )
             )
         ]
-        for j in range(len(member.analyses)):
-            ana_rng = root_rng.spawn(member.analyses[j].name)
+        for j, ana in enumerate(member.analyses):
+            ana_jitter = _jitter(
+                streams[ana.name], noise, 2 * n if nics is None else None
+            )
             procs.append(
                 env.process(
                     _analysis_process(
@@ -320,8 +377,7 @@ class EnsembleExecutor:
                         binding,
                         j,
                         tracer,
-                        ana_rng,
-                        noise,
+                        ana_jitter,
                         written,
                         read_done,
                         dtl,
@@ -335,6 +391,22 @@ class EnsembleExecutor:
                 )
             )
         return procs
+
+
+def _jitter(
+    stream: RandomSource, noise: float, count: Optional[int]
+) -> Callable[[], float]:
+    """A component's next jitter factor, one call per timed draw.
+
+    With a known ``count`` the factors come from one vector draw
+    (:meth:`~repro.util.rng.RandomSource.jitter_factors`); with
+    ``None`` each call draws one scalar. Both yield the same doubles
+    in the same order, so ``base * factor`` is the float
+    ``stream.uniform_jitter(base, noise)`` would return.
+    """
+    if count is None:
+        return functools.partial(stream.uniform_jitter, 1.0, noise)
+    return iter(stream.jitter_factors(noise, count).tolist()).__next__
 
 
 def _stage(
@@ -395,8 +467,7 @@ def _simulation_process(
     env: Environment,
     binding,
     tracer: StageTracer,
-    rng: RandomSource,
-    noise: float,
+    jitter: Callable[[], float],
     written: List[Event],
     all_read: List[Event],
     dtl: Optional[DataTransportLayer] = None,
@@ -433,7 +504,7 @@ def _simulation_process(
             member = binding.member
         sim = member.simulation
         step_time = sim.compute_time + sim.io_time
-        s_duration = rng.uniform_jitter(sim.compute_time, noise)
+        s_duration = sim.compute_time * jitter()
         if drift is not None:
             s_duration *= drift.factor(sim.node, "S", step)
         t0 = env.now
@@ -450,7 +521,7 @@ def _simulation_process(
         t2 = env.now
         tracer.record(sim.name, Stage.SIM_IDLE, step, t1, t2)
 
-        w_duration = rng.uniform_jitter(sim.io_time, noise)
+        w_duration = sim.io_time * jitter()
         if drift is not None:
             w_duration *= drift.factor(sim.node, "W", step)
         yield from _stage(
@@ -484,8 +555,7 @@ def _analysis_process(
     binding,
     index: int,
     tracer: StageTracer,
-    rng: RandomSource,
-    noise: float,
+    jitter: Callable[[], float],
     written: List[Event],
     read_done: List[List[Event]],
     dtl: Optional[DataTransportLayer] = None,
@@ -536,18 +606,14 @@ def _analysis_process(
                 # transport holding the producer's NIC
                 local_share = ana.io_time - ana.transport_time
                 if local_share > 0:
-                    yield env.timeout(
-                        rng.uniform_jitter(local_share, noise) * scale
-                    )
+                    yield env.timeout(local_share * jitter() * scale)
                 req = nic.request(1)
                 yield req
-                yield env.timeout(
-                    rng.uniform_jitter(ana.transport_time, noise) * scale
-                )
+                yield env.timeout(ana.transport_time * jitter() * scale)
                 nic.release(req)
 
             if nic is None:
-                read_duration = rng.uniform_jitter(ana.io_time, noise)
+                read_duration = ana.io_time * jitter()
                 if drift is not None:
                     read_duration *= drift.factor(ana.node, "R", step)
                 body = None
@@ -577,7 +643,7 @@ def _analysis_process(
                     )
             read_done[step][index].succeed(step)
 
-            a_duration = rng.uniform_jitter(ana.compute_time, noise)
+            a_duration = ana.compute_time * jitter()
             if drift is not None:
                 a_duration *= drift.factor(ana.node, "A", step)
             try:

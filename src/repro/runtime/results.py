@@ -6,9 +6,11 @@ into:
 - per-component Table-1 metrics (execution time, LLC miss ratio,
   memory intensity, IPC) with synthesized hardware counters;
 - per-member steady-state :class:`~repro.core.stages.MemberStages`
-  estimated from the trace, the measured makespan, the computational
-  efficiency E, and the :class:`~repro.core.indicators
-  .MemberMeasurement` that feeds the indicator pipeline;
+  estimated from the trace (every S/W/R/A series of the run reduced by
+  one :func:`~repro.core.stages.steady_state_rows` call), the measured
+  makespan, the computational efficiency E, and the
+  :class:`~repro.core.indicators.MemberMeasurement` that feeds the
+  indicator pipeline;
 - ensemble-level makespan and node count M.
 """
 
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.efficiency import computational_efficiency
 from repro.core.indicators import (
@@ -28,7 +32,7 @@ from repro.core.stages import (
     AnalysisStages,
     MemberStages,
     SimulationStages,
-    estimate_steady_state,
+    steady_state_rows,
 )
 from repro.monitoring.counters import HardwareCounters, synthesize_counters
 from repro.monitoring.metrics import (
@@ -99,27 +103,39 @@ class ExecutionResult:
 
 
 def estimate_member_stages(
-    member: EffectiveMember, tracer: StageTracer
-) -> MemberStages:
-    """Steady-state stage durations estimated from the trace."""
-    sim_name = member.simulation.name
-    sim = SimulationStages(
-        compute=estimate_steady_state(tracer.durations(sim_name, Stage.SIM_COMPUTE)),
-        write=estimate_steady_state(tracer.durations(sim_name, Stage.SIM_WRITE)),
-    )
-    analyses: List[AnalysisStages] = []
-    for ana in member.analyses:
-        analyses.append(
-            AnalysisStages(
-                read=estimate_steady_state(
-                    tracer.durations(ana.name, Stage.ANA_READ)
-                ),
-                analyze=estimate_steady_state(
-                    tracer.durations(ana.name, Stage.ANA_COMPUTE)
-                ),
-            )
+    effective: Sequence[EffectiveMember], tracer: StageTracer
+) -> List[MemberStages]:
+    """Each member's steady-state stage durations, estimated from the trace.
+
+    Every S, W, R and A series of the run is reduced by one
+    :func:`~repro.core.stages.steady_state_rows` call, which equals
+    :func:`~repro.core.stages.estimate_steady_state` per series bit for
+    bit.
+    """
+    series: List[List[float]] = []
+    for member in effective:
+        sim = member.simulation.name
+        series.append(tracer.durations(sim, Stage.SIM_COMPUTE))
+        series.append(tracer.durations(sim, Stage.SIM_WRITE))
+        for ana in member.analyses:
+            series.append(tracer.durations(ana.name, Stage.ANA_READ))
+            series.append(tracer.durations(ana.name, Stage.ANA_COMPUTE))
+    lengths = [len(values) for values in series]
+    width = max(lengths)
+    rows = np.array([v + [0.0] * (width - len(v)) for v in series])
+    estimates = iter(steady_state_rows(rows, np.array(lengths)).tolist())
+    return [
+        MemberStages(
+            simulation=SimulationStages(
+                compute=next(estimates), write=next(estimates)
+            ),
+            analyses=tuple(
+                AnalysisStages(read=next(estimates), analyze=next(estimates))
+                for _ in member.analyses
+            ),
         )
-    return MemberStages(simulation=sim, analyses=tuple(analyses))
+        for member in effective
+    ]
 
 
 def build_result(
@@ -145,8 +161,11 @@ def build_result(
     member_results: List[MemberResult] = []
     member_metrics: Dict[str, MemberMetrics] = {}
 
-    for member_spec, member_eff, mp in zip(
-        spec.members, effective, placement.members
+    for member_spec, member_eff, mp, stages in zip(
+        spec.members,
+        effective,
+        placement.members,
+        estimate_member_stages(effective, tracer),
     ):
         models = [member_spec.simulation] + list(member_spec.analyses)
         assessments = [member_eff.simulation.assessment] + [
@@ -164,7 +183,6 @@ def build_result(
             counters[model.name] = cnt
             metrics[model.name] = component_metrics(model.name, tracer, cnt)
 
-        stages = estimate_member_stages(member_eff, tracer)
         mm = member_makespan_from_trace(
             member_spec.name,
             member_spec.simulation.name,

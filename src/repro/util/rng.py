@@ -38,7 +38,19 @@ class RandomSource:
         self.seed = seed
         self.name = name
         self._seed_seq = np.random.SeedSequence(seed)
-        self.generator = np.random.default_rng(self._seed_seq)
+        self._generator: Optional[np.random.Generator] = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The source's stream, built on first use.
+
+        Building it leaves the SeedSequence's spawn counter alone, so a
+        source that only spawns children never builds one and its
+        children's streams are the same either way.
+        """
+        if self._generator is None:
+            self._generator = np.random.default_rng(self._seed_seq)
+        return self._generator
 
     def spawn(self, name: str) -> "RandomSource":
         """Create an independent child source.
@@ -51,7 +63,7 @@ class RandomSource:
         child.seed = self.seed
         child.name = f"{self.name}/{name}"
         child._seed_seq = self._seed_seq.spawn(1)[0]
-        child.generator = np.random.default_rng(child._seed_seq)
+        child._generator = None
         return child
 
     def uniform_jitter(self, base: float, relative_width: float) -> float:
@@ -70,6 +82,34 @@ class RandomSource:
         lo = 1.0 - relative_width
         hi = 1.0 + relative_width
         return float(base * self.generator.uniform(lo, hi))
+
+    def jitter_factors(self, relative_width: float, count: int) -> np.ndarray:
+        """``count`` multiplicative jitter factors from one vector draw.
+
+        ``base * factors[i]`` equals the ``i``-th of ``count``
+        successive :meth:`uniform_jitter` draws ``(base,
+        relative_width)`` on this stream, bit for bit: one
+        ``uniform(size=count)`` call yields the doubles of ``count``
+        scalar calls. A ``relative_width`` of 0 returns ones without
+        consuming randomness (or building the generator).
+
+        >>> vector = RandomSource(7).jitter_factors(0.02, 4)
+        >>> scalar = RandomSource(7)
+        >>> [2.5 * f for f in vector] == [
+        ...     scalar.uniform_jitter(2.5, 0.02) for _ in range(4)]
+        True
+        >>> RandomSource(7).jitter_factors(0.0, 3).tolist()
+        [1.0, 1.0, 1.0]
+        """
+        if relative_width < 0:
+            raise ValidationError(
+                f"relative_width must be >= 0, got {relative_width!r}"
+            )
+        if relative_width == 0:
+            return np.ones(count)
+        return self.generator.uniform(
+            1.0 - relative_width, 1.0 + relative_width, size=count
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomSource(name={self.name!r}, seed={self.seed!r})"

@@ -138,38 +138,48 @@ class InvariantChecker:
         end: float,
         duration: float,
     ) -> None:
-        """Record one completed stage instance (called from ``_stage``)."""
+        """Record one completed stage instance (called from ``_stage``).
+
+        This runs once per stage instance, so a message is formatted
+        only for a check that fails.
+        """
         self.stages_observed += 1
 
-        self._check(
-            end >= start,
-            f"{component}:{stage}{step}: clock ran backwards "
-            f"(start={start!r}, end={end!r})",
-        )
+        self.checks_performed += 1
+        if not end >= start:
+            self._fail(
+                f"{component}:{stage}{step}: clock ran backwards "
+                f"(start={start!r}, end={end!r})"
+            )
         last = self._last_end.get(component)
         if last is not None:
-            self._check(
-                start >= last - EXACT_EPS,
-                f"{component}:{stage}{step}: started at {start!r} before "
-                f"the component's previous stage ended at {last!r}",
-            )
+            self.checks_performed += 1
+            if not start >= last - EXACT_EPS:
+                self._fail(
+                    f"{component}:{stage}{step}: started at {start!r} "
+                    f"before the component's previous stage ended at "
+                    f"{last!r}"
+                )
         self._last_end[component] = end
 
         expected = self._next_step.get((component, stage), 0)
-        self._check(
-            step == expected,
-            f"{component}:{stage}: observed step {step}, expected "
-            f"{expected} (steps must start at 0 and increase by 1)",
-        )
+        self.checks_performed += 1
+        if step != expected:
+            self._fail(
+                f"{component}:{stage}: observed step {step}, expected "
+                f"{expected} (steps must start at 0 and increase by 1)"
+            )
         self._next_step[(component, stage)] = step + 1
 
         if self.exact:
-            self._check(
-                abs((end - start) - duration) <= EXACT_EPS,
-                f"{component}:{stage}{step}: wall time {end - start!r} "
-                f"differs from nominal duration {duration!r} in an "
-                f"exact (noise-free, fault-free) run",
-            )
+            self.checks_performed += 1
+            if not abs((end - start) - duration) <= EXACT_EPS:
+                self._fail(
+                    f"{component}:{stage}{step}: wall time "
+                    f"{end - start!r} differs from nominal duration "
+                    f"{duration!r} in an exact (noise-free, fault-free) "
+                    f"run"
+                )
             self._active[(member, component, step)] = (
                 self._active.get((member, component, step), 0.0) + duration
             )

@@ -9,6 +9,7 @@ from repro.experiments.base import (
     run_configuration_trials,
     trial_mean,
 )
+from repro.monitoring.traceio import tracer_to_dict
 from repro.util.errors import ValidationError
 
 
@@ -85,3 +86,24 @@ class TestTrialRunning:
     def test_invalid_trials(self):
         with pytest.raises(ValidationError):
             run_configuration_trials(get_config("Cc"), trials=0)
+
+
+class TestOnePricingPerTrialSet:
+    @pytest.mark.parametrize("name", ["C1.3", "C1.5", "Cf"])
+    def test_trials_price_once_and_equal_separate_runs(self, pricings, name):
+        config = get_config(name)
+        trials = run_configuration_trials(
+            config, trials=3, n_steps=5, base_seed=4, timing_noise=0.05
+        )
+        assert pricings == [name]
+        separate = [
+            run_configuration(config, n_steps=5, seed=4 + t, timing_noise=0.05)
+            for t in range(3)
+        ]
+        assert len(pricings) == 1 + 3
+        for shared, alone in zip(trials, separate):
+            assert tracer_to_dict(shared.tracer) == tracer_to_dict(alone.tracer)
+            assert shared.members == alone.members
+            assert shared.counters == alone.counters
+            assert shared.component_metrics == alone.component_metrics
+            assert shared.ensemble == alone.ensemble

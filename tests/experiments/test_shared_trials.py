@@ -97,6 +97,12 @@ class TestRunsPerReproduction:
         _reproduce(base_seed=0, **FIGURES_FAST)
         assert len(executor_runs) == 42
 
+    def test_each_trial_set_prices_once(self, executor_runs, pricings):
+        # 21 sets of 2 trials: 7 Table 2, 8 Table 4, 6 on ablated platforms
+        _reproduce(base_seed=0, **FIGURES_FAST)
+        assert len(executor_runs) == 42
+        assert len(pricings) == 21
+
     def test_without_the_memo_every_figure_reruns(
         self, monkeypatch, executor_runs
     ):

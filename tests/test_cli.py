@@ -356,6 +356,16 @@ class TestCoschedule:
         assert "6 x 48 cores of a 32-core node" in out
         assert "ens3     finished" in out
 
+    def test_cores_help_names_the_physical_node_and_its_limit(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["coschedule", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: the physical node's 32)" in text
+        assert "more than 32 cores on one node" in text
+        assert "3 of the 4 canonical ensembles at --cores 48" in text
+        assert "search kind refuses such a budget at the door" in text
+
     def test_json_schedule_is_the_service_payload(self, capsys):
         from repro.coschedule import canonical_mixed_deadline_stream
         from repro.service.schemas import CoscheduleOptions, PlacementRequest

@@ -2,10 +2,10 @@
 
 The CI ``docs`` job runs ``scripts/check_doc_links.py`` and the
 ``repro.core``, ``repro.util``, ``repro.des``, ``repro.faults``,
-``repro.monitoring``, ``repro.scheduler``, ``repro.search``,
-``repro.configs`` and ``repro.experiments`` doctests; this test keeps
-the link check in the tier-1 suite so a broken cross-reference fails
-locally too.
+``repro.monitoring``, ``repro.runtime``, ``repro.scheduler``,
+``repro.search``, ``repro.configs`` and ``repro.experiments``
+doctests; this test keeps the link check in the tier-1 suite so a
+broken cross-reference fails locally too.
 """
 
 import sys

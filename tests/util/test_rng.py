@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomSource, derive_replica_seed, spawn_rngs
@@ -66,6 +67,50 @@ class TestUniformJitter:
     def test_negative_width_rejected(self):
         with pytest.raises(ValidationError):
             RandomSource(0).uniform_jitter(1.0, -0.1)
+
+
+class TestJitterFactors:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        width=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        count=st.integers(min_value=1, max_value=64),
+        base=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_one_vector_draw_is_the_scalar_sequence(
+        self, seed, width, count, base
+    ):
+        vector = RandomSource(seed).jitter_factors(width, count).tolist()
+        scalar = RandomSource(seed)
+        expected = [scalar.uniform_jitter(base, width) for _ in range(count)]
+        assert [base * factor for factor in vector] == expected
+
+    def test_zero_width_draws_nothing(self):
+        src = RandomSource(3)
+        assert src.jitter_factors(0.0, 5).tolist() == [1.0] * 5
+        assert src._generator is None  # the stream was never built
+        fresh = RandomSource(3)
+        assert src.generator.random() == fresh.generator.random()
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValidationError):
+            RandomSource(0).jitter_factors(-0.1, 3)
+
+
+class TestLazyGenerator:
+    def test_spawning_does_not_build_the_parent_stream(self):
+        root = RandomSource(5)
+        root.spawn("a")
+        assert root._generator is None
+
+    def test_children_do_not_depend_on_the_parent_having_drawn(self):
+        drawn = RandomSource(5)
+        drawn.generator.random(3)
+        a = drawn.spawn("x").generator.random(4)
+        b = RandomSource(5).spawn("x").generator.random(4)
+        assert np.array_equal(a, b)
 
 
 class TestSpawnRngs:
