@@ -16,8 +16,8 @@ Before the improvement is reported, two things must hold:
   a bare run (the telemetry/detector hooks are trace-invisible);
 - **invariants under migration** — the drifted, rescheduled run passes
   every :class:`repro.verify.invariants.InvariantChecker` check
-  (segmented Eq. 1 periods across migrations, conservation, DTL
-  accounting).
+  (clock monotonicity, step ordering, segmented Eq. 1 periods across
+  migrations, Eq. 3 efficiency bounds).
 
 Both are reported as :class:`repro.verify.oracles.DivergenceReport`
 payloads exactly like the other benchmark gates.

@@ -12,9 +12,7 @@ executor's synchronous coupling protocol:
 - one-shot :class:`~repro.des.events.Event` handoffs,
   :class:`~repro.des.events.Timeout` delays and
   :class:`~repro.des.events.AllOf` joins express the per-step
-  write/read coupling;
-- :class:`~repro.des.resources.Resource` (counted capacity, strict
-  FIFO) serializes transfers through a node's NIC.
+  write/read coupling.
 
 The engine is deterministic: simultaneous events are ordered by
 (time, insertion id), so repeated runs of the same program produce
@@ -24,14 +22,11 @@ identical traces.
 from repro.des.engine import Environment
 from repro.des.events import AllOf, Event, Timeout
 from repro.des.process import Process
-from repro.des.resources import Request, Resource
 
 __all__ = [
     "AllOf",
     "Environment",
     "Event",
     "Process",
-    "Request",
-    "Resource",
     "Timeout",
 ]

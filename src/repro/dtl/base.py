@@ -170,27 +170,6 @@ class DataTransportLayer(abc.ABC):
             del self._slots[key]
         return chunk
 
-    def forget_consumer(self, producer: str, consumer: str) -> None:
-        """Stop counting ``consumer`` toward ``producer``'s live slot.
-
-        Used when a consumer is retired mid-run (e.g. a degraded
-        analysis dropped by a recovery policy): if the producer's most
-        recent chunk is still live and unread by ``consumer``, its
-        expected reader count is decremented — reclaiming the slot if
-        everyone else has already read — so the producer is not
-        deadlocked behind a reader that will never come.
-        """
-        last = self._last_step.get(producer)
-        if last is None:
-            return
-        key = ChunkKey(producer, last)
-        staged = self._slots.get(key)
-        if staged is None or consumer in staged.readers:
-            return
-        staged.expected_consumers = max(staged.expected_consumers - 1, 0)
-        if staged.fully_read:
-            del self._slots[key]
-
     def peek(self, key: ChunkKey) -> Optional[StagedChunk]:
         """Non-consuming view of a staged slot (None if absent)."""
         return self._slots.get(key)

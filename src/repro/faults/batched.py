@@ -208,7 +208,7 @@ def capture_timeline(
     seed: Optional[int] = 0,
     timing_noise: float = 0.0,
 ) -> StageTimeline:
-    """Build a candidate's fault-free numeline without running the DES.
+    """Build a candidate's fault-free timeline without running the DES.
 
     The platform defaults, the effective stage times and the noise
     streams are the :class:`~repro.runtime.executor.EnsembleExecutor`'s:
@@ -451,8 +451,8 @@ def _replay_member(
     def _sim_stage(stage, t, nominal, start):
         end, drops = _stage(sim_name, stage, t, nominal, start, sim_steps)
         if drops:
-            # matches the serial run, where a simulation drop
-            # propagates out of env.run()
+            # matches the serial run, where the dropped simulation's
+            # exception propagates out of EnsembleExecutor.run()
             raise AnalysisDropped(sim_name, t)
         return end
 

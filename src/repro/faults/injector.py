@@ -1,24 +1,23 @@
 """The fault injector: perturbs DES stage events per a fault schedule.
 
 The executor routes every *timed* stage (S, W, R, A) through
-:meth:`FaultInjector.execute`, passing a :class:`StageContext` and an
-optional *body* — a generator performing the stage's base waiting
-(defaults to a single timeout of the nominal duration). The injector
-then reproduces the stage with the scheduled faults applied:
+:meth:`FaultInjector.execute`, passing a :class:`StageContext` whose
+``duration`` is the stage's nominal (jittered) time. A pass of the
+stage is one timeout of ``duration * scale``. The injector reproduces
+the stage with the scheduled faults applied:
 
 - stalls delay the stage start;
-- stragglers scale every body pass by the inflation factor;
+- stragglers scale every pass by the inflation factor;
 - crashes burn the completed fraction, consult the recovery policy,
-  pay its delay, and re-run the body (or abort via
+  pay its delay, and re-run the stage (or abort via
   :class:`AnalysisDropped` when the policy degrades);
 - chunk faults (scheduled on the producer) append a detection delay
   plus a full re-read to consumers' R stages.
 
-With an empty schedule ``execute`` performs exactly one body pass at
-scale 1.0 — the identical event sequence the executor would emit with
-no injector at all, which is what keeps zero-failure injection
-byte-identical to a baseline run (regression-tested in
-``tests/faults/test_injector.py``).
+With an empty schedule ``execute`` waits exactly ``duration`` — the
+identical event sequence the executor would emit with no injector at
+all, which is what keeps zero-failure injection byte-identical to a
+baseline run (regression-tested in ``tests/faults/test_injector.py``).
 
 Every fault is recorded in a :class:`FaultLog`, the raw material for
 the resilience metrics in :mod:`repro.monitoring.resilience`.
@@ -27,7 +26,7 @@ the resilience metrics in :mod:`repro.monitoring.resilience`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from repro.des.engine import Environment
 from repro.faults.models import FaultKind, FaultSchedule
@@ -158,10 +157,6 @@ class FaultLog:
         return "\n".join(lines)
 
 
-#: a stage body: given a time-scale factor, yield the stage's events.
-StageBody = Callable[[float], Generator]
-
-
 class FaultInjector:
     """Applies a :class:`FaultSchedule` to the executor's stage events."""
 
@@ -183,30 +178,19 @@ class FaultInjector:
         # an empty FaultLog is falsy (it defines __len__): test for None
         self.log = log if log is not None else FaultLog()
 
-    def execute(
-        self,
-        env: Environment,
-        ctx: StageContext,
-        body: Optional[StageBody] = None,
-    ) -> Generator:
+    def execute(self, env: Environment, ctx: StageContext) -> Generator:
         """Run one stage instance with scheduled faults applied.
 
         A generator to be ``yield from``-ed inside a DES process. With
-        no faults scheduled at this site it degenerates to exactly one
-        body pass — the baseline event sequence.
+        no faults scheduled at this site it degenerates to one timeout
+        of ``ctx.duration`` — the baseline event sequence.
         """
-        if body is None:
-            nominal = ctx.duration
-
-            def body(scale: float) -> Generator:
-                yield env.timeout(nominal * scale)
-
         site = self.schedule.events_for(ctx.component, ctx.step, ctx.stage)
         chunk: Tuple = ()
         if ctx.stage == "R" and ctx.producer is not None:
             chunk = self.schedule.chunk_events_for(ctx.producer, ctx.step)
         if not site and not chunk:
-            yield from body(1.0)
+            yield env.timeout(ctx.duration)
             return
 
         # 1. transient stalls delay the stage start
@@ -282,10 +266,10 @@ class FaultInjector:
                 )
 
         # 3. the (re-)run of the stage proper
-        t_body = env.now
-        yield from body(scale)
+        t_pass = env.now
+        yield env.timeout(ctx.duration * scale)
         if scale > 1.0:
-            elapsed = env.now - t_body
+            elapsed = env.now - t_pass
             excess = elapsed * (scale - 1.0) / scale
             for ev in stragglers:
                 self.log.record(
@@ -296,7 +280,7 @@ class FaultInjector:
                         step=ctx.step,
                         kind=ev.kind,
                         policy=self.policy.name,
-                        detected=t_body,
+                        detected=t_pass,
                         recovered=env.now,
                         lost_work=excess / len(stragglers),
                     )
@@ -307,7 +291,7 @@ class FaultInjector:
             t0 = env.now
             if ev.magnitude > 0:
                 yield env.timeout(ev.magnitude)
-            yield from body(scale)
+            yield env.timeout(ctx.duration * scale)
             self.log.record(
                 FaultRecord(
                     member=ctx.member,

@@ -131,6 +131,11 @@ class FaultEvent:
             )
         if self.repeats < 1:
             raise ValidationError(f"repeats must be >= 1, got {self.repeats}")
+        if not math.isfinite(self.magnitude):
+            raise ValidationError(
+                f"{self.kind.value} magnitude must be finite, got "
+                f"{self.magnitude!r}"
+            )
         if self.kind is FaultKind.CRASH:
             if not 0.0 < self.magnitude <= 1.0:
                 raise ValidationError(

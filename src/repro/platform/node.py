@@ -132,21 +132,12 @@ class Node:
 
     # -- allocate / free --------------------------------------------------------
     def allocate(
-        self,
-        component: str,
-        cores: int,
-        profile: WorkloadProfile,
-        allow_oversubscription: bool = False,
+        self, component: str, cores: int, profile: WorkloadProfile
     ) -> CoreAllocation:
-        """Claim ``cores`` cores for ``component``.
+        """Claim ``cores`` free cores for ``component``.
 
-        With ``allow_oversubscription`` the node hands out core *slots*
-        beyond its free count (time-sharing): every free core, then the
-        lowest cores the component does not hold yet — one slot per
-        core, so a request above the physical count raises
-        :class:`PlacementError`. The contention model still sees the
-        full resident set, so oversubscribed runs show the expected
-        dilation rather than failing.
+        Raises :class:`PlacementError` if the component is already
+        resident or the node has fewer than ``cores`` free cores.
         """
         require_positive_int("cores", cores)
         if component in self._allocations:
@@ -154,28 +145,13 @@ class Node:
                 f"component {component!r} already resident on node {self.index}"
             )
         if cores > len(self._free):
-            if not allow_oversubscription:
-                raise PlacementError(
-                    f"node {self.index} has {len(self._free)} free cores, "
-                    f"cannot allocate {cores} for {component!r}"
-                )
-            if cores > self.spec.cores:
-                raise PlacementError(
-                    f"{component!r} requests {cores} cores but node "
-                    f"{self.index} has {self.spec.cores} (oversubscription "
-                    f"grants one slot per core)"
-                )
-            granted = list(self._free)
-            held = set(granted)
-            granted += [
-                c for c in range(self.spec.cores) if c not in held
-            ][: cores - len(granted)]
-            self._free = []
-        else:
-            ordered = self._placement_order()
-            granted = ordered[:cores]
-            taken = set(granted)
-            self._free = [c for c in self._free if c not in taken]
+            raise PlacementError(
+                f"node {self.index} has {len(self._free)} free cores, "
+                f"cannot allocate {cores} for {component!r}"
+            )
+        granted = self._placement_order()[:cores]
+        taken = set(granted)
+        self._free = [c for c in self._free if c not in taken]
         alloc = CoreAllocation(component, self.index, tuple(granted))
         self._allocations[component] = alloc
         self._profiles[component] = profile

@@ -33,7 +33,6 @@ def predict_member_stages(
     placement: EnsemblePlacement,
     cluster: Optional[Cluster] = None,
     dtl: Optional[DataTransportLayer] = None,
-    allow_oversubscription: bool = False,
 ) -> Dict[str, MemberStages]:
     """Predict every member's steady-state stages under a placement.
 
@@ -47,9 +46,7 @@ def predict_member_stages(
         dtl = InMemoryStagingDTL.for_platform(
             cluster.network, cluster.node_spec
         )
-    effective = compute_effective_stages(
-        spec, placement, cluster, dtl, allow_oversubscription=allow_oversubscription
-    )
+    effective = compute_effective_stages(spec, placement, cluster, dtl)
     out: Dict[str, MemberStages] = {}
     for member in effective:
         out[member.name] = MemberStages(

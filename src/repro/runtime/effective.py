@@ -30,21 +30,13 @@ from repro.util.rng import RandomSource
 
 @dataclass(frozen=True)
 class EffectiveComponent:
-    """One component's effective per-step stage model.
-
-    ``transport_time`` is the share of ``io_time`` spent on the
-    network (nonzero only for remote reads) — the portion that
-    serializes on the producer's NIC when the executor runs in
-    congestion-aware mode.
-    """
+    """One component's effective per-step stage model."""
 
     name: str
     node: int
     compute_time: float  # S_eff or A_eff
     io_time: float  # W_eff or R_eff
     assessment: ContentionAssessment
-    transport_time: float = 0.0
-    producer_node: int = -1  # whose NIC a remote read occupies
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,6 @@ def compute_effective_stages(
     placement: EnsemblePlacement,
     cluster: Cluster,
     dtl: DataTransportLayer,
-    allow_oversubscription: bool = False,
 ) -> List[EffectiveMember]:
     """Place the ensemble on the cluster and evaluate stage times.
 
@@ -72,11 +63,7 @@ def compute_effective_stages(
     concurrently for the whole execution), the node-level contention
     model is assessed once, and DTL costs are evaluated per coupling.
     """
-    placement.validate_against(
-        spec,
-        cluster.node_spec.cores,
-        allow_oversubscription=allow_oversubscription,
-    )
+    placement.validate_against(spec, cluster.node_spec.cores)
     if placement.num_nodes > cluster.num_nodes:
         raise PlacementError(
             f"placement spans {placement.num_nodes} nodes, cluster has "
@@ -90,15 +77,9 @@ def compute_effective_stages(
             member_spec.simulation.name,
             member_spec.simulation.cores,
             member_spec.simulation.profile,
-            allow_oversubscription=allow_oversubscription,
         )
         for ana, node in zip(member_spec.analyses, mp.analysis_nodes):
-            cluster.node(node).allocate(
-                ana.name,
-                ana.cores,
-                ana.profile,
-                allow_oversubscription=allow_oversubscription,
-            )
+            cluster.node(node).allocate(ana.name, ana.cores, ana.profile)
 
     # 2. one static contention assessment per component
     assessments: Dict[str, ContentionAssessment] = cluster.assess_all()
@@ -155,7 +136,6 @@ def member_effective_stages(
     for ana_model, node in zip(member_spec.analyses, mp.analysis_nodes):
         ana_assess = assessments[ana_model.name]
         read = dtl.read_cost(mp.simulation_node, node, payload)
-        is_remote = node != mp.simulation_node
         analyses.append(
             EffectiveComponent(
                 name=ana_model.name,
@@ -164,8 +144,6 @@ def member_effective_stages(
                 * ana_assess.dilation,
                 io_time=read.total,
                 assessment=ana_assess,
-                transport_time=read.transport if is_remote else 0.0,
-                producer_node=mp.simulation_node,
             )
         )
     return EffectiveMember(
@@ -187,7 +165,7 @@ def component_streams(
     stream jitters its component's two timed stages per step, in step
     order: S then W for a simulation, R then A for an analysis. The
     executor and :func:`~repro.faults.batched.capture_timeline` both
-    draw from these streams, so a captured numeline holds the floats a
+    draw from these streams, so a captured timeline holds the floats a
     fault-free DES run hands its stages.
     """
     root = RandomSource(seed, name="executor")

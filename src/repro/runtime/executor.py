@@ -19,34 +19,18 @@ its factors from its own stream
 (:func:`~repro.runtime.effective.component_streams`), all ``2 *
 n_steps`` of them in one vector call before the event loop starts.
 
-With ``stage_real_chunks=True`` the execution additionally pushes real
-(small) chunk payloads through the DTL's functional store in lockstep
-with the simulated time: the W stage stages a chunk, each R stage
-retrieves and verifies it, and the DTL's own no-buffering checks police
-the protocol *during* the run. This mode proves the timing model and
-the data path implement the same protocol.
+A member process that raises (a simulation that a recovery policy
+drops, say) fails :meth:`EnsembleExecutor.run` with its exception
+instead of leaving a truncated trace behind.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Set,
-)
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.des.engine import Environment
 from repro.des.events import Event
-from repro.des.resources import Resource
 from repro.dtl.base import DataTransportLayer
-from repro.dtl.chunk import Chunk, ChunkKey
 from repro.dtl.dimes import InMemoryStagingDTL
 from repro.faults.injector import (
     AnalysisDropped,
@@ -67,7 +51,6 @@ from repro.runtime.effective import (
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.results import ExecutionResult, build_result
 from repro.runtime.spec import EnsembleSpec
-from repro.util.errors import ProtocolError
 from repro.util.rng import RandomSource
 from repro.util.validation import require_in_range
 
@@ -116,20 +99,7 @@ class EnsembleExecutor:
     timing_noise:
         Relative half-width of per-stage multiplicative jitter, in
         [0, 1] (0 = deterministic; above 1 a draw could be negative).
-        A component's factors come from one vector draw per run; only
-        a congestion-aware analysis draws one scalar per stage share,
-        because a remote read's draw count depends on its local share.
-    stage_real_chunks:
-        When True, every W/R stage also performs a real chunk
-        stage/retrieve against the DTL store (small sentinel payloads),
-        so protocol violations surface as failures during execution.
-    congestion_aware:
-        When True, the network-transport share of every remote read
-        serializes on the producer node's NIC (a capacity-1 DES
-        resource per node): concurrent remote reads from one node
-        queue instead of proceeding in parallel. Off by default — at
-        the paper's chunk sizes transport is negligible, but for large
-        payloads the serialization visibly stretches R.
+        A component's factors come from one vector draw per run.
     failure_model:
         Optional :class:`~repro.faults.models.FailureModel`. When set,
         its fault schedule is injected into the run: every timed stage
@@ -146,7 +116,7 @@ class EnsembleExecutor:
         When True, an :class:`~repro.verify.invariants
         .InvariantChecker` audits the run at the stage choke point
         (clock monotonicity, step ordering, Eq. 1 period consistency,
-        resource/DTL conservation, Eq. 3 efficiency bounds) and
+        Eq. 3 efficiency bounds) and
         :meth:`run` raises :class:`~repro.verify.invariants
         .InvariantViolation` on any violation; the report is kept on
         :attr:`invariant_report` either way. The checker only *reads*
@@ -198,9 +168,6 @@ class EnsembleExecutor:
         dtl: Optional[DataTransportLayer] = None,
         seed: Optional[int] = 0,
         timing_noise: float = 0.0,
-        allow_oversubscription: bool = False,
-        stage_real_chunks: bool = False,
-        congestion_aware: bool = False,
         failure_model: Optional[FailureModel] = None,
         recovery: Optional[RecoveryPolicy] = None,
         verify: bool = False,
@@ -216,9 +183,6 @@ class EnsembleExecutor:
         )
         self.seed = seed
         self.timing_noise = timing_noise
-        self.allow_oversubscription = allow_oversubscription
-        self.stage_real_chunks = stage_real_chunks
-        self.congestion_aware = congestion_aware
         self.failure_model = failure_model
         self.recovery = recovery
         self.verify = verify
@@ -239,25 +203,20 @@ class EnsembleExecutor:
         cluster and DTL are fixed at construction, so a set of trials
         pays for one platform assessment. Each run draws its timing
         noise from the current :attr:`seed`.
+
+        A member process that fails re-raises its exception here (a
+        simulation that a recovery policy drops raises
+        :class:`~repro.faults.injector.AnalysisDropped`) instead of
+        returning a truncated run.
         """
         if self._effective is None:
             self._effective = compute_effective_stages(
-                self.spec,
-                self.placement,
-                self.cluster,
-                self.dtl,
-                allow_oversubscription=self.allow_oversubscription,
+                self.spec, self.placement, self.cluster, self.dtl
             )
         effective = self._effective
         env = Environment()
         tracer = StageTracer()
         streams = component_streams(effective, self.seed)
-        nics = None
-        if self.congestion_aware:
-            nics = {
-                node: Resource(env, capacity=1, name=f"nic-n{node}")
-                for node in range(self.placement.num_nodes)
-            }
         injector = None
         if self.failure_model is not None:
             schedule = self.failure_model.build_schedule(self.spec)
@@ -290,19 +249,24 @@ class EnsembleExecutor:
                 exact=(
                     self.timing_noise == 0.0
                     and injector is None
-                    and not self.congestion_aware
                     and drift is None
                 )
             )
 
         member_procs = []
         for member in effective:
-            procs = self._launch_member(
-                env, bindings[member.name], tracer, streams, nics,
-                injector, checker, drift, controller,
+            member_procs.extend(
+                self._launch_member(
+                    env, bindings[member.name], tracer, streams,
+                    injector, checker, drift, controller,
+                )
             )
-            member_procs.extend(procs)
         env.run()
+        # a process that raises ends inside the event loop, which
+        # carries on without it
+        for proc in member_procs:
+            if proc.triggered and not proc.ok:
+                proc.value  # re-raises the exception the process died of
         self.migration_log = (
             list(controller.migration_log) if controller is not None else []
         )
@@ -321,10 +285,6 @@ class EnsembleExecutor:
             from repro.verify.invariants import InvariantViolation
 
             checker.check_periods()
-            if nics is not None:
-                checker.check_resources(nics.values())
-            if self.stage_real_chunks:
-                checker.check_dtl(self.dtl)
             checker.check_result(result)
             self.invariant_report = checker.report()
             if not self.invariant_report.passed:
@@ -338,7 +298,6 @@ class EnsembleExecutor:
         binding,
         tracer: StageTracer,
         streams: Dict[str, RandomSource],
-        nics=None,
         injector: Optional[FaultInjector] = None,
         checker: Optional[InvariantChecker] = None,
         drift: Optional[DriftSchedule] = None,
@@ -353,39 +312,23 @@ class EnsembleExecutor:
         all_read: List[Event] = [env.all_of(evs) for evs in read_done]
 
         noise = self.timing_noise
-        dtl = self.dtl if self.stage_real_chunks else None
-        dropped: Set[str] = set()
-        # two timed stages per step; a congestion-aware analysis draws
-        # per read share instead, so its count is not known up front
-        sim_jitter = _jitter(streams[member.simulation.name], noise, 2 * n)
+        # two timed stages per step
         procs = [
             env.process(
                 _simulation_process(
-                    env, binding, tracer, sim_jitter, written, all_read,
-                    dtl, injector, dropped, checker, drift, controller,
+                    env, binding, tracer,
+                    _jitter(streams[member.simulation.name], noise, 2 * n),
+                    written, all_read, injector, checker, drift, controller,
                 )
             )
         ]
         for j, ana in enumerate(member.analyses):
-            ana_jitter = _jitter(
-                streams[ana.name], noise, 2 * n if nics is None else None
-            )
             procs.append(
                 env.process(
                     _analysis_process(
-                        env,
-                        binding,
-                        j,
-                        tracer,
-                        ana_jitter,
-                        written,
-                        read_done,
-                        dtl,
-                        nics,
-                        injector,
-                        dropped,
-                        checker,
-                        drift,
+                        env, binding, j, tracer,
+                        _jitter(streams[ana.name], noise, 2 * n),
+                        written, read_done, injector, checker, drift,
                         controller,
                     )
                 )
@@ -394,18 +337,14 @@ class EnsembleExecutor:
 
 
 def _jitter(
-    stream: RandomSource, noise: float, count: Optional[int]
+    stream: RandomSource, noise: float, count: int
 ) -> Callable[[], float]:
-    """A component's next jitter factor, one call per timed draw.
+    """A component's next jitter factor, one call per timed stage.
 
-    With a known ``count`` the factors come from one vector draw
-    (:meth:`~repro.util.rng.RandomSource.jitter_factors`); with
-    ``None`` each call draws one scalar. Both yield the same doubles
-    in the same order, so ``base * factor`` is the float
-    ``stream.uniform_jitter(base, noise)`` would return.
+    All ``count`` factors come from one vector draw
+    (:meth:`~repro.util.rng.RandomSource.jitter_factors`) taken before
+    the event loop starts.
     """
-    if count is None:
-        return functools.partial(stream.uniform_jitter, 1.0, noise)
     return iter(stream.jitter_factors(noise, count).tolist()).__next__
 
 
@@ -419,7 +358,6 @@ def _stage(
     duration: float,
     step_time: float,
     producer: Optional[str] = None,
-    body=None,
     checker: Optional[InvariantChecker] = None,
     telemetry: Optional[RescheduleController] = None,
 ) -> Generator:
@@ -430,8 +368,8 @@ def _stage(
     verification is on) observes each completed stage here, so the
     coupling-protocol logic in the process functions below never forks
     on either path. Without an injector (or with nothing scheduled at
-    this site) the emitted event sequence is exactly the baseline's;
-    the checker only reads ``env.now`` and never schedules events.
+    this site) a stage is one timeout of ``duration``; the checker
+    only reads ``env.now`` and never schedules events.
     The telemetry hook (the rescheduling controller) likewise never
     touches the environment: it sees each stage's nominal duration and
     step time and reacts in zero DES time.
@@ -442,10 +380,7 @@ def _stage(
         )
     start = env.now if checker is not None else 0.0
     if injector is None:
-        if body is None:
-            yield env.timeout(duration)
-        else:
-            yield from body(1.0)
+        yield env.timeout(duration)
     else:
         ctx = StageContext(
             member=member_name,
@@ -456,7 +391,7 @@ def _stage(
             step_time=step_time,
             producer=producer,
         )
-        yield from injector.execute(env, ctx, body)
+        yield from injector.execute(env, ctx)
     if checker is not None:
         checker.observe_stage(
             member_name, component, stage, step, start, env.now, duration
@@ -470,9 +405,7 @@ def _simulation_process(
     jitter: Callable[[], float],
     written: List[Event],
     all_read: List[Event],
-    dtl: Optional[DataTransportLayer] = None,
     injector: Optional[FaultInjector] = None,
-    dropped: Optional[Set[str]] = None,
     checker: Optional[InvariantChecker] = None,
     drift: Optional[DriftSchedule] = None,
     controller: Optional[RescheduleController] = None,
@@ -531,22 +464,6 @@ def _simulation_process(
         )
         t3 = env.now
         tracer.record(sim.name, Stage.SIM_WRITE, step, t2, t3)
-        if dtl is not None:
-            # real-data mode: stage a sentinel payload; the DTL's
-            # no-buffering check fires here if the protocol were broken.
-            # Dropped (degraded) analyses no longer count as consumers.
-            active = len(member.analyses) - (len(dropped) if dropped else 0)
-            if active > 0:
-                chunk = Chunk(
-                    key=ChunkKey(producer=sim.name, step=step),
-                    payload=np.array([float(step), t3], dtype=np.float64),
-                    metadata={"member": member.name},
-                )
-                dtl.stage(
-                    chunk,
-                    producer_node=sim.node,
-                    expected_consumers=active,
-                )
         written[step].succeed(step)
 
 
@@ -558,17 +475,14 @@ def _analysis_process(
     jitter: Callable[[], float],
     written: List[Event],
     read_done: List[List[Event]],
-    dtl: Optional[DataTransportLayer] = None,
-    nics=None,
     injector: Optional[FaultInjector] = None,
-    dropped: Optional[Set[str]] = None,
     checker: Optional[InvariantChecker] = None,
     drift: Optional[DriftSchedule] = None,
     controller: Optional[RescheduleController] = None,
 ):
     """R -> A -> I^A per step; R_i gated on W_i.
 
-    The effective analysis (node, stage times, NIC) is re-read through
+    The effective analysis (node and stage times) is re-read through
     ``binding`` after the ``written[step]`` gate fires — by then the
     member's simulation has already begun this step, so any migration
     adopted at the step boundary is visible here before the step's R
@@ -595,35 +509,13 @@ def _analysis_process(
             member = binding.member
             ana = member.analyses[index]
             step_time = ana.io_time + ana.compute_time
-            nic = (
-                nics.get(ana.producer_node)
-                if nics is not None and ana.transport_time > 0
-                else None
-            )
-
-            def read_body(scale: float) -> Generator:
-                # local share first (marshal + copy), then the network
-                # transport holding the producer's NIC
-                local_share = ana.io_time - ana.transport_time
-                if local_share > 0:
-                    yield env.timeout(local_share * jitter() * scale)
-                req = nic.request(1)
-                yield req
-                yield env.timeout(ana.transport_time * jitter() * scale)
-                nic.release(req)
-
-            if nic is None:
-                read_duration = ana.io_time * jitter()
-                if drift is not None:
-                    read_duration *= drift.factor(ana.node, "R", step)
-                body = None
-            else:
-                read_duration = ana.io_time
-                body = read_body
+            read_duration = ana.io_time * jitter()
+            if drift is not None:
+                read_duration *= drift.factor(ana.node, "R", step)
             try:
                 yield from _stage(
                     env, injector, member_name, ana_name, "R", step,
-                    read_duration, step_time, producer=sim_name, body=body,
+                    read_duration, step_time, producer=sim_name,
                     checker=checker, telemetry=controller,
                 )
             except AnalysisDropped:
@@ -631,16 +523,6 @@ def _analysis_process(
                 raise
             t2 = env.now
             tracer.record(ana_name, Stage.ANA_READ, step, t1, t2)
-            if dtl is not None:
-                chunk = dtl.retrieve(
-                    ChunkKey(producer=sim_name, step=step),
-                    consumer=ana_name,
-                )
-                if int(chunk.payload[0]) != step:  # pragma: no cover
-                    raise ProtocolError(
-                        f"member {member_name!r}: {ana_name} read step "
-                        f"{int(chunk.payload[0])} while expecting {step}"
-                    )
             read_done[step][index].succeed(step)
 
             a_duration = ana.compute_time * jitter()
@@ -662,28 +544,15 @@ def _analysis_process(
             ana_name, Stage.ANA_IDLE, n_steps - 1, env.now, env.now
         )
     except AnalysisDropped:
-        _retire_analysis(binding.member, index, read_done, dtl, dropped)
+        _retire_analysis(index, read_done)
 
 
-def _retire_analysis(
-    member: EffectiveMember,
-    index: int,
-    read_done: List[List[Event]],
-    dtl: Optional[DataTransportLayer],
-    dropped: Optional[Set[str]],
-) -> None:
+def _retire_analysis(index: int, read_done: List[List[Event]]) -> None:
     """Release a dropped analysis from the member's coupling protocol.
 
     The degraded analysis stops gating the simulation: every pending
-    read barrier it owned is released, and the DTL forgets it as a
-    consumer (so already-staged chunks can be reclaimed and future
-    stagings expect one fewer reader).
+    read barrier it owned is released.
     """
-    ana = member.analyses[index]
-    if dropped is not None:
-        dropped.add(ana.name)
-    if dtl is not None:
-        dtl.forget_consumer(member.simulation.name, ana.name)
     for events in read_done:
         event = events[index]
         if not event.triggered:

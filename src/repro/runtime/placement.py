@@ -86,17 +86,14 @@ class EnsemblePlacement:
         return out
 
     def validate_against(
-        self,
-        spec: EnsembleSpec,
-        cores_per_node: int,
-        allow_oversubscription: bool = False,
+        self, spec: EnsembleSpec, cores_per_node: int
     ) -> Dict[int, int]:
         """Check member count and per-node core demand.
 
         Returns the per-node core demand map. Raises
         :class:`PlacementError` if the member/coupling counts disagree
-        with the spec, or — unless ``allow_oversubscription`` — if any
-        node's demand exceeds ``cores_per_node``.
+        with the spec, or if any node's demand exceeds
+        ``cores_per_node``.
         """
         if len(self.members) != spec.num_members:
             raise PlacementError(
@@ -116,15 +113,12 @@ class EnsemblePlacement:
             )
             for ana, node in zip(member_spec.analyses, mp.analysis_nodes):
                 demand[node] = demand.get(node, 0) + ana.cores
-        if not allow_oversubscription:
-            overloaded = {
-                n: c for n, c in demand.items() if c > cores_per_node
-            }
-            if overloaded:
-                raise PlacementError(
-                    f"nodes oversubscribed (capacity {cores_per_node}): "
-                    f"{overloaded}"
-                )
+        overloaded = {n: c for n, c in demand.items() if c > cores_per_node}
+        if overloaded:
+            raise PlacementError(
+                f"nodes oversubscribed (capacity {cores_per_node}): "
+                f"{overloaded}"
+            )
         return demand
 
 

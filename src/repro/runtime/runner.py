@@ -21,8 +21,6 @@ def run_ensemble(
     dtl: Optional[DataTransportLayer] = None,
     seed: Optional[int] = 0,
     timing_noise: float = 0.0,
-    allow_oversubscription: bool = False,
-    stage_real_chunks: bool = False,
     failure_model: Optional[FailureModel] = None,
     recovery: Optional[RecoveryPolicy] = None,
     verify: bool = False,
@@ -51,8 +49,6 @@ def run_ensemble(
         dtl=dtl,
         seed=seed,
         timing_noise=timing_noise,
-        allow_oversubscription=allow_oversubscription,
-        stage_real_chunks=stage_real_chunks,
         failure_model=failure_model,
         recovery=recovery,
         verify=verify,

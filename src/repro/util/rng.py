@@ -66,37 +66,22 @@ class RandomSource:
         child._generator = None
         return child
 
-    def uniform_jitter(self, base: float, relative_width: float) -> float:
-        """Draw ``base`` perturbed by +/- ``relative_width`` (relative).
-
-        A ``relative_width`` of 0 returns ``base`` exactly without
-        consuming randomness, keeping noise-free runs bit-reproducible
-        regardless of stream state.
-        """
-        if relative_width < 0:
-            raise ValidationError(
-                f"relative_width must be >= 0, got {relative_width!r}"
-            )
-        if relative_width == 0:
-            return base
-        lo = 1.0 - relative_width
-        hi = 1.0 + relative_width
-        return float(base * self.generator.uniform(lo, hi))
-
     def jitter_factors(self, relative_width: float, count: int) -> np.ndarray:
         """``count`` multiplicative jitter factors from one vector draw.
 
-        ``base * factors[i]`` equals the ``i``-th of ``count``
-        successive :meth:`uniform_jitter` draws ``(base,
-        relative_width)`` on this stream, bit for bit: one
-        ``uniform(size=count)`` call yields the doubles of ``count``
-        scalar calls. A ``relative_width`` of 0 returns ones without
-        consuming randomness (or building the generator).
+        The factors are uniform on ``[1 - relative_width, 1 +
+        relative_width]``, and ``factors[i]`` is the ``i``-th of
+        ``count`` successive scalar ``generator.uniform`` draws on this
+        stream, bit for bit: one ``uniform(size=count)`` call yields
+        the doubles of ``count`` scalar calls. A ``relative_width`` of
+        0 returns ones without consuming randomness (or building the
+        generator), keeping noise-free runs bit-reproducible regardless
+        of stream state.
 
         >>> vector = RandomSource(7).jitter_factors(0.02, 4)
-        >>> scalar = RandomSource(7)
-        >>> [2.5 * f for f in vector] == [
-        ...     scalar.uniform_jitter(2.5, 0.02) for _ in range(4)]
+        >>> scalar = RandomSource(7).generator
+        >>> vector.tolist() == [
+        ...     scalar.uniform(1 - 0.02, 1 + 0.02) for _ in range(4)]
         True
         >>> RandomSource(7).jitter_factors(0.0, 3).tolist()
         [1.0, 1.0, 1.0]

@@ -14,8 +14,8 @@ their agreement into enforced infrastructure:
 - :mod:`repro.verify.invariants` — the runtime
   :class:`InvariantChecker` the executor hooks into its stage choke
   point (``verify=True`` / CLI ``--verify``): clock monotonicity,
-  step ordering, Eq. 1 period consistency, resource and DTL
-  conservation, Eq. 3 efficiency bounds — zero-cost when disabled;
+  step ordering, Eq. 1 period consistency, Eq. 3 efficiency
+  bounds — zero-cost when disabled;
 - :mod:`repro.verify.goldens` — the golden-trace regression store of
   canonical scenarios (``tests/golden/``, regenerated by
   ``scripts/update_goldens.py``).

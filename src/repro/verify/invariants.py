@@ -13,17 +13,12 @@ protocol's structural invariants:
   at 0 and increases by exactly 1 (dropped analyses may stop early,
   never skip);
 - **duration fidelity** (exact mode) — with zero timing noise, no
-  fault injection, and no NIC contention, every stage's wall time
-  equals its nominal effective duration to float precision;
+  fault injection, and no drift, every stage's wall time equals its
+  nominal effective duration to float precision;
 - **Eq. 1 period consistency** (exact mode) — from the second step on,
   consecutive simulation-stage starts are exactly ``sigma* =
   max(S*+W*, max_j R_j*+A_j*)`` apart, the paper's steady-state
   period;
-- **resource conservation** — every DES :class:`~repro.des.resources
-  .Resource` ends the run with zero units in use and an empty queue;
-- **DTL chunk accounting** — the no-buffering store ends the run with
-  no live slots, and its byte/read counters are consistent with the
-  observed W/R stages;
 - **Eq. 3 efficiency bounds** — every member's measured ``E``
   satisfies ``E <= 1`` and ``E > 1/K - 1`` (so ``E`` lies in
   ``(0, 1]`` for ``K = 1``).
@@ -42,13 +37,11 @@ want failures to be loud (the executor's default) raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.util.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.des.resources import Resource
-    from repro.dtl.base import DataTransportLayer
     from repro.runtime.results import ExecutionResult
 
 #: absolute slack granted to float-exact comparisons (clock arithmetic
@@ -98,7 +91,7 @@ class InvariantChecker:
     ----------
     exact:
         True when the run is deterministic (zero timing noise, no
-        fault injector, no NIC contention): enables the float-exact
+        fault injector, no drift): enables the float-exact
         duration and Eq. 1 period checks on top of the structural
         ones. The executor sets this automatically.
     """
@@ -271,60 +264,6 @@ class InvariantChecker:
                         f"{member}: period between S{i} and S{i + 1} is "
                         f"{period!r}, expected sigma*={sigma!r} (Eq. 1)",
                     )
-
-    def check_resources(self, resources: Iterable["Resource"]) -> None:
-        """Every resource ends the run drained: nothing held or queued."""
-        for resource in resources:
-            label = resource.name or repr(resource)
-            self._check(
-                resource.in_use == 0,
-                f"resource {label}: {resource.in_use} units still in use "
-                f"after the run (conservation violated)",
-            )
-            self._check(
-                resource.queue_length == 0,
-                f"resource {label}: {resource.queue_length} requests still "
-                f"queued after the run",
-            )
-            self._check(
-                resource.available == resource.capacity,
-                f"resource {label}: available={resource.available} != "
-                f"capacity={resource.capacity} after the run",
-            )
-
-    def check_dtl(self, dtl: "DataTransportLayer") -> None:
-        """No-buffering accounting: the store drained, counters sane."""
-        self._check(
-            dtl.live_slots == 0,
-            f"DTL {dtl.name!r}: {dtl.live_slots} chunks still staged after "
-            f"the run (every slot must be reclaimed)",
-        )
-        self._check(
-            dtl.bytes_staged_total >= 0,
-            f"DTL {dtl.name!r}: negative bytes_staged_total "
-            f"{dtl.bytes_staged_total!r}",
-        )
-        writes = sum(
-            count
-            for (component, stage), count in self._next_step.items()
-            if stage == "W"
-        )
-        reads = sum(
-            count
-            for (component, stage), count in self._next_step.items()
-            if stage == "R"
-        )
-        self._check(
-            dtl.reads_served_total <= reads or reads == 0,
-            f"DTL {dtl.name!r}: served {dtl.reads_served_total} reads but "
-            f"only {reads} R stages ran",
-        )
-        if writes and dtl.bytes_staged_total == 0:
-            self._fail(
-                f"DTL {dtl.name!r}: {writes} W stages ran but no bytes "
-                f"were staged"
-            )
-            self.checks_performed += 1
 
     def check_result(self, result: "ExecutionResult") -> None:
         """Eq. 3 bounds and makespan sanity on the distilled result."""

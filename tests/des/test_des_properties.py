@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.des.engine import Environment
-from repro.des.resources import Resource
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -48,62 +47,6 @@ class TestEventOrdering:
             env.step()
             assert env.now >= prev
             prev = env.now
-
-
-class TestResourceInvariants:
-    @given(
-        st.integers(min_value=1, max_value=8),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=8),
-                st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=15,
-        ),
-    )
-    @settings(max_examples=50)
-    def test_in_use_never_exceeds_capacity(self, capacity, jobs):
-        env = Environment()
-        res = Resource(env, capacity=capacity)
-        violations = []
-
-        def worker(env, res, amount, hold):
-            amount = min(amount, res.capacity)
-            req = res.request(amount)
-            yield req
-            if res.in_use > res.capacity:
-                violations.append(res.in_use)
-            yield env.timeout(hold)
-            res.release(req)
-
-        for amount, hold in jobs:
-            env.process(worker(env, res, amount, hold))
-        env.run()
-        assert not violations
-        assert res.in_use == 0  # everything returned
-
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=30)
-    def test_all_requests_eventually_served(self, capacity, njobs):
-        env = Environment()
-        res = Resource(env, capacity=capacity)
-        served = []
-
-        def worker(env, res, i):
-            req = res.request(1)
-            yield req
-            yield env.timeout(1.0)
-            res.release(req)
-            served.append(i)
-
-        for i in range(njobs):
-            env.process(worker(env, res, i))
-        env.run()
-        assert sorted(served) == list(range(njobs))
 
 
 class TestHandoffInvariants:

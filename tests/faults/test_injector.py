@@ -13,6 +13,7 @@ import pytest
 from repro.configs.base import build_spec
 from repro.configs.table2 import TABLE2_CONFIGS
 from repro.des.engine import Environment
+from repro.faults.batched import capture_timeline, replay_schedules
 from repro.faults.injector import (
     AnalysisDropped,
     FaultInjector,
@@ -31,10 +32,11 @@ from repro.faults.models import (
 from repro.faults.recovery import (
     CheckpointRestartPolicy,
     DropAnalysisPolicy,
+    RecoveryAction,
+    RecoveryPolicy,
     RetryBackoffPolicy,
 )
 from repro.monitoring.traceio import tracer_to_dict
-from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.runner import run_ensemble
 from repro.util.errors import ValidationError
 
@@ -91,23 +93,6 @@ class TestZeroFailureDeterminism:
             spec, placement, seed=3, failure_model=NoFailureModel()
         )
         assert _trace_bytes(injected) == _trace_bytes(baseline)
-
-    def test_zero_rate_congestion_aware_byte_identical(self):
-        spec, placement = _spec("C1.1"), _placement("C1.1")
-
-        def execute(model):
-            return EnsembleExecutor(
-                spec=spec,
-                placement=placement,
-                seed=5,
-                timing_noise=0.03,
-                congestion_aware=True,
-                failure_model=model,
-            ).run()
-
-        assert _trace_bytes(execute(RandomFailureModel(rate=0.0))) == (
-            _trace_bytes(execute(None))
-        )
 
     def test_injected_run_is_reproducible(self):
         spec, placement = _spec(), _placement()
@@ -235,19 +220,28 @@ class TestInjectedFaults:
         ]
         assert len(sim_records) == spec.members[0].n_steps
 
-    def test_degrade_with_real_chunks_releases_dtl(self):
-        spec, placement = _spec(), _placement()
-        result = run_ensemble(
-            spec,
-            placement,
-            seed=0,
-            stage_real_chunks=True,
-            failure_model=ScheduledFailureModel(
-                [_crash(component="em1.ana1", stage="A", step=1)]
-            ),
-            recovery=DropAnalysisPolicy(),
-        )
-        assert result.fault_log.dropped_components == ["em1.ana1"]
+    def test_dropped_simulation_fails_both_engines(self):
+        # a policy that drops whatever crashed, simulations included:
+        # the serial run must fail like the delta replay does, not
+        # return the two steps traced before the drop
+        class DropAll(RecoveryPolicy):
+            name = "drop-all"
+
+            def on_crash(self, ctx, attempt):
+                return RecoveryAction("drop", 0.0)
+
+        spec, placement = _spec(n_steps=6), _placement()
+        model = ScheduledFailureModel([_crash(component="em1.sim", step=2)])
+        with pytest.raises(AnalysisDropped, match="em1.sim dropped at step 2"):
+            run_ensemble(
+                spec, placement, failure_model=model, recovery=DropAll()
+            )
+        with pytest.raises(AnalysisDropped, match="em1.sim dropped at step 2"):
+            replay_schedules(
+                [capture_timeline(spec, placement)],
+                [model.build_schedule(spec)],
+                DropAll(),
+            )
 
     def test_checkpoint_restart_costs_more_late_in_period(self):
         spec, placement = _spec(), _placement()

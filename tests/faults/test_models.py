@@ -1,5 +1,7 @@
 """Tests for failure models and fault schedules."""
 
+import math
+
 import pytest
 
 from repro.configs.base import build_spec
@@ -57,6 +59,33 @@ class TestFaultEvent:
         with pytest.raises(ValidationError):
             _event(kind=FaultKind.STALL, magnitude=-1.0)
         _event(kind=FaultKind.STALL, magnitude=0.0)  # zero is fine
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+    def test_non_finite_magnitude_rejected(self, kind, magnitude):
+        with pytest.raises(ValidationError, match="must be finite"):
+            _event(kind=kind, magnitude=magnitude)
+
+    @pytest.mark.parametrize(
+        "kind, option",
+        [
+            (FaultKind.STALL, "stall_seconds"),
+            (FaultKind.STRAGGLER, "straggler_factor"),
+            (FaultKind.CHUNK_LOSS, "detection_seconds"),
+        ],
+        ids=["stall", "straggler", "chunk"],
+    )
+    def test_non_finite_model_magnitude_fails_the_schedule(
+        self, kind, option
+    ):
+        # unchecked, a NaN stall would be scheduled and then skipped by
+        # the injector's ``magnitude > 0`` test, and an infinite
+        # straggler would fail only after the run
+        model = RandomFailureModel(
+            rate=0.5, kinds=(kind,), seed=0, **{option: math.nan}
+        )
+        with pytest.raises(ValidationError, match="must be finite"):
+            model.build_schedule(_spec())
 
     def test_bad_stage_rejected(self):
         with pytest.raises(ValidationError):

@@ -93,23 +93,9 @@ class TestAllocation:
         with pytest.raises(PlacementError):
             node.allocate("ana", 8, ANA)
 
-    def test_oversubscription_when_allowed(self, node):
-        node.allocate("sim", 30, SIM)
-        alloc = node.allocate("ana", 8, ANA, allow_oversubscription=True)
-        assert alloc.num_cores == 8
-        assert node.free_cores == 0
-
-    def test_oversubscription_wraps_onto_cores_not_yet_held(self, node):
-        # the 30 free cores are 1..15 and 17..31; the two extra slots
-        # wrap onto the lowest cores the request does not hold yet
-        node.allocate("a", 2, SIM)
-        alloc = node.allocate("b", 32, ANA, allow_oversubscription=True)
-        assert sorted(alloc.cores) == list(range(32))
-        assert alloc.cores[-2:] == (0, 16)
-
     def test_oversubscribed_request_above_node_capacity_rejected(self, node):
-        with pytest.raises(PlacementError, match=r"'ana'.*33.*32"):
-            node.allocate("ana", 33, ANA, allow_oversubscription=True)
+        with pytest.raises(PlacementError, match=r"32 free cores.*33.*'ana'"):
+            node.allocate("ana", 33, ANA)
 
     def test_allocation_of(self, node):
         alloc = node.allocate("sim", 8, SIM)

@@ -1,11 +1,9 @@
 """Pinned digests of seeded noisy runs on every path that draws jitter.
 
 Each executor path consumes the per-component timing-noise streams in
-its own way: a plain run draws two factors per step, a congestion-aware
-run draws a remote read's local share and transport separately, a
-fault-injected run re-runs stages under its recovery policy, a drifted
-run re-prices members after a migration, and a real-chunk run moves
-payloads through the DTL in lockstep. The SHA-256 of each run's
+its own way: a plain run draws two factors per step, a fault-injected
+run re-runs stages under its recovery policy, and a drifted run
+re-prices members after a migration. The SHA-256 of each run's
 canonical trace (and of its distilled results: steady-state stages,
 makespans and the noisy synthetic counters) is pinned here, so a change
 to how the streams are drawn cannot move a single float unnoticed. The
@@ -31,7 +29,6 @@ from repro.reschedule import (
     RescheduleController,
     StaticDriftModel,
 )
-from repro.runtime.effective import compute_effective_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.verify.goldens import canonical_json
 
@@ -56,22 +53,16 @@ def _drifted():
 #: per run because models, policies and controllers carry run state.
 PATHS = {
     "plain": ("C1.5", 8, dict),
-    "congestion": ("C1.3", 8, lambda: dict(congestion_aware=True)),
     "faults-retry": ("C1.5", 8, lambda: _faults(RetryBackoffPolicy())),
     "faults-restart": ("C1.5", 8, lambda: _faults(CheckpointRestartPolicy())),
     "faults-degrade": ("C1.5", 8, lambda: _faults(DropAnalysisPolicy())),
     "rescheduled": ("C1.3", 12, _drifted),
-    "real-chunks": ("C1.5", 8, lambda: dict(stage_real_chunks=True)),
 }
 
 #: (trace digest, results digest) per path, recorded when every stage
 #: drew its own scalar factor, so they hold the vector draws to the
 #: scalar draws' floats.
 EXPECTED = {
-    "congestion": (
-        "5b5a871477e5c518dc91702ef9843ac18c2958e660be5f06d4694945396f66ba",
-        "9649f57460d9f2b7696a6e6826389a1d4de77a39333959742a570c692cf80529",
-    ),
     "faults-degrade": (
         "d0ba53ad6c301c9940cddd8c2c1622c319b4e5be12a486673b94af11fb8ffdf2",
         "1fba1e2035e39fdb51559e3745b0225e4f086ba3c39964f9a5640b71dd501cc7",
@@ -85,11 +76,6 @@ EXPECTED = {
         "46a43a1e25b649e854db1aa8cb26233f82a3b4a67cef058b7b50beb256b15f15",
     ),
     "plain": (
-        "b10a6529e27f2f952cb5253226b79dd0f6da9d62f1a754ef46de86e525a32245",
-        "5a9acb12be8808bb50124e3a26a31759885695c1fb2a0340ce0d5e52330aa2dc",
-    ),
-    # the real data path moves no clock: same floats as the plain run
-    "real-chunks": (
         "b10a6529e27f2f952cb5253226b79dd0f6da9d62f1a754ef46de86e525a32245",
         "5a9acb12be8808bb50124e3a26a31759885695c1fb2a0340ce0d5e52330aa2dc",
     ),
@@ -155,18 +141,6 @@ def test_digest_is_pinned(path):
 
 class TestPathsDrawWhatTheyName:
     """Each path really takes the branch its digest is meant to pin."""
-
-    def test_congestion_run_has_remote_reads_with_a_local_share(self):
-        executor, _ = _run("congestion")
-        reads = [
-            a
-            for m in compute_effective_stages(
-                executor.spec, executor.placement, executor.cluster,
-                executor.dtl,
-            )
-            for a in m.analyses
-        ]
-        assert any(0 < a.transport_time < a.io_time for a in reads)
 
     @pytest.mark.parametrize(
         "path", ["faults-retry", "faults-restart", "faults-degrade"]

@@ -7,8 +7,7 @@ from repro.monitoring.tracer import Stage
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.runner import run_ensemble
-from repro.runtime.spec import EnsembleSpec, default_member
-from repro.util.errors import ValidationError
+from repro.util.errors import PlacementError, ValidationError
 
 
 @pytest.fixture
@@ -147,24 +146,9 @@ class TestSteadyState:
             # which is strictly less than one extra sigma
             assert n * sigma - 1e-9 <= m.makespan <= (n + 1) * sigma
 
-    def test_oversubscribed_component_gets_distinct_core_slots(self):
-        # an 8-core simulation and a 32-core analysis share one node:
-        # the analysis takes the 24 free cores plus 8 of the simulation's
-        spec = EnsembleSpec(
-            "x",
-            (default_member("m", sim_cores=8, ana_cores=32, n_steps=3),),
-        )
-        placement = EnsemblePlacement(1, (MemberPlacement(0, (0,)),))
-        result = run_ensemble(spec, placement, allow_oversubscription=True)
-        assert result.ensemble_makespan > 0
-
-    def test_oversubscribed_run_allowed_when_requested(self, two_member_spec):
+    def test_oversubscribed_run_rejected(self, two_member_spec):
         placement = EnsemblePlacement(
             2, (MemberPlacement(0, (0,)), MemberPlacement(0, (1,)))
         )
-        with pytest.raises(Exception):
+        with pytest.raises(PlacementError, match="oversubscribed"):
             run_ensemble(two_member_spec, placement)
-        result = run_ensemble(
-            two_member_spec, placement, allow_oversubscription=True
-        )
-        assert result.ensemble_makespan > 0

@@ -50,25 +50,6 @@ class TestRandomSource:
         RandomSource(None).generator.random()
 
 
-class TestUniformJitter:
-    def test_zero_width_returns_base_exactly(self):
-        src = RandomSource(3)
-        before = src.generator.bit_generator.state["state"]["state"]
-        assert src.uniform_jitter(10.0, 0.0) == 10.0
-        after = src.generator.bit_generator.state["state"]["state"]
-        assert before == after  # no randomness consumed
-
-    def test_jitter_stays_within_bounds(self):
-        src = RandomSource(4)
-        for _ in range(200):
-            v = src.uniform_jitter(10.0, 0.05)
-            assert 9.5 <= v <= 10.5
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValidationError):
-            RandomSource(0).uniform_jitter(1.0, -0.1)
-
-
 class TestJitterFactors:
     @settings(deadline=None)
     @given(
@@ -83,9 +64,15 @@ class TestJitterFactors:
         self, seed, width, count, base
     ):
         vector = RandomSource(seed).jitter_factors(width, count).tolist()
-        scalar = RandomSource(seed)
-        expected = [scalar.uniform_jitter(base, width) for _ in range(count)]
+        scalar = RandomSource(seed).generator
+        expected = [
+            base * scalar.uniform(1 - width, 1 + width) for _ in range(count)
+        ]
         assert [base * factor for factor in vector] == expected
+
+    def test_factors_stay_within_bounds(self):
+        factors = RandomSource(4).jitter_factors(0.05, 200)
+        assert ((0.95 <= factors) & (factors <= 1.05)).all()
 
     def test_zero_width_draws_nothing(self):
         src = RandomSource(3)
@@ -97,6 +84,29 @@ class TestJitterFactors:
     def test_negative_width_rejected(self):
         with pytest.raises(ValidationError):
             RandomSource(0).jitter_factors(-0.1, 3)
+
+
+class TestUniformJitter:
+    """A base duration times its jitter factor, on a stream that has
+    already drawn, as the executor applies it per timed stage."""
+
+    def test_zero_width_returns_base_exactly(self):
+        src = RandomSource(3)
+        src.generator.random()
+        before = src.generator.bit_generator.state["state"]["state"]
+        (factor,) = src.jitter_factors(0.0, 1).tolist()
+        assert 10.0 * factor == 10.0
+        after = src.generator.bit_generator.state["state"]["state"]
+        assert before == after  # no randomness consumed
+
+    def test_negative_width_rejected(self):
+        src = RandomSource(0)
+        src.generator.random()
+        before = src.generator.bit_generator.state["state"]["state"]
+        with pytest.raises(ValidationError):
+            src.jitter_factors(-0.1, 1)
+        after = src.generator.bit_generator.state["state"]["state"]
+        assert before == after  # rejected before any draw
 
 
 class TestLazyGenerator:
