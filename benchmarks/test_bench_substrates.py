@@ -49,7 +49,7 @@ def test_bench_des_event_throughput(benchmark):
         env.process(writer(env))
         for j in range(readers):
             env.process(reader(env, j))
-        env.run(until=joined[-1])
+        env.run()
         return env.now
 
     now = benchmark(run)
@@ -60,13 +60,16 @@ def test_bench_des_event_throughput(benchmark):
 def test_bench_contention_assessment(benchmark):
     """Assess a fully packed node (the executor's hot path)."""
     cluster = make_cori_like_cluster(1)
-    node = cluster.node(0)
-    node.allocate("sim", 16, simulation_profile("sim"))
-    node.allocate("ana1", 8, analysis_profile("ana1"))
-    node.allocate("ana2", 8, analysis_profile("ana2"))
+    residents = [
+        (simulation_profile("sim"), 16),
+        (analysis_profile("ana1"), 8),
+        (analysis_profile("ana2"), 8),
+    ]
 
-    out = benchmark(lambda: node.assess(cluster.contention))
-    assert set(out) == {"sim", "ana1", "ana2"}
+    out = benchmark(
+        lambda: cluster.contention.assess(cluster.node_spec, residents)
+    )
+    assert [a.profile.name for a in out] == ["sim", "ana1", "ana2"]
 
 
 def test_bench_chunk_roundtrip(benchmark):

@@ -46,33 +46,24 @@ as ``repro.runtime.executor`` couples a simulation to its analyses:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, Iterable, List, Tuple
 
 from repro.des.events import AllOf, Event, Timeout
 from repro.des.process import Process
 from repro.util.errors import SimulationError, ValidationError
 
 
-class EmptySchedule(SimulationError):
-    """The event queue ran dry before the ``until`` horizon was reached."""
-
-
 class Environment:
     """A single-threaded discrete-event simulation environment.
 
-    Parameters
-    ----------
-    initial_time:
-        Virtual time at which the clock starts (default 0.0).
+    The clock starts at 0.0; :meth:`run` processes events until the
+    queue is empty.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        if initial_time < 0:
-            raise ValidationError(f"initial_time must be >= 0, got {initial_time!r}")
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._next_id = 0
-        self._processes: List[Process] = []
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -91,18 +82,7 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         """Start a process from a generator of events."""
-        proc = Process(self, generator)
-        self._processes.append(proc)
-        return proc
-
-    def _stalled_processes(self, limit: int = 8) -> str:
-        """Describe still-alive processes for EmptySchedule diagnostics."""
-        alive = [p for p in self._processes if p.is_alive]
-        if not alive:
-            return "no processes are still alive"
-        shown = ", ".join(repr(p) for p in alive[:limit])
-        extra = f" (+{len(alive) - limit} more)" if len(alive) > limit else ""
-        return f"{len(alive)} processes still alive: {shown}{extra}"
+        return Process(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when every event in ``events`` has."""
@@ -116,71 +96,15 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, self._next_id, event))
         self._next_id += 1
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     def step(self) -> None:
         """Process exactly one event, advancing the clock to it."""
-        if not self._queue:
-            raise EmptySchedule(
-                f"no events scheduled at t={self._now:g}; "
-                f"{self._stalled_processes()}"
-            )
         when, _eid, event = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
         event._run_callbacks()
 
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        - ``None``: run until the event queue is exhausted;
-        - a number: run until virtual time reaches it (clock is set to
-          ``until`` even if the queue empties earlier);
-        - an :class:`Event`: run until that event is *processed* and
-          return its value (raising if the event failed). If the queue
-          empties first, :class:`EmptySchedule` is raised — the event
-          can never trigger.
-        """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            finished = {"done": False}
-
-            def _mark(_event: Event) -> None:
-                finished["done"] = True
-
-            if sentinel.processed:
-                return sentinel.value
-            assert sentinel.callbacks is not None
-            sentinel.callbacks.append(_mark)
-            while not finished["done"]:
-                if not self._queue:
-                    raise EmptySchedule(
-                        "event queue exhausted at "
-                        f"t={self._now:g} before the 'until' event "
-                        f"({sentinel!r}) triggered; "
-                        f"{self._stalled_processes()}"
-                    )
-                self.step()
-            return sentinel.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValidationError(
-                f"cannot run until {horizon} (clock already at {self._now})"
-            )
-        while self._queue and self._queue[0][0] <= horizon:
+    def run(self) -> None:
+        """Run the simulation until the event queue is exhausted."""
+        while self._queue:
             self.step()
-        self._now = horizon
-        return None

@@ -179,11 +179,5 @@ class DataTransportLayer(abc.ABC):
         """Number of chunks currently resident."""
         return len(self._slots)
 
-    def live_bytes_on_node(self, node: int) -> int:
-        """Bytes currently staged in a given node's memory."""
-        return sum(
-            s.chunk.nbytes for s in self._slots.values() if s.producer_node == node
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, live={self.live_slots})"

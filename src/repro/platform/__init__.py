@@ -1,6 +1,6 @@
 """Cluster hardware model: nodes, caches, memory bandwidth, network.
 
-This subpackage simulates the aspects of an HPC machine that the paper's
+This subpackage describes the aspects of an HPC machine that the paper's
 evaluation depends on:
 
 - **nodes** with a fixed core count split across sockets, each socket
@@ -8,7 +8,8 @@ evaluation depends on:
   bandwidth (:mod:`repro.platform.node`);
 - a **contention model** translating co-location of components into
   elevated LLC miss ratios, reduced IPC, and execution-time dilation
-  (:mod:`repro.platform.contention`);
+  (:mod:`repro.platform.contention`): a pure function from a node spec
+  and its residents, in allocation order, to their assessments;
 - a **dragonfly-style network** giving hop-dependent latency and link
   bandwidth for inter-node staging transfers
   (:mod:`repro.platform.network`);
@@ -19,6 +20,10 @@ The defining behaviours preserved from the real machine are (a) cache
 and memory-bandwidth interference between co-located components and
 (b) the locality gap between in-node memory copies and cross-node
 network transfers. Those two effects drive every figure in the paper.
+
+Everything here is a read-only description: a
+:class:`~repro.platform.cluster.Cluster` holds no occupancy, and pricing
+a placement never mutates it.
 """
 
 from repro.platform.cache import CacheSpec
@@ -29,7 +34,7 @@ from repro.platform.contention import (
     WorkloadProfile,
 )
 from repro.platform.network import DragonflyNetwork, NetworkSpec
-from repro.platform.node import CoreAllocation, Node, NodeSpec
+from repro.platform.node import NodeSpec
 from repro.platform.specs import (
     cori_like_node,
     cori_like_network,
@@ -42,10 +47,8 @@ __all__ = [
     "Cluster",
     "ContentionAssessment",
     "ContentionModel",
-    "CoreAllocation",
     "DragonflyNetwork",
     "NetworkSpec",
-    "Node",
     "NodeSpec",
     "WorkloadProfile",
     "cori_like_network",

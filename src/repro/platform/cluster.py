@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.platform.contention import ContentionAssessment, ContentionModel
+from repro.platform.contention import ContentionModel
 from repro.platform.network import DragonflyNetwork
-from repro.platform.node import Node, NodeSpec
-from repro.util.errors import PlacementError, ValidationError
+from repro.platform.node import NodeSpec
 from repro.util.validation import require_positive_int
 
 
@@ -17,6 +16,12 @@ class Cluster:
     This models the *allocation* granted to a workflow ensemble (the
     ``M`` nodes of the paper), not the whole machine: node indexes used
     in placements are relative to this allocation, starting at 0.
+
+    A cluster is a read-only platform description — node spec, node
+    count, network and contention model. It holds no occupancy: pricing
+    a placement (:func:`~repro.runtime.effective
+    .compute_effective_stages`) never mutates it, so one cluster may be
+    shared across threads.
     """
 
     def __init__(
@@ -26,67 +31,13 @@ class Cluster:
         network: Optional[DragonflyNetwork] = None,
         contention: Optional[ContentionModel] = None,
     ) -> None:
-        require_positive_int("num_nodes", num_nodes)
         self.node_spec = node_spec
+        self.num_nodes = require_positive_int("num_nodes", num_nodes)
         self.network = network or DragonflyNetwork()
         self.contention = contention or ContentionModel(
             core_freq_hz=node_spec.core_freq_hz,
             memory_bandwidth=node_spec.memory_bandwidth,
         )
-        self.nodes: List[Node] = [Node(i, node_spec) for i in range(num_nodes)]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node(self, index: int) -> Node:
-        """The node at allocation-relative ``index``."""
-        if not 0 <= index < len(self.nodes):
-            raise PlacementError(
-                f"node index {index} outside allocation of {len(self.nodes)} nodes"
-            )
-        return self.nodes[index]
-
-    def nodes_hosting(self, component: str) -> List[Node]:
-        """All nodes on which ``component`` holds cores."""
-        return [n for n in self.nodes if component in n.residents]
-
-    def assess_all(self) -> Dict[str, ContentionAssessment]:
-        """Contention assessment for every resident component.
-
-        Components placed on multiple nodes keep the assessment of their
-        lowest-index node (the paper's components never span nodes, but
-        the API stays total).
-        """
-        out: Dict[str, ContentionAssessment] = {}
-        for node in self.nodes:
-            if not node.residents:
-                continue
-            for name, assessment in node.assess(self.contention).items():
-                out.setdefault(name, assessment)
-        return out
-
-    def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
-        """Network transfer time between two allocation-relative nodes."""
-        self.node(src)
-        self.node(dst)
-        return self.network.transfer_time(src, dst, nbytes)
-
-    def memory_copy_time(self, nbytes: float) -> float:
-        """Time to copy ``nbytes`` within one node's memory.
-
-        In-node staging reads pay one memory-bandwidth pass; this is the
-        data-locality advantage DIMES gives co-located couplings.
-        """
-        if nbytes < 0:
-            raise ValidationError(f"nbytes must be >= 0, got {nbytes!r}")
-        return nbytes / self.node_spec.memory_bandwidth
-
-    def reset(self) -> None:
-        """Release all allocations (fresh run on the same cluster)."""
-        self.nodes = [Node(i, self.node_spec) for i in range(len(self.nodes))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        used = sum(n.used_cores for n in self.nodes)
-        total = len(self.nodes) * self.node_spec.cores
-        return f"Cluster({len(self.nodes)} nodes, {used}/{total} cores in use)"
+        return f"Cluster({self.num_nodes} x {self.node_spec.cores} cores)"

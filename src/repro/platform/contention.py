@@ -55,7 +55,7 @@ qualitative orderings in the paper's Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.platform.cache import CacheSpec
 from repro.util.errors import ValidationError
@@ -65,6 +65,9 @@ from repro.util.validation import (
     require_non_negative,
     require_positive,
 )
+
+if TYPE_CHECKING:
+    from repro.platform.node import NodeSpec
 
 
 @dataclass(frozen=True)
@@ -217,78 +220,59 @@ class ContentionModel:
         return miss_rate * cache.line_bytes
 
     # -- full assessment ----------------------------------------------------------
-    def assess_node(
+    def assess(
         self,
-        sockets: Sequence[Tuple[CacheSpec, Sequence[Tuple[WorkloadProfile, int]]]],
-    ) -> Dict[str, ContentionAssessment]:
-        """Assess all components on a node.
+        node_spec: "NodeSpec",
+        residents: Sequence[Tuple[WorkloadProfile, int]],
+    ) -> List[ContentionAssessment]:
+        """Assess a node's ``(profile, cores)`` residents, in allocation order.
 
-        Parameters
-        ----------
-        sockets:
-            One entry per socket: ``(cache_spec, [(profile, cores), ...])``
-            listing the components whose cores live on that socket.
-
-        Returns
-        -------
-        dict
-            Maps ``profile.name`` to its :class:`ContentionAssessment`.
-            Profile names must therefore be unique within a node.
+        Cores are split across sockets by
+        :meth:`~repro.platform.node.NodeSpec.socket_shares`. Each socket
+        prices the miss ratio and DRAM demand of every resident holding
+        cores on it; a resident spanning sockets takes those of its
+        *primary* socket (most cores, ties to the lower socket),
+        consistent with first-touch data placement. The node-wide
+        demand of every (socket, resident) pair sets the bandwidth
+        stretch. Returns one assessment per resident, in input order.
         """
-        placed: List[Tuple[WorkloadProfile, int, float]] = []
-        seen: set = set()
-        for cache, residents in sockets:
-            profiles = [p for p, _ in residents]
-            for p in profiles:
-                if p.name in seen:
-                    raise ValidationError(
-                        f"duplicate profile name on node: {p.name!r}"
-                    )
-                seen.add(p.name)
-            ratios = self.miss_ratios(cache, profiles)
-            for (profile, cores), ratio in zip(residents, ratios):
-                placed.append((profile, cores, ratio))
-
-        # Node-wide memory-bandwidth overload.
-        caches = {id(cache): cache for cache, _ in sockets}
-        # line size may differ per socket in exotic specs; use each
-        # component's own socket line size via recomputation below.
-        demands: List[float] = []
-        socket_of: Dict[str, CacheSpec] = {}
-        for cache, residents in sockets:
-            for profile, cores in residents:
-                socket_of[profile.name] = cache
-        for profile, cores, ratio in placed:
-            demands.append(
-                self.bandwidth_demand(profile, ratio, socket_of[profile.name], cores)
-            )
-        total_demand = sum(demands)
+        shares = node_spec.socket_shares([cores for _, cores in residents])
+        cache = node_spec.llc
+        ratio: Dict[Tuple[int, int], float] = {}
+        demand: Dict[Tuple[int, int], float] = {}
+        for s in range(node_spec.sockets):
+            on_socket = [i for i, share in enumerate(shares) if share[s]]
+            ratios = self.miss_ratios(cache, [residents[i][0] for i in on_socket])
+            for i, r in zip(on_socket, ratios):
+                ratio[i, s] = r
+                demand[i, s] = self.bandwidth_demand(
+                    residents[i][0], r, cache, shares[i][s]
+                )
+        total_demand = sum(demand.values())
         if self.enabled and total_demand > self.memory_bandwidth:
             stretch = total_demand / self.memory_bandwidth
         else:
             stretch = 1.0
 
-        out: Dict[str, ContentionAssessment] = {}
-        for (profile, cores, ratio), demand in zip(placed, demands):
+        out: List[ContentionAssessment] = []
+        for i, (profile, _) in enumerate(residents):
+            share = shares[i]
+            primary = (i, max(range(node_spec.sockets), key=share.__getitem__))
             cpi = (
                 profile.base_cpi
                 + profile.llc_refs_per_instr
-                * ratio
+                * ratio[primary]
                 * profile.miss_penalty_cycles
                 * stretch
             )
-            out[profile.name] = ContentionAssessment(
-                profile=profile,
-                llc_miss_ratio=ratio,
-                cpi=cpi,
-                dilation=cpi / profile.solo_cpi(),
-                bandwidth_demand=demand,
-                bandwidth_stretch=stretch,
+            out.append(
+                ContentionAssessment(
+                    profile=profile,
+                    llc_miss_ratio=ratio[primary],
+                    cpi=cpi,
+                    dilation=cpi / profile.solo_cpi(),
+                    bandwidth_demand=demand[primary],
+                    bandwidth_stretch=stretch,
+                )
             )
         return out
-
-    def solo_assessment(
-        self, profile: WorkloadProfile, cache: CacheSpec, cores: int
-    ) -> ContentionAssessment:
-        """Assessment of a component running alone on one socket."""
-        return self.assess_node([(cache, [(profile, cores)])])[profile.name]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.components.base import ComponentModel
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
 from repro.platform.contention import ContentionAssessment
@@ -56,12 +57,13 @@ def compute_effective_stages(
     cluster: Cluster,
     dtl: DataTransportLayer,
 ) -> List[EffectiveMember]:
-    """Place the ensemble on the cluster and evaluate stage times.
+    """Price the ensemble's placement on the cluster's platform.
 
-    The cluster is reset, all components are allocated (making
-    contention a static property of the placement — all components run
-    concurrently for the whole execution), the node-level contention
-    model is assessed once, and DTL costs are evaluated per coupling.
+    Every component runs for the whole execution, so contention is a
+    static property of the placement: each node's residents (members in
+    spec order, each simulation before its analyses) are assessed once
+    by the cluster's contention model, and DTL costs are evaluated per
+    coupling. The cluster is only read.
     """
     placement.validate_against(spec, cluster.node_spec.cores)
     if placement.num_nodes > cluster.num_nodes:
@@ -69,20 +71,24 @@ def compute_effective_stages(
             f"placement spans {placement.num_nodes} nodes, cluster has "
             f"{cluster.num_nodes}"
         )
-    cluster.reset()
 
-    # 1. allocate everything
+    # 1. each node's residents, in allocation order
+    residents: Dict[int, List[ComponentModel]] = {}
     for member_spec, mp in zip(spec.members, placement.members):
-        cluster.node(mp.simulation_node).allocate(
-            member_spec.simulation.name,
-            member_spec.simulation.cores,
-            member_spec.simulation.profile,
+        residents.setdefault(mp.simulation_node, []).append(
+            member_spec.simulation
         )
         for ana, node in zip(member_spec.analyses, mp.analysis_nodes):
-            cluster.node(node).allocate(ana.name, ana.cores, ana.profile)
+            residents.setdefault(node, []).append(ana)
 
     # 2. one static contention assessment per component
-    assessments: Dict[str, ContentionAssessment] = cluster.assess_all()
+    assessments: Dict[str, ContentionAssessment] = {}
+    for models in residents.values():
+        assessed = cluster.contention.assess(
+            cluster.node_spec, [(m.profile, m.cores) for m in models]
+        )
+        for model, assessment in zip(models, assessed):
+            assessments[model.name] = assessment
 
     # 3. per-member effective stage times
     members: List[EffectiveMember] = []

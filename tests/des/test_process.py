@@ -17,7 +17,8 @@ class TestProcessBasics:
             return f"child said {value}"
 
         p = env.process(parent(env))
-        assert env.run(until=p) == "child said done"
+        env.run()
+        assert p.value == "child said done"
 
     def test_non_generator_rejected(self, env):
         with pytest.raises(ValidationError):
@@ -65,7 +66,8 @@ class TestProcessBasics:
         ev = env.event()
         env.process(early(env, ev))
         p = env.process(late(env, ev))
-        assert env.run(until=p) == "x"
+        env.run()
+        assert p.value == "x"
         assert env.now == 5.0
 
     def test_cross_environment_yield_fails(self, env):

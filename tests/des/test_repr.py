@@ -1,8 +1,6 @@
-"""Tests for the DES debugging reprs and EmptySchedule diagnostics."""
+"""Tests for the DES debugging reprs."""
 
-import pytest
-
-from repro.des.engine import EmptySchedule, Environment
+from repro.des.engine import Environment
 
 
 class TestEventRepr:
@@ -36,14 +34,19 @@ class TestEventRepr:
 class TestTimeoutRepr:
     def test_shows_delay_and_due_time(self):
         env = Environment()
-        env.timeout(5.0)  # keeps the queue alive past the horizon
-        env.run(until=2.0)
-        t = env.timeout(3.5)
-        text = repr(t)
+        made = []
+
+        def proc(env):
+            yield env.timeout(2.0)
+            made.append(env.timeout(3.5))
+            made.append(repr(made[0]))
+
+        env.process(proc(env))
+        env.run()
+        t, text = made
         assert "delay=3.5" in text
         assert "due=t5.5" in text
         assert "triggered" in text
-        env.run()
         assert "processed" in repr(t)
 
 
@@ -59,10 +62,7 @@ class TestProcessRepr:
         text = repr(proc)
         assert "worker" in text
         assert "alive" in text
-        try:
-            env.run()
-        except EmptySchedule:
-            pass
+        env.run()  # the queue empties with the worker still waiting
         assert "waiting_on=Event" in repr(proc)
 
     def test_finished(self):
@@ -76,24 +76,3 @@ class TestProcessRepr:
         assert "finished" not in repr(proc)  # state name is processed
         assert "processed" in repr(proc)
         assert not proc.is_alive
-
-
-class TestEmptyScheduleDiagnostics:
-    def test_names_stalled_processes(self):
-        env = Environment()
-
-        def stuck(env):
-            yield env.event()
-
-        env.process(stuck(env))
-        with pytest.raises(EmptySchedule) as exc:
-            env.run(until=env.event())
-        message = str(exc.value)
-        assert "stuck" in message
-        assert "1 processes still alive" in message
-
-    def test_no_processes_case(self):
-        env = Environment()
-        with pytest.raises(EmptySchedule) as exc:
-            env.run(until=env.event())
-        assert "no processes are still alive" in str(exc.value)

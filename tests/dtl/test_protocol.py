@@ -89,13 +89,6 @@ class TestAccounting:
         assert dtl.bytes_staged_total == c.nbytes
         assert dtl.reads_served_total == 1
 
-    def test_live_bytes_on_node(self, dtl):
-        dtl.stage(make_chunk("sim1", 0, n=10), producer_node=0)
-        dtl.stage(make_chunk("sim2", 0, n=20), producer_node=1)
-        assert dtl.live_bytes_on_node(0) == 80
-        assert dtl.live_bytes_on_node(1) == 160
-        assert dtl.live_bytes_on_node(2) == 0
-
     def test_peek_is_non_consuming(self, dtl):
         c = make_chunk()
         dtl.stage(c, producer_node=0)

@@ -5,8 +5,8 @@ import pytest
 from repro.components.analysis import EigenAnalysisModel
 from repro.components.simulation import MDSimulationModel
 from repro.monitoring.counters import HardwareCounters, synthesize_counters
-from repro.platform.cache import CacheSpec
 from repro.platform.contention import ContentionModel
+from repro.platform.node import NodeSpec
 from repro.util.errors import ValidationError
 from repro.util.rng import RandomSource
 
@@ -16,6 +16,12 @@ FREQ = 2.3e9
 @pytest.fixture
 def model():
     return ContentionModel(core_freq_hz=FREQ)
+
+
+def solo(model, component):
+    """The assessment of ``component`` alone on a one-socket node."""
+    node = NodeSpec(cores=component.cores, sockets=1)
+    return model.assess(node, [(component.profile, component.cores)])[0]
 
 
 @pytest.fixture
@@ -57,7 +63,7 @@ class TestHardwareCounters:
 
 class TestSynthesis:
     def test_solo_counters_reflect_profile(self, model, sim):
-        assessment = model.solo_assessment(sim.profile, CacheSpec(), sim.cores)
+        assessment = solo(model, sim)
         counters = synthesize_counters(sim, assessment, FREQ, n_steps=10)
         assert counters.llc_miss_ratio == pytest.approx(
             sim.profile.solo_llc_miss_ratio
@@ -65,18 +71,17 @@ class TestSynthesis:
         assert counters.ipc == pytest.approx(1.0 / sim.profile.solo_cpi())
 
     def test_instructions_scale_with_steps(self, model, sim):
-        assessment = model.solo_assessment(sim.profile, CacheSpec(), sim.cores)
+        assessment = solo(model, sim)
         c10 = synthesize_counters(sim, assessment, FREQ, n_steps=10)
         c20 = synthesize_counters(sim, assessment, FREQ, n_steps=20)
         assert c20.instructions == pytest.approx(2 * c10.instructions)
 
     def test_contended_assessment_lowers_ipc(self, model, sim, ana):
-        cache = CacheSpec()
-        solo = model.solo_assessment(sim.profile, cache, sim.cores)
-        shared = model.assess_node(
-            [(cache, [(sim.profile, 16), (ana.profile, 8)])]
-        )[sim.profile.name]
-        c_solo = synthesize_counters(sim, solo, FREQ, n_steps=5)
+        shared = model.assess(
+            NodeSpec(cores=24, sockets=1),
+            [(sim.profile, 16), (ana.profile, 8)],
+        )[0]
+        c_solo = synthesize_counters(sim, solo(model, sim), FREQ, n_steps=5)
         c_shared = synthesize_counters(sim, shared, FREQ, n_steps=5)
         assert c_shared.ipc < c_solo.ipc
         assert c_shared.llc_miss_ratio > c_solo.llc_miss_ratio
@@ -84,7 +89,7 @@ class TestSynthesis:
         assert c_shared.instructions == pytest.approx(c_solo.instructions)
 
     def test_noise_seeded(self, model, sim):
-        assessment = model.solo_assessment(sim.profile, CacheSpec(), sim.cores)
+        assessment = solo(model, sim)
         a = synthesize_counters(
             sim, assessment, FREQ, 5, rng=RandomSource(1), noise=0.05
         )
@@ -98,7 +103,7 @@ class TestSynthesis:
         assert a.instructions != c.instructions
 
     def test_noisy_misses_never_exceed_references(self, model, ana):
-        assessment = model.solo_assessment(ana.profile, CacheSpec(), ana.cores)
+        assessment = solo(model, ana)
         for seed in range(20):
             c = synthesize_counters(
                 ana, assessment, FREQ, 5, rng=RandomSource(seed), noise=0.2
@@ -106,7 +111,7 @@ class TestSynthesis:
             assert c.llc_misses <= c.llc_references
 
     def test_invalid_args(self, model, sim):
-        assessment = model.solo_assessment(sim.profile, CacheSpec(), sim.cores)
+        assessment = solo(model, sim)
         with pytest.raises(ValidationError):
             synthesize_counters(sim, assessment, FREQ, n_steps=0)
         with pytest.raises(ValidationError):

@@ -1,60 +1,57 @@
-"""Tests for the Cluster facade."""
+"""Tests for the Cluster platform description."""
 
 import pytest
 
-from repro.components.profiles import analysis_profile, simulation_profile
+from repro.dtl.dimes import InMemoryStagingDTL
+from repro.platform.cluster import Cluster
 from repro.platform.specs import (
     cori_like_node,
     make_cori_like_cluster,
     small_test_cluster,
 )
+from repro.runtime.effective import compute_effective_stages
+from repro.runtime.placement import EnsemblePlacement, MemberPlacement
+from repro.runtime.spec import EnsembleSpec, default_member
 from repro.util.errors import PlacementError, ValidationError
 from repro.util.units import GIB, MIB
 
-SIM = simulation_profile("sim")
-ANA = analysis_profile("ana")
+
+def dimes_for(cluster):
+    return InMemoryStagingDTL.for_platform(cluster.network, cluster.node_spec)
 
 
 class TestClusterBasics:
-    def test_node_lookup(self, cori2):
-        assert cori2.node(0).index == 0
-        assert cori2.node(1).index == 1
-
     def test_node_out_of_range_rejected(self, cori2):
+        # pricing rejects a placement naming node 2 of a 2-node cluster
+        spec = EnsembleSpec("one", (default_member("em1", n_steps=2),))
+        placement = EnsemblePlacement(3, (MemberPlacement(0, (2,)),))
         with pytest.raises(PlacementError):
-            cori2.node(2)
-        with pytest.raises(PlacementError):
-            cori2.node(-1)
-
-    def test_nodes_hosting(self, cori2):
-        cori2.node(0).allocate("sim", 16, SIM)
-        assert [n.index for n in cori2.nodes_hosting("sim")] == [0]
-        assert cori2.nodes_hosting("ghost") == []
-
-    def test_reset_clears_allocations(self, cori2):
-        cori2.node(0).allocate("sim", 16, SIM)
-        cori2.reset()
-        assert cori2.node(0).residents == []
+            compute_effective_stages(spec, placement, cori2, dimes_for(cori2))
 
     def test_assess_all_covers_every_resident(self, cori2):
-        cori2.node(0).allocate("sim", 16, SIM)
-        cori2.node(1).allocate("ana", 8, ANA)
-        out = cori2.assess_all()
-        assert set(out) == {"sim", "ana"}
-
-    def test_transfer_time_validates_nodes(self, cori2):
-        with pytest.raises(PlacementError):
-            cori2.transfer_time(0, 5, 100)
+        spec = EnsembleSpec("one", (default_member("em1", n_steps=2),))
+        placement = EnsemblePlacement(2, (MemberPlacement(0, (1,)),))
+        [member] = compute_effective_stages(
+            spec, placement, cori2, dimes_for(cori2)
+        )
+        assert member.simulation.assessment.profile.name == "em1.sim"
+        assert member.analyses[0].assessment.profile.name == "em1.ana1"
 
     def test_memory_copy_time(self, cori2):
-        t = cori2.memory_copy_time(120e9)  # one second worth of bytes
-        assert t == pytest.approx(1.0)
+        # an in-node staging read pays one memory-bandwidth pass
+        read = dimes_for(cori2).read_cost(0, 0, 120e9)  # one second of bytes
+        assert read.transport == pytest.approx(1.0)
         with pytest.raises(ValidationError):
-            cori2.memory_copy_time(-1)
+            dimes_for(cori2).read_cost(0, 0, -1)
 
     def test_local_copy_beats_network(self, cori2):
+        dtl = dimes_for(cori2)
         nbytes = 3 * MIB
-        assert cori2.memory_copy_time(nbytes) < cori2.transfer_time(0, 1, nbytes)
+        assert dtl.read_cost(0, 0, nbytes).total < dtl.read_cost(0, 1, nbytes).total
+
+    def test_node_count_validated(self, cori2):
+        with pytest.raises(ValidationError):
+            Cluster(cori2.node_spec, 0)
 
 
 class TestSpecs:

@@ -7,6 +7,7 @@ import pytest
 from repro.components.profiles import analysis_profile, simulation_profile
 from repro.platform.cache import CacheSpec
 from repro.platform.contention import ContentionModel, WorkloadProfile
+from repro.platform.node import NodeSpec
 from repro.util.errors import ValidationError
 from repro.util.units import MIB
 
@@ -98,24 +99,24 @@ class TestMissRatios:
         assert sim_increase > 10 * ana_increase
 
 
-class TestAssessNode:
-    def test_duplicate_names_rejected(self, model, cache, sim):
-        with pytest.raises(ValidationError):
-            model.assess_node([(cache, [(sim, 8), (sim, 8)])])
+def one_socket(cache, cores=32):
+    """A node whose cores all share ``cache``."""
+    return NodeSpec(cores=cores, sockets=1, llc=cache)
 
+
+class TestAssessNode:
     def test_dilation_is_cpi_ratio(self, model, cache, sim, ana):
-        out = model.assess_node([(cache, [(sim, 16), (ana, 8)])])
-        a = out[sim.name]
+        a, _ = model.assess(one_socket(cache), [(sim, 16), (ana, 8)])
         assert a.dilation == pytest.approx(a.cpi / sim.solo_cpi())
         assert a.dilation >= 1.0
 
     def test_solo_assessment_has_unit_dilation(self, model, cache, sim):
-        a = model.solo_assessment(sim, cache, 16)
+        [a] = model.assess(one_socket(cache), [(sim, 16)])
         assert a.dilation == pytest.approx(1.0)
         assert a.llc_miss_ratio == pytest.approx(sim.solo_llc_miss_ratio)
 
     def test_memory_intensity_and_ipc(self, model, cache, ana):
-        a = model.solo_assessment(ana, cache, 8)
+        [a] = model.assess(one_socket(cache), [(ana, 8)])
         assert a.memory_intensity == pytest.approx(
             ana.llc_refs_per_instr * a.llc_miss_ratio
         )
@@ -131,19 +132,16 @@ class TestAssessNode:
             base_cpi=0.5,
         )
         tight = ContentionModel(core_freq_hz=2.3e9, memory_bandwidth=1e9)
-        out = tight.assess_node([(cache, [(hog, 16)])])
-        assert out["hog"].bandwidth_stretch > 1.0
-        assert out["hog"].dilation > 1.0
+        [a] = tight.assess(one_socket(cache), [(hog, 16)])
+        assert a.bandwidth_stretch > 1.0
+        assert a.dilation > 1.0
 
     def test_two_sockets_do_not_share_cache(self, model, cache, sim, ana):
         # same node, different sockets: no cache contention between them
-        out = model.assess_node([(cache, [(sim, 16)]), (cache, [(ana, 8)])])
-        assert out[sim.name].llc_miss_ratio == pytest.approx(
-            sim.solo_llc_miss_ratio
-        )
-        assert out[ana.name].llc_miss_ratio == pytest.approx(
-            ana.solo_llc_miss_ratio
-        )
+        node = NodeSpec(cores=2, sockets=2, llc=cache)
+        s, a = model.assess(node, [(sim, 1), (ana, 1)])
+        assert s.llc_miss_ratio == pytest.approx(sim.solo_llc_miss_ratio)
+        assert a.llc_miss_ratio == pytest.approx(ana.solo_llc_miss_ratio)
 
 
 class TestPaperProfiles:

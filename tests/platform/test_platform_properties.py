@@ -2,11 +2,14 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.platform.cache import CacheSpec
 from repro.platform.contention import ContentionModel, WorkloadProfile
 from repro.platform.network import DragonflyNetwork, NetworkSpec
+from repro.platform.node import NodeSpec
+from repro.util.errors import PlacementError
 from repro.util.units import MIB
 
 profiles = st.builds(
@@ -64,10 +67,55 @@ class TestMissRatioProperties:
     def test_dilation_at_least_one(self, p1, p2):
         p2 = dataclasses.replace(p2, name="q")
         model = ContentionModel()
-        cache = CacheSpec()
-        out = model.assess_node([(cache, [(p1, 8), (p2, 8)])])
-        for a in out.values():
+        node = NodeSpec(cores=16, sockets=1, llc=CacheSpec())
+        for a in model.assess(node, [(p1, 8), (p2, 8)]):
             assert a.dilation >= 1.0 - 1e-12
+
+
+def scatter_shares(node, demands):
+    """Socket shares by handing out cores one by one: each demand takes
+    the free cores round-robin across sockets, lowest core first per
+    socket, cores ``[s * cores_per_socket, (s + 1) * cores_per_socket)``
+    belonging to socket ``s``."""
+    per = node.cores_per_socket
+    free = list(range(node.cores))
+    shares = []
+    for demand in demands:
+        buckets = [[c for c in free if c // per == s] for s in range(node.sockets)]
+        buckets = [b for b in buckets if b]
+        order = []
+        while buckets:
+            for bucket in buckets:
+                order.append(bucket.pop(0))
+            buckets = [b for b in buckets if b]
+        granted = order[:demand]
+        free = [c for c in free if c not in granted]
+        share = [0] * node.sockets
+        for core in granted:
+            share[core // per] += 1
+        shares.append(share)
+    return shares
+
+
+nodes = st.builds(
+    lambda sockets, per: NodeSpec(cores=sockets * per, sockets=sockets),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+class TestSocketShareProperties:
+    @given(nodes, st.lists(st.integers(min_value=1, max_value=12), max_size=6))
+    @settings(max_examples=150)
+    def test_shares_are_the_core_by_core_scatter(self, node, demands):
+        fits = []
+        for demand in demands:
+            if sum(fits) + demand > node.cores:
+                with pytest.raises(PlacementError, match="oversubscribed"):
+                    node.socket_shares(fits + [demand])
+                break
+            fits.append(demand)
+        assert node.socket_shares(fits) == scatter_shares(node, fits)
 
 
 class TestNetworkProperties:

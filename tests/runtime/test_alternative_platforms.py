@@ -61,7 +61,6 @@ class TestSmallCluster:
             EnsemblePlacement(1, (MemberPlacement(0, (0,)),)),
             cluster=small_cluster,
         )
-        small_cluster.reset()
         split = run_ensemble(
             spec,
             EnsemblePlacement(2, (MemberPlacement(0, (1,)),)),
@@ -102,26 +101,3 @@ class TestCustomPlatform:
                 0.06 if name.endswith(".sim") else 0.25
             )
             assert cm.llc_miss_ratio > profile_solo
-
-    def test_four_socket_node_isolates_quarters(self):
-        """With compact pinning on a 4-socket node, four 8-core
-        components land on distinct sockets and see zero LLC contention."""
-        spec_node = NodeSpec(
-            cores=32,
-            sockets=4,
-            llc=CacheSpec(size_bytes=20 * MIB),
-            placement_policy="compact",
-        )
-        cluster = Cluster(spec_node, num_nodes=1)
-        spec = EnsembleSpec(
-            "quad",
-            (small_member("em1", sim_cores=8, ana_cores=8),
-             small_member("em2", sim_cores=8, ana_cores=8)),
-        )
-        placement = EnsemblePlacement(
-            1, (MemberPlacement(0, (0,)), MemberPlacement(0, (0,)))
-        )
-        result = run_ensemble(spec, placement, cluster=cluster)
-        for name, cm in result.component_metrics.items():
-            solo = 0.06 if name.endswith(".sim") else 0.25
-            assert cm.llc_miss_ratio == pytest.approx(solo)

@@ -1,7 +1,12 @@
 """Tests for effective stage-time computation under placements."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.configs.base import build_spec
+from repro.configs.table2 import get_config
 from repro.dtl.burstbuffer import BurstBufferDTL
 from repro.dtl.dimes import InMemoryStagingDTL
 from repro.platform.specs import make_cori_like_cluster
@@ -110,3 +115,45 @@ class TestEffectiveStages:
             two_member_spec, placement, cluster, dimes_for(cluster)
         )
         assert all(m.total_cores == 24 for m in members)
+
+
+class TestSharedCluster:
+    def test_concurrent_pricing_matches_a_private_cluster(self):
+        """Pricing reads its cluster and never writes it, so threads may
+        share one (a :class:`~repro.scheduler.context.PlanningContext`
+        is a frozen value meant to be shared)."""
+        shared = make_cori_like_cluster(4)
+        dtl = dimes_for(shared)
+        cases = []
+        for name in ("Cf", "C1.1", "C1.3", "C1.5"):
+            config = get_config(name)
+            spec, placement = build_spec(config, n_steps=4), config.placement()
+            private = make_cori_like_cluster(4)
+            expected = compute_effective_stages(
+                spec, placement, private, dimes_for(private)
+            )
+            cases.append((spec, placement, expected))
+        wrong, raised = [], []
+
+        def price(spec, placement, expected):
+            for _ in range(300):
+                try:
+                    got = compute_effective_stages(spec, placement, shared, dtl)
+                except Exception as exc:
+                    raised.append(exc)
+                    continue
+                if got != expected:
+                    wrong.append(spec.name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pool = [threading.Thread(target=price, args=case) for case in cases]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not raised, f"{len(raised)} of 1200 raised, first {raised[0]!r}"
+        assert not wrong, f"{len(wrong)} of 1200 priced wrong"

@@ -39,8 +39,9 @@ from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.faults.analytic import RobustnessTerm, node_crash_builder
 from repro.faults.recovery import make_policy
 from repro.platform.cluster import Cluster
+from repro.platform.contention import ContentionModel
 from repro.platform.network import DragonflyNetwork
-from repro.platform.node import Node, NodeSpec
+from repro.platform.node import NodeSpec
 from repro.platform.specs import cori_like_node, make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
@@ -554,13 +555,13 @@ class TestPopulationMemo:
     @staticmethod
     def _count_assessments(monkeypatch) -> list:
         calls: list = []
-        assess = Node.assess
+        assess = ContentionModel.assess
 
-        def counted(self, model):
-            calls.append(self.index)
-            return assess(self, model)
+        def counted(self, node_spec, residents):
+            calls.append(len(residents))
+            return assess(self, node_spec, residents)
 
-        monkeypatch.setattr(Node, "assess", counted)
+        monkeypatch.setattr(ContentionModel, "assess", counted)
         return calls
 
     def test_second_search_on_the_same_cache_assesses_nothing(
