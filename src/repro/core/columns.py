@@ -62,6 +62,25 @@ def co_location_indicator(couplings: ArrayLike, remote: ArrayLike) -> ArrayLike:
     return (1.0 / couplings) * ((couplings - remote) + 0.5 * remote)
 
 
+def objective_rows(indicators: np.ndarray) -> np.ndarray:
+    """Eq. 9 per row of a C-ordered ``(B, N)`` indicator array.
+
+    Each row's members are contiguous, so its mean and deviation sum
+    them as the scalar path's 1-D reductions do, and every entry equals
+    :func:`~repro.core.objective.objective_function` of its row bit for
+    bit, at any ``N``.
+
+    >>> from repro.core.objective import objective_function
+    >>> rows = np.array([[0.5, 0.25, 0.125], [1.0, 1.0, 1.0]])
+    >>> objective_rows(rows).tolist() == [
+    ...     objective_function(row) for row in rows.tolist()]
+    True
+    """
+    mean = indicators.mean(axis=1)
+    deviation = indicators - mean[:, None]
+    return mean - np.sqrt(np.mean(deviation ** 2, axis=1))
+
+
 def score_columns(
     compute: np.ndarray,
     write: np.ndarray,
@@ -134,10 +153,7 @@ def score_columns(
     nodes = np.asarray(total_nodes, dtype=float)
     if nodes.ndim:
         nodes = nodes[:, None]
-    # C order keeps each row's members contiguous, so the Eq. 9 means
-    # sum them as the scalar path's 1-D means do
     indicators = np.ascontiguousarray(((efficiency / cores) * placement) / nodes)
-    mean = indicators.mean(axis=1)
-    deviation = indicators - mean[:, None]
-    objectives = mean - np.sqrt(np.mean(deviation ** 2, axis=1))
-    return ColumnScores(sigma=sigma, indicators=indicators, objectives=objectives)
+    return ColumnScores(
+        sigma=sigma, indicators=indicators, objectives=objective_rows(indicators)
+    )

@@ -3,7 +3,10 @@
 :class:`Environment` owns virtual time. Events are scheduled into a
 binary heap keyed on ``(time, sequence)``; the sequence number makes
 scheduling stable, so two runs of the same simulation program produce
-byte-identical traces.
+byte-identical traces. Every event reaches the heap through
+:meth:`Environment.schedule`, which rejects a negative or non-finite
+delay where the event is created, so the clock only ever holds finite
+times and never runs backwards.
 
 The executor's coupling protocol (``W_i`` before ``R_i`` before
 ``W_{i+1}``, no buffering) needs only these primitives. Per step, the
@@ -45,12 +48,14 @@ as ``repro.runtime.executor`` couples a simulation to its analyses:
 
 from __future__ import annotations
 
-import heapq
+import itertools
+import math
+from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, List, Tuple
 
 from repro.des.events import AllOf, Event, Timeout
 from repro.des.process import Process
-from repro.util.errors import SimulationError, ValidationError
+from repro.util.errors import ValidationError
 
 
 class Environment:
@@ -63,7 +68,7 @@ class Environment:
     def __init__(self) -> None:
         self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
-        self._next_id = 0
+        self._ids = itertools.count()
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -89,22 +94,38 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Insert ``event`` into the queue ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValidationError(f"schedule delay must be >= 0, got {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, self._next_id, event))
-        self._next_id += 1
+    def schedule(self, event: Event, delay: float = 0.0) -> float:
+        """Insert ``event`` into the queue ``delay`` seconds from now.
+
+        The one routine that pushes events, and the one place a delay is
+        validated: a negative, NaN or infinite ``delay`` raises
+        :class:`~repro.util.errors.ValidationError`. Returns the time
+        the event is due.
+
+        >>> Environment().timeout(float("nan"))
+        Traceback (most recent call last):
+        ...
+        repro.util.errors.ValidationError: delay must be finite and >= 0, got nan
+        """
+        if not 0.0 <= delay < math.inf:  # False for NaN too
+            raise ValidationError(f"delay must be finite and >= 0, got {delay!r}")
+        due = self._now + delay
+        heappush(self._queue, (due, next(self._ids), event))
+        return due
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to it."""
-        when, _eid, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        event._run_callbacks()
+        """Process exactly one event, advancing the clock to it.
+
+        Delays are finite and non-negative, so the popped time is never
+        before the clock.
+        """
+        self._now, _eid, event = heappop(self._queue)
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
 
     def run(self) -> None:
         """Run the simulation until the event queue is exhausted."""
-        while self._queue:
+        queue = self._queue
+        while queue:
             self.step()

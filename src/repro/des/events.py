@@ -6,7 +6,9 @@ An :class:`Event` moves through three states:
 the event is scheduled) -> ``processed`` (its callbacks have run).
 
 Events are single-shot: triggering a triggered event raises
-:class:`~repro.util.errors.SimulationError`.
+:class:`~repro.util.errors.SimulationError`. Every event class declares
+``__slots__``: a run creates one event per timed stage, so each is a
+fixed-layout object rather than a dict-backed one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ class Event:
     Callbacks receive the event itself; processes register themselves
     as callbacks when they yield an event.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_exception", "_triggered")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -81,13 +85,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    # -- engine hook ---------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-
     def _state_name(self) -> str:
         if self.processed:
             return "processed"
@@ -109,17 +106,22 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed virtual-time delay."""
+    """An event that triggers after a fixed virtual-time delay.
+
+    The delay is validated where it is scheduled
+    (:meth:`~repro.des.engine.Environment.schedule`): a negative, NaN
+    or infinite delay raises :class:`~repro.util.errors.ValidationError`
+    here, at construction.
+    """
+
+    __slots__ = ("delay", "due")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValidationError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(env)
-        self.delay = delay
-        self.due = env.now + delay
         self._value = value
         self._triggered = True  # scheduled immediately at construction
-        env.schedule(self, delay=delay)
+        self.delay = delay
+        self.due = env.schedule(self, delay)
 
     def __repr__(self) -> str:
         return (
@@ -134,6 +136,8 @@ class AllOf(Event):
     Its value maps each constituent's index to that event's value.
     Fails fast if any constituent fails.
     """
+
+    __slots__ = ("events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)

@@ -9,7 +9,7 @@ returns, so processes can wait on each other by yielding them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
 from repro.des.events import Event
 from repro.util.errors import SimulationError, ValidationError
@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class Process(Event):
     """A running simulation process (and the event of its completion)."""
+
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -56,21 +58,20 @@ class Process(Event):
 
     # -- engine plumbing -----------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome and wait on
+        whatever it yields next."""
         self._waiting_on = None
         try:
-            if event._exception is not None:
-                target = self._generator.throw(event._exception)
-            else:
+            if event._exception is None:
                 target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._exception)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self.fail(exc)
             return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             self.fail(
                 SimulationError(
@@ -83,14 +84,14 @@ class Process(Event):
             self.fail(SimulationError("yielded event belongs to another Environment"))
             return
         self._waiting_on = target
-        if target.processed:
-            # Already done: resume at the current instant via a kicker event.
-            kicker = Event(self.env)
-            kicker._value = target._value
-            kicker._exception = target._exception
-            kicker.callbacks.append(self._resume)  # type: ignore[union-attr]
-            kicker._triggered = True
-            self.env.schedule(kicker)
-        else:
-            assert target.callbacks is not None
-            target.callbacks.append(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+            return
+        # Already processed: resume at the current instant via a kicker event.
+        kicker = Event(self.env)
+        kicker._value = target._value
+        kicker._exception = target._exception
+        kicker.callbacks.append(self._resume)  # type: ignore[union-attr]
+        kicker._triggered = True
+        self.env.schedule(kicker)

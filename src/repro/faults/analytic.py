@@ -410,6 +410,11 @@ def surrogate_resilience(
             spec, placement, cluster=cluster, dtl=dtl
         )
     rows = _component_rows(spec, placement, stages)
+    # the kind mix of a simulation (False) and of an analysis (True)
+    weights_of = {
+        side: hazard.weights_over(_allowed_kinds(side))
+        for side in (False, True)
+    }
 
     # expected number of crash actions across the run (adaptive budget)
     expected_crashes = 0.0
@@ -417,8 +422,7 @@ def surrogate_resilience(
         if hazard.node_level:
             crash_w = 1.0
         else:
-            allowed = _allowed_kinds(row["is_analysis"])
-            crash_w = hazard.weights_over(allowed).get(FaultKind.CRASH, 0.0)
+            crash_w = weights_of[row["is_analysis"]].get(FaultKind.CRASH, 0.0)
         expected_crashes += hazard.site_rate * crash_w * row["n_steps"]
 
     # per-component expected stretch and lost work per *event*
@@ -476,8 +480,7 @@ def surrogate_resilience(
                 )
     else:
         for row in rows:
-            allowed = _allowed_kinds(row["is_analysis"])
-            weights = hazard.weights_over(allowed)
+            weights = weights_of[row["is_analysis"]]
             if not weights:
                 continue
             events = hazard.site_rate * row["n_steps"]

@@ -100,7 +100,7 @@ from repro.faults.recovery import (
 from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.effective import (
-    component_streams,
+    component_jitter,
     compute_effective_stages,
 )
 from repro.runtime.placement import EnsemblePlacement
@@ -212,14 +212,13 @@ def capture_timeline(
 
     The platform defaults, the effective stage times and the noise
     streams are the :class:`~repro.runtime.executor.EnsembleExecutor`'s:
-    :func:`~repro.runtime.effective.component_streams` lays the streams
-    out for both, and each component's ``2 * n_steps`` factors come
-    from the same one vector draw
-    (:meth:`~repro.util.rng.RandomSource.jitter_factors`) the executor
-    makes. The durations are therefore the very floats a fault-free
-    DES run would hand its ``_stage`` choke point, and the same inputs
-    raise the executor's typed errors (``timing_noise`` outside [0, 1],
-    a bad seed, an infeasible placement).
+    :func:`~repro.runtime.effective.component_jitter` lays the streams
+    out and draws each component's ``2 * n_steps`` factors for both, in
+    one vector call per stream (none at zero noise). The durations are
+    therefore the very floats a fault-free DES run would hand its
+    ``_stage`` choke point, and the same inputs raise the executor's
+    typed errors (``timing_noise`` outside [0, 1], a bad seed, an
+    infeasible placement).
     """
     require_in_range("timing_noise", timing_noise, 0.0, 1.0)
     cluster = cluster or make_cori_like_cluster(placement.num_nodes)
@@ -227,11 +226,11 @@ def capture_timeline(
         cluster.network, cluster.node_spec
     )
     effective = compute_effective_stages(spec, placement, cluster, dtl)
-    streams = component_streams(effective, seed)
+    jitter = component_jitter(effective, seed, timing_noise)
 
-    def durations(name: str, first: float, second: float, n: int):
+    def durations(name: str, first: float, second: float):
         # each step jitters ``first`` (S or R), then ``second`` (W or A)
-        u = streams[name].jitter_factors(timing_noise, 2 * n)
+        u = jitter[name]
         return first * u[0::2], second * u[1::2]
 
     members: List[MemberTimeline] = []
@@ -239,10 +238,10 @@ def capture_timeline(
         n = member.n_steps
         sim = member.simulation
         sim_compute, sim_write = durations(
-            sim.name, sim.compute_time, sim.io_time, n
+            sim.name, sim.compute_time, sim.io_time
         )
         reads, computes = zip(*(
-            durations(a.name, a.io_time, a.compute_time, n)
+            durations(a.name, a.io_time, a.compute_time)
             for a in member.analyses
         ))
         members.append(

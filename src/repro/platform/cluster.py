@@ -34,10 +34,7 @@ class Cluster:
         self.node_spec = node_spec
         self.num_nodes = require_positive_int("num_nodes", num_nodes)
         self.network = network or DragonflyNetwork()
-        self.contention = contention or ContentionModel(
-            core_freq_hz=node_spec.core_freq_hz,
-            memory_bandwidth=node_spec.memory_bandwidth,
-        )
+        self.contention = contention or ContentionModel()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Cluster({self.num_nodes} x {self.node_spec.cores} cores)"

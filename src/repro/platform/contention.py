@@ -152,27 +152,19 @@ class ContentionAssessment:
 class ContentionModel:
     """Evaluates interference for sets of co-resident workload profiles.
 
+    The platform's numbers (clock frequency, cache, node-wide DRAM
+    bandwidth) come from the :class:`~repro.platform.node.NodeSpec`
+    that :meth:`assess` receives, so a model cannot disagree with the
+    node it prices.
+
     Parameters
     ----------
-    core_freq_hz:
-        Clock frequency used to convert cycles to seconds.
-    memory_bandwidth:
-        Node-wide DRAM bandwidth in bytes/s shared by all sockets.
     enabled:
         When ``False``, every assessment returns solo behaviour — the
         ablation switch used by ``benchmarks/test_bench_ablation.py``.
     """
 
-    def __init__(
-        self,
-        core_freq_hz: float = 2.3e9,
-        memory_bandwidth: float = 120e9,
-        enabled: bool = True,
-    ) -> None:
-        require_positive("core_freq_hz", core_freq_hz)
-        require_positive("memory_bandwidth", memory_bandwidth)
-        self.core_freq_hz = core_freq_hz
-        self.memory_bandwidth = memory_bandwidth
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
 
     # -- cache sharing within one socket --------------------------------------
@@ -207,17 +199,18 @@ class ContentionModel:
         self,
         profile: WorkloadProfile,
         miss_ratio: float,
-        cache: CacheSpec,
+        node_spec: "NodeSpec",
         cores: int,
     ) -> float:
         """DRAM traffic (bytes/s) the component generates at ``miss_ratio``.
 
-        Instruction rate is approximated by ``cores * freq / solo_cpi``:
-        the demand a component *would* issue if not yet slowed down.
+        Instruction rate is approximated by ``cores * freq / solo_cpi``
+        at the node's clock: the demand a component *would* issue if not
+        yet slowed down. Misses move the node's LLC lines.
         """
-        instr_rate = cores * self.core_freq_hz / profile.solo_cpi()
+        instr_rate = cores * node_spec.core_freq_hz / profile.solo_cpi()
         miss_rate = instr_rate * profile.llc_refs_per_instr * miss_ratio
-        return miss_rate * cache.line_bytes
+        return miss_rate * node_spec.llc.line_bytes
 
     # -- full assessment ----------------------------------------------------------
     def assess(
@@ -246,11 +239,12 @@ class ContentionModel:
             for i, r in zip(on_socket, ratios):
                 ratio[i, s] = r
                 demand[i, s] = self.bandwidth_demand(
-                    residents[i][0], r, cache, shares[i][s]
+                    residents[i][0], r, node_spec, shares[i][s]
                 )
         total_demand = sum(demand.values())
-        if self.enabled and total_demand > self.memory_bandwidth:
-            stretch = total_demand / self.memory_bandwidth
+        bandwidth = node_spec.memory_bandwidth
+        if self.enabled and total_demand > bandwidth:
+            stretch = total_demand / bandwidth
         else:
             stretch = 1.0
 

@@ -46,16 +46,11 @@ def make_cori_like_cluster(
     num_nodes: int, contention_enabled: bool = True
 ) -> Cluster:
     """A ready-to-use Cori-like allocation of ``num_nodes`` nodes."""
-    spec = cori_like_node()
     return Cluster(
-        node_spec=spec,
+        node_spec=cori_like_node(),
         num_nodes=num_nodes,
         network=cori_like_network(),
-        contention=ContentionModel(
-            core_freq_hz=spec.core_freq_hz,
-            memory_bandwidth=spec.memory_bandwidth,
-            enabled=contention_enabled,
-        ),
+        contention=ContentionModel(enabled=contention_enabled),
     )
 
 
@@ -69,12 +64,4 @@ def small_test_cluster(num_nodes: int = 2) -> Cluster:
         memory_bytes=16 * GIB,
         memory_bandwidth=40e9,
     )
-    return Cluster(
-        node_spec=spec,
-        num_nodes=num_nodes,
-        network=DragonflyNetwork(),
-        contention=ContentionModel(
-            core_freq_hz=spec.core_freq_hz,
-            memory_bandwidth=spec.memory_bandwidth,
-        ),
-    )
+    return Cluster(node_spec=spec, num_nodes=num_nodes, network=DragonflyNetwork())

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.components.base import ComponentModel
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
@@ -161,22 +163,30 @@ def member_effective_stages(
     )
 
 
-def component_streams(
-    effective: Sequence[EffectiveMember], seed: Optional[int]
-) -> Dict[str, RandomSource]:
-    """Each component's timing-noise stream: the executor's RNG layout.
+def component_jitter(
+    effective: Sequence[EffectiveMember], seed: Optional[int], noise: float
+) -> Dict[str, np.ndarray]:
+    """Each component's timing-noise factors: the executor's RNG layout.
 
     One child of ``RandomSource(seed, name="executor")`` per component,
-    spawned in member order (the simulation, then its analyses). Each
-    stream jitters its component's two timed stages per step, in step
-    order: S then W for a simulation, R then A for an analysis. The
-    executor and :func:`~repro.faults.batched.capture_timeline` both
-    draw from these streams, so a captured timeline holds the floats a
-    fault-free DES run hands its stages.
+    spawned in member order (the simulation, then its analyses), draws
+    the component's ``2 * n_steps`` factors in one vector call
+    (:meth:`~repro.util.rng.RandomSource.jitter_factors`): two per step,
+    in step order, S then W for a simulation and R then A for an
+    analysis. The executor and :func:`~repro.faults.batched
+    .capture_timeline` both take their factors here, so a captured
+    timeline holds the floats a fault-free DES run hands its stages.
+    At ``noise`` 0 every factor is 1.0 and no child is spawned (the
+    root is still built, so a bad seed raises either way).
     """
     root = RandomSource(seed, name="executor")
-    return {
-        component.name: root.spawn(component.name)
-        for member in effective
-        for component in (member.simulation, *member.analyses)
-    }
+    factors: Dict[str, np.ndarray] = {}
+    for member in effective:
+        count = 2 * member.n_steps
+        for component in (member.simulation, *member.analyses):
+            factors[component.name] = (
+                root.spawn(component.name).jitter_factors(noise, count)
+                if noise
+                else np.ones(count)
+            )
+    return factors

@@ -16,8 +16,9 @@ timing noise (seeded) perturbs each stage instance independently,
 modeling step-to-step variation; with zero noise the run is exactly
 the analytic steady state after the first step. Each component draws
 its factors from its own stream
-(:func:`~repro.runtime.effective.component_streams`), all ``2 *
-n_steps`` of them in one vector call before the event loop starts.
+(:func:`~repro.runtime.effective.component_jitter`), all ``2 *
+n_steps`` of them in one vector call before the event loop starts; a
+noise-free run spawns no streams.
 
 A member process that raises (a simulation that a recovery policy
 drops, say) fails :meth:`EnsembleExecutor.run` with its exception
@@ -27,6 +28,8 @@ instead of leaving a truncated trace behind.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
+
+import numpy as np
 
 from repro.des.engine import Environment
 from repro.des.events import Event
@@ -45,13 +48,12 @@ from repro.platform.cluster import Cluster
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.effective import (
     EffectiveMember,
-    component_streams,
+    component_jitter,
     compute_effective_stages,
 )
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.results import ExecutionResult, build_result
 from repro.runtime.spec import EnsembleSpec
-from repro.util.rng import RandomSource
 from repro.util.validation import require_in_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,7 +96,7 @@ class EnsembleExecutor:
     seed:
         Seed for the timing-noise streams (one independent stream per
         component, laid out by :func:`~repro.runtime.effective
-        .component_streams`). Each run reads it afresh, so one executor
+        .component_jitter`). Each run reads it afresh, so one executor
         runs a set of seeded trials by setting it between runs.
     timing_noise:
         Relative half-width of per-stage multiplicative jitter, in
@@ -216,7 +218,7 @@ class EnsembleExecutor:
         effective = self._effective
         env = Environment()
         tracer = StageTracer()
-        streams = component_streams(effective, self.seed)
+        jitter = component_jitter(effective, self.seed, self.timing_noise)
         injector = None
         if self.failure_model is not None:
             schedule = self.failure_model.build_schedule(self.spec)
@@ -257,7 +259,7 @@ class EnsembleExecutor:
         for member in effective:
             member_procs.extend(
                 self._launch_member(
-                    env, bindings[member.name], tracer, streams,
+                    env, bindings[member.name], tracer, jitter,
                     injector, checker, drift, controller,
                 )
             )
@@ -297,7 +299,7 @@ class EnsembleExecutor:
         env: Environment,
         binding,
         tracer: StageTracer,
-        streams: Dict[str, RandomSource],
+        jitter: Dict[str, np.ndarray],
         injector: Optional[FaultInjector] = None,
         checker: Optional[InvariantChecker] = None,
         drift: Optional[DriftSchedule] = None,
@@ -311,13 +313,12 @@ class EnsembleExecutor:
         ]
         all_read: List[Event] = [env.all_of(evs) for evs in read_done]
 
-        noise = self.timing_noise
-        # two timed stages per step
+        # each process takes its component's next factor per timed stage
         procs = [
             env.process(
                 _simulation_process(
                     env, binding, tracer,
-                    _jitter(streams[member.simulation.name], noise, 2 * n),
+                    iter(jitter[member.simulation.name].tolist()).__next__,
                     written, all_read, injector, checker, drift, controller,
                 )
             )
@@ -327,25 +328,13 @@ class EnsembleExecutor:
                 env.process(
                     _analysis_process(
                         env, binding, j, tracer,
-                        _jitter(streams[ana.name], noise, 2 * n),
+                        iter(jitter[ana.name].tolist()).__next__,
                         written, read_done, injector, checker, drift,
                         controller,
                     )
                 )
             )
         return procs
-
-
-def _jitter(
-    stream: RandomSource, noise: float, count: int
-) -> Callable[[], float]:
-    """A component's next jitter factor, one call per timed stage.
-
-    All ``count`` factors come from one vector draw
-    (:meth:`~repro.util.rng.RandomSource.jitter_factors`) taken before
-    the event loop starts.
-    """
-    return iter(stream.jitter_factors(noise, count).tolist()).__next__
 
 
 def _stage(

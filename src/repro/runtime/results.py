@@ -4,7 +4,8 @@
 into:
 
 - per-component Table-1 metrics (execution time, LLC miss ratio,
-  memory intensity, IPC) with synthesized hardware counters;
+  memory intensity, IPC) with synthesized hardware counters, computed
+  on first read (only Figure 3 and the run report read them);
 - per-member steady-state :class:`~repro.core.stages.MemberStages`
   estimated from the trace (every S/W/R/A series of the run reduced by
   one :func:`~repro.core.stages.steady_state_rows` call), the measured
@@ -16,7 +17,8 @@ into:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,18 +69,75 @@ class MemberResult:
 
 
 @dataclass(frozen=True)
+class CounterSource:
+    """What a run's Table-1 counters are synthesized from.
+
+    The run's spec and pricing (its effective members, whose contention
+    assessments set each component's CPI and miss ratio), the node's
+    clock, and the run's seed and timing noise.
+    """
+
+    spec: EnsembleSpec
+    effective: Tuple[EffectiveMember, ...]
+    core_freq_hz: float
+    seed: Optional[int]
+    noise: float
+
+    def synthesize(self) -> Dict[str, HardwareCounters]:
+        """Every component's counters, in member order (each simulation
+        before its analyses).
+
+        Component ``i`` draws its noise from the ``i``-th child of
+        ``RandomSource(seed, name="counters")``; a noise-free source
+        spawns none, since its counters draw nothing.
+        """
+        rng = RandomSource(self.seed, name="counters") if self.noise else None
+        counters: Dict[str, HardwareCounters] = {}
+        for member_spec, member_eff in zip(self.spec.members, self.effective):
+            models = [member_spec.simulation, *member_spec.analyses]
+            priced = [member_eff.simulation, *member_eff.analyses]
+            for model, component in zip(models, priced):
+                counters[model.name] = synthesize_counters(
+                    model,
+                    component.assessment,
+                    core_freq_hz=self.core_freq_hz,
+                    n_steps=member_spec.n_steps,
+                    rng=rng.spawn(model.name) if rng is not None else None,
+                    noise=self.noise,
+                )
+        return counters
+
+
+@dataclass(frozen=True)
 class ExecutionResult:
-    """Full outcome of one ensemble execution."""
+    """Full outcome of one ensemble execution.
+
+    :attr:`counters` and :attr:`component_metrics` are computed on first
+    read from :attr:`counter_source` and then kept, so a run whose
+    Table-1 products nobody reads never synthesizes them.
+    """
 
     ensemble_name: str
     members: Tuple[MemberResult, ...]
     total_nodes: int  # M
     tracer: StageTracer
-    component_metrics: Dict[str, ComponentMetrics]
-    counters: Dict[str, HardwareCounters]
     ensemble: EnsembleMetrics
+    counter_source: CounterSource = field(repr=False)
     #: fault record of the run (None when executed without injection)
     fault_log: Optional["FaultLog"] = None
+
+    @functools.cached_property
+    def counters(self) -> Dict[str, HardwareCounters]:
+        """Each component's synthesized hardware counters (Table 1)."""
+        return self.counter_source.synthesize()
+
+    @functools.cached_property
+    def component_metrics(self) -> Dict[str, ComponentMetrics]:
+        """Each component's Table-1 metrics: its trace span and counters."""
+        return {
+            name: component_metrics(name, self.tracer, counters)
+            for name, counters in self.counters.items()
+        }
 
     @property
     def member_makespans(self) -> Dict[str, float]:
@@ -153,36 +212,13 @@ def build_result(
         raise ValidationError(
             "effective member list does not match the ensemble spec"
         )
-    counter_rng = RandomSource(seed, name="counters")
-    freq = cluster.node_spec.core_freq_hz
-
-    counters: Dict[str, HardwareCounters] = {}
-    metrics: Dict[str, ComponentMetrics] = {}
     member_results: List[MemberResult] = []
     member_metrics: Dict[str, MemberMetrics] = {}
-
-    for member_spec, member_eff, mp, stages in zip(
+    for member_spec, mp, stages in zip(
         spec.members,
-        effective,
         placement.members,
         estimate_member_stages(effective, tracer),
     ):
-        models = [member_spec.simulation] + list(member_spec.analyses)
-        assessments = [member_eff.simulation.assessment] + [
-            a.assessment for a in member_eff.analyses
-        ]
-        for model, assessment in zip(models, assessments):
-            cnt = synthesize_counters(
-                model,
-                assessment,
-                core_freq_hz=freq,
-                n_steps=member_spec.n_steps,
-                rng=counter_rng.spawn(model.name),
-                noise=noise,
-            )
-            counters[model.name] = cnt
-            metrics[model.name] = component_metrics(model.name, tracer, cnt)
-
         mm = member_makespan_from_trace(
             member_spec.name,
             member_spec.simulation.name,
@@ -211,8 +247,13 @@ def build_result(
         members=tuple(member_results),
         total_nodes=placement.num_nodes,
         tracer=tracer,
-        component_metrics=metrics,
-        counters=counters,
         ensemble=ensemble_makespan(member_metrics),
+        counter_source=CounterSource(
+            spec=spec,
+            effective=tuple(effective),
+            core_freq_hz=cluster.node_spec.core_freq_hz,
+            seed=seed,
+            noise=noise,
+        ),
         fault_log=fault_log,
     )

@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 import numpy as np
 
+from repro.core.objective import objective_function
 from repro.dtl.base import DataTransportLayer
 from repro.faults.analytic import surrogate_resilience
 from repro.faults.batched import rank_placements_batched
@@ -57,7 +58,6 @@ from repro.faults.models import FailureModel, FaultKind, RandomFailureModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.monitoring.resilience import compute_resilience
 from repro.platform.cluster import Cluster
-from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import EnsemblePlacement
@@ -288,20 +288,22 @@ def surrogate_score_placement(
     ValidationError
         If the model has no analytic hazard profile.
     """
-    if cluster is None:
-        cluster = make_cori_like_cluster(placement.num_nodes)
     if cache is not None and cache.matches(cluster, dtl):
-        stages = cache.predict(spec, placement)
+        # the cached evaluation holds the stages and each member's
+        # P^{U,A,P} both, as score_placement's cached path reads them
+        evaluation = cache.member_terms(spec, placement)
+        stages = evaluation.stages_by_name(spec)
+        ideal = objective_function(evaluation.indicators)
     else:
         stages = predict_member_stages(
             spec, placement, cluster=cluster, dtl=dtl
         )
-    ideal = score_placement(
-        spec,
-        placement,
-        stages=stages,
-        context=PlanningContext(cluster=cluster, dtl=dtl),
-    )
+        ideal = score_placement(
+            spec,
+            placement,
+            stages=stages,
+            context=PlanningContext(cluster=cluster, dtl=dtl),
+        ).objective
     report = surrogate_resilience(
         spec, placement, model, policy, cluster=cluster, dtl=dtl,
         stages=stages,
@@ -310,8 +312,8 @@ def surrogate_score_placement(
     return RobustScore(
         name=name or spec.name,
         placement=placement,
-        objective=ideal.objective - (report.expected_inflation - 1.0),
-        ideal_objective=ideal.objective,
+        objective=ideal - (report.expected_inflation - 1.0),
+        ideal_objective=ideal,
         mean_inflation=report.expected_inflation,
         mean_goodput=total_steps / report.expected_makespan,
         num_nodes=placement.num_nodes,

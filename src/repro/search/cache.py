@@ -58,15 +58,7 @@ from repro.util.errors import PlacementError
 
 #: the default platform's node, network and contention specs, built
 #: once: :meth:`StageCache.matches` compares against them per call
-_DEFAULT_NODE = cori_like_node()
-_DEFAULT_PLATFORM = (
-    _DEFAULT_NODE,
-    cori_like_network().spec,
-    ContentionModel(
-        core_freq_hz=_DEFAULT_NODE.core_freq_hz,
-        memory_bandwidth=_DEFAULT_NODE.memory_bandwidth,
-    ),
-)
+_DEFAULT_PLATFORM = (cori_like_node(), cori_like_network().spec, ContentionModel())
 
 #: DTL types whose staging costs depend on node pairs only through the
 #: dragonfly hop count (or not at all) — for these, signatures use hop
@@ -108,10 +100,7 @@ class StageCache:
         if cluster is None:
             self._node_spec = cori_like_node()
             self._network = cori_like_network()
-            self._contention = ContentionModel(
-                core_freq_hz=self._node_spec.core_freq_hz,
-                memory_bandwidth=self._node_spec.memory_bandwidth,
-            )
+            self._contention = ContentionModel()
         else:
             self._node_spec = cluster.node_spec
             self._network = cluster.network
@@ -166,8 +155,6 @@ class StageCache:
         if (
             node_spec != self._node_spec
             or network_spec != self._network.spec
-            or c.core_freq_hz != self._contention.core_freq_hz
-            or c.memory_bandwidth != self._contention.memory_bandwidth
             or c.enabled != self._contention.enabled
         ):
             return False

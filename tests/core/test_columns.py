@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.columns import (
     co_location_indicator,
     member_sum,
+    objective_rows,
     score_columns,
 )
 from repro.core.indicators import (
@@ -36,6 +37,7 @@ from repro.core.stages import (
     steady_state_rows,
 )
 from repro.util.errors import ValidationError
+from repro.util.stats import population_std
 from tests.strategies import durations
 
 
@@ -183,6 +185,41 @@ class TestScoreColumns:
         )
         with pytest.raises(ValidationError, match="zero-duration"):
             score_columns(**inputs)
+
+
+def indicator_rows(min_members):
+    """``(B, N)`` indicator arrays: 1-3 rows of ``N`` values each."""
+    return st.integers(min_members, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.floats(1e-6, 1.0, allow_nan=False), min_size=n, max_size=n
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+
+class TestObjectiveRows:
+    """Each row's Eq. 9 equals the scalar formula, mean minus
+    :func:`population_std`, bit for bit."""
+
+    @given(indicator_rows(min_members=1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_mean_minus_population_std(self, rows):
+        self._assert_equals_scalar_formula(rows)
+
+    @given(indicator_rows(min_members=8))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_it_past_the_pairwise_block(self, rows):
+        self._assert_equals_scalar_formula(rows)
+
+    def _assert_equals_scalar_formula(self, rows):
+        reduced = objective_rows(np.array(rows))
+        assert reduced.tolist() == [
+            float(np.mean(row)) - population_std(row) for row in rows
+        ]
+        assert reduced.tolist() == [objective_function(row) for row in rows]
 
 
 class TestSteadyStateRows:

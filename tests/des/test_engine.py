@@ -67,3 +67,30 @@ class TestDeterminism:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValidationError):
             env.timeout(-1.0)
+
+
+class TestNonFiniteDelays:
+    @pytest.mark.parametrize(
+        "delay", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_delay_rejected_where_the_event_is_created(
+        self, env, delay
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            env.timeout(delay)
+        with pytest.raises(ValidationError, match="finite"):
+            env.schedule(env.event(), delay)
+        env.run()
+        assert env.now == 0.0  # nothing was queued
+
+    def test_nan_delay_inside_a_process_fails_the_process(self, env):
+        # before the check, a NaN timeout ran on with NaN clock times
+        def proc(env):
+            yield env.timeout(1.0)
+            yield env.timeout(float("nan"))
+
+        p = env.process(proc(env))
+        env.run()
+        assert env.now == 1.0
+        with pytest.raises(ValidationError, match="finite"):
+            p.value

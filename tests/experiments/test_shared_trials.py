@@ -36,6 +36,7 @@ from repro.experiments.base import (
 )
 from repro.experiments.headline import run_headline_extended
 from repro.platform.specs import make_cori_like_cluster
+from repro.runtime import results
 from repro.runtime.executor import EnsembleExecutor
 
 #: the trial settings of ``figures --fast``
@@ -102,6 +103,23 @@ class TestRunsPerReproduction:
         _reproduce(base_seed=0, **FIGURES_FAST)
         assert len(executor_runs) == 42
         assert len(pricings) == 21
+
+    def test_only_what_figure3_reads_synthesizes_counters(
+        self, monkeypatch, executor_runs
+    ):
+        # Figure 3 reads the 24 components of the 7 Table 2 sets, 2
+        # trials each; the 128 of the other 28 runs are never read
+        syntheses = []
+        real = results.synthesize_counters
+
+        def counted(*args, **kwargs):
+            syntheses.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(results, "synthesize_counters", counted)
+        _reproduce(base_seed=0, **FIGURES_FAST)
+        assert len(executor_runs) == 42
+        assert len(syntheses) == 48
 
     def test_without_the_memo_every_figure_reruns(
         self, monkeypatch, executor_runs

@@ -15,12 +15,12 @@ FREQ = 2.3e9
 
 @pytest.fixture
 def model():
-    return ContentionModel(core_freq_hz=FREQ)
+    return ContentionModel()
 
 
 def solo(model, component):
     """The assessment of ``component`` alone on a one-socket node."""
-    node = NodeSpec(cores=component.cores, sockets=1)
+    node = NodeSpec(cores=component.cores, sockets=1, core_freq_hz=FREQ)
     return model.assess(node, [(component.profile, component.cores)])[0]
 
 

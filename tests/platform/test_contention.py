@@ -19,7 +19,7 @@ def cache():
 
 @pytest.fixture
 def model():
-    return ContentionModel(core_freq_hz=2.3e9, memory_bandwidth=120e9)
+    return ContentionModel()
 
 
 @pytest.fixture
@@ -99,9 +99,9 @@ class TestMissRatios:
         assert sim_increase > 10 * ana_increase
 
 
-def one_socket(cache, cores=32):
+def one_socket(cache, cores=32, **spec):
     """A node whose cores all share ``cache``."""
-    return NodeSpec(cores=cores, sockets=1, llc=cache)
+    return NodeSpec(cores=cores, sockets=1, llc=cache, **spec)
 
 
 class TestAssessNode:
@@ -131,8 +131,8 @@ class TestAssessNode:
             max_llc_miss_ratio=0.95,
             base_cpi=0.5,
         )
-        tight = ContentionModel(core_freq_hz=2.3e9, memory_bandwidth=1e9)
-        [a] = tight.assess(one_socket(cache), [(hog, 16)])
+        tight = one_socket(cache, memory_bandwidth=1e9)
+        [a] = ContentionModel().assess(tight, [(hog, 16)])
         assert a.bandwidth_stretch > 1.0
         assert a.dilation > 1.0
 

@@ -102,7 +102,7 @@ class TestNodeAssessment:
         shared = model.miss_ratios(spec.llc, [SIM, ANA])[0]
         assert big.llc_miss_ratio == shared
         assert big.bandwidth_demand == model.bandwidth_demand(
-            SIM, shared, spec.llc, 2
+            SIM, shared, spec, 2
         )
 
     def test_tied_sockets_go_to_the_lower_one(self, model):

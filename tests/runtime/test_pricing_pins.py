@@ -94,15 +94,7 @@ EXPECTED = {
 
 def _cluster(name):
     node_spec, enabled = PLATFORMS[name]
-    return Cluster(
-        node_spec,
-        NODES,
-        contention=ContentionModel(
-            core_freq_hz=node_spec.core_freq_hz,
-            memory_bandwidth=node_spec.memory_bandwidth,
-            enabled=enabled,
-        ),
-    )
+    return Cluster(node_spec, NODES, contention=ContentionModel(enabled=enabled))
 
 
 def _case(rng, capacity):
