@@ -10,10 +10,11 @@ it supersedes (same placements, same score floats):
 - :mod:`~repro.search.canonical` — the one placement-space walker
   (:func:`iter_assignment_chunks`): restricted growth strings over a
   pool of interchangeable empty nodes beside any already-occupied
-  (``opened``) ones, so one recursion walks the canonical, the
-  labelled and the greedy's member spaces, with capacity pruning
-  inside it; :class:`CompletionCounter`, closed-form counting over
-  capacity multisets; and :func:`search_space_size`, the closed-form
+  (``opened``) ones, so one block walk, grown a component at a time
+  in numpy, covers the canonical, the labelled and the greedy's
+  member spaces, with capacity pruning inside it;
+  :class:`CompletionCounter`, closed-form counting over capacity
+  multisets; and :func:`search_space_size`, the closed-form
   feasibility check every search (and the service) makes first. It
   owns the flat component-to-node assignment format too
   (:func:`placement_to_assignment` and its inverse

@@ -34,6 +34,7 @@ hit the same entries while topologically distinct ones do not.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.indicators import (
@@ -112,7 +113,10 @@ class StageCache:
         self.dtl = dtl
         self._hop_keyed = isinstance(dtl, _HOP_DETERMINED_DTLS)
 
-        # content fingerprint interning
+        # content fingerprint interning; ids are drawn from one counter
+        # that clear() does not reset, so a stale key never names a
+        # later entry
+        self._ids = itertools.count()
         self._class_ids: Dict[Tuple, int] = {}
         self._model_keys: Dict[int, Tuple[object, int]] = {}
         self._node_sig_ids: Dict[Tuple[int, ...], int] = {}
@@ -189,7 +193,9 @@ class StageCache:
             profile.instructions_per_unit,
             profile.miss_penalty_cycles,
         )
-        class_id = self._class_ids.setdefault(key, len(self._class_ids))
+        class_id = self._class_ids.get(key)
+        if class_id is None:
+            class_id = self._class_ids.setdefault(key, next(self._ids))
         self._model_keys[id(model)] = (model, class_id)
         return class_id
 
@@ -306,7 +312,7 @@ class StageCache:
         for n, sig in node_sigs.items():
             interned = sig_ids.get(sig)
             if interned is None:
-                interned = len(sig_ids)
+                interned = next(self._ids)
                 sig_ids[sig] = interned
             node_sig_ids[n] = interned
         position: Dict[int, int] = {}
@@ -464,6 +470,37 @@ class StageCache:
         return self.evaluate_flat(
             spec, placement_to_assignment(placement), placement.num_nodes
         )
+
+    def _tables(self) -> Tuple[Dict, ...]:
+        return (
+            self._class_ids,
+            self._model_keys,
+            self._node_sig_ids,
+            self._layouts,
+            self._hops,
+            self._node_assessments,
+            self._member_stages,
+            self._member_terms,
+            self._costs,
+        )
+
+    def entries(self) -> int:
+        """Entries held across the memo and interning tables."""
+        return sum(len(table) for table in self._tables())
+
+    def clear(self) -> None:
+        """Drop every memo and interning table; keep the counters.
+
+        Every entry is recomputed on its next lookup, so results do not
+        change, and :meth:`stats` keeps counting from where it was, so
+        totals built from it never go backwards. The placement service's
+        workers call this between jobs to keep a long-lived cache
+        bounded. Ids are never reused, so a search still running on the
+        cache (a timed-out job's abandoned thread) cannot alias an entry
+        made after the clear.
+        """
+        for table in self._tables():
+            table.clear()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters (stage = member level, node = assessments).

@@ -19,9 +19,11 @@ interchangeable empty nodes, opened in order of first use:
   :class:`~repro.scheduler.policies.GreedyIndicatorPolicy` walks each
   member's space with the nodes earlier members use opened.
 
-Capacity pruning happens **inside the recursion**: a prefix that
-oversubscribes a node is abandoned before any of its completions are
-materialized. Counting never materializes placements at all:
+The walk grows whole blocks of prefixes a component at a time in numpy
+(see :class:`_BlockWalk`), and capacity pruning happens **inside the
+expansion**: a prefix that would oversubscribe a node never enters a
+block, so none of its completions is materialized. Counting never
+materializes placements at all:
 :class:`CompletionCounter` runs a memoized recursion over *capacity
 multisets* — two partial states whose remaining node capacities agree
 as multisets have the same number of completions, which collapses the
@@ -39,14 +41,6 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import require_non_negative_int, require_positive_int
-
-#: Signature of a branch-and-bound prune hook for
-#: :func:`iter_assignment_chunks`: ``(component_index, assignment,
-#: caps) -> skip?``. ``assignment[:component_index]`` holds the live
-#: prefix (later entries are stale), ``caps`` the remaining capacities
-#: of the opened labels. Returning True skips every completion of the
-#: prefix.
-PruneHook = Callable[[int, Sequence[int], Sequence[int]], bool]
 
 
 def component_core_demands(spec: EnsembleSpec) -> List[int]:
@@ -165,82 +159,229 @@ def iter_assignment_chunks(
     cores_per_node: int,
     chunk_size: int = 8192,
     boundaries: Sequence[int] = (),
-    prune: Optional[PruneHook] = None,
+    prune: Optional[
+        Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    ] = None,
     opened: Sequence[int] = (),
 ) -> Iterator[np.ndarray]:
     """Yield the feasible assignments of a space as ``(B, C)`` arrays.
 
     Labels ``0..len(opened)-1`` are the opened nodes; the pool's labels
     follow in order of first use (see the module docstring). Rows come
-    in lexicographic order, in blocks so a batch kernel can score
-    thousands of candidates per numpy dispatch; the last component is
-    filled column-wise, which keeps per-candidate Python cost below
-    the cost of building a tuple. Arguments are checked at the call.
+    in lexicographic order, ``chunk_size`` to a chunk (the last may be
+    shorter), so a batch kernel can score thousands of candidates per
+    numpy dispatch. Arguments are checked at the call.
 
-    With ``prune`` given, it is consulted whenever the recursion
-    reaches a component index in ``boundaries`` (conventionally the
-    member start offsets): returning True abandons the subtree rooted
-    at the current prefix before any of its completions exist —
-    branch-and-bound callers count the skipped completions with
-    :class:`CompletionCounter` instead of materializing them.
+    With ``prune`` given, it is called with blocks of the prefixes whose
+    length is in ``boundaries`` (conventionally the member start
+    offsets): ``prune(index, prefixes, caps)``, where ``prefixes`` is a
+    ``(B, index)`` block in stream order and ``caps`` the ``(B, L)``
+    remaining capacity of each prefix's labels, ``-1`` for a label not
+    yet opened. It returns a ``(B,)`` bool mask; True skips every
+    completion of that prefix before any exists, and branch-and-bound
+    callers size the skipped completions with
+    :class:`CompletionCounter`. A prefix is offered after every chunk
+    before the one that would hold its first completion has been
+    yielded, and may be offered again after a later chunk until the
+    walk reaches it, but never once skipped: a hook comparing against
+    an incumbent updated per chunk skips the subtrees a prefix-by-prefix
+    walk would.
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
     require_positive_int("chunk_size", chunk_size)
-    # remaining capacity of opened nodes, indexed by label
     caps = _opened_capacities(opened, num_nodes, cores_per_node)
-    n = len(component_cores)
-    boundary_set = frozenset(boundaries) if prune is not None else frozenset()
-    assignment = [0] * n
-    buf = np.empty((chunk_size, n), dtype=np.int64)
-    fill = 0
+    walk = _BlockWalk(
+        list(component_cores),
+        num_nodes,
+        cores_per_node,
+        chunk_size,
+        frozenset(boundaries),
+        prune,
+        caps,
+    )
+    return walk.chunks()
 
-    def rec(i: int) -> Iterator[np.ndarray]:
-        nonlocal fill
-        if prune is not None and i in boundary_set and prune(
-            i, assignment, caps
-        ):
-            return
-        cores = component_cores[i]
-        if i == n - 1:
-            labels = [
-                label for label in range(len(caps)) if caps[label] >= cores
-            ]
-            if len(caps) < num_nodes and cores_per_node >= cores:
-                labels.append(len(caps))
-            done = 0
-            while done < len(labels):
-                take = min(chunk_size - fill, len(labels) - done)
-                block = buf[fill : fill + take]
-                if n > 1:
-                    block[:, : n - 1] = assignment[: n - 1]
-                block[:, n - 1] = labels[done : done + take]
-                fill += take
-                done += take
-                if fill == chunk_size:
-                    yield buf.copy()
-                    fill = 0
-            return
-        for label in range(len(caps)):
-            if caps[label] >= cores:
-                caps[label] -= cores
-                assignment[i] = label
-                yield from rec(i + 1)
-                caps[label] += cores
-        if len(caps) < num_nodes and cores_per_node >= cores:
-            caps.append(cores_per_node - cores)
-            assignment[i] = len(caps) - 1
-            yield from rec(i + 1)
-            caps.pop()
 
-    def walk() -> Iterator[np.ndarray]:
-        if n == 0:
-            return
-        yield from rec(0)
-        if fill:
-            yield buf[:fill].copy()
+class _BlockWalk:
+    """One walk of :func:`iter_assignment_chunks`, a block at a time.
 
-    return walk()
+    A block is a run of prefixes of one length, in stream order, held
+    as ``rows`` ``(B, C)`` (the columns past the prefix are scratch),
+    ``caps`` ``(B, L)`` remaining capacity per label, ``cores_per_node``
+    for labels not yet opened, and ``used`` ``(B,)`` opened labels. A
+    prefix may put the next component on any opened label with room or
+    on the first unopened one, so one ``(B, L)`` mask expands a whole
+    block, and ``np.nonzero`` reads it out row-major: in lexicographic
+    order. ``L`` is the most labels a row can open.
+
+    Blocks are walked depth first. :meth:`_expand` expands a block down
+    to its completions, a level at a time, in pieces of at most a chunk
+    of children. Without a prune hook that is the whole walk. With one,
+    :meth:`_visit` descends prefix by prefix while a prefix's subtree
+    (:meth:`CompletionCounter.count`) exceeds the room left in the
+    chunk being filled, and hands each run of sibling subtrees that
+    fits to :meth:`_expand`. No chunk is yielded inside a run, so the
+    hook bounds every prefix of a run against the incumbent a per-prefix
+    walk would see, while the Python-level descent stays a thin path
+    along chunk edges.
+    """
+
+    def __init__(
+        self,
+        cores: List[int],
+        num_nodes: int,
+        cores_per_node: int,
+        chunk_size: int,
+        boundaries: frozenset,
+        prune: Optional[
+            Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+        ],
+        opened: List[int],
+    ) -> None:
+        self._cores = cores
+        self._chunk = chunk_size
+        self._prune = prune if boundaries else None
+        self._bounded = boundaries if self._prune is not None else frozenset()
+        width = min(num_nodes, len(opened) + len(cores))
+        self._labels = np.arange(width)
+        self._unit = np.eye(width, dtype=np.int64)  # row l: one core on l
+        self._root = (
+            np.zeros((1, len(cores)), dtype=np.int64),
+            np.asarray(
+                [opened + [cores_per_node] * (width - len(opened))],
+                dtype=np.int64,
+            ),
+            np.asarray([len(opened)], dtype=np.int64),
+        )
+        self._counter = (
+            CompletionCounter(cores, num_nodes, cores_per_node)
+            if self._prune is not None
+            else None
+        )
+        self._pending: List[np.ndarray] = []
+        self._filled = 0
+        #: chunks yielded so far: a hook's incumbent can only have
+        #: moved when this has
+        self._yielded = 0
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        if not self._cores:
+            return
+        if self._prune is None:
+            yield from self._expand(*self._root, 0)
+        else:
+            yield from self._visit(*self._root, 0)
+        if self._filled:
+            yield np.concatenate(self._pending)
+
+    def _fits(self, caps: np.ndarray, used: np.ndarray, i: int) -> np.ndarray:
+        """``(B, L)``: label ``l`` can take component ``i``."""
+        return (caps >= self._cores[i]) & (self._labels <= used[:, None])
+
+    def _children(self, rows, caps, used, i: int, fits: np.ndarray):
+        """The block of prefixes one component longer, in stream order."""
+        parent, label = np.nonzero(fits)
+        child = rows[parent]
+        child[:, i] = label
+        if i + 1 == len(self._cores):  # completions carry no state
+            return child, None, None
+        child_caps = caps[parent] - self._cores[i] * self._unit[label]
+        return child, child_caps, np.maximum(used[parent], label + 1)
+
+    def _skipped(self, rows, caps, used, i: int) -> np.ndarray:
+        """The hook's mask for a block of length-``i`` prefixes."""
+        assert self._prune is not None
+        opened = np.where(self._labels < used[:, None], caps, -1)
+        return self._prune(i, rows[:, :i], opened)
+
+    def _emit(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        self._pending.append(rows)
+        self._filled += len(rows)
+        if self._filled < self._chunk:
+            return
+        block = np.concatenate(self._pending)
+        full = self._filled - self._filled % self._chunk
+        self._pending = [block[full:]]
+        self._filled -= full
+        for start in range(0, full, self._chunk):
+            self._yielded += 1
+            yield block[start : start + self._chunk]
+
+    def _expand(self, rows, caps, used, i: int) -> Iterator[np.ndarray]:
+        """Every completion of a block of length-``i`` prefixes, bounded
+        at each boundary past ``i``."""
+        while True:
+            fits = self._fits(caps, used, i)
+            if (
+                len(rows) > 1
+                and fits.size > self._chunk
+                and np.count_nonzero(fits) > self._chunk
+            ):
+                # too many children for one block: pieces of at most a
+                # chunk of children each, in order
+                ends = np.cumsum(np.count_nonzero(fits, axis=1))
+                start = 0
+                while start < len(rows):
+                    reach = (ends[start - 1] if start else 0) + self._chunk
+                    stop = max(
+                        int(np.searchsorted(ends, reach, side="right")),
+                        start + 1,
+                    )
+                    yield from self._expand(
+                        rows[start:stop], caps[start:stop], used[start:stop], i
+                    )
+                    start = stop
+                return
+            rows, caps, used = self._children(rows, caps, used, i, fits)
+            i += 1
+            if i == len(self._cores):
+                yield from self._emit(rows)
+                return
+            if i in self._bounded and len(rows):
+                keep = ~self._skipped(rows, caps, used, i)
+                rows, caps, used = rows[keep], caps[keep], used[keep]
+            if not len(rows):
+                return
+
+    def _visit(self, rows, caps, used, i: int) -> Iterator[np.ndarray]:
+        """Every completion of a block of length-``i`` sibling prefixes,
+        bounded at ``i`` here as the walk reaches them."""
+        if i == len(self._cores):
+            yield from self._emit(rows)
+            return
+        assert self._counter is not None
+        sizes = [
+            self._counter.count(i, row[:count])
+            for row, count in zip(caps.tolist(), used.tolist())
+        ]
+        live = list(range(len(rows)))
+        seen = -1
+        j = 0
+        while j < len(live):
+            if i in self._bounded and seen != self._yielded:
+                # bound every sibling not reached yet against the
+                # incumbent the last chunk left
+                seen = self._yielded
+                rest = live[j:]
+                skipped = self._skipped(rows[rest], caps[rest], used[rest], i)
+                live[j:] = [t for t, s in zip(rest, skipped.tolist()) if not s]
+                continue
+            t = live[j]
+            room = self._chunk - self._filled
+            if sizes[t] > room:  # descend into the prefix alone
+                j += 1
+                one = rows[t : t + 1], caps[t : t + 1], used[t : t + 1]
+                fits = self._fits(*one[1:], i)
+                yield from self._visit(*self._children(*one, i, fits), i + 1)
+                continue
+            stop, total = j + 1, sizes[t]
+            while stop < len(live) and total + sizes[live[stop]] <= room:
+                total += sizes[live[stop]]
+                stop += 1
+            run = live[j:stop]
+            j = stop
+            yield from self._expand(rows[run], caps[run], used[run], i)
 
 
 class CompletionCounter:

@@ -36,9 +36,14 @@ differential oracle's ``vectorized`` tier, at tolerance 0.0).
 so a prefix bounds the objective by exact-CP terms for assigned members
 and best-case terms for the rest. A robustness penalty is never
 negative (the surrogate's expected inflation is at least 1), so the
-bound also caps the utility ``F - penalty``. Subtrees bounded strictly
-below the incumbent's utility are skipped and sized in closed form with
-:class:`~repro.search.canonical.CompletionCounter`.
+bound also caps the utility ``F - penalty``. The walker hands the
+bound whole blocks of prefixes that end at a member boundary;
+:meth:`VectorizedScorer.upper_bounds` bounds a block in one column
+pass, and prefixes bounded strictly below the incumbent's utility are
+skipped and their subtrees sized in closed form with
+:class:`~repro.search.canonical.CompletionCounter`. Each prefix is
+bounded against the incumbent of every chunk scored before it, so the
+blocks prune exactly the subtrees a prefix-by-prefix walk prunes.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
     iter_assignment_chunks,
-    member_shapes,
     search_space_size,
 )
 from repro.util.errors import PlacementError, ValidationError
@@ -461,6 +465,33 @@ class VectorizedScorer:
             array = array.reshape(1, -1)
         return self.score_chunk(array, validate=True)
 
+    def upper_bounds(
+        self, prefixes: np.ndarray, suffix: Sequence[float]
+    ) -> np.ndarray:
+        """Branch-and-bound's cap on F of each prefix's completions.
+
+        ``prefixes`` is a ``(B, offsets[m])`` block placing members
+        ``0..m-1`` whole; ``suffix[m]`` is the rest's best-case term
+        (:func:`_member_bounds`). Each placed member's ``CP`` (Eq. 6)
+        comes from its remote-analysis count, and the ``CP / c`` terms
+        are summed member by member, as the scalar bound adds them.
+        """
+        m = int(np.searchsorted(self._offsets, prefixes.shape[1]))
+        analyses = prefixes.shape[1] - m
+        remote = (
+            prefixes[:, self._ana_cols[:analyses]]
+            != prefixes[:, self._ana_sim_col[:analyses]]
+        )
+        terms = co_location_indicator(
+            self._k[:m], member_sum(remote.astype(float), self._couplings[:m])
+        ) / self._total_cores[:m]
+        placed = np.zeros(len(prefixes))
+        for k in range(m):
+            placed += terms[:, k]
+        return (
+            (placed + suffix[m]) / (self.num_members * self.num_nodes)
+        ) * (1.0 + BOUND_SAFETY)
+
 
 def _member_bounds(spec: EnsembleSpec, cores_per_node: int) -> List[float]:
     """Suffix sums of the per-member ``CP_max / c`` bound terms.
@@ -503,11 +534,12 @@ def find_best_placement_vectorized(
     Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`.
     With a ``robustness`` term, each scored row's surrogate penalty
     (priced on the cache's stages, as ``score_placement`` prices it) is
-    subtracted from its F. At every member boundary the admissible bound
-    is compared against the incumbent's utility; pruning requires it to
-    be *strictly* below, so a tie — which the serial loop resolves by
-    makespan — is never discarded and the first optimum of ``(F -
-    penalty, -makespan)`` in the canonical stream wins
+    subtracted from its F. Blocks of prefixes ending at a member
+    boundary are bounded in one column pass against the incumbent's
+    utility; pruning requires a bound *strictly* below, so a tie —
+    which the serial loop resolves by makespan — is never discarded and
+    the first optimum of ``(F - penalty, -makespan)`` in the canonical
+    stream wins
     (property-tested against :func:`~repro.search.reference
     .find_best_placement_reference`).
 
@@ -528,13 +560,8 @@ def find_best_placement_vectorized(
     # the scorer assesses populations through the cache's node memo,
     # which the winner's re-score below reads too
     scorer = VectorizedScorer(spec, num_nodes, cluster, dtl, cache)
-    offsets = scorer._offsets
-    shapes = member_shapes(spec)
-    total_cores = [m.total_cores for m in spec.members]
-    num_members = len(spec.members)
     suffix = _member_bounds(spec, cores_per_node)
     counter = CompletionCounter(component_cores, num_nodes, cores_per_node)
-    member_of = {int(offsets[m]): m for m in range(num_members)}
 
     def penalties(chunk: np.ndarray) -> np.ndarray:
         """Each row's robustness penalty, priced as the reference loop does."""
@@ -557,39 +584,26 @@ def find_best_placement_vectorized(
     scored = 0
     pruned = 0
 
-    def prune_hook(
-        i: int, assignment: Sequence[int], caps: Sequence[int]
-    ) -> bool:
+    def prune_block(
+        index: int, prefixes: np.ndarray, caps: np.ndarray
+    ) -> np.ndarray:
         nonlocal pruned
         if incumbent == -math.inf:
-            return False
-        m = member_of[i]
-        prefix = 0.0
-        for k in range(m):
-            start = int(offsets[k])
-            sim_node = assignment[start]
-            n_remote = 0
-            for t in range(start + 1, start + shapes[k]):
-                if assignment[t] != sim_node:
-                    n_remote += 1
-            cp = co_location_indicator(shapes[k] - 1, n_remote)
-            prefix += cp / total_cores[k]
-        bound = (
-            (prefix + suffix[m]) / (num_members * num_nodes)
-        ) * (1.0 + BOUND_SAFETY)
-        if bound < incumbent:
-            pruned += counter.count(i, caps)
-            return True
-        return False
+            return np.zeros(len(prefixes), dtype=bool)
+        skip = scorer.upper_bounds(prefixes, suffix) < incumbent
+        for row in caps[skip].tolist():
+            pruned += counter.count(index, [cap for cap in row if cap >= 0])
+        return skip
 
-    boundaries = [int(offsets[m]) for m in range(1, num_members)]
+    # a space of one chunk is scored before any incumbent exists, so
+    # nothing in it could be pruned
     chunks = iter_assignment_chunks(
         component_cores,
         num_nodes,
         cores_per_node,
         chunk_size=min(total, chunk_size),
-        boundaries=boundaries,
-        prune=prune_hook if prune and boundaries else None,
+        boundaries=scorer._offsets[1:].tolist(),
+        prune=prune_block if prune and total > chunk_size else None,
     )
     for chunk in chunks:
         evaluation = scorer.score_chunk(chunk)

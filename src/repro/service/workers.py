@@ -34,7 +34,10 @@ commands run the same functions (:func:`execute_reschedule`,
 
 Each worker owns a private :class:`~repro.search.cache.StageCache`
 (warm across that worker's jobs); caches are exact memoizations, so
-which worker computes a job never changes its floats.
+which worker computes a job never changes its floats. A worker clears
+its cache between jobs once it holds more than
+:data:`MAX_STAGE_CACHE_ENTRIES` entries, so a long-lived service does
+not grow with every distinct job it has seen.
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ from repro.util.validation import (
     require_positive,
     require_positive_int,
 )
+
+#: Entries a worker's stage cache may hold before the worker clears it
+#: between jobs. A distinct plan-mix job adds ~150 and one benchmark
+#: round leaves ~6k per worker, so the cap is far from a round's
+#: working set; at ~330 bytes an entry it bounds a worker near 11 MB.
+MAX_STAGE_CACHE_ENTRIES = 32_768
 
 #: The sections of :attr:`PlacementService.counters`, in ``GET /stats``
 #: order: what the batched, reschedule and coschedule engines count.
@@ -400,6 +409,8 @@ class PlacementService:
                     return
                 continue
             self._run_job(job, stage_cache)
+            if stage_cache.entries() > MAX_STAGE_CACHE_ENTRIES:
+                stage_cache.clear()
 
     def _run_job(self, job: PlacementJob, stage_cache: StageCache) -> None:
         try:

@@ -1,5 +1,6 @@
 """Tests for robust placement scoring under failure models."""
 
+import math
 import time
 
 import pytest
@@ -30,6 +31,17 @@ def _serial_des_ranking(spec, candidates, factory, policy, trials):
         ),
         reverse=True,
     )
+
+
+def _best_of_three(run):
+    """``run()``'s result and its least thread CPU time over 3 passes,
+    so neither another process's load nor one slow pass decides."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.thread_time()
+        result = run()
+        best = min(best, time.thread_time() - t0)
+    return result, best
 
 
 @pytest.fixture(scope="module")
@@ -195,17 +207,18 @@ class TestSurrogateMethod:
                 spec, warm, factory, policy, method="surrogate"
             )
 
-            t0 = time.perf_counter()
-            des = _serial_des_ranking(
-                spec, candidates, factory, policy, trials=2
+            des, seconds = _best_of_three(
+                lambda: _serial_des_ranking(
+                    spec, candidates, factory, policy, trials=2
+                )
             )
-            t_des += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            surrogate = rank_placements_robust(
-                spec, candidates, factory, policy, method="surrogate"
+            t_des += seconds
+            surrogate, seconds = _best_of_three(
+                lambda: rank_placements_robust(
+                    spec, candidates, factory, policy, method="surrogate"
+                )
             )
-            t_sur += time.perf_counter() - t0
+            t_sur += seconds
 
             assert [s.name for s in surrogate] == [s.name for s in des]
 

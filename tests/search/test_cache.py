@@ -210,3 +210,43 @@ class TestDeltaEvaluation:
         # em2's new neighborhood (alone on a node) is the same local
         # signature as before, so even its re-signing hits the cache
         assert cache.stage_misses == misses_before
+
+
+class TestClear:
+    FLATS = ([0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 2])
+
+    def test_clear_empties_the_tables_and_keeps_the_counters(
+        self, two_member_spec
+    ):
+        cache = StageCache()
+        before = [
+            cache.evaluate_flat(two_member_spec, f, 3) for f in self.FLATS
+        ]
+        stats = cache.stats()
+        assert cache.entries() > 0
+        cache.clear()
+        assert cache.entries() == 0
+        assert cache.stats() == stats
+        after = [
+            cache.evaluate_flat(two_member_spec, f, 3) for f in self.FLATS
+        ]
+        assert [e.indicators for e in after] == [e.indicators for e in before]
+        assert [e.makespans for e in after] == [e.makespans for e in before]
+        # the lookups after the clear missed, and counted on
+        assert cache.stage_misses > stats["stage_misses"]
+
+    def test_ids_are_not_reused_after_a_clear(self, two_member_spec):
+        # a search still running across the clear keeps its old ids;
+        # they must never name an entry made after it
+        cache = StageCache()
+
+        def interned():
+            cache.evaluate_flat(two_member_spec, self.FLATS[0], 3)
+            return set(cache._class_ids.values()) | set(
+                cache._node_sig_ids.values()
+            )
+
+        old = interned()
+        cache.clear()
+        new = interned()
+        assert old and new and not old & new

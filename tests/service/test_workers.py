@@ -16,6 +16,7 @@ from repro.coschedule import canonical_mixed_deadline_stream
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.objectives import score_placement
+from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobState
@@ -24,6 +25,7 @@ from repro.service.schemas import (
     PlacementRequest,
     score_from_dict,
 )
+from repro.service import workers as workers_mod
 from repro.service.workers import PlacementService, execute_request
 from repro.util.errors import ValidationError
 
@@ -321,6 +323,34 @@ class TestStats:
             }
             # the search populated some worker's stage cache
             assert stats["stage_cache"]["stage_misses"] > 0
+
+
+class TestStageCacheBound:
+    def test_worker_clears_its_cache_past_the_cap(self, monkeypatch):
+        requests = [
+            _search(num_nodes=n, n_steps=s) for n in (2, 3) for s in (2, 3, 4)
+        ]
+        expected = [
+            execute_request(r, stage_cache=StageCache()) for r in requests
+        ]
+        unbounded = StageCache()
+        for request in requests:
+            execute_request(request, stage_cache=unbounded)
+        cap = 10
+        assert unbounded.entries() > 3 * cap
+        monkeypatch.setattr(workers_mod, "MAX_STAGE_CACHE_ENTRIES", cap)
+        counters = []
+        with PlacementService(workers=1) as service:
+            for request, payload in zip(requests, expected):
+                job = service.wait(service.submit(request).id, timeout=30.0)
+                # a cleared cache computes what a fresh one does
+                assert job.result == payload
+                counters.append(service.stats()["stage_cache"])
+        assert service._stage_caches[0].entries() <= cap
+        # GET /stats sums the workers' counters: a clear never lowers them
+        for earlier, later in zip(counters, counters[1:]):
+            assert all(later[key] >= earlier[key] for key in earlier)
+        assert counters[-1]["stage_misses"] > counters[0]["stage_misses"]
 
 
 class TestDesRankPath:
