@@ -22,6 +22,7 @@ from repro.search.reference import (
     anneal_reference,
     enumerate_placements_reference,
     find_best_placement_reference,
+    score_placement_reference,
 )
 
 NUM_NODES = 6
@@ -67,7 +68,7 @@ def test_bench_exhaustive_engine(benchmark):
     for placement in enumerate_placements_reference(
         spec, NUM_NODES, CORES
     ):
-        score = score_placement(spec, placement)
+        score = score_placement_reference(spec, placement)
         seed_evaluated += 1
         if seed_best is None or score > seed_best:
             seed_best = score
@@ -101,7 +102,7 @@ def test_bench_batch_scoring(benchmark):
 
     sample = scores[:: max(1, len(scores) // 16)]
     for got in sample:
-        want = score_placement(spec, got.placement)
+        want = score_placement_reference(spec, got.placement)
         assert got.objective == want.objective
         assert got.ensemble_makespan == want.ensemble_makespan
     print(f"\nscored {len(scores)} candidates through one cache")

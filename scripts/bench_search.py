@@ -5,10 +5,10 @@ Four measurements, each with a built-in exactness check:
 
 - **exhaustive**: :func:`repro.search.engine.find_best_placement`
   (canonical enumeration + stage cache) against the seed loop
-  (product-then-dedup enumerator, per-candidate
-  :func:`~repro.scheduler.objectives.score_placement`). Same winner,
-  same floats, same candidate count — asserted to 1e-12 before any
-  speedup is reported.
+  (product-then-dedup enumerator, per-candidate uncached
+  :func:`~repro.search.reference.score_placement_reference`). Same
+  winner, same floats, same candidate count — asserted to 1e-12 before
+  any speedup is reported.
 - **annealing**: :class:`~repro.scheduler.annealing
   .SimulatedAnnealingPolicy` (delta evaluation) against the seed
   annealer, :func:`~repro.search.reference.anneal_reference`, which
@@ -72,7 +72,6 @@ from repro.scheduler.annealing import (  # noqa: E402
     SimulatedAnnealingPolicy,
 )
 from repro.scheduler.context import PlanningContext  # noqa: E402
-from repro.scheduler.objectives import score_placement  # noqa: E402
 from repro.search import find_best_placement  # noqa: E402
 from repro.search.canonical import (  # noqa: E402
     component_core_demands,
@@ -83,6 +82,7 @@ from repro.search.reference import (  # noqa: E402
     anneal_reference,
     enumerate_placements_reference,
     find_best_placement_reference,
+    score_placement_reference,
 )
 from repro.search.vectorized import (  # noqa: E402
     VectorizedScorer,
@@ -212,7 +212,7 @@ def bench_exhaustive(num_nodes: int) -> tuple:
     for placement in enumerate_placements_reference(
         spec, num_nodes, CORES_PER_NODE
     ):
-        score = score_placement(spec, placement)
+        score = score_placement_reference(spec, placement)
         seed_evaluated += 1
         if seed_best is None or score > seed_best:
             seed_best = score
@@ -646,7 +646,7 @@ def run(quick: bool) -> dict:
     find_best_placement(warm, 2, CORES_PER_NODE)
     find_best_placement_reference(warm, 2, CORES_PER_NODE)
     next(iter(enumerate_placements_reference(warm, 2, CORES_PER_NODE)))
-    score_placement(
+    score_placement_reference(
         warm, find_best_placement(warm, 2, CORES_PER_NODE)[0].placement
     )
 

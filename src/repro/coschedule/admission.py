@@ -34,14 +34,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.coschedule.allocator import (
-    grant_space,
-    min_feasible_grant,
-    physical_cores,
-)
+from repro.coschedule.allocator import grant_space, min_feasible_grant
 from repro.faults.analytic import node_crash_term, surrogate_resilience
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
+from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
@@ -116,8 +113,9 @@ class AdmissionController:
         The cluster the stream shares.
     context:
         :class:`~repro.scheduler.context.PlanningContext` for the
-        deadline probe's search (shared StageCache recommended — the
-        co-scheduler passes its own).
+        deadline probe's search. Its StageCache is the platform (a
+        Cori-like one is built when absent; the co-scheduler passes
+        its own).
     robust_rate / policy:
         When ``robust_rate`` > 0, the deadline probe prices the best
         placement through the node-crash robustness surrogate
@@ -141,8 +139,8 @@ class AdmissionController:
         base = context or PlanningContext()
         if self._term is not None:
             base = base.evolve(robustness=self._term)
-        self._context = base
-        self._node_cores = physical_cores(base)
+        self._context = base.evolve(cache=base.cache or StageCache())
+        self._node_cores = self._context.cache.node_spec.cores
         # probe memos keyed by spec identity (the value keeps the spec
         # alive so ids are never recycled); memo hits only skip
         # recomputation of a deterministic function
@@ -226,8 +224,7 @@ class AdmissionController:
             best.placement,
             self._term.model_for(best.placement),
             self._term.policy,
-            cluster=self._context.cluster,
-            dtl=self._context.dtl,
+            stages=self._context.cache.predict(request.spec, best.placement),
         )
         return report.expected_makespan
 

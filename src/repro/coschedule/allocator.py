@@ -38,7 +38,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.platform.specs import cori_like_node
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
@@ -48,13 +47,6 @@ from repro.search.canonical import component_core_demands, search_space_size
 from repro.search.engine import find_best_placement
 from repro.util.errors import PlacementError, ValidationError
 from repro.util.validation import require_non_negative, require_positive_int
-
-
-def physical_cores(context: PlanningContext) -> int:
-    """Cores of the node ``find_best_placement`` scores on in ``context``."""
-    if context.cluster is None:
-        return cori_like_node().cores
-    return context.cluster.node_spec.cores
 
 
 def grant_space(
@@ -266,10 +258,10 @@ class ClusterAllocator:
         The :class:`ClusterObjective` allocations maximize.
     context:
         Base :class:`~repro.scheduler.context.PlanningContext`; its
-        StageCache (one is built if absent) is shared across every
-        per-ensemble search at every grant size — cache entries are
-        keyed by content, not node budget, so re-partitions reuse all
-        stage work.
+        StageCache (a Cori-like one is built if absent) is the
+        platform, shared across every per-ensemble search at every
+        grant size — cache entries are keyed by content, not node
+        budget, so re-partitions reuse all stage work.
     max_partitions:
         Largest grant lattice enumerated exhaustively; beyond it the
         deterministic greedy fallback runs (``exhaustive=False`` on
@@ -291,11 +283,9 @@ class ClusterAllocator:
         self.cores_per_node = cores_per_node
         self.objective = objective or ClusterObjective()
         base = context or PlanningContext()
-        cache = base.cache
-        if cache is None or not cache.matches(base.cluster, base.dtl):
-            cache = StageCache(base.cluster, base.dtl)
+        cache = base.cache or StageCache()
         self._context = base.evolve(cache=cache)
-        self._node_cores = physical_cores(base)
+        self._node_cores = cache.node_spec.cores
         self.max_partitions = max_partitions
         self._best: Dict[
             Tuple[int, int], Tuple[EnsembleSpec, Optional[PlacementScore]]

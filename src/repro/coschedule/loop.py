@@ -249,9 +249,9 @@ class CoScheduler:
         weighted sum of per-ensemble F(P)).
     context:
         Base :class:`~repro.scheduler.context.PlanningContext`. One
-        StageCache is shared by admission probes and every allocator
-        search; the DTL (the context's, or the cache's Cori-like
-        default) prices migrations.
+        StageCache (the context's, or a Cori-like one) is the platform
+        of admission probes and every allocator search, and its DTL
+        prices migrations.
     robust_rate / policy:
         Forwarded to the admission controller's deadline probe.
     max_partitions:
@@ -269,9 +269,7 @@ class CoScheduler:
         max_partitions: int = 20_000,
     ) -> None:
         base = context or PlanningContext()
-        cache = base.cache
-        if cache is None or not cache.matches(base.cluster, base.dtl):
-            cache = StageCache(base.cluster, base.dtl)
+        cache = base.cache or StageCache()
         base = base.evolve(cache=cache)
         self.total_nodes = total_nodes
         self.cores_per_node = cores_per_node

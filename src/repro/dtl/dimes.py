@@ -97,17 +97,6 @@ class InMemoryStagingDTL(DataTransportLayer):
             network=network, memory_bandwidth=node_spec.memory_bandwidth
         )
 
-    def cost_key(self) -> tuple:
-        """Tiers with equal keys price every transfer identically."""
-        return (
-            self.network.spec,
-            self.memory_bandwidth,
-            self.marshal_bandwidth,
-            self.service_latency,
-            self.service_bandwidth,
-            self.producer_progress_tax,
-        )
-
     # -- cost model ------------------------------------------------------------
     def write_cost(self, producer_node: int, nbytes: float) -> TransferCost:
         """Marshal + local memory write; identical for every placement."""

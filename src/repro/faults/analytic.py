@@ -631,18 +631,19 @@ class RobustnessTerm:
         self,
         spec: EnsembleSpec,
         placement: EnsemblePlacement,
-        cluster: Optional[Cluster] = None,
-        dtl: Optional[DataTransportLayer] = None,
-        stages: Optional[Dict[str, MemberStages]] = None,
+        *,
+        stages: Dict[str, MemberStages],
     ) -> float:
-        """``weight * (E[inflation] - 1)`` for one candidate placement."""
+        """``weight * (E[inflation] - 1)`` for one candidate placement.
+
+        ``stages`` are the placement's predicted stages on the scorer's
+        platform; the surrogate prices the failure cost on them.
+        """
         report = surrogate_resilience(
             spec,
             placement,
             self.model_for(placement),
             self.policy,
-            cluster=cluster,
-            dtl=dtl,
             stages=stages,
         )
         return self.weight * (report.expected_inflation - 1.0)

@@ -87,8 +87,9 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         the raw objective.
     cache:
         Optional :class:`~repro.search.cache.StageCache` to share
-        across runs; a fresh default-context cache is built per
-        ``place`` call when omitted or incompatible.
+        across runs; it is the platform every move is priced on. A
+        fresh Cori-like cache is built per ``place`` call when
+        omitted.
     """
 
     name = "simulated-annealing"
@@ -222,9 +223,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         )
         gen = self.rng.generator
         component_cores = component_core_demands(spec)
-        cache = self.cache
-        if cache is None or not cache.matches(None, None):
-            cache = StageCache()
+        cache = self.cache or StageCache()
         visited: Dict[Tuple[int, ...], Tuple[FlatEvaluation, float]] = {}
         objective_memo: Dict[Tuple[float, ...], float] = {}
 

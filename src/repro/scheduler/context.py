@@ -4,9 +4,11 @@
 :func:`~repro.search.engine.find_best_placement`,
 :func:`~repro.scheduler.robust.rank_placements_robust` and the
 :class:`~repro.scheduler.planner.ResourceConstrainedPlanner` take the
-platform, the robustness term and the stage cache through one frozen
-object passed as ``context=``; there is no second keyword spelling.
-``context=None`` means :data:`DEFAULT_CONTEXT`.
+robustness term and the stage cache through one frozen object passed
+as ``context=``; there is no second keyword spelling. The cache is the
+planning platform: every call prices on ``context.cache``, or on a
+fresh Cori-like :class:`~repro.search.cache.StageCache` when it is
+``None``. ``context=None`` means :data:`DEFAULT_CONTEXT`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.dtl.base import DataTransportLayer
     from repro.faults.analytic import RobustnessTerm
-    from repro.platform.cluster import Cluster
     from repro.search.cache import StageCache
 
 
@@ -27,15 +27,13 @@ class PlanningContext:
 
     Parameters
     ----------
-    cluster / dtl:
-        Platform model and staging tier (both default to the
-        Cori-like models when ``None``).
     robustness:
         Optional :class:`~repro.faults.analytic.RobustnessTerm`
         penalizing fragile placements.
     cache:
-        Optional shared :class:`~repro.search.cache.StageCache`;
-        callees build a compatible one when omitted.
+        Optional shared :class:`~repro.search.cache.StageCache`, which
+        is also the platform: its cluster and DTL price every
+        placement. Callees build a Cori-like one when omitted.
 
     Examples
     --------
@@ -45,8 +43,6 @@ class PlanningContext:
     (True, None)
     """
 
-    cluster: Optional["Cluster"] = None
-    dtl: Optional["DataTransportLayer"] = None
     robustness: Optional["RobustnessTerm"] = None
     cache: Optional["StageCache"] = None
 

@@ -3,8 +3,9 @@
 A placement's quality is summarized by a :class:`PlacementScore`: the
 paper's objective F over the final-stage indicators (primary), plus the
 predicted ensemble makespan and node count as diagnostics. Scores are
-computed through :func:`repro.runtime.analytic.predict_member_stages`,
-so evaluating a candidate costs microseconds — cheap enough for search.
+priced on the planning platform, a :class:`~repro.search.cache
+.StageCache`, so evaluating a candidate costs microseconds — cheap
+enough for search.
 
 When a :class:`~repro.faults.analytic.RobustnessTerm` is supplied, the
 analytic robustness surrogate prices the placement's expected failure
@@ -17,20 +18,11 @@ shortlist afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.indicators import (
-    FINAL_STAGE_ORDER,
-    IndicatorStage,
-    MemberMeasurement,
-    apply_stages,
-)
+from repro.core.indicators import FINAL_STAGE_ORDER
 from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
-from repro.core.insitu import member_makespan
 from repro.core.objective import objective_function
-from repro.core.stages import MemberStages
-from repro.platform.specs import make_cori_like_cluster
-from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 
@@ -108,86 +100,46 @@ def score_placement(
     spec: EnsembleSpec,
     placement: EnsemblePlacement,
     *,
-    stages: Optional[Dict[str, MemberStages]] = None,
     context: Optional[PlanningContext] = None,
 ) -> PlacementScore:
-    """Score one placement via the analytic predictor.
+    """Score one placement on the context's platform.
 
-    The scoring context — platform, robustness term and stage cache —
-    comes from ``context`` (:data:`~repro.scheduler.context
-    .DEFAULT_CONTEXT` when ``None``).
+    The scoring context — robustness term and stage cache — comes from
+    ``context`` (:data:`~repro.scheduler.context.DEFAULT_CONTEXT` when
+    ``None``). The placement is priced on ``context.cache``, or on a
+    fresh Cori-like :class:`~repro.search.cache.StageCache` when that
+    is ``None``: the cache is the platform, and it memoizes stage
+    prediction and indicator terms across calls, so members whose
+    local co-location pattern repeats between candidates are never
+    re-predicted. The floats equal
+    :func:`~repro.search.reference.score_placement_reference` on the
+    cache's cluster and DTL, bit for bit.
 
     With a ``robustness`` term the score additionally carries
     ``robust_penalty = weight * (E[inflation] - 1)`` from the analytic
-    surrogate, and the score's ordering key becomes
-    ``objective - robust_penalty`` — both terms are closed-form, so
-    the combined evaluation still costs microseconds. Callers that
-    already hold the :func:`~repro.runtime.analytic
-    .predict_member_stages` result for this exact (spec, placement,
-    cluster, dtl) can pass it as ``stages`` to skip re-predicting.
-
-    A :class:`~repro.search.cache.StageCache` in the context memoizes
-    stage prediction and indicator terms across calls — members whose
-    local co-location pattern repeats between candidates are never
-    re-predicted. The cached path produces bit-identical scores; a
-    cache whose platform context does not match ``(cluster, dtl)`` is
-    ignored.
+    surrogate, priced on the same cached stages, and the score's
+    ordering key becomes ``objective - robust_penalty`` — both terms
+    are closed-form, so the combined evaluation still costs
+    microseconds.
     """
     if context is None:
         context = DEFAULT_CONTEXT
-    cluster = context.cluster
-    dtl = context.dtl
-    robustness = context.robustness
     cache = context.cache
-    if cache is not None and stages is None and cache.matches(cluster, dtl):
-        evaluation = cache.member_terms(spec, placement)
-        penalty = 0.0
-        if robustness is not None:
-            penalty = robustness.penalty(
-                spec, placement, stages=evaluation.stages_by_name(spec)
-            )
-        return PlacementScore(
-            placement=placement,
-            objective=objective_function(evaluation.indicators),
-            ensemble_makespan=evaluation.worst_makespan,
-            num_nodes=placement.num_nodes,
-            member_indicators=tuple(evaluation.indicators),
-            robust_penalty=penalty,
-        )
-    if cluster is None:
-        cluster = make_cori_like_cluster(placement.num_nodes)
-    if stages is None:
-        stages = predict_member_stages(
-            spec, placement, cluster=cluster, dtl=dtl
-        )
+    if cache is None:
+        from repro.search.cache import StageCache  # import cycle guard
 
-    indicators = []
-    worst_makespan = 0.0
-    for member_spec, mp in zip(spec.members, placement.members):
-        member_stages = stages[member_spec.name]
-        measurement = MemberMeasurement(
-            name=member_spec.name,
-            stages=member_stages,
-            total_cores=member_spec.total_cores,
-            placement=mp.to_placement_sets(),
-        )
-        indicators.append(
-            apply_stages(measurement, FINAL_STAGE_ORDER, placement.num_nodes)
-        )
-        worst_makespan = max(
-            worst_makespan,
-            member_makespan(member_stages, member_spec.n_steps),
-        )
+        cache = StageCache()
+    evaluation = cache.member_terms(spec, placement)
     penalty = 0.0
-    if robustness is not None:
-        # reuse this call's stage prediction — the surrogate needs the
-        # same (spec, placement, cluster, dtl) stages
-        penalty = robustness.penalty(spec, placement, stages=stages)
+    if context.robustness is not None:
+        penalty = context.robustness.penalty(
+            spec, placement, stages=evaluation.stages_by_name(spec)
+        )
     return PlacementScore(
         placement=placement,
-        objective=objective_function(indicators),
-        ensemble_makespan=worst_makespan,
+        objective=objective_function(evaluation.indicators),
+        ensemble_makespan=evaluation.worst_makespan,
         num_nodes=placement.num_nodes,
-        member_indicators=tuple(indicators),
+        member_indicators=tuple(evaluation.indicators),
         robust_penalty=penalty,
     )

@@ -61,11 +61,10 @@ class ResourceConstrainedPlanner:
         Candidate analysis core counts for the §3.4 heuristic.
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`
-        scoping the final placement score: its ``cluster``/``dtl`` are
-        the platform, a ``robustness`` term adds the surrogate's
-        expected inflation penalty (the plan then orders by the
-        penalized utility), and a ``cache`` is shared across ``plan``
-        calls.
+        scoping the final placement score: its ``cache`` is the
+        platform and is shared across ``plan`` calls, and a
+        ``robustness`` term adds the surrogate's expected inflation
+        penalty (the plan then orders by the penalized utility).
     """
 
     def __init__(

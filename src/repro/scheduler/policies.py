@@ -82,7 +82,8 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
     ----------
     cache:
         Optional :class:`~repro.search.cache.StageCache` shared across
-        ``place`` calls (one is built per call when omitted).
+        ``place`` calls; it is the platform the search prices on (a
+        Cori-like one is built per call when omitted).
     """
 
     name = "exhaustive"

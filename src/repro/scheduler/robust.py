@@ -58,12 +58,11 @@ from repro.faults.models import FailureModel, FaultKind, RandomFailureModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.monitoring.resilience import compute_resilience
 from repro.platform.cluster import Cluster
-from repro.runtime.analytic import predict_member_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
-from repro.scheduler.objectives import FINAL_STAGE_ORDER, score_placement
+from repro.scheduler.objectives import FINAL_STAGE_ORDER
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_replica_seed
 from repro.util.validation import require_positive_int
@@ -244,8 +243,6 @@ def surrogate_score_placement(
     placement: EnsemblePlacement,
     model: FailureModel,
     policy: RecoveryPolicy,
-    cluster: Optional[Cluster] = None,
-    dtl: Optional[DataTransportLayer] = None,
     name: str = "",
     cache: Optional["StageCache"] = None,
 ) -> RobustScore:
@@ -269,14 +266,12 @@ def surrogate_score_placement(
         models raise).
     policy:
         Recovery policy priced by the surrogate.
-    cluster / dtl:
-        Platform overrides, as for the analytic predictor.
     name:
         Label for the returned score (defaults to the spec name).
     cache:
-        Optional :class:`~repro.search.cache.StageCache`; when its
-        context matches, stage predictions are memoized across
-        candidates (bit-identical floats either way).
+        Optional :class:`~repro.search.cache.StageCache`, the platform
+        the placement is priced on (a fresh Cori-like one when
+        ``None``); stage predictions are memoized across candidates.
 
     Returns
     -------
@@ -288,25 +283,17 @@ def surrogate_score_placement(
     ValidationError
         If the model has no analytic hazard profile.
     """
-    if cache is not None and cache.matches(cluster, dtl):
-        # the cached evaluation holds the stages and each member's
-        # P^{U,A,P} both, as score_placement's cached path reads them
-        evaluation = cache.member_terms(spec, placement)
-        stages = evaluation.stages_by_name(spec)
-        ideal = objective_function(evaluation.indicators)
-    else:
-        stages = predict_member_stages(
-            spec, placement, cluster=cluster, dtl=dtl
-        )
-        ideal = score_placement(
-            spec,
-            placement,
-            stages=stages,
-            context=PlanningContext(cluster=cluster, dtl=dtl),
-        ).objective
+    if cache is None:
+        from repro.search.cache import StageCache  # import cycle guard
+
+        cache = StageCache()
+    # the cached evaluation holds the stages and each member's
+    # P^{U,A,P} both, as score_placement reads them
+    evaluation = cache.member_terms(spec, placement)
+    stages = evaluation.stages_by_name(spec)
+    ideal = objective_function(evaluation.indicators)
     report = surrogate_resilience(
-        spec, placement, model, policy, cluster=cluster, dtl=dtl,
-        stages=stages,
+        spec, placement, model, policy, stages=stages
     )
     total_steps = sum(m.n_steps for m in spec.members)
     return RobustScore(
@@ -366,12 +353,11 @@ def rank_placements_robust(
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`
         (:data:`~repro.scheduler.context.DEFAULT_CONTEXT` when
-        ``None``). Its ``cluster``/``dtl`` are threaded into every
-        scoring call (replay and surrogate alike); its
-        ``cache`` shares stage predictions across the surrogate
-        method's candidates with matching local patterns (a
-        default-context cache is built when omitted; the DES method
-        ignores it).
+        ``None``). Its ``cache`` is the platform of every scoring call
+        (a fresh Cori-like one when omitted): the replay runs on the
+        cache's cluster and DTL, and the surrogate method prices on
+        the cache itself, sharing stage predictions across candidates
+        with matching local patterns.
 
     Returns
     -------
@@ -385,24 +371,21 @@ def rank_placements_robust(
     """
     if context is None:
         context = DEFAULT_CONTEXT
-    cluster = context.cluster
-    dtl = context.dtl
     if method not in RANK_METHODS:
         valid = ", ".join(repr(m) for m in RANK_METHODS)
         raise ValidationError(
             f"unknown ranking method {method!r}; valid methods: {valid}"
         )
+    cache = context.cache
+    if cache is None:
+        from repro.search.cache import StageCache  # import cycle guard
+
+        cache = StageCache()
     if method == "surrogate":
         model = model_factory(base_seed)
-        cache = context.cache
-        if cache is None:
-            from repro.search.cache import StageCache
-
-            cache = StageCache()
         scores = [
             surrogate_score_placement(
-                spec, placement, model, policy, cluster=cluster, dtl=dtl,
-                name=name, cache=cache,
+                spec, placement, model, policy, name=name, cache=cache
             )
             for name, placement in candidates.items()
         ]
@@ -416,6 +399,6 @@ def rank_placements_robust(
         base_seed=base_seed,
         timing_noise=timing_noise,
         crn=crn,
-        cluster=cluster,
-        dtl=dtl,
+        cluster=cache.cluster,
+        dtl=cache.dtl,
     )

@@ -57,10 +57,6 @@ from repro.runtime.spec import EnsembleSpec
 from repro.search.canonical import placement_to_assignment
 from repro.util.errors import PlacementError
 
-#: the default platform's node, network and contention specs, built
-#: once: :meth:`StageCache.matches` compares against them per call
-_DEFAULT_PLATFORM = (cori_like_node(), cori_like_network().spec, ContentionModel())
-
 #: DTL types whose staging costs depend on node pairs only through the
 #: dragonfly hop count (or not at all) — for these, signatures use hop
 #: distances and cache entries transfer between relabeled placements.
@@ -74,23 +70,37 @@ Signature = Tuple
 
 
 class StageCache:
-    """Shared memo of stage predictions for one platform context.
+    """Shared memo of stage predictions, and the planning platform.
 
-    A cache is bound to a platform context: a node/network/contention
-    description and a DTL cost model (Cori-like defaults when omitted,
-    matching :func:`~repro.runtime.analytic.predict_member_stages`'s
-    own defaults). It may be shared freely across placements, node
-    budgets, and ensemble specs evaluated under that context — entries
-    are keyed by content fingerprints, never by object identity.
+    A cache holds one platform — a node/network/contention description
+    and a DTL cost model (Cori-like defaults when omitted, matching
+    :func:`~repro.runtime.analytic.predict_member_stages`'s own
+    defaults) — and every scoring and search call prices on the cache
+    of its :class:`~repro.scheduler.context.PlanningContext`. It may be
+    shared freely across placements, node budgets, and ensemble specs
+    evaluated on that platform — entries are keyed by content
+    fingerprints, never by object identity.
+
+    A planning platform prices nodes, not an allocation: the cache
+    never reads its cluster's node count; the caller's budget or
+    placement sets it.
 
     Parameters
     ----------
     cluster:
         Platform description (node spec, network, contention model),
-        only read. Defaults to the Cori-like platform.
+        only read, kept as :attr:`cluster`. ``None`` means the
+        Cori-like platform, sized per placement.
     dtl:
-        Staging cost model. Defaults to the DIMES-like in-memory tier
-        wired to the context's network and memory bandwidth.
+        Staging cost model, kept as :attr:`dtl`. Defaults to the
+        DIMES-like in-memory tier wired to the platform's network and
+        memory bandwidth.
+
+    Examples
+    --------
+    >>> cache = StageCache()
+    >>> cache.cluster is None, cache.node_spec.cores, cache.dtl.name
+    (True, 32, 'dimes')
     """
 
     def __init__(
@@ -98,17 +108,18 @@ class StageCache:
         cluster: Optional[Cluster] = None,
         dtl: Optional[DataTransportLayer] = None,
     ) -> None:
+        self.cluster = cluster
         if cluster is None:
-            self._node_spec = cori_like_node()
+            self.node_spec = cori_like_node()
             self._network = cori_like_network()
             self._contention = ContentionModel()
         else:
-            self._node_spec = cluster.node_spec
+            self.node_spec = cluster.node_spec
             self._network = cluster.network
             self._contention = cluster.contention
         if dtl is None:
             dtl = InMemoryStagingDTL.for_platform(
-                self._network, self._node_spec
+                self._network, self.node_spec
             )
         self.dtl = dtl
         self._hop_keyed = isinstance(dtl, _HOP_DETERMINED_DTLS)
@@ -138,39 +149,6 @@ class StageCache:
         self.stage_misses = 0
         self.node_hits = 0
         self.node_misses = 0
-
-    # -- context compatibility ----------------------------------------------
-    def matches(
-        self,
-        cluster: Optional[Cluster],
-        dtl: Optional[DataTransportLayer],
-    ) -> bool:
-        """True iff this cache's context reproduces ``(cluster, dtl)``.
-
-        Callers holding a cache pass it alongside their usual
-        ``cluster`` / ``dtl`` arguments; a mismatched cache is simply
-        ignored (correctness first), never consulted.
-        """
-        node_spec, network_spec, c = (
-            _DEFAULT_PLATFORM
-            if cluster is None
-            else (cluster.node_spec, cluster.network.spec, cluster.contention)
-        )
-        if (
-            node_spec != self._node_spec
-            or network_spec != self._network.spec
-            or c.enabled != self._contention.enabled
-        ):
-            return False
-        if dtl is None:  # the caller's default tier on this platform
-            dtl = InMemoryStagingDTL.for_platform(
-                self._network, self._node_spec
-            )
-        return dtl is self.dtl or (
-            isinstance(self.dtl, InMemoryStagingDTL)
-            and isinstance(dtl, InMemoryStagingDTL)
-            and self.dtl.cost_key() == dtl.cost_key()
-        )
 
     # -- fingerprints --------------------------------------------------------
     def _class_of(self, model: object) -> int:
@@ -209,7 +187,7 @@ class StageCache:
             self.node_hits += 1
             return cached
         out = self._contention.assess(
-            self._node_spec,
+            self.node_spec,
             [(model.profile, model.cores) for model in residents],  # type: ignore[attr-defined]
         )
         self.node_misses += 1
@@ -296,11 +274,11 @@ class StageCache:
             residents.setdefault(node, []).append(idx)
             demand[node] = demand.get(node, 0) + models[idx].cores  # type: ignore[attr-defined]
         overloaded = {
-            n: c for n, c in demand.items() if c > self._node_spec.cores
+            n: c for n, c in demand.items() if c > self.node_spec.cores
         }
         if overloaded:
             raise PlacementError(
-                f"nodes oversubscribed (capacity {self._node_spec.cores}): "
+                f"nodes oversubscribed (capacity {self.node_spec.cores}): "
                 f"{overloaded}"
             )
         node_sigs: Dict[int, Tuple[int, ...]] = {

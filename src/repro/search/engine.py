@@ -48,11 +48,10 @@ def find_best_placement(
     context:
         A :class:`~repro.scheduler.context.PlanningContext`
         (:data:`~repro.scheduler.context.DEFAULT_CONTEXT` when
-        ``None``). Its ``cluster``/``dtl``/``robustness`` are the
-        scoring context, as for ``score_placement``; its ``cache`` is
-        shared (one is created when omitted or incompatible with
-        ``(cluster, dtl)``). ``evaluated`` counts the whole canonical
-        space (scored + pruned).
+        ``None``). Its ``cache`` is the platform and is shared (a fresh
+        Cori-like one is created when omitted); its ``robustness`` is
+        the scoring term, as for ``score_placement``. ``evaluated``
+        counts the whole canonical space (scored + pruned).
 
     Raises
     ------
@@ -66,8 +65,6 @@ def find_best_placement(
         spec,
         num_nodes,
         cores_per_node,
-        cluster=context.cluster,
-        dtl=context.dtl,
         cache=context.cache,
         robustness=context.robustness,
     )

@@ -3,9 +3,12 @@
 The fast engine's contract is *bit-identical results, less work* — the
 only way to keep that promise honest over time is to keep the slow
 implementations around and diff against them. This module preserves
-three of them:
+four of them:
 
 - the original product-then-dedup enumerator, exactly as it shipped;
+- :func:`score_placement_reference`, the uncached scorer: one full
+  :func:`~repro.runtime.analytic.predict_member_stages` call per
+  placement, on an explicit cluster and DTL;
 - :func:`find_best_placement_reference`, the scalar search loop the
   column kernel replaced;
 - :func:`anneal_reference`, the seed annealer, which re-scores every
@@ -14,12 +17,15 @@ three of them:
 
 The property tests assert the placement-space walker reproduces the
 enumerator's streams (deduplicated with no node opened, labelled with
-every node opened), the engine returns the loop's winner, floats and
-candidate count, and the annealer walks the seed annealer's trajectory
-move for move; the benchmarks in ``scripts/bench_search.py`` measure
-the speedup against all three. Only tests and benchmarks import this
-module: nothing at runtime reaches it, and :mod:`repro.search` does
-not re-export it.
+every node opened), :func:`~repro.scheduler.objectives.score_placement`
+returns the uncached scorer's floats, the engine returns the loop's
+winner, floats and candidate count, and the annealer walks the seed
+annealer's trajectory move for move; the benchmarks in
+``scripts/bench_search.py`` measure the speedup against them. Only
+tests, benchmarks and the differential oracle (which imports the
+scorer inside :func:`~repro.verify.oracles.run_differential_oracle`)
+use this module: no planning call reaches it, and :mod:`repro.search`
+does not re-export it.
 """
 
 from __future__ import annotations
@@ -28,11 +34,20 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.indicators import (
+    FINAL_STAGE_ORDER,
+    MemberMeasurement,
+    apply_stages,
+)
+from repro.core.insitu import member_makespan
 from repro.core.objective import objective_function
+from repro.core.stages import MemberStages
+from repro.platform.specs import make_cori_like_cluster
+from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
-from repro.scheduler.objectives import PlacementScore, score_placement
+from repro.scheduler.objectives import PlacementScore
 from repro.search.cache import StageCache
 from repro.search.canonical import (
     assignment_to_placement,
@@ -43,7 +58,10 @@ from repro.search.canonical import (
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.dtl.base import DataTransportLayer
+    from repro.faults.analytic import RobustnessTerm
+    from repro.platform.cluster import Cluster
     from repro.scheduler.annealing import SimulatedAnnealingPolicy
 
 
@@ -134,6 +152,63 @@ def count_feasible_placements_reference(
     )
 
 
+def score_placement_reference(
+    spec: EnsembleSpec,
+    placement: EnsemblePlacement,
+    *,
+    cluster: Optional["Cluster"] = None,
+    dtl: Optional["DataTransportLayer"] = None,
+    robustness: Optional["RobustnessTerm"] = None,
+    stages: Optional[Dict[str, MemberStages]] = None,
+) -> PlacementScore:
+    """The uncached scorer: predict every member's stages, then score.
+
+    Runs :func:`~repro.runtime.analytic.predict_member_stages` on
+    ``cluster`` (a Cori-like cluster of the placement's size when
+    ``None``) and ``dtl``, then applies Eqs. 1-9 member by member.
+    :func:`~repro.scheduler.objectives.score_placement` must return
+    exactly these floats when its context's cache holds the same
+    cluster and DTL. ``stages`` replaces the prediction (the
+    differential oracle passes a mutated predictor's stages through
+    it); ``robustness`` adds the surrogate penalty on those stages.
+    """
+    if cluster is None:
+        cluster = make_cori_like_cluster(placement.num_nodes)
+    if stages is None:
+        stages = predict_member_stages(
+            spec, placement, cluster=cluster, dtl=dtl
+        )
+
+    indicators = []
+    worst_makespan = 0.0
+    for member_spec, mp in zip(spec.members, placement.members):
+        member_stages = stages[member_spec.name]
+        measurement = MemberMeasurement(
+            name=member_spec.name,
+            stages=member_stages,
+            total_cores=member_spec.total_cores,
+            placement=mp.to_placement_sets(),
+        )
+        indicators.append(
+            apply_stages(measurement, FINAL_STAGE_ORDER, placement.num_nodes)
+        )
+        worst_makespan = max(
+            worst_makespan,
+            member_makespan(member_stages, member_spec.n_steps),
+        )
+    penalty = 0.0
+    if robustness is not None:
+        penalty = robustness.penalty(spec, placement, stages=stages)
+    return PlacementScore(
+        placement=placement,
+        objective=objective_function(indicators),
+        ensemble_makespan=worst_makespan,
+        num_nodes=placement.num_nodes,
+        member_indicators=tuple(indicators),
+        robust_penalty=penalty,
+    )
+
+
 def find_best_placement_reference(
     spec: EnsembleSpec,
     num_nodes: int,
@@ -144,7 +219,8 @@ def find_best_placement_reference(
     """The scalar search loop: one canonical assignment at a time.
 
     Streams the canonical assignments through
-    :meth:`StageCache.evaluate_flat`, prices each with the context's
+    :meth:`StageCache.evaluate_flat` on the context's cache (a fresh
+    Cori-like one when ``None``), prices each with the context's
     robustness term, and keeps the first strict optimum of
     ``(utility, -makespan)``. :func:`~repro.search.engine
     .find_best_placement` must return exactly this (winner, floats,
@@ -154,12 +230,8 @@ def find_best_placement_reference(
     require_positive_int("cores_per_node", cores_per_node)
     if context is None:
         context = DEFAULT_CONTEXT
-    cluster = context.cluster
-    dtl = context.dtl
     robustness = context.robustness
-    cache = context.cache
-    if cache is None or not cache.matches(cluster, dtl):
-        cache = StageCache(cluster, dtl)
+    cache = context.cache or StageCache()
     component_cores = component_core_demands(spec)
 
     evaluated = 0
@@ -221,13 +293,14 @@ def anneal_reference(
     Runs :class:`~repro.scheduler.annealing.SimulatedAnnealingPolicy`'s
     schedule — start state, move draws, Metropolis acceptance, cooling
     — from ``policy``'s configuration and RNG stream, but scores every
-    candidate in full with :func:`~repro.scheduler.objectives
-    .score_placement` (no cache, no transposition table), and records
-    its move statistics on ``policy.stats``.
-    :meth:`SimulatedAnnealingPolicy.place` must return the same
-    placement with the same ``stats`` from a fresh policy built alike.
-    Returns the anneal's winner; the optional robust refinement of
-    ``place`` re-ranks after the anneal and is not part of it.
+    candidate in full with :func:`score_placement_reference` on the
+    platform of ``policy.cache`` (Cori-like when it has none): no
+    cache, no transposition table. It records its move statistics on
+    ``policy.stats``. :meth:`SimulatedAnnealingPolicy.place` must
+    return the same placement with the same ``stats`` from a fresh
+    policy built alike. Returns the anneal's winner; the optional
+    robust refinement of ``place`` re-ranks after the anneal and is
+    not part of it.
     """
     flat = policy.initial_assignment(
         spec, num_nodes, cores_per_node, initial_placement
@@ -236,10 +309,19 @@ def anneal_reference(
     stats = policy.stats
     component_cores = component_core_demands(spec)
 
-    context = PlanningContext(robustness=policy.robustness)
-    current = score_placement(
-        spec, assignment_to_placement(spec, flat, num_nodes), context=context
-    )
+    # the policy's platform, read from its cache and never memoized
+    platform = policy.cache or StageCache()
+
+    def score(flat: Sequence[int]) -> PlacementScore:
+        return score_placement_reference(
+            spec,
+            assignment_to_placement(spec, flat, num_nodes),
+            cluster=platform.cluster,
+            dtl=platform.dtl,
+            robustness=policy.robustness,
+        )
+
+    current = score(flat)
     stats.evaluations += 1
     best_flat = list(flat)
     best = current
@@ -268,11 +350,7 @@ def anneal_reference(
             demand[old_node] -= cores
             demand[new_node] = demand.get(new_node, 0) + cores
 
-            candidate = score_placement(
-                spec,
-                assignment_to_placement(spec, flat, num_nodes),
-                context=context,
-            )
+            candidate = score(flat)
             stats.evaluations += 1
             delta = candidate.utility - current.utility
             if delta >= 0 or gen.random() < math.exp(delta / temperature):

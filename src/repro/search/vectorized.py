@@ -56,8 +56,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.core.columns import co_location_indicator, member_sum, score_columns
-from repro.dtl.base import DataTransportLayer
-from repro.platform.cluster import Cluster
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import PlacementScore, score_placement
@@ -147,9 +145,8 @@ class VectorizedScorer:
     """Column-kernel scorer for one (spec, node budget, context).
 
     Precomputes every spec-dependent constant once, then scores feasible
-    assignment chunks with :meth:`score_chunk`. The platform context is
-    the :class:`StageCache`'s (``cache`` when it
-    :meth:`~StageCache.matches` ``(cluster, dtl)``, else a fresh one):
+    assignment chunks with :meth:`score_chunk`. The platform is
+    ``cache`` (a fresh Cori-like :class:`StageCache` when ``None``):
     node populations are assessed through its node memo and staging
     costs read through its memoized ``read_cost``/``write_cost``. A
     spec whose node-signature codes would overflow int64 raises
@@ -160,18 +157,13 @@ class VectorizedScorer:
         self,
         spec: EnsembleSpec,
         num_nodes: int,
-        cluster: Optional[Cluster] = None,
-        dtl: Optional[DataTransportLayer] = None,
         cache: Optional[StageCache] = None,
     ) -> None:
         require_positive_int("num_nodes", num_nodes)
         self.spec = spec
         self.num_nodes = num_nodes
-        if cache is None or not cache.matches(cluster, dtl):
-            cache = StageCache(cluster, dtl)
-        self.cache = cache
-        self._node_spec = cache._node_spec
-        self._tax = getattr(cache.dtl, "producer_progress_tax", 0.0)
+        self.cache = cache or StageCache()
+        self._tax = getattr(self.cache.dtl, "producer_progress_tax", 0.0)
 
         self._build_layout(spec)
 
@@ -397,10 +389,10 @@ class VectorizedScorer:
             demand = np.einsum(
                 "bjk,k->bj", share, self._comp_cores, dtype=np.int64
             )
-            if demand.max(initial=0) > self._node_spec.cores:
+            capacity = self.cache.node_spec.cores
+            if demand.max(initial=0) > capacity:
                 raise PlacementError(
-                    f"nodes oversubscribed "
-                    f"(capacity {self._node_spec.cores})"
+                    f"nodes oversubscribed (capacity {capacity})"
                 )
 
         # 2. dilation gather: assess each new code once, then look the
@@ -522,8 +514,6 @@ def find_best_placement_vectorized(
     spec: EnsembleSpec,
     num_nodes: int,
     cores_per_node: int,
-    cluster: Optional[Cluster] = None,
-    dtl: Optional[DataTransportLayer] = None,
     cache: Optional[StageCache] = None,
     chunk_size: int = 8192,
     prune: bool = True,
@@ -531,17 +521,17 @@ def find_best_placement_vectorized(
 ) -> VectorizedSearchResult:
     """Branch-and-bound batch search over the canonical space.
 
-    Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`.
-    With a ``robustness`` term, each scored row's surrogate penalty
-    (priced on the cache's stages, as ``score_placement`` prices it) is
-    subtracted from its F. Blocks of prefixes ending at a member
-    boundary are bounded in one column pass against the incumbent's
-    utility; pruning requires a bound *strictly* below, so a tie —
-    which the serial loop resolves by makespan — is never discarded and
-    the first optimum of ``(F - penalty, -makespan)`` in the canonical
-    stream wins
-    (property-tested against :func:`~repro.search.reference
-    .find_best_placement_reference`).
+    Chunked RGS enumeration feeds :meth:`VectorizedScorer.score_chunk`
+    on ``cache``'s platform (a fresh Cori-like :class:`StageCache` when
+    ``None``). With a ``robustness`` term, each scored row's surrogate
+    penalty (priced on the cache's stages, as ``score_placement``
+    prices it) is subtracted from its F. Blocks of prefixes ending at a
+    member boundary are bounded in one column pass against the
+    incumbent's utility; pruning requires a bound *strictly* below, so
+    a tie — which the serial loop resolves by makespan — is never
+    discarded and the first optimum of ``(F - penalty, -makespan)`` in
+    the canonical stream wins (property-tested against
+    :func:`~repro.search.reference.find_best_placement_reference`).
 
     Raises :class:`PlacementError` when nothing fits or the budget
     oversubscribes the physical node (:func:`~repro.search.canonical
@@ -549,17 +539,16 @@ def find_best_placement_vectorized(
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    if cache is None or not cache.matches(cluster, dtl):
-        cache = StageCache(cluster, dtl)
+    cache = cache or StageCache()
     component_cores = tuple(component_core_demands(spec))
     # branch-and-bound could silently prune away a candidate that
     # oversubscribes the physical node, so both refusals are closed-form
     total = search_space_size(
-        component_cores, num_nodes, cores_per_node, cache._node_spec.cores
+        component_cores, num_nodes, cores_per_node, cache.node_spec.cores
     )
     # the scorer assesses populations through the cache's node memo,
     # which the winner's re-score below reads too
-    scorer = VectorizedScorer(spec, num_nodes, cluster, dtl, cache)
+    scorer = VectorizedScorer(spec, num_nodes, cache)
     suffix = _member_bounds(spec, cores_per_node)
     counter = CompletionCounter(component_cores, num_nodes, cores_per_node)
 
@@ -628,7 +617,7 @@ def find_best_placement_vectorized(
     best = score_placement(
         spec,
         placement,
-        context=PlanningContext(cluster=cluster, dtl=dtl, cache=cache),
+        context=PlanningContext(cache=cache),
     )
     best = dataclasses.replace(best, robust_penalty=best_penalty)
     return VectorizedSearchResult(best=best, scored=scored, pruned=pruned)

@@ -11,8 +11,9 @@ structured agreement in three tiers:
 
 - **Tier 0 (exact)** — paths that share the effective-stage model must
   agree bit-for-bit: :class:`~repro.search.cache.StageCache` stages vs
-  the uncached predictor, cached vs uncached
-  :func:`~repro.scheduler.objectives.score_placement`, the
+  the uncached predictor,
+  :func:`~repro.scheduler.objectives.score_placement` vs the uncached
+  :func:`~repro.search.reference.score_placement_reference`, the
   surrogate's failure-free baseline, and — when a service URL is
   given — a score obtained through the placement service's HTTP API
   (:mod:`repro.service`), proving the JSON wire format is lossless.
@@ -328,12 +329,14 @@ def run_differential_oracle(
         hook exists so tests can inject a mutated copy and prove the
         oracle catches it.
     score_fn:
-        Placement scorer compared against the reference scoring path,
-        called as ``score_fn(spec, placement, context=...)`` with the
+        Placement scorer compared against the reference scoring path
+        (:func:`~repro.search.reference.score_placement_reference`),
+        called as ``score_fn(spec, placement, context=...)`` with a
+        fresh :class:`~repro.search.cache.StageCache` on the
         scenario's platform in a
         :class:`~repro.scheduler.context.PlanningContext`; defaults to
-        :func:`~repro.scheduler.objectives.score_placement` (uncached).
-        Same mutation hook as ``predictor``.
+        :func:`~repro.scheduler.objectives.score_placement`. Same
+        mutation hook as ``predictor``.
     failure_model / recovery / fault_trials:
         When a failure model is given, Tier 2 additionally compares
         the analytic surrogate's expected makespan against the mean of
@@ -410,11 +413,15 @@ def run_differential_oracle(
             )
 
     # -- tier 0: cached vs uncached scoring, and the score_fn under test ---
-    platform = PlanningContext(cluster=cluster, dtl=dtl)
-    reference_score = score_placement(spec, placement, context=platform)
-    cached_score = score_placement(
-        spec, placement, context=platform.evolve(cache=cache)
+    from repro.search.reference import score_placement_reference
+
+    reference_score = score_placement_reference(
+        spec, placement, cluster=cluster, dtl=dtl
     )
+    cached_score = score_placement(
+        spec, placement, context=PlanningContext(cache=cache)
+    )
+    platform = PlanningContext(cache=StageCache(cluster, dtl))
     candidate_score = score(spec, placement, context=platform)
     for label, cand in (
         ("score-vs-cache", cached_score),
@@ -469,7 +476,7 @@ def run_differential_oracle(
     from repro.search.vectorized import VectorizedScorer
 
     scorer = VectorizedScorer(
-        spec, placement.num_nodes, cluster=cluster, dtl=dtl
+        spec, placement.num_nodes, cache=StageCache(cluster, dtl)
     )
     batch = scorer.score_assignments([placement_to_assignment(placement)])
     checks.append(
@@ -513,8 +520,8 @@ def run_differential_oracle(
         spec, placement, cluster=cluster, dtl=dtl, seed=seed, timing_noise=0.0
     )
     des_indicators = result.indicator_values(FINAL_STAGE_ORDER)
-    analytic_score = score_placement(
-        spec, placement, stages=analytic, context=platform
+    analytic_score = score_placement_reference(
+        spec, placement, cluster=cluster, dtl=dtl, stages=analytic
     )
     for member, member_result, indicator in zip(
         spec.members, result.members, analytic_score.member_indicators

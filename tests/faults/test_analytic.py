@@ -463,49 +463,48 @@ class TestRobustnessTerm:
         term = RobustnessTerm(
             policy=RetryBackoffPolicy(), model=NoFailureModel()
         )
-        assert term.penalty(spec, placement) == pytest.approx(0.0)
+        stages = predict_member_stages(spec, placement)
+        assert term.penalty(
+            spec, placement, stages=stages
+        ) == pytest.approx(0.0)
 
     def test_penalty_scales_with_weight(self, spec, placement):
         kwargs = dict(
             policy=RetryBackoffPolicy(),
             model=RandomFailureModel(rate=0.1),
         )
+        stages = predict_member_stages(spec, placement)
         p1 = RobustnessTerm(weight=1.0, **kwargs).penalty(
-            spec, placement
+            spec, placement, stages=stages
         )
         p2 = RobustnessTerm(weight=2.0, **kwargs).penalty(
-            spec, placement
+            spec, placement, stages=stages
         )
         assert p1 > 0
         assert p2 == pytest.approx(2 * p1)
 
-    def test_penalty_with_stages_ignores_the_platform(self, spec, placement):
-        # the search paths price penalties from stages they already
-        # hold and build no cluster for it: given stages, the surrogate
-        # reads neither the cluster nor the DTL
+    def test_penalty_prices_the_given_stages(self, spec, placement):
+        # the scorers price penalties from the stages they already hold
+        # on their platform: the penalty is a function of those stages
         term = RobustnessTerm(
             policy=RetryBackoffPolicy(),
             model=RandomFailureModel(rate=0.1),
         )
         stages = predict_member_stages(spec, placement)
-        platforms = [
-            dict(cluster=make_cori_like_cluster(placement.num_nodes)),
-            dict(
-                cluster=make_cori_like_cluster(
-                    placement.num_nodes, contention_enabled=False
-                )
+        priced = term.penalty(spec, placement, stages=stages)
+        assert priced > 0
+        assert term.penalty(spec, placement, stages=stages) == priced
+        # another platform predicts other stages, so the equality
+        # above is not vacuous
+        other = predict_member_stages(
+            spec,
+            placement,
+            cluster=make_cori_like_cluster(
+                placement.num_nodes, contention_enabled=False
             ),
-            dict(dtl=InMemoryStagingDTL(producer_progress_tax=0.03)),
-        ]
-        priced = [
-            term.penalty(spec, placement, stages=stages, **platform)
-            for platform in platforms
-        ]
-        assert priced[0] > 0
-        assert priced == [term.penalty(spec, placement, stages=stages)] * 3
-        # without stages the platforms predict different ones, so the
-        # equality above is not vacuous
-        assert term.penalty(spec, placement, **platforms[1]) != priced[0]
+            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+        )
+        assert term.penalty(spec, placement, stages=other) != priced
 
     def test_builder_gets_the_candidate_placement(self):
         seen = []
@@ -519,7 +518,9 @@ class TestRobustnessTerm:
         )
         spec = _small_spec()
         placement = pack_members_per_node(spec)
-        term.penalty(spec, placement)
+        term.penalty(
+            spec, placement, stages=predict_member_stages(spec, placement)
+        )
         assert seen == [placement]
 
     def test_node_crash_builder_builds_node_models(self):

@@ -50,6 +50,7 @@ from repro.runtime.placement import (
 from repro.runtime.runner import run_ensemble
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
+from repro.search.cache import StageCache
 from repro.scheduler.robust import (
     crash_straggler_factory,
     rank_placements_robust,
@@ -93,7 +94,7 @@ def _serial_ranking(
     became its only engine."""
     platform = (
         {} if context is None
-        else dict(cluster=context.cluster, dtl=context.dtl)
+        else dict(cluster=context.cache.cluster, dtl=context.cache.dtl)
     )
     return sorted(
         (
@@ -747,8 +748,10 @@ class TestOneSweep:
         self, spec, candidates, policy_cls
     ):
         context = PlanningContext(
-            cluster=make_cori_like_cluster(2, contention_enabled=False),
-            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+            cache=StageCache(
+                make_cori_like_cluster(2, contention_enabled=False),
+                InMemoryStagingDTL(producer_progress_tax=0.03),
+            )
         )
         common = dict(trials=3, base_seed=9, context=context)
         serial = _serial_ranking(

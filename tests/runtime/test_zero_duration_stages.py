@@ -27,8 +27,7 @@ from repro.faults.recovery import RetryBackoffPolicy
 from repro.monitoring.tracer import Stage
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.executor import EnsembleExecutor
-from repro.scheduler.context import PlanningContext
-from repro.scheduler.objectives import score_placement
+from repro.search.reference import score_placement_reference
 from repro.util.errors import ValidationError
 
 N_STEPS = 5
@@ -94,11 +93,12 @@ def test_des_replay_and_scorer_agree(config, noise):
         timing_noise=noise,
     )
     outcome = replay_schedules([timeline], [], RetryBackoffPolicy())
-    score = score_placement(
+    score = score_placement_reference(
         spec,
         placement,
+        cluster=cluster,
+        dtl=dtl,
         stages={m.name: m.stages for m in result.members},
-        context=PlanningContext(cluster=cluster, dtl=dtl),
     )
     objective = result.objective(FINAL_STAGE_ORDER)
     assert outcome.baseline_makespans == (result.ensemble_makespan,)

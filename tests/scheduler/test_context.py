@@ -1,12 +1,14 @@
 """:class:`PlanningContext` is the one way to pass planning options.
 
-The four planning entry points take the platform, robustness term,
-stage cache and kernel routing only through ``context=``; the old
+The four planning entry points take the robustness term and the stage
+cache, which is the platform, only through ``context=``; the old
 per-call keywords raise ``TypeError``. ``context=None`` maps to the
 shared :data:`DEFAULT_CONTEXT`, and an explicit context spelling out
-the default platform produces bit-identical floats. The differential
-oracle scores through the same spelling; the mutant test here proves
-its exact tier has teeth.
+the default platform produces bit-identical floats. One context gives
+one answer: a search's winner scores as the search scored it, whatever
+the size of the cluster in the cache. The differential oracle scores
+through the same spelling; the mutant test here proves its exact tier
+has teeth.
 """
 
 import dataclasses
@@ -26,6 +28,10 @@ from repro.scheduler.robust import (
 )
 from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
+from repro.search.reference import (
+    find_best_placement_reference,
+    score_placement_reference,
+)
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.verify.oracles import run_differential_oracle
@@ -51,9 +57,8 @@ class TestContextObject:
     def test_defaults(self):
         ctx = PlanningContext()
         assert [f.name for f in dataclasses.fields(ctx)] == [
-            "cluster", "dtl", "robustness", "cache",
+            "robustness", "cache",
         ]
-        assert ctx.cluster is None and ctx.dtl is None
         assert ctx.robustness is None and ctx.cache is None
         assert DEFAULT_CONTEXT == ctx
 
@@ -93,7 +98,10 @@ class TestOneSpelling:
             call()
 
     def test_removed_fields_are_not_accepted(self):
-        for field in ("parallel", "processes", "chunk_size", "vectorized"):
+        for field in (
+            "parallel", "processes", "chunk_size", "vectorized",
+            "cluster", "dtl",
+        ):
             with pytest.raises(TypeError):
                 PlanningContext(**{field: 1})
 
@@ -107,19 +115,24 @@ class TestOneSpelling:
 
 class TestFloatExactEquivalence:
     """``context=None``, an explicit default context and a context
-    naming the default Cori-like platform agree bit for bit."""
+    naming the default Cori-like platform agree bit for bit, and with
+    the uncached reference scorer and search loop."""
 
     def test_score_placement(self):
         spec, placement = _spec(), _placement()
+        reference = score_placement_reference(spec, placement)
         default = score_placement(spec, placement)
         via_context = score_placement(
             spec,
             placement,
-            context=PlanningContext(cluster=make_cori_like_cluster(2)),
+            context=PlanningContext(
+                cache=StageCache(make_cori_like_cluster(2))
+            ),
         )
-        assert via_context.objective == default.objective
-        assert via_context.ensemble_makespan == default.ensemble_makespan
-        assert via_context.member_indicators == default.member_indicators
+        for score in (default, via_context):
+            assert score.objective == reference.objective
+            assert score.ensemble_makespan == reference.ensemble_makespan
+            assert score.member_indicators == reference.member_indicators
 
     def test_find_best_placement(self):
         spec = _spec()
@@ -133,11 +146,12 @@ class TestFloatExactEquivalence:
 
     def test_find_best_placement_with_shared_cache(self):
         spec = _spec()
-        default_best, _ = find_best_placement(spec, 2, 32)
+        reference, _ = find_best_placement_reference(spec, 2, 32)
         ctx_best, _ = find_best_placement(
             spec, 2, 32, context=PlanningContext(cache=StageCache(None, None))
         )
-        assert ctx_best.objective == default_best.objective
+        assert ctx_best.placement == reference.placement
+        assert ctx_best.objective == reference.objective
 
     def test_planner(self):
         spec = _spec()
@@ -170,6 +184,29 @@ class TestFloatExactEquivalence:
         assert [s.objective for s in via_context] == [
             s.objective for s in default
         ]
+
+
+class TestOnePlatform:
+    """A planning platform prices nodes, not an allocation: the cache
+    never reads its cluster's node count, so a context whose cache
+    holds a 2-node cluster searches and scores 3-node placements alike,
+    as the Cori-like platform sized per placement prices them."""
+
+    def test_a_two_node_cluster_prices_three_node_placements(self):
+        spec = _spec(n_steps=3)
+        context = PlanningContext(cache=StageCache(make_cori_like_cluster(2)))
+        best, _ = find_best_placement(spec, 3, 32, context=context)
+        scored = score_placement(spec, best.placement, context=context)
+        assert best.num_nodes == 3
+        assert scored.objective == best.objective
+        assert scored.ensemble_makespan == best.ensemble_makespan
+        assert scored.member_indicators == best.member_indicators
+        wide = EnsemblePlacement(
+            3, (MemberPlacement(0, (0,)), MemberPlacement(1, (2,)))
+        )
+        priced = score_placement(spec, wide, context=context).objective
+        assert priced == 0.00554579136505981
+        assert priced == score_placement_reference(spec, wide).objective
 
 
 class TestOracleContextTier:

@@ -43,8 +43,10 @@ def _spec(analyses, n_steps: int = 4) -> EnsembleSpec:
 def _contexts():
     return {
         "platform": PlanningContext(
-            cluster=make_cori_like_cluster(3, contention_enabled=False),
-            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+            cache=StageCache(
+                make_cori_like_cluster(3, contention_enabled=False),
+                InMemoryStagingDTL(producer_progress_tax=0.03),
+            )
         ),
         "robust": PlanningContext(
             robustness=RobustnessTerm(

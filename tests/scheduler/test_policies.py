@@ -331,7 +331,6 @@ class TestGreedyBudgetIndependence:
     ):
         import repro.platform.specs
         import repro.runtime.analytic
-        import repro.scheduler.objectives
 
         built = []
 
@@ -339,11 +338,7 @@ class TestGreedyBudgetIndependence:
             built.append(args)
             raise AssertionError("the greedy built a Cori-like cluster")
 
-        for module in (
-            repro.platform.specs,
-            repro.runtime.analytic,
-            repro.scheduler.objectives,
-        ):
+        for module in (repro.platform.specs, repro.runtime.analytic):
             monkeypatch.setattr(module, "make_cori_like_cluster", spy)
         GreedyIndicatorPolicy().place(k2_spec, 3, 32)
         assert built == []

@@ -1,10 +1,11 @@
 """StageCache bit-identity: cached paths return the predictor's floats.
 
 The cache's contract is exact equality with
-:func:`repro.runtime.analytic.predict_member_stages` and
-:func:`repro.scheduler.objectives.score_placement` — asserted here with
-``==``, never ``approx``, across full enumerations, warm re-use, delta
-(incremental) evaluation, and robustness-weighted scoring.
+:func:`repro.runtime.analytic.predict_member_stages` and the uncached
+:func:`repro.search.reference.score_placement_reference` — asserted
+here with ``==``, never ``approx``, across full enumerations, warm
+re-use, delta (incremental) evaluation, and robustness-weighted
+scoring.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.faults.analytic import RobustnessTerm
 from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
-from repro.platform.network import DragonflyNetwork
-from repro.platform.specs import make_cori_like_cluster, small_test_cluster
+from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.search.cache import StageCache
 from repro.search.canonical import component_core_demands
+from repro.search.reference import score_placement_reference
 from repro.util.errors import PlacementError
 
 
@@ -77,7 +78,7 @@ class TestScorePlacementCachedPath:
             cached = score_placement(
                 two_member_spec, placement, context=context
             )
-            plain = score_placement(two_member_spec, placement)
+            plain = score_placement_reference(two_member_spec, placement)
             assert cached.objective == plain.objective
             assert cached.ensemble_makespan == plain.ensemble_makespan
             assert cached.member_indicators == plain.member_indicators
@@ -95,57 +96,11 @@ class TestScorePlacementCachedPath:
             two_member_spec, colocated_placement,
             context=robust.evolve(cache=StageCache()),
         )
-        plain = score_placement(
-            two_member_spec, colocated_placement, context=robust
+        plain = score_placement_reference(
+            two_member_spec, colocated_placement, robustness=term
         )
         assert cached.robust_penalty == plain.robust_penalty
         assert cached.utility == plain.utility
-
-    def test_mismatched_cache_is_ignored_not_wrong(
-        self, two_member_spec, colocated_placement
-    ):
-        # a default-context cache offered alongside a different cluster
-        # must not poison the score: the result is the plain one
-        cache = StageCache()
-        other = make_cori_like_cluster(2, contention_enabled=False)
-        assert not cache.matches(other, None)
-        platform = PlanningContext(cluster=other)
-        scored = score_placement(
-            two_member_spec, colocated_placement,
-            context=platform.evolve(cache=cache),
-        )
-        plain = score_placement(
-            two_member_spec, colocated_placement, context=platform
-        )
-        assert scored.objective == plain.objective
-        assert scored.ensemble_makespan == plain.ensemble_makespan
-        # and nothing was cached through the mismatch
-        assert cache.stage_misses == 0
-
-    def test_matches_default_context(self):
-        cache = StageCache()
-        assert cache.matches(None, None)
-        assert cache.matches(make_cori_like_cluster(2), None)
-        assert not cache.matches(None, ParallelFilesystemDTL())
-
-    def test_matches_builds_no_platform_after_the_first_call(
-        self, monkeypatch
-    ):
-        cache = StageCache()
-        other = StageCache(cluster=small_test_cluster())
-        assert cache.matches(None, None)
-        built = []
-        original = DragonflyNetwork.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(DragonflyNetwork, "__init__", counting_init)
-        for _ in range(3):
-            assert cache.matches(None, None)
-            assert not other.matches(None, None)
-        assert built == []
 
 
 class TestDeltaEvaluation:

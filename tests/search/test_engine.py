@@ -1,10 +1,11 @@
 """The fast search engine returns exactly what the seed search would.
 
 Covers :func:`repro.search.engine.find_best_placement` against a
-verbatim seed loop (reference enumerator + ``score_placement`` + first
-strict optimum), the rewired :class:`ExhaustiveSearchPolicy`, the
-incremental annealer's trajectory parity with the seed annealer,
-robust ranking through the cache, and the planner's probe memoization.
+verbatim seed loop (reference enumerator + the uncached
+``score_placement_reference`` + first strict optimum), the rewired
+:class:`ExhaustiveSearchPolicy`, the incremental annealer's trajectory
+parity with the seed annealer, robust ranking through the cache, and
+the planner's probe memoization.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
 from repro.scheduler.context import PlanningContext
-from repro.scheduler.objectives import score_placement
 from repro.scheduler.planner import ResourceConstrainedPlanner
 from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.scheduler.robust import (
@@ -30,6 +30,7 @@ from repro.search.cache import StageCache
 from repro.search.reference import (
     anneal_reference,
     enumerate_placements_reference,
+    score_placement_reference,
 )
 from repro.util.errors import PlacementError
 
@@ -41,8 +42,8 @@ def _seed_best(spec, num_nodes, cores_per_node, robustness=None):
     for placement in enumerate_placements_reference(
         spec, num_nodes, cores_per_node
     ):
-        score = score_placement(
-            spec, placement, context=PlanningContext(robustness=robustness)
+        score = score_placement_reference(
+            spec, placement, robustness=robustness
         )
         evaluated += 1
         if best is None or score > best:

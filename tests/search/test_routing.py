@@ -15,6 +15,7 @@ from repro.faults.models import RandomFailureModel
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
+from repro.search.cache import StageCache
 from repro.search.engine import find_best_placement
 from repro.search.reference import find_best_placement_reference
 from repro.search.vectorized import MIN_VECTORIZED_CANDIDATES
@@ -64,5 +65,9 @@ class TestFallbackReasons:
         # the parallel filesystem was outside the kernel's copied cost
         # formulas; its own read/write costs now fill the columns
         _assert_exact(
-            _spec(3), 3, context=PlanningContext(dtl=ParallelFilesystemDTL())
+            _spec(3),
+            3,
+            context=PlanningContext(
+                cache=StageCache(dtl=ParallelFilesystemDTL())
+            ),
         )

@@ -8,10 +8,10 @@ against the scalar scorer and the scalar search loop kept in
   exact canonical assignment stream, for any chunk size, and the
   closed-form :class:`CompletionCounter` sizes it without enumerating;
 - **score identity** — every row of :meth:`VectorizedScorer
-  .score_chunk` equals :func:`~repro.scheduler.objectives
-  .score_placement` bit for bit (the oracle's ``vectorized`` tier is
-  0.0), including members of 3-4 analyses and non-default networks
-  and staging tiers;
+  .score_chunk` equals the uncached :func:`~repro.search.reference
+  .score_placement_reference` bit for bit (the oracle's ``vectorized``
+  tier is 0.0), including members of 3-4 analyses and non-default
+  networks and staging tiers;
 - **search identity** — branch-and-bound never prunes the true
   optimum: :func:`find_best_placement` returns the reference loop's
   winner, floats, robust penalty and ``evaluated`` on plan-mix-shaped
@@ -21,7 +21,7 @@ against the scalar scorer and the scalar search loop kept in
   strict ``>`` tie-breaking on tie-heavy grids;
 - **one population memo** — the kernel assesses node populations
   through the :class:`~repro.search.cache.StageCache` node memo, and a
-  cache bound to another platform is never consulted.
+  cache handed to a planning call is that call's platform.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from repro.faults.recovery import make_policy
 from repro.platform.cluster import Cluster
 from repro.platform.contention import ContentionModel
 from repro.platform.network import DragonflyNetwork
-from repro.platform.node import NodeSpec
 from repro.platform.specs import cori_like_node, make_cori_like_cluster
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.context import PlanningContext
+from repro.scheduler.annealing import SimulatedAnnealingPolicy
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.search import find_best_placement
@@ -60,8 +60,10 @@ from repro.search.canonical import (
     placement_to_assignment,
 )
 from repro.search.reference import (
+    anneal_reference,
     enumerate_placements_reference,
     find_best_placement_reference,
+    score_placement_reference,
 )
 from repro.search.vectorized import (
     VectorizedScorer,
@@ -91,22 +93,31 @@ class _SubclassedNetwork(DragonflyNetwork):
 
 
 def _contexts() -> dict:
-    """The non-default platforms every exactness check runs on."""
-    return {
-        "parallel-fs": PlanningContext(dtl=ParallelFilesystemDTL()),
-        "burst-buffer": PlanningContext(dtl=BurstBufferDTL()),
-        "contention-off": PlanningContext(
-            cluster=make_cori_like_cluster(16, contention_enabled=False),
-            dtl=InMemoryStagingDTL(producer_progress_tax=0.03),
+    """The non-default platforms every exactness check runs on, each a
+    fresh :class:`StageCache` in its own context."""
+    caches = {
+        "parallel-fs": StageCache(dtl=ParallelFilesystemDTL()),
+        "burst-buffer": StageCache(dtl=BurstBufferDTL()),
+        "contention-off": StageCache(
+            make_cori_like_cluster(16, contention_enabled=False),
+            InMemoryStagingDTL(producer_progress_tax=0.03),
         ),
-        "subclassed-dragonfly": PlanningContext(
-            cluster=Cluster(
+        "subclassed-dragonfly": StageCache(
+            Cluster(
                 node_spec=cori_like_node(),
                 num_nodes=16,
                 network=_SubclassedNetwork(),
             )
         ),
     }
+    return {name: PlanningContext(cache=c) for name, c in caches.items()}
+
+
+def _platform(context: PlanningContext) -> dict:
+    """The ``cluster``/``dtl`` of a context's cache, for the uncached
+    reference scorer (the Cori-like defaults when it has none)."""
+    cache = context.cache or StageCache()
+    return dict(cluster=cache.cluster, dtl=cache.dtl)
 
 
 def _robust_context() -> PlanningContext:
@@ -175,10 +186,17 @@ def _assert_same_search(fast, scalar) -> None:
 
 
 def _assert_matches_reference(spec, num_nodes, cores_per_node, context):
-    """The engine equals the reference loop, or both raise alike."""
+    """The engine equals the reference loop, or both raise alike.
+
+    The loop runs on a fresh cache of the same platform, so the two
+    engines share no memo entry.
+    """
     try:
         reference = find_best_placement_reference(
-            spec, num_nodes, cores_per_node, context=context
+            spec,
+            num_nodes,
+            cores_per_node,
+            context=context.evolve(cache=StageCache(**_platform(context))),
         )
     except PlacementError:
         with pytest.raises(PlacementError):
@@ -193,17 +211,15 @@ def _assert_matches_reference(spec, num_nodes, cores_per_node, context):
 
 
 def _assert_rows_exact(spec, num_nodes, rows, context=None) -> None:
-    """Every kernel row equals ``score_placement`` bit for bit."""
+    """Every kernel row equals the uncached scorer bit for bit."""
     context = context or PlanningContext()
-    scorer = VectorizedScorer(
-        spec, num_nodes, cluster=context.cluster, dtl=context.dtl
-    )
+    scorer = VectorizedScorer(spec, num_nodes, cache=context.cache)
     batch = scorer.score_chunk(np.asarray(rows, dtype=np.int64))
     for i, assignment in enumerate(rows):
-        scalar = score_placement(
+        scalar = score_placement_reference(
             spec,
             assignment_to_placement(spec, assignment, num_nodes),
-            context=context,
+            **_platform(context),
         )
         assert float(batch.objectives[i]) == scalar.objective
         assert float(batch.makespans[i]) == scalar.ensemble_makespan
@@ -353,7 +369,7 @@ class TestScoreAgreement:
             rows.append(row)
         batch = VectorizedScorer(spec, num_nodes).score_assignments(rows)
         for i, row in enumerate(rows):
-            scalar = score_placement(
+            scalar = score_placement_reference(
                 spec, assignment_to_placement(spec, row, num_nodes)
             )
             assert float(batch.objectives[i]) == scalar.objective
@@ -418,7 +434,6 @@ class TestRobustSearch:
         spec, num_nodes, cores_per_node = grid
         term = _robust_context().robustness
         cache = StageCache()
-        cluster = make_cori_like_cluster(num_nodes)
         rows = list(
             iter_canonical_assignments(
                 component_core_demands(spec), num_nodes, cores_per_node
@@ -429,7 +444,6 @@ class TestRobustSearch:
             assert term.penalty(
                 spec,
                 assignment_to_placement(spec, row, num_nodes),
-                cluster=cluster,
                 stages=evaluation.stages_by_name(spec),
             ) >= 0.0
 
@@ -662,17 +676,44 @@ class TestPopulationMemo:
         assert misses == [0]
         assert cache.node_misses > 0  # the kernel filled the memo
 
-    def test_cache_for_another_node_spec_is_never_used(self):
-        other = StageCache(
-            Cluster(node_spec=NodeSpec(cores=64), num_nodes=4)
-        )
+    @pytest.mark.parametrize("name", sorted(_contexts()))
+    def test_a_cache_handed_to_a_planning_call_is_its_platform(self, name):
         spec = _tie_heavy_spec(2)
-        fast = find_best_placement(
-            spec, 4, 32, context=PlanningContext(cache=other)
+        exhaustive, annealing, search = (
+            _contexts()[name].cache for _ in range(3)
         )
-        _assert_same_search(fast, find_best_placement_reference(spec, 4, 32))
-        assert set(other.stats().values()) == {0}
-        assert VectorizedScorer(spec, 4, cache=other).cache is not other
+        ExhaustiveSearchPolicy(cache=exhaustive).place(spec, 4, 32)
+        policy = dict(seed=3, plateau=4, min_temperature_ratio=1e-2)
+        winner = SimulatedAnnealingPolicy(cache=annealing, **policy).place(
+            spec, 4, 32
+        )
+        fast = find_best_placement(
+            spec, 4, 32, context=PlanningContext(cache=search)
+        )
+        assert exhaustive.stage_misses > 0
+        assert annealing.stage_misses > 0
+        assert search.stage_misses > 0
+        _assert_same_search(
+            fast,
+            find_best_placement_reference(
+                spec, 4, 32, context=_contexts()[name]
+            ),
+        )
+        # the annealer walked the seed annealer's trajectory on this
+        # platform, and its winner scores as the uncached scorer does
+        seed = SimulatedAnnealingPolicy(
+            cache=_contexts()[name].cache, **policy
+        )
+        assert anneal_reference(seed, spec, 4, 32) == winner
+        scored = score_placement(
+            spec, winner, context=PlanningContext(cache=annealing)
+        )
+        reference = score_placement_reference(
+            spec, winner, cluster=annealing.cluster, dtl=annealing.dtl
+        )
+        assert scored.objective == reference.objective
+        assert scored.ensemble_makespan == reference.ensemble_makespan
+        assert scored.member_indicators == reference.member_indicators
 
 
 class TestBatchArgmax:

@@ -115,11 +115,11 @@ class TestOracleHasTeeth:
         """An off-by-one in the makespan step count must diverge."""
 
         def mutant_score(spec, placement, context):
-            cluster = context.cluster
+            cluster = context.cache.cluster
             if cluster is None:
                 cluster = make_cori_like_cluster(placement.num_nodes)
             stages = predict_member_stages(
-                spec, placement, cluster=cluster, dtl=context.dtl
+                spec, placement, cluster=cluster, dtl=context.cache.dtl
             )
             indicators, worst = [], 0.0
             for m, mp in zip(spec.members, placement.members):
