@@ -397,9 +397,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(metrics.to_text())
     if args.surrogate:
         from repro.faults.analytic import surrogate_resilience
+        from repro.runtime.analytic import predict_member_stages
 
         report = surrogate_resilience(
-            spec, placement, model, make_policy(args.policy)
+            spec, placement, model, make_policy(args.policy),
+            stages=predict_member_stages(spec, placement),
         )
         print()
         print("analytic surrogate prediction:")

@@ -37,8 +37,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.coschedule.allocator import grant_space, min_feasible_grant
 from repro.faults.analytic import node_crash_term, surrogate_resilience
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext
-from repro.search.cache import StageCache
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.search.engine import find_best_placement
 from repro.util.errors import PlacementError
 from repro.util.validation import require_positive_int
@@ -136,10 +135,9 @@ class AdmissionController:
         self.total_nodes = total_nodes
         self.cores_per_node = cores_per_node
         self._term = node_crash_term(robust_rate, policy)
-        base = context or PlanningContext()
+        self._context = resolve_context(context)
         if self._term is not None:
-            base = base.evolve(robustness=self._term)
-        self._context = base.evolve(cache=base.cache or StageCache())
+            self._context = self._context.evolve(robustness=self._term)
         self._node_cores = self._context.cache.node_spec.cores
         # probe memos keyed by spec identity (the value keeps the spec
         # alive so ids are never recycled); memo hits only skip

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import PlacementScore
 from repro.search.cache import StageCache
 from repro.search.canonical import component_core_demands, search_space_size
@@ -282,10 +282,8 @@ class ClusterAllocator:
         self.total_nodes = total_nodes
         self.cores_per_node = cores_per_node
         self.objective = objective or ClusterObjective()
-        base = context or PlanningContext()
-        cache = base.cache or StageCache()
-        self._context = base.evolve(cache=cache)
-        self._node_cores = cache.node_spec.cores
+        self._context = resolve_context(context)
+        self._node_cores = self._context.cache.node_spec.cores
         self.max_partitions = max_partitions
         self._best: Dict[
             Tuple[int, int], Tuple[EnsembleSpec, Optional[PlacementScore]]

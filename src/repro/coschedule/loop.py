@@ -43,9 +43,8 @@ from repro.runtime.placement import (
     placement_to_dict,
 )
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import PlacementScore
-from repro.search.cache import StageCache
 from repro.util.errors import ValidationError
 from repro.util.registry import count
 
@@ -268,9 +267,7 @@ class CoScheduler:
         policy: str = "retry",
         max_partitions: int = 20_000,
     ) -> None:
-        base = context or PlanningContext()
-        cache = base.cache or StageCache()
-        base = base.evolve(cache=cache)
+        base = resolve_context(context)
         self.total_nodes = total_nodes
         self.cores_per_node = cores_per_node
         self.objective = objective or ClusterObjective()
@@ -290,7 +287,7 @@ class CoScheduler:
         )
         from repro.reschedule.migration import MigrationCostModel
 
-        self._cost_model = MigrationCostModel(cache.dtl)
+        self._cost_model = MigrationCostModel(base.cache.dtl)
 
     # -- the run -------------------------------------------------------------
     def run(

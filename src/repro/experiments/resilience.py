@@ -38,6 +38,7 @@ from repro.faults.analytic import surrogate_resilience
 from repro.faults.models import FaultKind, RandomFailureModel
 from repro.faults.recovery import POLICY_NAMES, make_policy
 from repro.monitoring.resilience import surrogate_agreement
+from repro.runtime.analytic import predict_member_stages
 from repro.runtime.executor import EnsembleExecutor
 from repro.scheduler.robust import (
     crash_straggler_factory,
@@ -189,6 +190,7 @@ def run_surrogate_validation(
         config = all_configs[name]
         spec = build_spec(config, n_steps=n_steps)
         placement = config.placement()
+        stages = predict_member_stages(spec, placement)
         for ri, rate in enumerate(rates):
             report = surrogate_resilience(
                 spec,
@@ -197,6 +199,7 @@ def run_surrogate_validation(
                     rate=rate, kinds=(FaultKind.CRASH,), seed=0
                 ),
                 make_policy(policy),
+                stages=stages,
             )
             baseline = EnsembleExecutor(spec, placement).run()
             inflations = []

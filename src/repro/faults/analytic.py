@@ -60,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.insitu import non_overlapped_segment
 from repro.core.stages import MemberStages
-from repro.dtl.base import DataTransportLayer
 from repro.faults.models import (
     CHUNK_KINDS,
     FailureModel,
@@ -75,8 +74,6 @@ from repro.faults.recovery import (
     RetryBackoffPolicy,
     make_policy,
 )
-from repro.platform.cluster import Cluster
-from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.util.errors import ValidationError
@@ -347,18 +344,16 @@ def surrogate_resilience(
     placement: EnsemblePlacement,
     model: FailureModel,
     policy: RecoveryPolicy,
-    cluster: Optional[Cluster] = None,
-    dtl: Optional[DataTransportLayer] = None,
-    stages: Optional[Dict[str, MemberStages]] = None,
+    *,
+    stages: Dict[str, MemberStages],
 ) -> SurrogateReport:
     """Predict expected failure cost of a placement in closed form.
 
-    Combines the analytic steady-state stage prediction
-    (:func:`~repro.runtime.analytic.predict_member_stages`) with the
-    model's :class:`~repro.faults.models.HazardProfile` and the
-    policy's expected crash response — no DES execution. Costs
-    microseconds per candidate, which is what lets the planner search
-    with robustness in the loop.
+    Combines the placement's steady-state stages with the model's
+    :class:`~repro.faults.models.HazardProfile` and the policy's
+    expected crash response — no DES execution. Costs microseconds per
+    candidate, which is what lets the planner search with robustness
+    in the loop.
 
     Parameters
     ----------
@@ -370,14 +365,13 @@ def surrogate_resilience(
         :class:`~repro.faults.models.ScheduledFailureModel` raises.
     policy:
         The recovery policy whose expected delay is priced.
-    cluster / dtl:
-        Platform overrides, as for the analytic predictor.
     stages:
-        Precomputed :func:`~repro.runtime.analytic
-        .predict_member_stages` result for this (spec, placement,
-        cluster, dtl); pass it when the caller already predicted the
-        stages (as :func:`~repro.scheduler.objectives.score_placement`
-        does) to avoid predicting twice per candidate.
+        Every member's predicted stages under ``placement``, on the
+        platform the caller prices on: a planning call passes its
+        :class:`~repro.search.cache.StageCache`'s (as
+        :func:`~repro.scheduler.objectives.score_placement` does),
+        anything else :func:`~repro.runtime.analytic
+        .predict_member_stages`'s.
 
     Returns
     -------
@@ -395,20 +389,18 @@ def surrogate_resilience(
 
     >>> from repro.faults.models import NoFailureModel
     >>> from repro.faults.recovery import RetryBackoffPolicy
+    >>> from repro.runtime.analytic import predict_member_stages
     >>> from repro.runtime.placement import pack_members_per_node
     >>> from repro.runtime.spec import EnsembleSpec, default_member
     >>> spec = EnsembleSpec("demo", (default_member("em1", n_steps=8),))
+    >>> placement = pack_members_per_node(spec)
     >>> report = surrogate_resilience(
-    ...     spec, pack_members_per_node(spec), NoFailureModel(),
-    ...     RetryBackoffPolicy())
+    ...     spec, placement, NoFailureModel(), RetryBackoffPolicy(),
+    ...     stages=predict_member_stages(spec, placement))
     >>> report.expected_inflation
     1.0
     """
     hazard = model.hazard()
-    if stages is None:
-        stages = predict_member_stages(
-            spec, placement, cluster=cluster, dtl=dtl
-        )
     rows = _component_rows(spec, placement, stages)
     # the kind mix of a simulation (False) and of an analysis (True)
     weights_of = {
@@ -578,11 +570,14 @@ class RobustnessTerm:
 
     Carries the failure regime (a model, or a builder when the model
     is placement-specific — node-level domains are), the recovery
-    policy, and the penalty weight. The scheduler's
-    :func:`~repro.scheduler.objectives.score_placement` subtracts
-    ``weight * (E[inflation] - 1)`` from F(P), so a placement that
-    looks optimal in steady state but concentrates fault domains pays
-    for its fragility *during* the search, not in a post-hoc re-rank.
+    policy, and the penalty weight. Carried in a
+    :class:`~repro.scheduler.context.PlanningContext`, it reaches every
+    planning call that context is handed to — the scorer, the search
+    engine, each policy's ``place`` and the planner — and each
+    subtracts ``weight * (E[inflation] - 1)`` from F(P), so a placement
+    that looks optimal in steady state but concentrates fault domains
+    pays for its fragility *during* the search, not in a post-hoc
+    re-rank.
 
     Parameters
     ----------

@@ -3,9 +3,9 @@
 When the drift detector fires, the :class:`Replanner` decides whether
 the ensemble should move — and where to. Three ingredients:
 
-**Calibrated remaining makespan.** The platform model's effective
-stage times (:func:`~repro.runtime.effective.compute_effective_stages`)
-are re-priced under the telemetry's per-node slowdown factors: compute
+**Calibrated remaining makespan.** The platform model's stage times,
+read from the run's one :class:`~repro.search.cache.StageCache`, are
+re-priced under the telemetry's per-node slowdown factors: compute
 stages (S, A) on a node observed running ``f``x slow cost ``f``x their
 modeled time. Each member's remaining time from its current step
 boundary is then the Eq. 1 recurrence — ``remaining_steps * sigma +
@@ -21,7 +21,8 @@ through it: the :class:`~repro.scheduler.annealing
 placement to propose structurally good layouts at nominal costs, and a
 greedy hill-climb over single-component, capacity-respecting moves
 then optimizes the calibrated remaining makespan directly (which is
-what steers components *off* the drifted nodes).
+what steers components *off* the drifted nodes). Both price on the
+same cache, built once per run on the run's cluster and DTL.
 
 **The migration-cost gate.** A candidate is accepted only if its
 calibrated remaining makespan *plus* the full state-transfer price
@@ -40,10 +41,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.dtl.base import DataTransportLayer
 from repro.platform.cluster import Cluster
 from repro.reschedule.migration import MigrationCostModel, MigrationPlan
-from repro.runtime.effective import compute_effective_stages
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
+from repro.scheduler.context import PlanningContext
+from repro.search.cache import StageCache
 from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
@@ -63,29 +65,29 @@ MAX_PASSES = 4
 def calibrated_remaining_makespan(
     spec: EnsembleSpec,
     placement: EnsemblePlacement,
-    cluster: Cluster,
-    dtl: DataTransportLayer,
+    cache: StageCache,
     slowdown: Dict[int, float],
     remaining_steps: Dict[str, int],
 ) -> float:
     """Predicted ensemble time-to-finish under per-node slowdowns.
 
-    Compute stages are inflated by their node's calibrated factor
-    (default 1.0); io stages keep their DTL-modeled price. Members
-    with no steps left contribute zero.
+    Each member's stages come from ``cache`` (the run's platform) and
+    each component's node from ``placement``. Compute stages are
+    inflated by their node's calibrated factor (default 1.0); io
+    stages keep their DTL-modeled price. Members with no steps left
+    contribute zero.
     """
-    effective = compute_effective_stages(spec, placement, cluster, dtl)
+    stages = cache.predict(spec, placement).values()
     worst = 0.0
-    for member in effective:
+    for member, mp, ms in zip(spec.members, placement.members, stages):
         steps = remaining_steps.get(member.name, member.n_steps)
         if steps <= 0:
             continue
-        sim = member.simulation
-        s_cal = sim.compute_time * slowdown.get(sim.node, 1.0)
-        sim_active = s_cal + sim.io_time
+        s_cal = ms.simulation.compute * slowdown.get(mp.simulation_node, 1.0)
+        sim_active = s_cal + ms.simulation.write
         ana_active = max(
-            ana.io_time + ana.compute_time * slowdown.get(ana.node, 1.0)
-            for ana in member.analyses
+            ana.read + ana.analyze * slowdown.get(node, 1.0)
+            for ana, node in zip(ms.analyses, mp.analysis_nodes)
         )
         sigma = max(sim_active, ana_active)
         drain = sim_active + ana_active - sigma
@@ -125,7 +127,8 @@ class Replanner:
     spec / cluster / dtl / cores_per_node:
         The running ensemble's geometry (the same objects the executor
         holds, so calibrated predictions and migration prices use the
-        run's own platform model).
+        run's own platform model); one ``StageCache(cluster, dtl)``
+        prices every candidate of the anneal, the climb and the gate.
     use_annealer:
         Warm-start a :class:`SimulatedAnnealingPolicy` (seed
         ``ANNEAL_SEED``, ``ANNEAL_PLATEAU`` moves per temperature) from
@@ -148,8 +151,7 @@ class Replanner:
     ) -> None:
         require_non_negative("min_gain", min_gain)
         self.spec = spec
-        self.cluster = cluster
-        self.dtl = dtl
+        self.cache = StageCache(cluster, dtl)
         self.cores_per_node = cores_per_node
         self.use_annealer = use_annealer
         self.min_gain = min_gain
@@ -167,14 +169,13 @@ class Replanner:
         """Calibrated remaining makespan, memoized for one :meth:`replan`.
 
         Slowdown and remaining steps are fixed within a replan, and the
-        hill-climbs and the gate revisit the same placements; each miss
-        is a full platform assessment.
+        hill-climbs and the gate revisit the same placements; a miss
+        reads the placement's stages from the run's cache.
         """
         value = memo.get(placement)
         if value is None:
             value = calibrated_remaining_makespan(
-                self.spec, placement, self.cluster, self.dtl, slowdown,
-                remaining_steps,
+                self.spec, placement, self.cache, slowdown, remaining_steps
             )
             memo[placement] = value
         return value
@@ -241,22 +242,13 @@ class Replanner:
                 current.num_nodes,
                 self.cores_per_node,
                 initial_placement=current,
+                context=PlanningContext(cache=self.cache),
             )
             candidates.append(
                 self._hill_climb(annealed, slowdown, remaining_steps, memo)
             )
         # dedup while preserving order (hill-climbed twins are common)
-        seen = set()
-        unique: List[EnsemblePlacement] = []
-        for candidate in candidates:
-            key = tuple(
-                (mp.simulation_node, mp.analysis_nodes)
-                for mp in candidate.members
-            )
-            if key not in seen:
-                seen.add(key)
-                unique.append(candidate)
-        return unique
+        return list(dict.fromkeys(candidates))
 
     # -- the gate ------------------------------------------------------------
     def replan(

@@ -8,14 +8,16 @@ this module provides a classic annealer over the placement space:
   format of :mod:`repro.search.canonical`;
 - **move**: relocate one uniformly chosen component to a random node
   with capacity (swap-free moves keep feasibility trivially);
-- **energy**: ``-F(P^{U,A,P})`` via the analytic predictor — or, with
-  a :class:`~repro.faults.analytic.RobustnessTerm`, the penalized
-  ``-(F - weight * (E[inflation] - 1))`` so the annealer trades ideal
-  objective against fault-domain fragility (node-level failure models
-  make the penalty placement-dependent: co-location fuses domains);
+- **energy**: ``-F(P^{U,A,P})`` via the analytic predictor — or, when
+  the :class:`~repro.scheduler.context.PlanningContext` handed to
+  ``place`` carries a :class:`~repro.faults.analytic.RobustnessTerm`,
+  the penalized ``-(F - weight * (E[inflation] - 1))`` so the annealer
+  trades ideal objective against fault-domain fragility (node-level
+  failure models make the penalty placement-dependent: co-location
+  fuses domains);
 - **schedule**: geometric cooling with per-temperature plateaus.
 
-Every move is scored by delta evaluation through a
+Every move is scored by delta evaluation through the context's
 :class:`~repro.search.cache.StageCache`: only members touching the two
 nodes a move changes are re-signed, and a transposition table scores
 each visited state once. The seed annealer, which re-scores every
@@ -40,8 +42,9 @@ from repro.core.objective import objective_function
 from repro.faults.analytic import RobustnessTerm
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.policies import RandomPolicy, SchedulingPolicy
-from repro.search.cache import FlatEvaluation, StageCache
+from repro.search.cache import FlatEvaluation
 from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
@@ -81,15 +84,12 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         Moves attempted per temperature.
     min_temperature_ratio:
         Stop when T falls below this fraction of the initial T.
-    robustness:
-        Optional :class:`~repro.faults.analytic.RobustnessTerm`; when
-        given, the annealer maximizes the penalized utility instead of
-        the raw objective.
-    cache:
-        Optional :class:`~repro.search.cache.StageCache` to share
-        across runs; it is the platform every move is priced on. A
-        fresh Cori-like cache is built per ``place`` call when
-        omitted.
+
+    The platform and the robustness term come from ``place``'s
+    ``context``: every move is priced on its cache (a fresh Cori-like
+    one per call when it has none), and with a robustness term the
+    annealer maximizes the penalized utility instead of the raw
+    objective.
     """
 
     name = "simulated-annealing"
@@ -101,8 +101,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         cooling: float = 0.9,
         plateau: int = 100,
         min_temperature_ratio: float = 1e-3,
-        robustness: Optional[RobustnessTerm] = None,
-        cache: Optional[StageCache] = None,
     ) -> None:
         self.rng = RandomSource(seed, name="annealer")
         self.initial_temperature = require_positive(
@@ -116,8 +114,6 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         self.min_temperature_ratio = require_positive(
             "min_temperature_ratio", min_temperature_ratio
         )
-        self.robustness = robustness
-        self.cache = cache
         self.stats = AnnealingStats()
 
     def initial_assignment(
@@ -157,12 +153,13 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
             ).place(spec, num_nodes, cores_per_node)
         return placement_to_assignment(start)
 
+    @staticmethod
     def _utility_of(
-        self,
         spec: EnsembleSpec,
         evaluation: FlatEvaluation,
         flat: List[int],
         num_nodes: int,
+        robustness: Optional[RobustnessTerm],
         objective_memo: Dict[Tuple[float, ...], float],
     ) -> float:
         """The move-acceptance utility from a cached flat evaluation.
@@ -178,9 +175,9 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         if objective is None:
             objective = objective_function(evaluation.indicators)
             objective_memo[indicator_key] = objective
-        if self.robustness is None:
+        if robustness is None:
             return objective
-        penalty = self.robustness.penalty(
+        penalty = robustness.penalty(
             spec,
             assignment_to_placement(spec, flat, num_nodes),
             stages=evaluation.stages_by_name(spec),
@@ -193,6 +190,8 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         num_nodes: int,
         cores_per_node: int,
         initial_placement: Optional[EnsemblePlacement] = None,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
         """Anneal from a random feasible state, or warm-start.
 
@@ -223,13 +222,14 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
         )
         gen = self.rng.generator
         component_cores = component_core_demands(spec)
-        cache = self.cache or StageCache()
+        context = resolve_context(context)
+        cache, robustness = context.cache, context.robustness
         visited: Dict[Tuple[int, ...], Tuple[FlatEvaluation, float]] = {}
         objective_memo: Dict[Tuple[float, ...], float] = {}
 
         evaluation = cache.evaluate_flat(spec, flat, num_nodes)
         current_utility = self._utility_of(
-            spec, evaluation, flat, num_nodes, objective_memo
+            spec, evaluation, flat, num_nodes, robustness, objective_memo
         )
         visited[tuple(flat)] = (evaluation, current_utility)
         self.stats.evaluations += 1
@@ -273,7 +273,7 @@ class SimulatedAnnealingPolicy(SchedulingPolicy):
                         previous=evaluation,
                     )
                     candidate_utility = self._utility_of(
-                        spec, candidate_eval, flat, num_nodes,
+                        spec, candidate_eval, flat, num_nodes, robustness,
                         objective_memo,
                     )
                     visited[key] = (candidate_eval, candidate_utility)

@@ -2,13 +2,15 @@
 
 :func:`~repro.scheduler.objectives.score_placement`,
 :func:`~repro.search.engine.find_best_placement`,
-:func:`~repro.scheduler.robust.rank_placements_robust` and the
-:class:`~repro.scheduler.planner.ResourceConstrainedPlanner` take the
+:func:`~repro.scheduler.robust.rank_placements_robust`, the
+:class:`~repro.scheduler.planner.ResourceConstrainedPlanner` and every
+:meth:`~repro.scheduler.policies.SchedulingPolicy.place` take the
 robustness term and the stage cache through one frozen object passed
 as ``context=``; there is no second keyword spelling. The cache is the
 planning platform: every call prices on ``context.cache``, or on a
 fresh Cori-like :class:`~repro.search.cache.StageCache` when it is
-``None``. ``context=None`` means :data:`DEFAULT_CONTEXT`.
+``None``. ``context=None`` means :data:`DEFAULT_CONTEXT`;
+:func:`resolve_context` applies both defaults.
 """
 
 from __future__ import annotations
@@ -54,3 +56,15 @@ class PlanningContext:
 #: What ``context=None`` means at every planning entry point — one
 #: shared instance, so a default call allocates no context of its own.
 DEFAULT_CONTEXT = PlanningContext()
+
+
+def resolve_context(context: Optional[PlanningContext]) -> PlanningContext:
+    """The context one planning call prices on: ``context``
+    (:data:`DEFAULT_CONTEXT` when ``None``), given a fresh Cori-like
+    :class:`~repro.search.cache.StageCache` when it holds none."""
+    context = context or DEFAULT_CONTEXT
+    if context.cache is not None:
+        return context
+    from repro.search.cache import StageCache  # import cycle guard
+
+    return context.evolve(cache=StageCache())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.indicators import FINAL_STAGE_ORDER
-from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.core.objective import objective_function
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
@@ -122,14 +122,8 @@ def score_placement(
     are closed-form, so the combined evaluation still costs
     microseconds.
     """
-    if context is None:
-        context = DEFAULT_CONTEXT
-    cache = context.cache
-    if cache is None:
-        from repro.search.cache import StageCache  # import cycle guard
-
-        cache = StageCache()
-    evaluation = cache.member_terms(spec, placement)
+    context = resolve_context(context)
+    evaluation = context.cache.member_terms(spec, placement)
     penalty = 0.0
     if context.robustness is not None:
         penalty = context.robustness.penalty(

@@ -11,11 +11,13 @@ assumption), a node budget, and a placement policy, the planner:
    provisioning decision — ready to pass to
    :func:`repro.runtime.runner.run_ensemble`.
 
-A :class:`~repro.faults.analytic.RobustnessTerm` makes the plan
-failure-aware: the final score carries the surrogate's expected
-inflation penalty and the returned plan's score orders by
-``objective - penalty`` — so two node budgets (or two policies) can be
-compared on their robust utility without any DES trials.
+Steps 1, 3 and 4 price on one :class:`~repro.search.cache.StageCache`,
+the cache of the call's :class:`~repro.scheduler.context
+.PlanningContext`. A :class:`~repro.faults.analytic.RobustnessTerm` in
+it makes the plan failure-aware: the policy searches on, and the
+plan's score orders by, ``objective - penalty`` — so two node budgets
+(or two policies) can be compared on their robust utility without any
+DES trials.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from typing import Optional, Sequence
 from repro.components.analysis import EigenAnalysisModel
 from repro.core.heuristic import CoreAllocationChoice, choose_analysis_cores
 from repro.core.stages import MemberStages
-from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
-from repro.scheduler.context import PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import PlacementScore, score_placement
 from repro.scheduler.policies import GreedyIndicatorPolicy, SchedulingPolicy
+from repro.search.cache import StageCache
 from repro.util.errors import ConfigurationError, PlacementError
 from repro.util.validation import require_positive_int
 
@@ -61,10 +63,10 @@ class ResourceConstrainedPlanner:
         Candidate analysis core counts for the §3.4 heuristic.
     context:
         Optional :class:`~repro.scheduler.context.PlanningContext`
-        scoping the final placement score: its ``cache`` is the
-        platform and is shared across ``plan`` calls, and a
-        ``robustness`` term adds the surrogate's expected inflation
-        penalty (the plan then orders by the penalized utility).
+        of every plan: its ``cache`` prices the §3.4 probe, the
+        policy and the final score and is shared across ``plan``
+        calls (a fresh Cori-like one per call when ``None``); a
+        ``robustness`` term steers the policy and penalizes the score.
     """
 
     def __init__(
@@ -91,12 +93,15 @@ class ResourceConstrainedPlanner:
         """Produce a plan for ``spec`` over ``num_nodes`` nodes."""
         require_positive_int("num_nodes", num_nodes)
         require_positive_int("cores_per_node", cores_per_node)
+        context = resolve_context(self.context)
 
-        choice = self._choose_cores(spec, cores_per_node)
+        choice = self._choose_cores(spec, cores_per_node, context.cache)
         sized_spec = self._respec_with_cores(spec, choice.cores)
-        placement = self.policy.place(sized_spec, num_nodes, cores_per_node)
+        placement = self.policy.place(
+            sized_spec, num_nodes, cores_per_node, context=context
+        )
         placement = self._compact(placement)
-        score = score_placement(sized_spec, placement, context=self.context)
+        score = score_placement(sized_spec, placement, context=context)
         return Plan(
             spec=sized_spec,
             placement=placement,
@@ -127,7 +132,7 @@ class ResourceConstrainedPlanner:
         return EnsemblePlacement(len(used), members)
 
     def _choose_cores(
-        self, spec: EnsembleSpec, cores_per_node: int
+        self, spec: EnsembleSpec, cores_per_node: int, cache: StageCache
     ) -> CoreAllocationChoice:
         """Run the §3.4 heuristic on the first member's coupling shape."""
         member = spec.members[0]
@@ -163,9 +168,7 @@ class ResourceConstrainedPlanner:
                 k + 1,
                 (MemberPlacement(0, tuple(range(1, k + 1))),),
             )
-            stages = predict_member_stages(probe, placement)[
-                probe_member.name
-            ]
+            stages = cache.predict(probe, placement)[probe_member.name]
             probe_stages[cores] = stages
             self.probe_evaluations += 1
             return stages

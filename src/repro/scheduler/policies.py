@@ -4,7 +4,9 @@ All policies implement :class:`SchedulingPolicy`: given an ensemble
 spec, a node budget, and per-node core capacity, produce an
 :class:`~repro.runtime.placement.EnsemblePlacement` (or raise
 :class:`~repro.util.errors.PlacementError` if the budget cannot hold
-the ensemble).
+the ensemble). A policy that prices candidates prices them on the
+cache and robustness term of ``place``'s ``context``, and keeps
+neither itself.
 
 - :class:`ExhaustiveSearchPolicy` — scores every feasible placement;
   the optimum, tractable at the paper's problem sizes.
@@ -27,9 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, MemberSpec
-from repro.scheduler.context import PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import PlacementScore, score_placement
-from repro.search.cache import StageCache
 from repro.search.canonical import iter_canonical_assignments
 from repro.util.errors import PlacementError
 from repro.util.rng import RandomSource
@@ -48,8 +49,14 @@ class SchedulingPolicy(abc.ABC):
         spec: EnsembleSpec,
         num_nodes: int,
         cores_per_node: int,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
-        """Produce a feasible placement or raise PlacementError."""
+        """Produce a feasible placement or raise PlacementError.
+
+        ``context`` is resolved by :func:`~repro.scheduler.context
+        .resolve_context` wherever a candidate is priced.
+        """
 
     # -- shared helpers ----------------------------------------------------
     @staticmethod
@@ -77,36 +84,29 @@ class ExhaustiveSearchPolicy(SchedulingPolicy):
     cache, so the search returns the same optimum as scoring every
     enumerated placement individually in enumeration order — just
     orders of magnitude faster (asserted in the search benchmarks).
-
-    Parameters
-    ----------
-    cache:
-        Optional :class:`~repro.search.cache.StageCache` shared across
-        ``place`` calls; it is the platform the search prices on (a
-        Cori-like one is built per call when omitted).
+    The search runs on ``place``'s context, so a robustness term in it
+    steers the optimum.
     """
 
     name = "exhaustive"
 
-    def __init__(self, cache: Optional[StageCache] = None) -> None:
+    def __init__(self) -> None:
         self.evaluated = 0
-        self.cache = cache
 
     def place(
         self,
         spec: EnsembleSpec,
         num_nodes: int,
         cores_per_node: int,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)
         from repro.search.engine import find_best_placement
 
         best, self.evaluated = find_best_placement(
-            spec,
-            num_nodes,
-            cores_per_node,
-            context=PlanningContext(cache=self.cache),
+            spec, num_nodes, cores_per_node, context=context
         )
         return best.placement
 
@@ -121,8 +121,9 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
     untouched empty nodes are interchangeable and each member opens
     them in order of first use. The candidate count therefore depends
     on the nodes in use, not on the budget. The member adopts the
-    candidate whose addition maximizes F(P^{U,A,P}) of the members
-    placed so far.
+    candidate whose addition maximizes the utility of the members
+    placed so far: F(P^{U,A,P}), less the context's robustness penalty
+    when it carries one.
     """
 
     name = "greedy-indicator"
@@ -135,12 +136,14 @@ class GreedyIndicatorPolicy(SchedulingPolicy):
         spec: EnsembleSpec,
         num_nodes: int,
         cores_per_node: int,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)
         self.evaluated = 0
         # one memo per call: scoring never builds the budget's cluster
-        context = PlanningContext(cache=StageCache())
+        context = resolve_context(context)
 
         placed: List[MemberPlacement] = []
         # free cores of the nodes in use, opened in first-use order;
@@ -282,6 +285,8 @@ class RoundRobinPolicy(SchedulingPolicy):
         spec: EnsembleSpec,
         num_nodes: int,
         cores_per_node: int,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)
@@ -327,6 +332,8 @@ class RandomPolicy(SchedulingPolicy):
         spec: EnsembleSpec,
         num_nodes: int,
         cores_per_node: int,
+        *,
+        context: Optional[PlanningContext] = None,
     ) -> EnsemblePlacement:
         require_positive_int("num_nodes", num_nodes)
         self._check_total_capacity(spec, num_nodes, cores_per_node)

@@ -61,7 +61,7 @@ from repro.platform.cluster import Cluster
 from repro.runtime.executor import EnsembleExecutor
 from repro.runtime.placement import EnsemblePlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import FINAL_STAGE_ORDER
 from repro.util.errors import ValidationError
 from repro.util.rng import derive_replica_seed
@@ -369,18 +369,12 @@ def rank_placements_robust(
     ValidationError
         On an unknown ``method``.
     """
-    if context is None:
-        context = DEFAULT_CONTEXT
     if method not in RANK_METHODS:
         valid = ", ".join(repr(m) for m in RANK_METHODS)
         raise ValidationError(
             f"unknown ranking method {method!r}; valid methods: {valid}"
         )
-    cache = context.cache
-    if cache is None:
-        from repro.search.cache import StageCache  # import cycle guard
-
-        cache = StageCache()
+    cache = resolve_context(context).cache
     if method == "surrogate":
         model = model_factory(base_seed)
         scores = [

@@ -46,9 +46,8 @@ from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.analytic import predict_member_stages
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec
-from repro.scheduler.context import DEFAULT_CONTEXT, PlanningContext
+from repro.scheduler.context import PlanningContext, resolve_context
 from repro.scheduler.objectives import PlacementScore
-from repro.search.cache import StageCache
 from repro.search.canonical import (
     assignment_to_placement,
     component_core_demands,
@@ -228,10 +227,8 @@ def find_best_placement_reference(
     """
     require_positive_int("num_nodes", num_nodes)
     require_positive_int("cores_per_node", cores_per_node)
-    if context is None:
-        context = DEFAULT_CONTEXT
-    robustness = context.robustness
-    cache = context.cache or StageCache()
+    context = resolve_context(context)
+    cache, robustness = context.cache, context.robustness
     component_cores = component_core_demands(spec)
 
     evaluated = 0
@@ -287,6 +284,8 @@ def anneal_reference(
     num_nodes: int,
     cores_per_node: int,
     initial_placement: Optional[EnsemblePlacement] = None,
+    *,
+    context: Optional[PlanningContext] = None,
 ) -> EnsemblePlacement:
     """The seed annealer: ``policy``'s schedule, every move re-scored.
 
@@ -294,13 +293,12 @@ def anneal_reference(
     schedule — start state, move draws, Metropolis acceptance, cooling
     — from ``policy``'s configuration and RNG stream, but scores every
     candidate in full with :func:`score_placement_reference` on the
-    platform of ``policy.cache`` (Cori-like when it has none): no
-    cache, no transposition table. It records its move statistics on
-    ``policy.stats``. :meth:`SimulatedAnnealingPolicy.place` must
-    return the same placement with the same ``stats`` from a fresh
-    policy built alike. Returns the anneal's winner; the optional
-    robust refinement of ``place`` re-ranks after the anneal and is
-    not part of it.
+    platform of ``context.cache`` (Cori-like when it has none) and
+    with ``context.robustness``: no cache, no transposition table. It
+    records its move statistics on ``policy.stats``.
+    :meth:`SimulatedAnnealingPolicy.place` must return the same
+    placement with the same ``stats`` from a fresh policy built alike
+    and given the same ``context``.
     """
     flat = policy.initial_assignment(
         spec, num_nodes, cores_per_node, initial_placement
@@ -309,8 +307,9 @@ def anneal_reference(
     stats = policy.stats
     component_cores = component_core_demands(spec)
 
-    # the policy's platform, read from its cache and never memoized
-    platform = policy.cache or StageCache()
+    # the context's platform, read from its cache and never memoized
+    context = resolve_context(context)
+    platform = context.cache
 
     def score(flat: Sequence[int]) -> PlacementScore:
         return score_placement_reference(
@@ -318,7 +317,7 @@ def anneal_reference(
             assignment_to_placement(spec, flat, num_nodes),
             cluster=platform.cluster,
             dtl=platform.dtl,
-            robustness=policy.robustness,
+            robustness=context.robustness,
         )
 
     current = score(flat)

@@ -638,13 +638,13 @@ def run_differential_oracle(
     # -- tier 0/2: the fault surrogate ------------------------------------
     from repro.faults.analytic import surrogate_resilience
 
+    surrogate_stages = predict_member_stages(spec, placement, cluster, dtl)
     baseline = surrogate_resilience(
         spec,
         placement,
         NoFailureModel(),
         RetryBackoffPolicy(),
-        cluster=cluster,
-        dtl=dtl,
+        stages=surrogate_stages,
     )
     analytic_t0 = max(
         _member_drain_makespan(analytic[m.name], m.n_steps)
@@ -664,12 +664,7 @@ def run_differential_oracle(
     if failure_model is not None:
         policy = recovery or RetryBackoffPolicy()
         report = surrogate_resilience(
-            spec,
-            placement,
-            failure_model,
-            policy,
-            cluster=cluster,
-            dtl=dtl,
+            spec, placement, failure_model, policy, stages=surrogate_stages
         )
         total = 0.0
         for trial in range(fault_trials):

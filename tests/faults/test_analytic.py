@@ -66,6 +66,11 @@ def placement():
     return TABLE2_CONFIGS["C1.5"].placement()
 
 
+@pytest.fixture(scope="module")
+def stages(spec, placement):
+    return predict_member_stages(spec, placement)
+
+
 def _small_spec(n_steps=8, num_analyses=2):
     return EnsembleSpec(
         "surrogate-test",
@@ -183,10 +188,14 @@ class TestExpectedCrashResponse:
 
 class TestSurrogateBaseline:
     def test_zero_rate_predicts_exactly_the_baseline(
-        self, spec, placement
+        self, spec, placement, stages
     ):
         report = surrogate_resilience(
-            spec, placement, NoFailureModel(), RetryBackoffPolicy()
+            spec,
+            placement,
+            NoFailureModel(),
+            RetryBackoffPolicy(),
+            stages=stages,
         )
         assert report.expected_inflation == pytest.approx(1.0)
         assert report.expected_faults == 0.0
@@ -196,18 +205,19 @@ class TestSurrogateBaseline:
             des.ensemble_makespan, rel=MAKESPAN_REL
         )
 
-    def test_positive_rate_inflates(self, spec, placement):
+    def test_positive_rate_inflates(self, spec, placement, stages):
         report = surrogate_resilience(
             spec,
             placement,
             RandomFailureModel(rate=0.1),
             RetryBackoffPolicy(),
+            stages=stages,
         )
         assert report.expected_inflation > 1.0
         assert report.expected_faults > 0.0
         assert 0.0 < report.effective_efficiency < 1.0
 
-    def test_scheduled_model_has_no_hazard(self, spec, placement):
+    def test_scheduled_model_has_no_hazard(self, spec, placement, stages):
         model = ScheduledFailureModel(
             [
                 FaultEvent(
@@ -222,15 +232,16 @@ class TestSurrogateBaseline:
         )
         with pytest.raises(ValidationError):
             surrogate_resilience(
-                spec, placement, model, RetryBackoffPolicy()
+                spec, placement, model, RetryBackoffPolicy(), stages=stages
             )
 
-    def test_report_renders(self, spec, placement):
+    def test_report_renders(self, spec, placement, stages):
         report = surrogate_resilience(
             spec,
             placement,
             RandomFailureModel(rate=0.05),
             RetryBackoffPolicy(),
+            stages=stages,
         )
         text = report.to_text()
         assert "expected makespan" in text
@@ -238,13 +249,14 @@ class TestSurrogateBaseline:
         assert isinstance(report, SurrogateReport)
         assert all(isinstance(m, MemberForecast) for m in report.members)
 
-    def test_monotone_in_rate(self, spec, placement):
+    def test_monotone_in_rate(self, spec, placement, stages):
         inflations = [
             surrogate_resilience(
                 spec,
                 placement,
                 RandomFailureModel(rate=r),
                 RetryBackoffPolicy(),
+                stages=stages,
             ).expected_inflation
             for r in (0.0, 0.02, 0.05, 0.10)
         ]
@@ -286,7 +298,13 @@ class TestSurrogateVsDES:
         placement = pack_members_per_node(spec)
         model = NodeFailureModel(placement, rate=0.08)
         policy = RetryBackoffPolicy()
-        report = surrogate_resilience(spec, placement, model, policy)
+        report = surrogate_resilience(
+            spec,
+            placement,
+            model,
+            policy,
+            stages=predict_member_stages(spec, placement),
+        )
         baseline = EnsembleExecutor(spec, placement).run()
         inflations = []
         for t in range(4):
@@ -559,13 +577,11 @@ class TestRobustnessTerm:
             model_builder=node_crash_builder(0.05),
         )
         annealer = SimulatedAnnealingPolicy(
-            seed=4, plateau=40, cooling=0.85,
-            min_temperature_ratio=1e-2, robustness=term,
+            seed=4, plateau=40, cooling=0.85, min_temperature_ratio=1e-2
         )
-        placement = annealer.place(spec, 3, 32)
-        score = score_placement(
-            spec, placement, context=PlanningContext(robustness=term)
-        )
+        context = PlanningContext(robustness=term)
+        placement = annealer.place(spec, 3, 32, context=context)
+        score = score_placement(spec, placement, context=context)
         assert score.robust_penalty > 0.0
         assert score.utility == pytest.approx(
             score.objective - score.robust_penalty

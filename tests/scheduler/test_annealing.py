@@ -5,6 +5,7 @@ import pytest
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
 from repro.runtime.spec import EnsembleSpec, default_member
 from repro.scheduler.annealing import SimulatedAnnealingPolicy
+from repro.scheduler.context import PlanningContext
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.search.cache import StageCache
@@ -130,6 +131,12 @@ class TestTranspositionTable:
             4, tuple(MemberPlacement(i, (i,)) for i in range(3))
         )
         cache = CountingStageCache()
-        sa = SimulatedAnnealingPolicy(seed=0, plateau=30, cache=cache)
-        sa.place(spec, 4, 32, initial_placement=packed)
+        sa = SimulatedAnnealingPolicy(seed=0, plateau=30)
+        sa.place(
+            spec,
+            4,
+            32,
+            initial_placement=packed,
+            context=PlanningContext(cache=cache),
+        )
         assert cache.evaluate_flat_calls < sa.stats.evaluations

@@ -1,12 +1,14 @@
 """:class:`PlanningContext` is the one way to pass planning options.
 
-The four planning entry points take the robustness term and the stage
-cache, which is the platform, only through ``context=``; the old
-per-call keywords raise ``TypeError``. ``context=None`` maps to the
+The four planning entry points and every policy's ``place`` take the
+robustness term and the stage cache, which is the platform, only
+through ``context=``; the old per-call and per-policy keywords raise
+``TypeError``. ``context=None`` maps to the
 shared :data:`DEFAULT_CONTEXT`, and an explicit context spelling out
 the default platform produces bit-identical floats. One context gives
 one answer: a search's winner scores as the search scored it, whatever
-the size of the cluster in the cache. The differential oracle scores
+the size of the cluster in the cache, and a plan or a re-plan prices
+every stage on one cache. The differential oracle scores
 through the same spelling; the mutant test here proves its exact tier
 has teeth.
 """
@@ -16,12 +18,17 @@ import warnings
 
 import pytest
 
+from repro.dtl.dimes import InMemoryStagingDTL
+from repro.dtl.pfs import ParallelFilesystemDTL
 from repro.faults.recovery import RetryBackoffPolicy
 from repro.platform.specs import make_cori_like_cluster
+from repro.reschedule.replanner import Replanner
 from repro.scheduler import PlanningContext
+from repro.scheduler.annealing import SimulatedAnnealingPolicy
 from repro.scheduler.context import DEFAULT_CONTEXT
 from repro.scheduler.objectives import score_placement
 from repro.scheduler.planner import ResourceConstrainedPlanner
+from repro.scheduler.policies import ExhaustiveSearchPolicy
 from repro.scheduler.robust import (
     crash_straggler_factory,
     rank_placements_robust,
@@ -90,8 +97,14 @@ class TestOneSpelling:
                 parallel=True,
             ),
             lambda: ResourceConstrainedPlanner(robustness=None),
+            lambda: ExhaustiveSearchPolicy(cache=StageCache()),
+            lambda: SimulatedAnnealingPolicy(cache=StageCache()),
+            lambda: SimulatedAnnealingPolicy(robustness=None),
         ],
-        ids=["search", "score", "rank", "planner"],
+        ids=[
+            "search", "score", "rank", "planner", "exhaustive",
+            "annealer-cache", "annealer-robustness",
+        ],
     )
     def test_legacy_keywords_raise_type_error(self, call):
         with pytest.raises(TypeError):
@@ -207,6 +220,90 @@ class TestOnePlatform:
         priced = score_placement(spec, wide, context=context).objective
         assert priced == 0.00554579136505981
         assert priced == score_placement_reference(spec, wide).objective
+
+
+@pytest.fixture
+def built_caches(monkeypatch):
+    """Every :class:`StageCache` constructed while the test runs."""
+    built = []
+    init = StageCache.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StageCache, "__init__", counted)
+    return built
+
+
+class TestOnePlatformPerDecision:
+    """A plan prices its §3.4 probe, its policy's candidates and its
+    final score on the context's cache, and builds no other; a
+    re-planner builds one cache for its run, on the run's cluster and
+    DTL, and its anneal and its hill-climb both price on it."""
+
+    def test_the_planner_prices_every_stage_on_the_context_cache(
+        self, built_caches, monkeypatch
+    ):
+        def uncached(*args, **kwargs):
+            raise AssertionError("a plan priced stages off its cache")
+
+        monkeypatch.setattr(
+            "repro.runtime.analytic.compute_effective_stages", uncached
+        )
+        spec = EnsembleSpec(
+            "ctx",
+            (
+                default_member("em1", num_analyses=1, n_steps=4),
+                default_member("em2", num_analyses=2, n_steps=4),
+            ),
+        )
+        cache = StageCache(dtl=ParallelFilesystemDTL())
+        planner = ResourceConstrainedPlanner(
+            context=PlanningContext(cache=cache)
+        )
+        plan = planner.plan(spec, num_nodes=3)
+        assert built_caches == [cache]
+        # 6 probe core counts, the greedy's 10 candidates, the score
+        assert (cache.stage_misses, cache.stage_hits) == (16, 10)
+        assert plan.analysis_cores == 8
+
+    def test_the_replanner_prices_a_run_on_one_cache(
+        self, built_caches, monkeypatch
+    ):
+        annealed_on, climbed_on = [], []
+        place, predict = SimulatedAnnealingPolicy.place, StageCache.predict
+
+        def spy_place(self, *args, context=None, **kwargs):
+            annealed_on.append(context.cache)
+            return place(self, *args, context=context, **kwargs)
+
+        def spy_predict(self, spec, placement):
+            climbed_on.append(self)
+            return predict(self, spec, placement)
+
+        monkeypatch.setattr(SimulatedAnnealingPolicy, "place", spy_place)
+        monkeypatch.setattr(StageCache, "predict", spy_predict)
+        spec = EnsembleSpec(
+            "ctx",
+            tuple(default_member(f"em{i}", n_steps=16) for i in range(3)),
+        )
+        cluster = make_cori_like_cluster(4)
+        dtl = InMemoryStagingDTL(
+            network=cluster.network,
+            memory_bandwidth=cluster.node_spec.memory_bandwidth,
+        )
+        replanner = Replanner(spec, cluster, dtl, cores_per_node=32)
+        packed = EnsemblePlacement(
+            4, tuple(MemberPlacement(i, (i,)) for i in range(3))
+        )
+        steps = {m.name: 10 for m in spec.members}
+        for slowdown in ({0: 2.5}, {1: 2.0, 2: 1.5}):
+            replanner.replan(packed, slowdown, steps)
+        (cache,) = built_caches
+        assert cache.cluster is cluster and cache.dtl is dtl
+        assert len(annealed_on) == 2 and climbed_on
+        assert all(c is cache for c in annealed_on + climbed_on)
 
 
 class TestOracleContextTier:

@@ -7,14 +7,19 @@ tie-breaking of :func:`find_best_placement`, :func:`score_placement`,
 :func:`rank_placements_robust` or :class:`ResourceConstrainedPlanner`
 fails here. The cases cover a non-default platform (contention off, a
 lighter DIMES progress tax), a robustness term, a shared stage cache
-(called twice, so the second call runs warm) and a larger 2 065-candidate
-search.
+(called twice, so the second call runs warm), a larger 2 065-candidate
+search and a robust plan that the term steers through the planner's
+policy.
 """
 
 import pytest
 
 from repro.dtl.dimes import InMemoryStagingDTL
-from repro.faults.analytic import RobustnessTerm, node_crash_builder
+from repro.faults.analytic import (
+    RobustnessTerm,
+    node_crash_builder,
+    node_crash_term,
+)
 from repro.faults.recovery import RetryBackoffPolicy, make_policy
 from repro.platform.specs import make_cori_like_cluster
 from repro.runtime.placement import EnsemblePlacement, MemberPlacement
@@ -56,6 +61,7 @@ def _contexts():
             )
         ),
         "cache": PlanningContext(cache=StageCache()),
+        "node-crash": PlanningContext(robustness=node_crash_term(0.05)),
     }
 
 
@@ -159,7 +165,24 @@ PLAN_PINS = {
             0.04411173260838375,
         ),
     ),
+    # the greedy searches on the penalized utility: -0.021256700915381826
+    # here, where the plan it chose on F alone scores -0.043017392344546906
+    "node-crash": (
+        (4, ((0, (0, 0, 1)), (2, (2, 2, 3)))),
+        8,
+        (
+            (4, ((0, (0, 0, 1)), (2, (2, 2, 3)))),
+            0.003874088523876012,
+            236.2269214867046,
+            (0.003874088523876012, 0.003874088523876012),
+            0.02513078943925784,
+        ),
+    ),
 }
+
+#: (analyses per member, n_steps, node budget) of a planner case, when
+#: not two single-analysis members of 4 steps on 3 nodes
+PLAN_SHAPES = {"node-crash": ((3, 3), 12, 4)}
 
 RANK_CANDIDATES = {
     "packed": EnsemblePlacement(
@@ -242,8 +265,9 @@ class TestRankPlacementsRobustPins:
 class TestPlannerPins:
     @pytest.mark.parametrize("name", sorted(PLAN_PINS))
     def test_context(self, name):
+        analyses, n_steps, num_nodes = PLAN_SHAPES.get(name, ((1, 1), 4, 3))
         plan = ResourceConstrainedPlanner(context=_contexts()[name]).plan(
-            _spec((1, 1)), num_nodes=3
+            _spec(analyses, n_steps), num_nodes=num_nodes
         )
         assert (
             _placement(plan.placement),

@@ -151,25 +151,24 @@ class TestIncrementalAnnealing:
         assert fast.stats == full.stats
 
     def test_trajectory_parity_with_robustness(self, two_member_spec):
-        full = SimulatedAnnealingPolicy(
-            seed=3, robustness=_robustness_term(), **self.KWARGS
+        context = PlanningContext(robustness=_robustness_term())
+        full = SimulatedAnnealingPolicy(seed=3, **self.KWARGS)
+        fast = SimulatedAnnealingPolicy(seed=3, **self.KWARGS)
+        full_placement = anneal_reference(
+            full, two_member_spec, 3, 32, context=context
         )
-        fast = SimulatedAnnealingPolicy(
-            seed=3, robustness=_robustness_term(), **self.KWARGS
-        )
-        full_placement = anneal_reference(full, two_member_spec, 3, 32)
-        fast_placement = fast.place(two_member_spec, 3, 32)
+        fast_placement = fast.place(two_member_spec, 3, 32, context=context)
         assert fast_placement == full_placement
         assert fast.stats.accepted == full.stats.accepted
 
     def test_shared_cache_same_result(self, two_member_spec):
-        cache = StageCache()
-        a = SimulatedAnnealingPolicy(
-            seed=5, cache=cache, **self.KWARGS
-        ).place(two_member_spec, 3, 32)
-        b = SimulatedAnnealingPolicy(
-            seed=5, cache=cache, **self.KWARGS
-        ).place(two_member_spec, 3, 32)
+        context = PlanningContext(cache=StageCache())
+        a = SimulatedAnnealingPolicy(seed=5, **self.KWARGS).place(
+            two_member_spec, 3, 32, context=context
+        )
+        b = SimulatedAnnealingPolicy(seed=5, **self.KWARGS).place(
+            two_member_spec, 3, 32, context=context
+        )
         assert a == b
 
 

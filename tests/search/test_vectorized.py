@@ -682,10 +682,12 @@ class TestPopulationMemo:
         exhaustive, annealing, search = (
             _contexts()[name].cache for _ in range(3)
         )
-        ExhaustiveSearchPolicy(cache=exhaustive).place(spec, 4, 32)
+        ExhaustiveSearchPolicy().place(
+            spec, 4, 32, context=PlanningContext(cache=exhaustive)
+        )
         policy = dict(seed=3, plateau=4, min_temperature_ratio=1e-2)
-        winner = SimulatedAnnealingPolicy(cache=annealing, **policy).place(
-            spec, 4, 32
+        winner = SimulatedAnnealingPolicy(**policy).place(
+            spec, 4, 32, context=PlanningContext(cache=annealing)
         )
         fast = find_best_placement(
             spec, 4, 32, context=PlanningContext(cache=search)
@@ -701,10 +703,11 @@ class TestPopulationMemo:
         )
         # the annealer walked the seed annealer's trajectory on this
         # platform, and its winner scores as the uncached scorer does
-        seed = SimulatedAnnealingPolicy(
-            cache=_contexts()[name].cache, **policy
+        seed = SimulatedAnnealingPolicy(**policy)
+        assert (
+            anneal_reference(seed, spec, 4, 32, context=_contexts()[name])
+            == winner
         )
-        assert anneal_reference(seed, spec, 4, 32) == winner
         scored = score_placement(
             spec, winner, context=PlanningContext(cache=annealing)
         )
